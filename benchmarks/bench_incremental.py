@@ -104,7 +104,7 @@ def _bench_pair(graph, fraction, repeats):
     side takes its min, so a throttling or noisy-neighbour episode hits
     both sides of the ratio instead of whichever block it lands on.
     """
-    base = flb_array(_prime(graph), PROCS, backend="array")
+    base = flb_array(_prime(graph), PROCS)
     subgraph_hashes(graph)  # primed at base-store time by the serving planes
 
     cold = warm = float("inf")
@@ -119,7 +119,7 @@ def _bench_pair(graph, fraction, repeats):
         gc.disable()
         try:
             t0 = time.perf_counter()
-            flb_array(cold_mutant, PROCS, backend="array")
+            flb_array(cold_mutant, PROCS)
             cold = min(cold, time.perf_counter() - t0)
         finally:
             gc.enable()
@@ -130,7 +130,7 @@ def _bench_pair(graph, fraction, repeats):
         try:
             stats.clear()
             t0 = time.perf_counter()
-            flb_array(warm_mutant, PROCS, backend="array", base=base,
+            flb_array(warm_mutant, PROCS, base=base,
                       warm_stats=stats)
             warm = min(warm, time.perf_counter() - t0)
         finally:
@@ -229,10 +229,10 @@ def test_warm_start_beats_cold_5x_small_mutation():
 
     # Correctness outside the timed region: exact equality, then the
     # independent certificate on the warm result.
-    base = flb_array(graph, PROCS, backend="array")
+    base = flb_array(graph, PROCS)
     mutant = _mutant(graph, 0.001)
-    cold = flb_array(_prime(_mutant(graph, 0.001)), PROCS, backend="array")
-    warm = flb_array(mutant, PROCS, backend="array", base=base)
+    cold = flb_array(_prime(_mutant(graph, 0.001)), PROCS)
+    warm = flb_array(mutant, PROCS, base=base)
     assert warm.makespan == cold.makespan
     for t in range(0, graph.num_tasks, 997):  # stride keeps the check fast
         assert warm.proc_of(t) == cold.proc_of(t)
@@ -247,11 +247,11 @@ def test_identical_resubmission_reuses_everything():
     whole schedule and cost far less than recomputing it."""
     cells, steps = stencil_size_for_tasks(20_000)
     graph = stencil(cells, steps, make_rng(7))
-    base = flb_array(_prime(graph), PROCS, backend="array")
+    base = flb_array(_prime(graph), PROCS)
     subgraph_hashes(graph)
     resub = _prime(_resub(graph))
     stats = {}
-    warm = flb_array(resub, PROCS, backend="array", base=base,
+    warm = flb_array(resub, PROCS, base=base,
                      warm_stats=stats)
     assert stats.get("reused") == graph.num_tasks
     assert warm.makespan == base.makespan

@@ -73,7 +73,7 @@ def test_scaling_flb_beats_etf_at_scale():
     assert t_etf > 10.0 * t_flb
 
 
-def run_scaling_curve(max_v=1_000_000, procs=16, kernel="auto", out=None):
+def run_scaling_curve(max_v=1_000_000, procs=16, out=None):
     """Time the array kernel on square stencil grids from 10^3 up to
     ``max_v`` tasks and write the per-task curve to ``out``.
 
@@ -89,12 +89,11 @@ def run_scaling_curve(max_v=1_000_000, procs=16, kernel="auto", out=None):
     import time as _time
     from pathlib import Path
 
-    from repro.core.flb_array import flb_array, resolve_kernel
+    from repro.core.flb_array import flb_array
     from repro.util.rng import make_rng as _make_rng
     from repro.util.tables import format_table
     from repro.workloads import stencil
 
-    backend = resolve_kernel(kernel)
     sizes = [v for v in (1_000, 10_000, 100_000, 1_000_000) if v <= max_v]
     rows = []
     for v in sizes:
@@ -110,7 +109,7 @@ def run_scaling_curve(max_v=1_000_000, procs=16, kernel="auto", out=None):
         try:
             for _ in range(repeats):
                 t0 = _time.perf_counter()
-                schedule = flb_array(graph, procs, backend=backend)
+                schedule = flb_array(graph, procs)
                 best = min(best, _time.perf_counter() - t0)
         finally:
             gc.enable()
@@ -133,7 +132,7 @@ def run_scaling_curve(max_v=1_000_000, procs=16, kernel="auto", out=None):
         flat = hi["us_per_task"] / lo["us_per_task"]
 
     lines = [
-        f"== scaling: FLB array kernel ({backend}) cost scaling in V ==",
+        "== scaling: FLB array kernel cost scaling in V ==",
         f"square 1-D stencil grids, P={procs}, bounded degree (E ~ 3V)",
         format_table(
             ["V", "E", "time [s]", "us/task", "tasks/s"],
@@ -165,13 +164,11 @@ if __name__ == "__main__":
     )
     _parser.add_argument("--max-v", type=int, default=1_000_000)
     _parser.add_argument("--procs", type=int, default=16)
-    _parser.add_argument("--kernel", default="auto")
     _parser.add_argument(
         "-o", "--output",
         default=str(Path(__file__).resolve().parents[1] / "results" / "scaling.txt"),
     )
     _args = _parser.parse_args()
     run_scaling_curve(
-        max_v=_args.max_v, procs=_args.procs, kernel=_args.kernel,
-        out=_args.output,
+        max_v=_args.max_v, procs=_args.procs, out=_args.output,
     )

@@ -50,12 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-seed", action="store_true",
                         help="skip timing the seed implementation "
                         "(faster; no speedup_vs_seed in the record)")
-    from repro.core.flb_array import KERNEL_CHOICES
-
-    parser.add_argument("--kernel", choices=KERNEL_CHOICES, default="auto",
-                        help="FLB backend to measure (auto resolves to numba "
-                        "when importable, else the NumPy array kernel; "
-                        "object = the CSR fast path)")
     args = parser.parse_args(argv)
 
     result = run_gate(
@@ -68,13 +62,11 @@ def main(argv=None) -> int:
         procs=tuple(args.procs),
         repeats=args.repeats,
         include_seed=not args.no_seed,
-        kernel=args.kernel,
     )
     print(result.message)
     if "speedup_vs_seed" in result.current:
         print(
-            f"{result.current.get('kernel', 'object')} kernel: "
-            f"{result.current['tasks_per_s']:,.0f} tasks/s, "
+            f"flb: {result.current['tasks_per_s']:,.0f} tasks/s, "
             f"seed: {result.current['seed_tasks_per_s']:,.0f} tasks/s "
             f"({result.current['speedup_vs_seed']:.2f}x)"
         )

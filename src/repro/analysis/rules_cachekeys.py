@@ -1,8 +1,8 @@
 """A3xx — cache and metrics discipline rules.
 
-A301 is the PR 7 bug class verbatim: the batch plane once built result
-cache keys as inline tuples that silently omitted the resolved kernel, so
-an ``array``-kernel result answered ``numba`` requests.  The fix routed
+A301 is a past bug class verbatim: the batch plane once built result
+cache keys as inline tuples that silently omitted a key field, so one
+request's cached result answered a different request.  The fix routed
 every key through :func:`repro.resultcache.make_key`; this rule keeps it
 that way.  A302 pins the metric naming contract documented in
 :mod:`repro.obs.metrics` (counters ``*_total``, duration histograms
@@ -51,8 +51,8 @@ def _receiver_is_cache(func: ast.Attribute) -> bool:
 def _check_inline_cache_keys(ctx: FileContext) -> List[AnalysisIssue]:
     """Flags a literal tuple used as the key of a cache-named mapping —
     ``get``/``put``/``setdefault``/``pop`` calls and subscripts alike.
-    An inline tuple cannot share the key factory's validation (kernel
-    must be resolved, never ``"auto"``) or pick up new key fields when
+    An inline tuple cannot share the key factory's validation (the
+    machine must agree with ``procs``) or pick up new key fields when
     the schema grows; route it through
     :func:`repro.resultcache.make_key`."""
     if ctx.module == _KEY_FACTORY_MODULE:
@@ -92,7 +92,7 @@ def _check_inline_cache_keys(ctx: FileContext) -> List[AnalysisIssue]:
                 ERROR,
                 "inline tuple used as a cache key; build keys with "
                 "repro.resultcache.make_key so every field (including the "
-                "resolved kernel) is validated in one place",
+                "machine fingerprint) is validated in one place",
             )
         )
     return issues
@@ -175,8 +175,8 @@ def _module_level_latches(tree: ast.Module) -> Set[str]:
 def _check_warn_once_reset(ctx: FileContext) -> List[AnalysisIssue]:
     """A ``*_warned`` module global flips once per process; without a
     ``reset_*`` function that clears it, no test after the first can
-    observe the warning (the flb_array kernel exposes
-    ``reset_kernel_state()`` for exactly this)."""
+    observe the warning (:func:`repro.api.reset_options_deprecations` is
+    the pattern)."""
     latches = _module_level_latches(ctx.tree)
     if not latches:
         return []

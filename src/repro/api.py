@@ -39,18 +39,11 @@ Fields (see each entry point for which ones it consumes):
   retries; batch-only (an in-process call cannot be contained).
 * ``metrics`` — a :class:`repro.obs.MetricsRegistry` to record into;
   ``None`` (default) disables all instrumentation.
-* ``kernel`` — which FLB implementation serves the request: ``"auto"``
-  (default; numba when importable, array otherwise), ``"array"``
-  (NumPy state vectors, interpreted), ``"numba"`` (njit-compiled) or
-  ``"object"`` (the reference heap scheduler).  The ``REPRO_KERNEL``
-  environment variable overrides this field; non-FLB algorithms ignore
-  it.  See :mod:`repro.core.flb_array`.
 * ``warm_start`` — reuse the clean prefix of a previously computed base
   schedule and replay FLB only over the dirty suffix
   (:mod:`repro.incremental`).  Bit-identical to a cold run, with a silent
   cold fallback (counted under ``incr_fallback_total``) whenever no
-  usable base exists.  FLB array/numba kernels only; other requests
-  ignore the flag.
+  usable base exists.  FLB only; other algorithms ignore the flag.
 """
 
 from __future__ import annotations
@@ -71,7 +64,6 @@ __all__ = [
     "SchedulingOptions",
     "schedule_graph",
     "schedule_graph_async",
-    "resolve_job_kernel",
     "UNSET",
     "resolve_options",
     "reset_options_deprecations",
@@ -129,7 +121,6 @@ class SchedulingOptions:
     timeout: Optional[float] = None
     retries: int = 2
     metrics: Optional[MetricsRegistry] = None
-    kernel: str = "auto"
     warm_start: bool = False
     machine: Optional["MachineModel"] = None
 
@@ -164,13 +155,6 @@ class SchedulingOptions:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        from repro.core.flb_array import KERNEL_CHOICES, KernelSelectionError
-
-        if self.kernel not in KERNEL_CHOICES:
-            raise KernelSelectionError(
-                f"unknown scheduling kernel kernel={self.kernel!r}; valid "
-                f"values: {', '.join(KERNEL_CHOICES)}"
-            )
 
     def replace(self, **changes: Any) -> "SchedulingOptions":
         """A copy with ``changes`` applied (frozen dataclasses are immutable).
@@ -228,28 +212,6 @@ def resolve_options(
             stacklevel=stacklevel,
         )
     return opts
-
-
-def resolve_job_kernel(algo: str, kernel: str) -> str:
-    """The backend that will actually serve an ``(algo, kernel)`` request.
-
-    This is the supervisor-side twin of the decision every execution path
-    makes (``schedule_graph``, the batch worker body, the serving plane):
-    non-FLB algorithms and registry overrides of ``"flb"`` always run the
-    ``object`` path; FLB requests resolve through
-    :func:`repro.core.flb_array.resolve_kernel` (honouring ``REPRO_KERNEL``
-    and the numba fallback).  Result-cache and request-coalescing keys are
-    built from this resolved name so that cached results can never
-    misreport the backend that computed them, and so that ``auto`` and its
-    resolution share one cache entry.
-    """
-    if algo != "flb":
-        return "object"
-    from repro.core.flb_array import resolve_kernel, stock_flb_registered
-
-    if not stock_flb_registered():
-        return "object"
-    return resolve_kernel(kernel)
 
 
 async def schedule_graph_async(
@@ -321,10 +283,10 @@ def schedule_graph(
     ``base`` passes an explicit warm-start base schedule;
     ``options.warm_start`` alone consults the process-global
     :func:`repro.incremental.base_cache` instead and stores this run's
-    result there for future deltas.  Either way the FLB array/numba path
-    replays the base's clean prefix when it can and silently runs cold
-    when it cannot (see :mod:`repro.incremental`); the object path ignores
-    warm-start entirely.
+    result there for future deltas.  Either way FLB replays the base's
+    clean prefix when it can and silently runs cold when it cannot (see
+    :mod:`repro.incremental`); other algorithms and observed FLB runs
+    ignore warm-start entirely.
     """
     from repro.schedulers import get_scheduler
 
@@ -345,16 +307,9 @@ def schedule_graph(
     # options mirror guarantees opts.machine is set whenever opts.procs is.
     eff_machine = machine if machine is not None else opts.machine
     metrics = opts.metrics
-    kernel = "object"
     if opts.algorithm == "flb" and "observer" not in kwargs:
-        # Observers need the instrumented object scheduler, and a registry
-        # override of "flb" must win; everything else is eligible for the
-        # array-native kernel.
-        from repro.core.flb_array import resolve_kernel, stock_flb_registered
-
-        if stock_flb_registered():
-            kernel = resolve_kernel(opts.kernel)
-    if kernel != "object":
+        # Observers need the observed FLB path (via the registry); every
+        # other FLB request runs the array kernel directly.
         from repro.core.flb_array import flb_array
 
         warm_base = base
@@ -368,7 +323,6 @@ def schedule_graph(
                 graph,
                 opts.procs,
                 machine=eff_machine,
-                backend=kernel,
                 metrics=metrics,
                 base=warm_base,
                 **kwargs,
@@ -386,7 +340,7 @@ def schedule_graph(
             return scheduler(graph, opts.procs, machine=eff_machine, **kwargs)
 
     if metrics is not None:
-        with metrics.span("sched.kernel", algo=opts.algorithm, kernel=kernel) as s:
+        with metrics.span("sched.kernel", algo=opts.algorithm) as s:
             schedule = _run()
             s.annotate(
                 procs=schedule.num_procs,

@@ -58,7 +58,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.api import UNSET, SchedulingOptions, resolve_job_kernel, resolve_options
+from repro.api import UNSET, SchedulingOptions, resolve_options
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry
@@ -190,9 +190,7 @@ class BatchResult:
     ``schedule`` / ``certify``), populated only when the batch ran with
     metrics enabled; the observability plane adds ``queue`` and the
     dispatch/reply residual (``other``) supervisor-side (see
-    docs/observability.md).  ``kernel`` names the FLB backend that served
-    the job (``object`` / ``array`` / ``numba``; always ``object`` for
-    non-FLB algorithms and for failed or cached results).  ``warm`` is
+    docs/observability.md).  ``warm`` is
     the warm-start outcome when the batch ran with warm-start enabled and
     a base schedule was available: either the replay accounting
     (``reused`` / ``replayed`` / ``total`` / ``dirty`` / ``fraction``) or
@@ -215,7 +213,6 @@ class BatchResult:
     cached: bool = False
     certified: bool = False
     phases: Optional[Dict[str, float]] = None
-    kernel: str = "object"
     warm: Optional[Dict[str, Any]] = None
 
     @property
@@ -260,7 +257,6 @@ def _run_job(
     validate: bool,
     certify: bool = False,
     measure: bool = False,
-    kernel: str = "auto",
     warm_start: bool = False,
     machine: Optional[MachineModel] = None,
 ) -> BatchResult:
@@ -277,7 +273,7 @@ def _run_job(
     durations are captured into :attr:`BatchResult.phases` — two extra
     clock reads per phase, nothing more.
 
-    With ``warm_start``, FLB array/numba jobs consult the process-global
+    With ``warm_start``, FLB jobs consult the process-global
     :func:`repro.incremental.base_cache` (preferring
     ``job.base_fingerprint``) for a base schedule to replay, and publish
     their own result there afterwards.  On the pool path each worker
@@ -297,16 +293,10 @@ def _run_job(
             job = replace(job, graph=graphstore.attach(job.graph_key))
             if phases is not None:
                 phases["attach"] = time.perf_counter() - t0
-        resolved = "object"
-        if job.algo == "flb":
-            from repro.core.flb_array import resolve_kernel, stock_flb_registered
-
-            if stock_flb_registered():
-                resolved = resolve_kernel(kernel)
         eff_machine = _effective_machine(job, machine)
         t_sched = time.perf_counter()
         warm: Optional[Dict[str, Any]] = None
-        if resolved != "object":
+        if job.algo == "flb":
             from repro.core.flb_array import flb_array
 
             base = None
@@ -316,18 +306,12 @@ def _run_job(
                 base = base_cache().get(job.base_fingerprint)
                 warm = {}
             schedule = flb_array(
-                job.graph, machine=eff_machine, backend=resolved,
-                base=base, warm_stats=warm,
+                job.graph, machine=eff_machine, base=base, warm_stats=warm,
             )
             if warm_start:
                 from repro.incremental import base_cache
 
                 base_cache().put(job.graph.fingerprint(), schedule)
-            if warm and "fallback" not in warm:
-                # The reused prefix is replayed and the dirty suffix runs
-                # the interpreted array driver — report the backend that
-                # actually served the job.
-                resolved = "array"
         else:
             scheduler = get_scheduler(job.algo)
             schedule = scheduler(job.graph, machine=eff_machine)
@@ -376,7 +360,6 @@ def _run_job(
             error=None,
             certified=certified,
             phases=phases,
-            kernel=resolved,
             warm=warm or None,
         )
     except Exception:
@@ -387,11 +370,10 @@ def _run_job(
 
 
 def _run_packed(
-    packed: Tuple[BatchJob, bool, bool, bool, str, bool, Optional[MachineModel]]
+    packed: Tuple[BatchJob, bool, bool, bool, bool, Optional[MachineModel]]
 ) -> BatchResult:
     """Module-level runner for the worker pool (must be picklable)."""
-    job, validate, certify, measure, kernel, warm_start, machine = packed
-    return _run_job(job, validate, certify, measure, kernel, warm_start, machine)
+    return _run_job(*packed)
 
 
 def _cache_key(
@@ -400,8 +382,6 @@ def _cache_key(
     certify: bool,
     fingerprints: Dict[int, str],
     store: Optional["graphstore.GraphStore"],
-    kernels: Dict[str, str],
-    kernel: str = "auto",
     machine: Optional[MachineModel] = None,
 ) -> Optional[CacheKey]:
     """Result-cache key for a job, or ``None`` when the job is uncacheable.
@@ -415,10 +395,7 @@ def _cache_key(
     object so a batch of N jobs over one graph hashes it once.
     ``certify`` is part of the key: a certified result answers strictly
     more than an uncertified one, and the cache never serves the weaker
-    answer for the stronger request.  The *resolved* kernel backend is
-    part of the key too (``kernels`` memoises per algo): the FLB backends
-    are bit-identical, but ``BatchResult.kernel`` reports which one ran,
-    and a cached entry must never misreport the backend that computed it.
+    answer for the stronger request.
     """
     try:
         eff_machine = _effective_machine(job, machine)
@@ -439,12 +416,8 @@ def _cache_key(
             return None
     else:
         return None
-    resolved = kernels.get(job.algo)
-    if resolved is None:
-        resolved = resolve_job_kernel(job.algo, kernel)
-        kernels[job.algo] = resolved
     return make_cache_key(
-        fp, eff_machine.num_procs, job.algo, validate, certify, resolved,
+        fp, eff_machine.num_procs, job.algo, validate, certify,
         machine=eff_machine,
     )
 
@@ -478,8 +451,8 @@ def schedule_many(
     options:
         A :class:`repro.api.SchedulingOptions` carrying the scheduling
         semantics (``validate`` / ``certify`` / ``timeout`` / ``retries`` /
-        ``metrics`` / ``kernel`` / ``warm_start``) — the canonical
-        spelling.  With ``warm_start``, FLB array jobs replay the clean
+        ``metrics`` / ``warm_start``) — the canonical spelling.  With
+        ``warm_start``, FLB jobs replay the clean
         prefix of a previously stored base schedule
         (:mod:`repro.incremental`) and report the outcome in
         :attr:`BatchResult.warm`.  The individual ``timeout``
@@ -533,7 +506,7 @@ def schedule_many(
         (always inline pickle — the pre-graph-plane behaviour).
     cache:
         A :class:`~repro.resultcache.ResultCache`.  Jobs whose
-        ``(fingerprint, procs, algo, validate, certify, kernel, machine
+        ``(fingerprint, procs, algo, validate, certify, machine
         fingerprint)`` key hits return
         immediately with ``cached=True`` and are never dispatched;
         successful new results are inserted afterwards.  Applies on both
@@ -569,7 +542,6 @@ def schedule_many(
         opts.timeout, opts.validate, opts.certify, opts.retries,
     )
     reg = opts.metrics
-    kernel = opts.kernel
     warm_start = opts.warm_start
     default_machine = opts.machine
     measure = reg is not None
@@ -591,7 +563,6 @@ def schedule_many(
 
     results: List[Optional[BatchResult]] = [None] * len(jobs)
     fingerprints: Dict[int, str] = {}
-    resolved_kernels: Dict[str, str] = {}  # algo -> resolved backend (memo)
     keys: List[Optional[CacheKey]] = [None] * len(jobs)
     use_cache = cache is not None and cache.enabled
 
@@ -607,8 +578,7 @@ def schedule_many(
     coalesced: Dict[CacheKey, List[int]] = {}
     for i, job in enumerate(jobs):
         keys[i] = _cache_key(
-            job, validate, certify, fingerprints, store,
-            resolved_kernels, kernel, default_machine,
+            job, validate, certify, fingerprints, store, default_machine,
         )
         if use_cache:
             hit = cache.get(keys[i])
@@ -643,7 +613,7 @@ def schedule_many(
     if dispatch and (workers <= 1 or len(dispatch) <= 1):
         for i in dispatch:
             results[i] = _run_job(
-                jobs[i], validate, certify, measure, kernel, warm_start,
+                jobs[i], validate, certify, measure, warm_start,
                 default_machine,
             )
         stats["inline_graph_jobs"] = len(dispatch)
@@ -653,7 +623,7 @@ def schedule_many(
             grace=grace, retries=retries, backoff=backoff,
             share_graphs=share_graphs, store=store,
             fingerprints=fingerprints, stats=stats, metrics=reg,
-            kernel=kernel, warm_start=warm_start, machine=default_machine,
+            warm_start=warm_start, machine=default_machine,
         )
         for i, res in zip(dispatch, outcomes):
             results[i] = res
@@ -759,7 +729,7 @@ def _record_batch_metrics(
             tag=res.tag, algo=res.algo, procs=res.procs, ok=res.ok,
             error_kind=res.error_kind, cached=res.cached,
             attempts=res.attempts, wall=wall, phases=phases,
-            kernel=res.kernel, warm=res.warm,
+            warm=res.warm,
         )
     cache_stats = cache.stats() if cache is not None else {}
     reg.event(
@@ -797,7 +767,6 @@ def _dispatch_pool(
     fingerprints: Dict[int, str],
     stats: Dict[str, int],
     metrics: Optional[MetricsRegistry] = None,
-    kernel: str = "auto",
     warm_start: bool = False,
     machine: Optional[MachineModel] = None,
 ) -> List[BatchResult]:
@@ -844,7 +813,7 @@ def _dispatch_pool(
 
         measure = metrics is not None
         outcomes = workerpool.run_supervised(
-            [(job, validate, certify, measure, kernel, warm_start, machine)
+            [(job, validate, certify, measure, warm_start, machine)
              for job in wire],
             _run_packed,
             workers=min(workers, len(wire)),

@@ -1,13 +1,14 @@
-"""Throughput performance gate for the FLB fast path.
+"""Throughput performance gate for the FLB kernel.
 
-The CSR fast path (``docs/performance.md``) exists for one number:
+The array kernel (``docs/performance.md``) exists for one number:
 scheduling throughput, in tasks placed per second of wall-clock scheduling
 time, measured on the Fig. 2 suite (LU, Laplace, stencil).  This module
 measures that number and *gates* on it, so a refactor that quietly gives the
 speedup back fails CI instead of shipping:
 
-* :func:`measure_throughput` times ``flb`` (the fast path) across the suite
-  and, optionally, the pre-CSR reference implementation
+* :func:`measure_throughput` times the array kernel
+  (:func:`repro.core.flb_array.flb_array`) across the suite and,
+  optionally, the pre-CSR reference implementation
   (:func:`repro.core.flb._flb_observed` with no observer — the seed
   algorithm, kept verbatim for trace fidelity) for a speedup-vs-seed figure.
 * :func:`run_gate` compares the measurement against the baseline stored in
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.bench.suite import paper_suite
-from repro.core.flb import flb
+from repro.core.flb_array import flb_array
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
@@ -56,7 +57,7 @@ def seed_flb(
     num_procs: Optional[int] = None,
     machine: Optional[MachineModel] = None,
 ) -> Schedule:
-    """The pre-fast-path FLB implementation (the seed's algorithm).
+    """The pre-CSR FLB implementation (the seed's algorithm).
 
     ``_flb_observed`` with ``observer=None`` is the original dict-and-
     IndexedHeap loop, preserved verbatim for trace/oracle fidelity; timing it
@@ -78,7 +79,6 @@ def measure_throughput(
     problems: Sequence[str] = ("lu", "laplace", "stencil"),
     repeats: int = 3,
     include_seed: bool = True,
-    kernel: str = "auto",
 ) -> Dict[str, object]:
     """Measure FLB scheduling throughput on the Fig. 2 suite.
 
@@ -86,44 +86,26 @@ def measure_throughput(
     summed across every (instance, P) pair — one aggregate number rather
     than a per-cell table, because the gate needs a single scalar that
     regressions cannot hide from by trading cells against each other.
-
-    ``kernel`` picks the FLB implementation under test (resolved through
-    :func:`repro.core.flb_array.resolve_kernel`, so ``REPRO_KERNEL`` and
-    numba availability apply): ``"object"`` times the CSR fast path
-    (:func:`repro.core.flb.flb`), anything else times the array kernel with
-    that backend.  The resolved name is recorded in the result so stored
-    baselines say what they measured.
     """
-    from repro.core.flb_array import flb_array, resolve_kernel
     from repro.metrics.metrics import time_scheduler
-
-    resolved = resolve_kernel(kernel)
-    if resolved == "object":
-        fast = flb
-    else:
-        def fast(
-            graph: TaskGraph,
-            num_procs: Optional[int] = None,
-            machine: Optional[MachineModel] = None,
-        ) -> Schedule:
-            return flb_array(graph, num_procs, machine=machine, backend=resolved)
 
     instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
     total_tasks = 0
-    fast_seconds = 0.0
+    kernel_seconds = 0.0
     seed_seconds = 0.0
     for inst in instances:
         for p in procs:
             total_tasks += inst.graph.num_tasks
-            fast_seconds += time_scheduler(fast, inst.graph, p, repeats=repeats)
+            kernel_seconds += time_scheduler(
+                flb_array, inst.graph, p, repeats=repeats
+            )
             if include_seed:
                 seed_seconds += time_scheduler(
                     seed_flb, inst.graph, p, repeats=repeats
                 )
     result: Dict[str, object] = {
-        "tasks_per_s": round(total_tasks / fast_seconds, 1),
+        "tasks_per_s": round(total_tasks / kernel_seconds, 1),
         "total_tasks": total_tasks,
-        "kernel": resolved,
         "suite": {
             "target_tasks": target_tasks,
             "seeds": seeds,
@@ -134,7 +116,7 @@ def measure_throughput(
     }
     if include_seed:
         result["seed_tasks_per_s"] = round(total_tasks / seed_seconds, 1)
-        result["speedup_vs_seed"] = round(seed_seconds / fast_seconds, 2)
+        result["speedup_vs_seed"] = round(seed_seconds / kernel_seconds, 2)
     return result
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
@@ -127,41 +127,20 @@ def _resolve_graph(args: argparse.Namespace) -> TaskGraph:
     return _build_problem(args.problem, args.tasks, args.ccr, args.seed)
 
 
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.core.flb_array import KERNEL_CHOICES
-
-    parser.add_argument(
-        "--kernel", choices=KERNEL_CHOICES, default="auto",
-        help="FLB backend: auto (numba when importable, else array), "
-             "object (reference heaps), array (NumPy state vectors) or "
-             "numba (njit-compiled); REPRO_KERNEL overrides, non-FLB "
-             "algorithms ignore it",
-    )
-
-
 def _run_algorithm(
     algo: str,
-    kernel: str,
     graph: TaskGraph,
     procs: int,
     machine: Optional[MachineModel] = None,
-) -> Tuple[Schedule, str]:
-    """Run ``algo`` honouring ``--kernel``; returns (schedule, backend)."""
+) -> Schedule:
+    """Run ``algo`` on ``machine`` (default: the homogeneous clique)."""
     if machine is None:
         machine = MachineModel(procs)
     if algo == "flb":
-        from repro.core.flb_array import (
-            flb_array,
-            resolve_kernel,
-            stock_flb_registered,
-        )
+        from repro.core.flb_array import flb_array
 
-        if not stock_flb_registered():
-            return SCHEDULERS[algo](graph, machine=machine), "object"
-        resolved = resolve_kernel(kernel)
-        if resolved != "object":
-            return flb_array(graph, machine=machine, backend=resolved), resolved
-    return SCHEDULERS[algo](graph, machine=machine), "object"
+        return flb_array(graph, machine=machine)
+    return SCHEDULERS[algo](graph, machine=machine)
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -273,27 +252,16 @@ def _add_obs_args(
     json_help: str,
     trace: bool = False,
 ) -> None:
-    """The shared observability flag set: spelled identically everywhere.
-
-    Hidden aliases (``--json-out``, ``--metrics``, ``--trace``) keep the
-    pre-unification spellings parsing; they share a dest with the
-    canonical flag and never show in ``--help``.
-    """
+    """The shared observability flag set: spelled identically everywhere."""
     parser.add_argument("--json", action="store_true", dest="json_out",
                         help=json_help)
-    parser.add_argument("--json-out", action="store_true", dest="json_out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write Prometheus text exposition of the run's "
                         "metrics to FILE (enables instrumentation)")
-    parser.add_argument("--metrics", metavar="FILE", dest="metrics_out",
-                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     if trace:
         parser.add_argument("--trace-out", metavar="FILE", default=None,
                             help="write the JSONL event trace to FILE "
                             "(render it with `repro-sched report FILE`)")
-        parser.add_argument("--trace", metavar="FILE", dest="trace_out",
-                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p_sched)
     p_sched.add_argument("--procs", type=int, default=4)
     p_sched.add_argument("--algo", choices=sorted(SCHEDULERS), default="flb")
-    _add_kernel_arg(p_sched)
     _add_machine_args(p_sched)
     p_sched.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     p_sched.add_argument("--table", action="store_true", help="print the placement table")
@@ -363,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p_cert)
     p_cert.add_argument("--procs", type=int, default=4)
     p_cert.add_argument("--algo", choices=sorted(SCHEDULERS), default="flb")
-    _add_kernel_arg(p_cert)
     _add_machine_args(p_cert)
     _add_obs_args(p_cert, json_help="emit the certificate as JSON")
     p_cert.add_argument("--stats", action="store_true",
@@ -401,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="processor counts")
     p_batch.add_argument("--algos", nargs="+", choices=sorted(SCHEDULERS),
                          default=["flb"], help="algorithms")
-    _add_kernel_arg(p_batch)
     _add_machine_args(p_batch)
     p_batch.add_argument("--tasks", type=int, default=500, help="approximate task count")
     p_batch.add_argument("--ccr", type=float, default=1.0)
@@ -477,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable warm-start rescheduling for every "
                          "request (delta requests with base_fingerprint "
                          "enable it per-request regardless)")
-    _add_kernel_arg(p_serve)
 
     p_report = sub.add_parser(
         "report", help="render a human summary from a --trace-out JSONL trace"
@@ -486,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--trace-out (or MetricsRegistry.write_trace)")
     p_report.add_argument("--json", action="store_true", dest="json_out",
                           help="emit the summary as JSON instead of tables")
-    p_report.add_argument("--json-out", action="store_true", dest="json_out",
-                          help=argparse.SUPPRESS)
 
     return parser
 
@@ -505,19 +467,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     machine = _machine_from_args(args, args.procs)
-    schedule, backend = _run_algorithm(
-        args.algo, args.kernel, graph, args.procs, machine=machine
-    )
+    schedule = _run_algorithm(args.algo, graph, args.procs, machine=machine)
     schedule.validate()
-    kernel_note = f", kernel={backend}" if args.algo == "flb" else ""
     machine_note = (
         ", heterogeneous" if machine is not None and machine.is_heterogeneous
         else ""
     )
     print(
         f"{args.algo} on P={args.procs}: makespan {schedule.makespan:g} "
-        f"(V={graph.num_tasks}, E={graph.num_edges}{kernel_note}"
-        f"{machine_note})"
+        f"(V={graph.num_tasks}, E={graph.num_edges}{machine_note})"
     )
     for key, value in summarize(schedule).items():
         print(f"  {key:>16s}: {value:.4g}")
@@ -740,9 +698,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     reg = _obs_registry(args)
     t_sched = _time.perf_counter()
-    schedule, backend = _run_algorithm(
-        args.algo, args.kernel, graph, args.procs, machine=machine
-    )
+    schedule = _run_algorithm(args.algo, graph, args.procs, machine=machine)
     t0 = _time.perf_counter()
     cert = certify(schedule, flavor=greedy_flavor(args.algo))
     elapsed = _time.perf_counter() - t0
@@ -750,24 +706,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     for code in cert.codes():
         codes[code] = codes.get(code, 0) + 1
     if reg is not None:
-        reg.histogram(
-            "sched_kernel_seconds", algo=args.algo, kernel=backend
-        ).observe(t0 - t_sched)
+        reg.histogram("sched_kernel_seconds", algo=args.algo).observe(
+            t0 - t_sched
+        )
         reg.histogram("verify_certify_seconds").observe(elapsed)
         reg.counter("verify_certify_total",
                     ok="true" if cert.ok else "false").inc()
         for code, count in codes.items():
             reg.counter("verify_rule_hits_total", code=code).inc(count)
         reg.event("verify.certify", elapsed, algo=args.algo,
-                  procs=args.procs, ok=cert.ok, kernel=backend)
+                  procs=args.procs, ok=cert.ok)
     if args.json_out:
         doc = cert.to_dict()
         doc["algo"] = args.algo
-        doc["kernel"] = backend
         print(_json.dumps(doc, indent=2))
     else:
-        kernel_note = f" (kernel={backend})" if args.algo == "flb" else ""
-        print(f"{args.algo} on P={args.procs}{kernel_note}:")
+        print(f"{args.algo} on P={args.procs}:")
         print(cert.render())
     if args.stats:
         counts = " ".join(f"{c}={n}" for c, n in sorted(codes.items())) or "none"
@@ -848,8 +802,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     reg = _obs_registry(args)
     options = SchedulingOptions(
         timeout=args.timeout, validate=args.validate, certify=args.certify,
-        retries=args.retries, metrics=reg, kernel=args.kernel,
-        warm_start=args.warm_start,
+        retries=args.retries, metrics=reg, warm_start=args.warm_start,
     )
     with BatchScheduler(
         workers=args.workers, options=options,
@@ -942,8 +895,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     machine = _machine_from_args(args, None)
     options = SchedulingOptions(
         timeout=args.timeout, validate=args.validate,
-        certify=args.certify, kernel=args.kernel,
-        warm_start=args.warm_start,
+        certify=args.certify, warm_start=args.warm_start,
     )
     try:
         config = ServeConfig(

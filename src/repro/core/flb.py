@@ -33,11 +33,11 @@ operations; finding ready tasks scans each edge once.  Total
 
 Two implementations share that algorithm (see ``docs/performance.md``):
 
-* :func:`_flb_fast` — the default.  Iterates the graph's CSR adjacency
-  (:meth:`repro.graph.TaskGraph.csr`), fuses the two predecessor passes
-  (LMT/EP and EMT-on-EP) into one, keeps task finish/processor data in
-  local arrays, and implements the five priority lists with C-speed
-  :mod:`heapq` heaps using lazy invalidation.
+* :func:`repro.core.flb_array.flb_array` — the production kernel, taken
+  whenever no ``observer`` is supplied.  It iterates the graph's CSR
+  adjacency, fuses the two predecessor passes (LMT/EP and EMT-on-EP) into
+  one, keeps scheduler state in flat vectors and implements the five
+  priority lists with lazily invalidated :mod:`heapq` heaps.
 * :func:`_flb_observed` — the original structured loop over
   :class:`~repro.core.lists.FlbLists`, taken whenever an ``observer`` is
   supplied.  The ``observer`` hook exposes every iteration's candidate lists
@@ -52,13 +52,13 @@ equivalence suite in ``tests/test_fastpath_equivalence.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.exceptions import SchedulerError
 from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
+from repro.core.flb_array import flb_array
 from repro.core.lists import FlbLists
 from repro.schedule.schedule import Schedule
 
@@ -116,7 +116,7 @@ def flb(
     observer:
         Optional per-iteration hook (trace recording, oracle checking).
         Supplying one selects the slower observed path, whose per-iteration
-        :class:`FlbIteration` snapshots the fast path skips entirely.
+        :class:`FlbIteration` snapshots the array kernel skips entirely.
     prefer_non_ep_on_tie:
         The paper's rule resolves equal-start EP/non-EP candidates to the
         non-EP task (its communication is already overlapped); setting
@@ -138,195 +138,9 @@ def flb(
             f"num_procs={num_procs} conflicts with machine.num_procs={machine.num_procs}"
         )
     if observer is None:
-        return _flb_fast(graph, machine, prefer_non_ep_on_tie)
+        return flb_array(graph, machine=machine,
+                         prefer_non_ep_on_tie=prefer_non_ep_on_tie)
     return _flb_observed(graph, machine, observer, prefer_non_ep_on_tie)
-
-
-# Ready-task states for the fast path's lazily invalidated heap entries.
-_NOT_READY, _EP, _NON_EP, _DONE = 0, 1, 2, 3
-
-
-def _flb_fast(
-    graph: TaskGraph,
-    machine: MachineModel,
-    prefer_non_ep_on_tie: bool,
-) -> Schedule:
-    """The CSR fast path (no observer).  Bit-identical to the observed path.
-
-    The five priority structures are plain :mod:`heapq` heaps with *lazy
-    invalidation*: scheduling or demoting a task flips its ``state`` and
-    leaves any heap entries behind as tombstones, which peeks pop off the
-    top.  Every task enters each heap at most once (EP -> non-EP demotion is
-    one-way), so the amortized bound per iteration stays ``O(log W)`` /
-    ``O(log P)`` and the paper's total ``O(V (log W + log P) + E)`` holds.
-    """
-    n = graph.num_tasks
-    num_procs = machine.num_procs
-    bl = bottom_levels(graph)
-    schedule = Schedule(graph, machine)
-    csr = graph.csr().lists
-    pred_ptr, pred_ids, pred_comm = csr.pred_ptr, csr.pred_ids, csr.pred_comm
-    succ_ptr, succ_ids = csr.succ_ptr, csr.succ_ids
-    lat, scale = machine.latency, machine.comm_scale
-
-    state = [_NOT_READY] * n
-    finish = [0.0] * n  # FT of scheduled tasks (schedule.finish_of, hoisted)
-    on_proc = [0] * n  # PROC of scheduled tasks (schedule.proc_of, hoisted)
-    pp = csr.pred_ptr
-    npreds = [pp[t + 1] - pp[t] for t in range(n)]
-
-    prt = [0.0] * num_procs
-    # Per-processor EP lists keyed (EMT, -BL, id) / (LMT, -BL, id); global
-    # non-EP list keyed (LMT, -BL, id) — the same keys FlbLists uses.
-    emt_heaps: List[List[Tuple[float, float, int]]] = [[] for _ in range(num_procs)]
-    lmt_heaps: List[List[Tuple[float, float, int]]] = [[] for _ in range(num_procs)]
-    non_ep_heap: List[Tuple[float, float, int]] = []
-    # Processor lists: active procs by (min EST, id), all procs by (PRT, id).
-    # An active entry is current iff its EST equals active_est[p]; an
-    # all-procs entry iff its key equals prt[p] (PRT strictly increases).
-    active_heap: List[Tuple[float, int]] = []
-    active_est: List[Optional[float]] = [None] * num_procs
-    all_heap = [(0.0, p) for p in range(num_procs)]  # sorted => a valid heap
-
-    def refresh_active(p: int) -> None:
-        # Re-derive p's entry in the active list from the head of its EMT
-        # list and its PRT (the paper's UpdateProcLists).
-        heap = emt_heaps[p]
-        while heap and state[heap[0][2]] != _EP:
-            heappop(heap)
-        if not heap:
-            active_est[p] = None
-        else:
-            est = heap[0][0]
-            rt = prt[p]
-            if rt > est:
-                est = rt
-            active_est[p] = est
-            heappush(active_heap, (est, p))
-
-    for t in graph.entry_tasks:
-        # Entry tasks have no enabling processor and are non-EP with LMT 0.
-        state[t] = _NON_EP
-        heappush(non_ep_heap, (0.0, -bl[t], t))
-
-    for _ in range(n):
-        # Candidate (a): EP task with minimum EST on its enabling processor.
-        while active_heap:
-            est, p = active_heap[0]
-            if active_est[p] == est:
-                break
-            heappop(active_heap)
-        # Candidate (b): non-EP task with minimum LMT, on the earliest-idle
-        # processor.
-        while non_ep_heap and state[non_ep_heap[0][2]] != _NON_EP:
-            heappop(non_ep_heap)
-        while True:
-            idle_prt, idle_proc = all_heap[0]
-            if prt[idle_proc] == idle_prt:
-                break
-            heappop(all_heap)
-
-        if not active_heap and not non_ep_heap:
-            raise SchedulerError("no ready task but schedule incomplete (bug)")
-        # Theorem 3: compare the two candidates; per the paper, ties favour
-        # the non-EP task (ablatable via prefer_non_ep_on_tie).
-        if not non_ep_heap:
-            take_ep = True
-        elif not active_heap:
-            take_ep = False
-        else:
-            ep_est = active_heap[0][0]
-            non_lmt = non_ep_heap[0][0]
-            non_est = non_lmt if non_lmt > idle_prt else idle_prt
-            take_ep = ep_est < non_est if prefer_non_ep_on_tie else ep_est <= non_est
-        if take_ep:
-            proc = active_heap[0][1]
-            est = active_heap[0][0]
-            ep_heap = emt_heaps[proc]
-            while state[ep_heap[0][2]] != _EP:  # pragma: no cover - defensive
-                heappop(ep_heap)
-            task = ep_heap[0][2]
-        else:
-            task = non_ep_heap[0][2]
-            non_lmt = non_ep_heap[0][0]
-            proc = idle_proc
-            est = non_lmt if non_lmt > idle_prt else idle_prt
-
-        # ScheduleTask: the chosen task's heap entries become tombstones.
-        state[task] = _DONE
-        ft = schedule._append(task, proc, est)
-        finish[task] = ft
-        on_proc[task] = proc
-
-        # UpdateTaskLists + UpdateProcLists: PRT(proc) rises to ft; EP tasks
-        # of proc whose LMT fell below it demote to non-EP.
-        prt[proc] = ft
-        heappush(all_heap, (ft, proc))
-        lheap = lmt_heaps[proc]
-        while lheap:
-            entry = lheap[0]
-            if state[entry[2]] != _EP:
-                heappop(lheap)
-                continue
-            if entry[0] >= ft:
-                break
-            heappop(lheap)
-            state[entry[2]] = _NON_EP
-            heappush(non_ep_heap, entry)  # same (LMT, -BL, id) key
-        refresh_active(proc)
-
-        # UpdateReadyTasks: one fused pass per newly ready successor
-        # computes LMT, EP and EMT-on-EP together.  EMT(t, EP) =
-        # max(max FT(pred), max arrival from predecessors off EP), because
-        # an off-EP predecessor's arrival dominates its own FT; ``alt``
-        # tracks the best arrival from any processor other than the current
-        # best's (entries skipped while sharing the then-best processor are
-        # dominated by that best, which is folded in if the leader changes).
-        for j in range(succ_ptr[task], succ_ptr[task + 1]):
-            succ = succ_ids[j]
-            npreds[succ] -= 1
-            if npreds[succ]:
-                continue
-            b_arr = -1.0
-            b_ft = -1.0
-            b_id = -1
-            b_proc = 0
-            alt = 0.0
-            max_ft = 0.0
-            for i in range(pred_ptr[succ], pred_ptr[succ + 1]):
-                pred = pred_ids[i]
-                ft_p = finish[pred]
-                # Parenthesised like MachineModel.remote_delay so the float
-                # rounding matches the observed/reference paths exactly.
-                arr = ft_p + (lat + scale * pred_comm[i])
-                pp = on_proc[pred]
-                if ft_p > max_ft:
-                    max_ft = ft_p
-                # Deterministic (arrival, FT, id) tie rule for the EP choice.
-                if arr > b_arr or (
-                    arr == b_arr and (ft_p > b_ft or (ft_p == b_ft and pred > b_id))
-                ):
-                    if pp != b_proc and b_arr > alt:
-                        alt = b_arr
-                    b_arr = arr
-                    b_ft = ft_p
-                    b_id = pred
-                    b_proc = pp
-                elif pp != b_proc and arr > alt:
-                    alt = arr
-            emt = max_ft if max_ft > alt else alt
-            # A task is EP-type iff LMT(t) >= PRT(EP(t)).
-            nbl = -bl[succ]
-            if b_arr >= prt[b_proc]:
-                state[succ] = _EP
-                heappush(emt_heaps[b_proc], (emt, nbl, succ))
-                heappush(lmt_heaps[b_proc], (b_arr, nbl, succ))
-                refresh_active(b_proc)
-            else:
-                state[succ] = _NON_EP
-                heappush(non_ep_heap, (b_arr, nbl, succ))
-
-    return schedule
 
 
 def _flb_observed(
@@ -339,7 +153,7 @@ def _flb_observed(
 
     Also runnable with ``observer=None``: the perf gate uses it that way as
     the seed-implementation baseline, and the equivalence tests pin its
-    output against :func:`_flb_fast`.
+    output against :func:`~repro.core.flb_array.flb_array`.
     """
     n = graph.num_tasks
     bl = bottom_levels(graph)

@@ -1,8 +1,7 @@
-"""Array-native FLB: NumPy state vectors, optional numba backend.
+"""Array-native FLB: the production kernel behind :func:`repro.core.flb.flb`.
 
-This module is the performance plane on top of :mod:`repro.core.flb`
-(ROADMAP item 2): the same algorithm — Theorem-3 two-candidate selection
-with five lazily-invalidated priority lists — over flat state vectors
+The same algorithm as the paper's pseudo-code — Theorem-3 two-candidate
+selection with five lazily-invalidated priority lists — over flat state
 allocated once per run:
 
 ======================  =========  =========================================
@@ -14,31 +13,21 @@ vector                  dtype      meaning
 ``prt``                 f64[P]     per-processor ready times
 ``npreds``              int64[V]   unscheduled-predecessor (indegree) counts
 ``state``               int8[V]    ready flags (not-ready/EP/non-EP/done)
-``lmt`` / ``ep``        f64/i64    last message arrival + enabling proc
 ``neg_bl``              f64[V]     ``-BL(t)`` heap keys (vectorized CSR sweep)
 ``pred_delay``          f64[E]     ``latency + comm_scale * comm`` per edge
 ======================  =========  =========================================
 
-Two backends share that layout (selected via
-``SchedulingOptions(kernel=...)`` / ``REPRO_KERNEL``; see
-:func:`resolve_kernel`):
+Initialization is fully vectorized (bottom levels, edge delays,
+indegrees), placement is batched into the state vectors and the schedule
+is materialized in one shot at the end (no per-placement method calls).
+Inside the scalar loop the driver iterates *list mirrors* of the state
+vectors: CPython indexes a Python list ~3x faster than an ndarray (every
+``arr[i]`` boxes a fresh scalar object), so mirroring costs ``O(V + E)``
+once and saves that factor on every access.
 
-* ``"numba"`` — :mod:`repro.core._flb_kernel` compiled with ``njit``; the
-  whole inner loop runs without the interpreter.  numba is optional: when
-  absent, explicit requests fall back to ``"array"`` with a single
-  warning, and ``"auto"`` falls back silently.
-* ``"array"`` — an interpreted driver.  Initialization is fully
-  vectorized (bottom levels, edge delays, indegrees), placement is batched
-  into the state vectors and the schedule is materialized in one shot at
-  the end (no per-placement method calls).  Inside the scalar loop the
-  driver iterates *list mirrors* of the state vectors: CPython indexes a
-  Python list ~3x faster than an ndarray (every ``arr[i]`` boxes a fresh
-  scalar object), so mirroring costs ``O(V + E)`` once and saves that
-  factor on every access.  The arrays remain the canonical layout — the
-  mirrors are write-through staging for the interpreter only.
-
-Both backends are bit-identical to the reference kernels: same float
-expressions, same parenthesization, same heap key tuples, same
+The kernel is bit-identical to the observed path
+(:func:`repro.core.flb._flb_observed`) and the brute-force reference: same
+float expressions, same parenthesization, same heap key tuples, same
 deterministic tie rules (enforced by ``tests/test_fastpath_equivalence.py``
 over the full suite plus a random-DAG fuzz sweep, with every schedule
 re-certified by :mod:`repro.verify`).
@@ -46,15 +35,11 @@ re-certified by :mod:`repro.verify`).
 
 from __future__ import annotations
 
-import os
-import warnings
 from heapq import heapify, heappop, heappush
-from importlib import util as _importlib_util
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core._flb_kernel import KERNEL_OK, flb_kernel, get_compiled_kernel
 from repro.exceptions import SchedulerError
 from repro.graph.properties import _concat_slices, bottom_levels_array
 from repro.graph.taskgraph import TaskGraph
@@ -62,121 +47,7 @@ from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry
 from repro.schedule.schedule import Schedule
 
-__all__ = [
-    "flb_array",
-    "resolve_kernel",
-    "reset_kernel_state",
-    "numba_available",
-    "KernelSelectionError",
-    "KERNEL_CHOICES",
-]
-
-#: Valid values for ``SchedulingOptions.kernel`` / ``REPRO_KERNEL``.
-KERNEL_CHOICES = ("auto", "object", "array", "numba")
-
-
-class KernelSelectionError(SchedulerError):
-    """An invalid ``kernel=`` / ``REPRO_KERNEL`` value was requested."""
-
-
-#: Tri-state numba probe: None = not yet probed (tests monkeypatch this).
-_numba_probe: Optional[bool] = None
-_numba_fallback_warned = False
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be used (probe is cached).
-
-    Uses ``importlib.util.find_spec`` — a metadata lookup, not the
-    multi-second ``import numba`` (that cost is paid lazily inside
-    :func:`repro.core._flb_kernel.get_compiled_kernel`, only when the numba
-    backend actually runs).
-    """
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            _numba_probe = _importlib_util.find_spec("numba") is not None
-        except (ImportError, ValueError):  # pragma: no cover - broken meta
-            _numba_probe = False
-    return _numba_probe
-
-
-def resolve_kernel(requested: Optional[str] = None) -> str:
-    """Resolve a kernel request to a concrete backend name.
-
-    Precedence: the ``REPRO_KERNEL`` environment variable beats the
-    ``requested`` argument (so a deployment can force a backend without
-    code changes); ``"auto"`` picks the fastest available backend in the
-    order numba > array > object (``"array"`` needs only NumPy, a hard
-    dependency, so resolution always terminates there when numba is
-    absent).  An explicit ``"numba"`` request without numba installed
-    falls back to ``"array"`` with a single :class:`RuntimeWarning` per
-    process; ``"auto"`` falls back silently.  Unknown values raise
-    :class:`KernelSelectionError`.
-    """
-    global _numba_fallback_warned
-    env = os.environ.get("REPRO_KERNEL", "").strip()
-    if env:
-        value = env.lower()
-        source = f"REPRO_KERNEL={env!r}"
-    else:
-        value = requested if requested is not None else "auto"
-        source = f"kernel={requested!r}"
-    if value not in KERNEL_CHOICES:
-        raise KernelSelectionError(
-            f"unknown scheduling kernel {source}; valid values: "
-            f"{', '.join(KERNEL_CHOICES)}"
-        )
-    if value == "auto":
-        return "numba" if numba_available() else "array"
-    if value == "numba" and not numba_available():
-        if not _numba_fallback_warned:
-            warnings.warn(
-                f"{source} requested but numba is not installed; "
-                f"falling back to the interpreted array kernel",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _numba_fallback_warned = True
-        return "array"
-    return value
-
-
-def reset_kernel_state() -> None:
-    """Forget the cached numba probe and the warn-once fallback latch.
-
-    Both are process-global module state (deliberately: the probe is a
-    metadata lookup worth caching, and the fallback warning would otherwise
-    spam once per request on a numba-less host).  Global state leaks across
-    embedder instances and across test cases, though: after one explicit
-    ``kernel="numba"`` request has warned, every later
-    :class:`~repro.batch.BatchScheduler` in the same process silently gets
-    the ``array`` fallback with no hint why.  Long-lived embedders that
-    want the warning per scheduler — and test fixtures that need isolation
-    (``tests/test_kernel_selection.py`` resets around every test) — call
-    this to restore the pristine state.
-    """
-    global _numba_probe, _numba_fallback_warned
-    _numba_probe = None
-    _numba_fallback_warned = False
-
-
-#: Backwards-compatible alias (the pre-public spelling used by tests).
-_reset_kernel_state = reset_kernel_state
-
-
-def stock_flb_registered() -> bool:
-    """Whether the scheduler registry still maps ``"flb"`` to the stock
-    implementation.
-
-    Entry points only divert FLB requests to the array kernels when this
-    holds: a test or embedder that monkeypatches ``SCHEDULERS["flb"]``
-    must get its replacement, not a bit-identical bypass of it.
-    """
-    from repro.core.flb import flb
-    from repro.schedulers import SCHEDULERS
-
-    return SCHEDULERS.get("flb") is flb
+__all__ = ["flb_array"]
 
 
 def flb_array(
@@ -184,19 +55,15 @@ def flb_array(
     num_procs: Optional[int] = None,
     machine: Optional[MachineModel] = None,
     prefer_non_ep_on_tie: bool = True,
-    backend: str = "auto",
     metrics: Optional[MetricsRegistry] = None,
     base: Optional[Schedule] = None,
     warm_stats: Optional[Dict[str, object]] = None,
 ) -> Schedule:
     """Schedule ``graph`` with the array-native FLB kernel.
 
-    ``backend`` is a *resolved* kernel name (``"auto"`` is re-resolved
-    here; ``"object"`` delegates to :func:`repro.core.flb.flb`).  When
-    ``metrics`` is given, the kernel counters
+    When ``metrics`` is given, the kernel counters
     (``flb_kernel_iterations_total``, ``flb_kernel_heap_ops_total``,
-    ``flb_kernel_choices_total{kind}``) and the backend that actually ran
-    (``flb_kernel_backend_total{backend}``) are recorded — the same names
+    ``flb_kernel_choices_total{kind}``) are recorded — the same names
     :class:`repro.obs.KernelMetricsObserver` emits for the observed path,
     so ``repro-sched report`` aggregates both.
 
@@ -204,12 +71,10 @@ def flb_array(
     (same machine, same tie rule, complete) is replayed verbatim and the
     kernel runs only over the dirty suffix — bit-identical to a cold run
     by construction (see :mod:`repro.incremental`), with a silent cold
-    fallback otherwise.  A warm run executes the interpreted array driver
-    regardless of ``backend`` (the suffix is too small to amortize a
-    compiled launch), and is reported as ``backend="array"``.  When
-    ``warm_stats`` is given it is filled with the reuse numbers (``reused``
-    / ``replayed`` / ``total`` / ``dirty`` / ``fraction``) or the
-    ``fallback`` reason; ``metrics`` gets the same under ``incr_*``.
+    fallback otherwise.  When ``warm_stats`` is given it is filled with the
+    reuse numbers (``reused`` / ``replayed`` / ``total`` / ``dirty`` /
+    ``fraction``) or the ``fallback`` reason; ``metrics`` gets the same
+    under ``incr_*``.
     """
     graph.freeze()
     if machine is None:
@@ -221,24 +86,6 @@ def flb_array(
             f"num_procs={num_procs} conflicts with machine.num_procs="
             f"{machine.num_procs}"
         )
-    if backend == "auto":
-        backend = "numba" if numba_available() else "array"
-    if backend == "object":
-        from repro.core.flb import flb
-
-        return flb(graph, machine=machine,
-                   prefer_non_ep_on_tie=prefer_non_ep_on_tie)
-    if backend not in ("array", "numba"):
-        raise KernelSelectionError(
-            f"unknown flb_array backend {backend!r}; valid values: "
-            f"array, numba"
-        )
-    if backend == "numba" and not numba_available():
-        # Silent here: resolve_kernel already warned for explicit requests.
-        if metrics is not None:
-            metrics.counter("flb_kernel_fallback_total",
-                            reason="numba-missing").inc()
-        backend = "array"
 
     schedule: Optional[Schedule] = None
     counters: Tuple[int, int, int, int] = (0, 0, 0, 0)
@@ -253,7 +100,6 @@ def flb_array(
                 warm_stats["fallback"] = attempt
         else:
             schedule, counters, info = attempt
-            backend = "array"  # the warm suffix ran the interpreted driver
             if warm_stats is not None:
                 warm_stats.update(info)
             if metrics is not None:
@@ -272,12 +118,7 @@ def flb_array(
                 )
 
     if schedule is None:
-        if backend == "numba":
-            schedule, counters = _flb_numba(graph, machine, prefer_non_ep_on_tie)
-        else:
-            schedule, counters = _flb_array_impl(
-                graph, machine, prefer_non_ep_on_tie
-            )
+        schedule, counters = _flb_array_impl(graph, machine, prefer_non_ep_on_tie)
     schedule._flb_prefer = prefer_non_ep_on_tie
 
     if metrics is not None:
@@ -290,18 +131,18 @@ def flb_array(
         metrics.counter("flb_kernel_choices_total", kind="non-ep").inc(
             float(non_ep_choices)
         )
-        metrics.counter("flb_kernel_backend_total", backend=backend).inc()
     return schedule
 
 
-# Ready-task states, identical to repro.core.flb's fast path.
+# Ready-task states; scheduling or demoting a task flips its state and
+# leaves its heap entries behind as tombstones that peeks pop off the top.
 _NOT_READY, _EP, _NON_EP, _DONE = 0, 1, 2, 3
 
 
 def _kernel_inputs(
     graph: TaskGraph, machine: MachineModel
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool, np.ndarray]:
-    """The vectorized per-run inputs both backends share.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The vectorized per-run inputs: ``-BL`` heap keys and edge delays.
 
     ``pred_delay`` keeps the reference parenthesization
     ``ft + (lat + scale * comm)``: the inner sum is computed here once per
@@ -320,98 +161,16 @@ def _kernel_inputs(
     if pred_delay is None:
         pred_delay = machine.latency + machine.comm_scale * graph.csr().pred_comm
         graph.memo_set(delay_key, pred_delay)
-    comp = graph.comps_array()
-    homogeneous = machine.speeds is None
-    speeds = (
-        np.ones(machine.num_procs, dtype=np.float64)
-        if homogeneous
-        else np.asarray(machine.speeds, dtype=np.float64)
-    )
-    return neg_bl, pred_delay, comp, homogeneous, speeds
-
-
-def _flb_numba(
-    graph: TaskGraph,
-    machine: MachineModel,
-    prefer_non_ep_on_tie: bool,
-) -> Tuple[Schedule, Tuple[int, int, int, int]]:
-    """Run the compiled kernel over the CSR arrays."""
-    n = graph.num_tasks
-    num_procs = machine.num_procs
-    csr = graph.csr()
-    neg_bl, pred_delay, comp, homogeneous, speeds = _kernel_inputs(graph, machine)
-    out_order = np.empty(n, dtype=np.int64)
-    out_proc = np.zeros(n, dtype=np.int64)
-    out_start = np.zeros(n, dtype=np.float64)
-    out_finish = np.zeros(n, dtype=np.float64)
-    out_prt = np.zeros(num_procs, dtype=np.float64)
-    out_counters = np.zeros(4, dtype=np.int64)
-    kernel = get_compiled_kernel()
-    status = kernel(
-        n, num_procs,
-        csr.pred_ptr, csr.pred_ids, csr.succ_ptr, csr.succ_ids,
-        pred_delay, comp, speeds, homogeneous, neg_bl,
-        prefer_non_ep_on_tie,
-        out_order, out_proc, out_start, out_finish, out_prt, out_counters,
-    )
-    if status != KERNEL_OK:
-        raise SchedulerError("no ready task but schedule incomplete (bug)")
-    schedule = Schedule._from_arrays(
-        graph, machine,
-        out_order.tolist(), out_proc.tolist(),
-        out_start.tolist(), out_finish.tolist(), out_prt.tolist(),
-    )
-    c = out_counters.tolist()
-    return schedule, (c[0], c[1], c[2], c[3])
-
-
-def _flb_array_run_interpreted(
-    graph: TaskGraph,
-    machine: MachineModel,
-    prefer_non_ep_on_tie: bool,
-) -> Tuple[Schedule, Tuple[int, int, int, int]]:
-    """Run :func:`repro.core._flb_kernel.flb_kernel` under the interpreter.
-
-    Test-only entry (the equivalence suite uses it to pin the compiled
-    code path's algorithm without numba); far slower than
-    :func:`_flb_array_impl`, which is what ``backend="array"`` serves.
-    """
-    n = graph.num_tasks
-    num_procs = machine.num_procs
-    csr = graph.csr()
-    neg_bl, pred_delay, comp, homogeneous, speeds = _kernel_inputs(graph, machine)
-    out_order = np.empty(n, dtype=np.int64)
-    out_proc = np.zeros(n, dtype=np.int64)
-    out_start = np.zeros(n, dtype=np.float64)
-    out_finish = np.zeros(n, dtype=np.float64)
-    out_prt = np.zeros(num_procs, dtype=np.float64)
-    out_counters = np.zeros(4, dtype=np.int64)
-    status = flb_kernel(
-        n, num_procs,
-        csr.pred_ptr, csr.pred_ids, csr.succ_ptr, csr.succ_ids,
-        pred_delay, comp, speeds, homogeneous, neg_bl,
-        prefer_non_ep_on_tie,
-        out_order, out_proc, out_start, out_finish, out_prt, out_counters,
-    )
-    if status != KERNEL_OK:
-        raise SchedulerError("no ready task but schedule incomplete (bug)")
-    schedule = Schedule._from_arrays(
-        graph, machine,
-        out_order.tolist(), out_proc.tolist(),
-        out_start.tolist(), out_finish.tolist(), out_prt.tolist(),
-    )
-    c = out_counters.tolist()
-    return schedule, (c[0], c[1], c[2], c[3])
+    return neg_bl, pred_delay
 
 
 def _interp_inputs(
     graph: TaskGraph, machine: MachineModel
 ) -> Tuple[List[float], List[float], bool, List[float]]:
     """Interpreter list mirrors of the state-vector inputs, memoized next to
-    the vectors themselves (graph-pure, machine-keyed where needed)."""
-    neg_bl_arr, pred_delay_arr, _comp, homogeneous, speeds_arr = _kernel_inputs(
-        graph, machine
-    )
+    the vectors themselves (graph-pure, machine-keyed where needed), plus
+    the machine's speeds (empty for the homogeneous model)."""
+    neg_bl_arr, pred_delay_arr = _kernel_inputs(graph, machine)
     delay_key = ("pred_delay_list", machine.latency, machine.comm_scale)
     pred_delay: List[float] = graph.memo_get(delay_key)
     if pred_delay is None:
@@ -421,7 +180,8 @@ def _interp_inputs(
     if neg_bl is None:
         neg_bl = neg_bl_arr.tolist()
         graph.memo_set("neg_bl_list", neg_bl)
-    return pred_delay, neg_bl, homogeneous, speeds_arr.tolist()
+    speeds = machine.speeds
+    return pred_delay, neg_bl, speeds is None, list(speeds or ())
 
 
 def _flb_array_impl(
@@ -429,15 +189,10 @@ def _flb_array_impl(
     machine: MachineModel,
     prefer_non_ep_on_tie: bool,
 ) -> Tuple[Schedule, Tuple[int, int, int, int]]:
-    """The interpreted array backend (see the module docstring).
+    """A cold run: pristine state, entry tasks on the non-EP list.
 
-    Mirrors :func:`repro.core.flb._flb_fast` decision for decision; the
-    differences are mechanical: vectorized initialization, the precomputed
-    ``pred_delay`` vector, inlined active-list refreshes, and batched
-    placement into the state vectors with one
-    :meth:`Schedule._from_arrays` call at the end.  The main loop lives in
-    :func:`_flb_array_loop` so the warm-start path can drive it from a
-    seeded mid-run state.
+    The main loop lives in :func:`_flb_array_loop` so the warm-start path
+    can drive it from a seeded mid-run state.
     """
     n = graph.num_tasks
     num_procs = machine.num_procs
@@ -494,8 +249,15 @@ def _flb_array_loop(
     iterations: int,
     heap_pushes: int,
 ) -> Tuple[Schedule, Tuple[int, int, int, int]]:
-    """The interpreted main loop, decision-identical to
-    :func:`repro.core.flb._flb_fast`, over caller-initialized state.
+    """The main loop over caller-initialized state.
+
+    The five priority structures are plain :mod:`heapq` heaps with *lazy
+    invalidation*: every task enters each heap at most once (EP -> non-EP
+    demotion is one-way), so the amortized bound per iteration stays
+    ``O(log W)`` / ``O(log P)`` and the paper's total
+    ``O(V (log W + log P) + E)`` holds.  An active-processor entry is
+    current iff its EST equals ``active_est[p]``; an all-processors entry
+    iff its key equals ``prt[p]`` (PRT strictly increases).
 
     Cold runs (:func:`_flb_array_impl`) enter with pristine state and
     ``iterations = V``; warm runs (:func:`_try_warm_start`) enter with the
@@ -584,8 +346,8 @@ def _flb_array_loop(
             state[entry[2]] = _NON_EP
             heappush(non_ep_heap, entry)  # same (LMT, -BL, id) key
             heap_pushes += 1
-        # Refresh proc's entry in the active list (UpdateProcLists),
-        # inlined from the fast path's refresh_active closure.
+        # Refresh proc's entry in the active list (UpdateProcLists): re-derive
+        # it from the head of its EMT list and its PRT.
         eheap = emt_heaps[proc]
         while eheap and state[eheap[0][2]] != _EP:
             heappop(eheap)
@@ -601,7 +363,15 @@ def _flb_array_loop(
             heap_pushes += 1
 
         # UpdateReadyTasks: one fused pass per newly ready successor
-        # computes LMT, EP and EMT-on-EP together (see _flb_fast).
+        # computes LMT, EP and EMT-on-EP together.  EMT(t, EP) =
+        # max(max FT(pred), max arrival from predecessors off EP), because
+        # an off-EP predecessor's arrival dominates its own FT; ``alt``
+        # tracks the best arrival from any processor other than the current
+        # best's (entries skipped while sharing the then-best processor are
+        # dominated by that best, which is folded in if the leader changes).
+        # ``pred_delay`` holds ``lat + scale * comm`` parenthesised like
+        # MachineModel.remote_delay, so the float rounding matches the
+        # observed/reference paths exactly.
         for j in range(succ_ptr[task], succ_ptr[task + 1]):
             succ = succ_ids[j]
             npreds[succ] -= 1
@@ -640,7 +410,7 @@ def _flb_array_loop(
                 heappush(emt_heaps[b_proc], (emt, nbl, succ))
                 heappush(lmt_heaps[b_proc], (b_arr, nbl, succ))
                 heap_pushes += 2
-                # Refresh b_proc's active entry (inlined refresh_active).
+                # Refresh b_proc's active entry, as above.
                 eheap = emt_heaps[b_proc]
                 while eheap and state[eheap[0][2]] != _EP:
                     heappop(eheap)

@@ -59,7 +59,7 @@ def flb_reference(
         if not ready:
             raise SchedulerError("no ready task but schedule incomplete (bug)")
         # Candidate (a): EP task minimising EST on its enabling processor.
-        # Replicates the fast path's ordering exactly: processors are ranked
+        # Replicates the array kernel's ordering exactly: processors are ranked
         # by (min EST, proc id); within a processor, EP tasks by
         # (EMT, -BL, id).
         best_ep: Optional[Tuple[float, int, float, float, int]] = None

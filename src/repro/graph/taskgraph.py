@@ -18,6 +18,7 @@ optional human-readable name used by traces, Gantt charts, and DOT export.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +51,7 @@ class CSRLists(NamedTuple):
     CPython indexes a list roughly three times faster than a NumPy array
     (every ``ndarray[i]`` allocates a NumPy scalar), so the interpreted
     scheduling kernels run their scalar loops over these mirrors while the
-    vectorized/numba paths use the ndarrays directly.  Built once per frozen
+    vectorized passes use the ndarrays directly.  Built once per frozen
     graph and cached (:attr:`AdjacencyCSR.lists`).
     """
 
@@ -157,11 +158,14 @@ class TaskGraph:
     # -- construction -------------------------------------------------------
 
     def add_task(self, comp: float, name: Optional[str] = None) -> int:
-        """Add a task with computation cost ``comp`` (> 0); return its id."""
+        """Add a task with computation cost ``comp`` (finite, > 0); return
+        its id."""
         self._check_mutable()
         comp = float(comp)
-        if not comp > 0:
-            raise GraphError(f"task computation cost must be positive, got {comp}")
+        if not 0 < comp < math.inf:
+            raise GraphError(
+                f"task computation cost must be positive and finite, got {comp}"
+            )
         self._comp.append(comp)
         self._names.append(name)
         return len(self._comp) - 1
@@ -189,15 +193,18 @@ class TaskGraph:
         return [self.add_task(c, name=n) for c, n in zip(comps, names)]
 
     def add_edge(self, src: int, dst: int, comm: float = 0.0) -> None:
-        """Add a dependency ``src -> dst`` with communication cost ``comm``."""
+        """Add a dependency ``src -> dst`` with communication cost ``comm``
+        (finite, >= 0)."""
         self._check_mutable()
         self._check_task(src)
         self._check_task(dst)
         if src == dst:
             raise GraphError(f"self-loop on task {src}")
         comm = float(comm)
-        if comm < 0:
-            raise GraphError(f"communication cost must be non-negative, got {comm}")
+        if not 0 <= comm < math.inf:
+            raise GraphError(
+                f"communication cost must be non-negative and finite, got {comm}"
+            )
         if (src, dst) in self._edges:
             raise GraphError(f"duplicate edge ({src}, {dst})")
         self._edges[(src, dst)] = comm

@@ -25,6 +25,7 @@ otherwise, and every task runs for exactly its computation cost.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -49,10 +50,12 @@ class MachineModel:
     def __post_init__(self) -> None:
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs}")
-        if self.comm_scale < 0:
-            raise ValueError(f"comm_scale must be >= 0, got {self.comm_scale}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
+        if not 0 <= self.comm_scale < math.inf:
+            raise ValueError(
+                f"comm_scale must be finite and >= 0, got {self.comm_scale}"
+            )
+        if not 0 <= self.latency < math.inf:
+            raise ValueError(f"latency must be finite and >= 0, got {self.latency}")
         if self.speeds is not None:
             speeds = tuple(float(s) for s in self.speeds)
             if len(speeds) != self.num_procs:
@@ -60,8 +63,11 @@ class MachineModel:
                     f"speeds must have one entry per processor "
                     f"({self.num_procs}), got {len(speeds)}"
                 )
-            if any(s <= 0 for s in speeds):
-                raise ValueError("all processor speeds must be positive")
+            if not all(0 < s < math.inf for s in speeds):
+                raise ValueError(
+                    f"all processor speeds must be positive and finite, got "
+                    f"{speeds}"
+                )
             object.__setattr__(self, "speeds", speeds)
 
     @property

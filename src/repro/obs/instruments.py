@@ -4,7 +4,7 @@
 :class:`repro.core.flb.FlbObserver` protocol, so deep kernel metrics ride
 the hook that already exists for the trace recorder and the Theorem-3
 oracle — no new kernel surface.  Attaching any observer selects FLB's
-*observed* path (structured ``FlbLists`` instead of the fused fast kernel),
+*observed* path (structured ``FlbLists`` instead of the array kernel),
 which is the price of per-iteration visibility; kernel **wall time**
 (``sched_kernel_seconds``) is always recorded from outside the call and
 never forces the slow path.  See docs/observability.md for the tradeoff.

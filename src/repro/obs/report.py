@@ -29,9 +29,7 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     Returns a dict with ``jobs`` (count/ok/failed/cached, wall stats),
     ``phases`` (per-phase total seconds, share of summed wall, mean),
     ``algos`` (per-algorithm job count and wall), ``failures`` (count per
-    ``error_kind``), ``kernels`` (scheduling-backend usage gathered from
-    ``batch.job`` and ``sched.kernel`` events: ``object`` / ``array`` /
-    ``numba``), ``cache`` (serving-cache effectiveness aggregated from
+    ``error_kind``), ``cache`` (serving-cache effectiveness aggregated from
     ``batch.run`` events: per-run hit and coalescing totals plus the
     result cache's cumulative counters and hit rate), ``warm``
     (warm-start rescheduling outcomes from ``batch.job`` events: jobs
@@ -62,12 +60,6 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         if not attrs.get("ok", True):
             kind = str(attrs.get("error_kind") or "unknown")
             failures[kind] = failures.get(kind, 0) + 1
-
-    kernels: Dict[str, int] = {}
-    for e in jobs:
-        kernel = e["attrs"].get("kernel")
-        if kernel is not None:
-            kernels[str(kernel)] = kernels.get(str(kernel), 0) + 1
 
     # Warm-start outcomes ride on batch.job events ("warm" attribute).
     warm_served = 0
@@ -115,10 +107,6 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     for e in events:
         if e["name"] == JOB_EVENT:
             continue
-        if e["name"] == "sched.kernel":
-            kernel = e["attrs"].get("kernel")
-            if kernel is not None:
-                kernels[str(kernel)] = kernels.get(str(kernel), 0) + 1
         stats = spans.setdefault(str(e["name"]), {"count": 0.0, "seconds": 0.0})
         stats["count"] += 1
         stats["seconds"] += float(e["dur"])
@@ -157,7 +145,6 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             for algo, st in sorted(algo_stats.items())
         ],
         "failures": dict(sorted(failures.items())),
-        "kernels": dict(sorted(kernels.items())),
         "cache": cache_info,
         "warm": {
             "served": warm_served,
@@ -224,11 +211,6 @@ def render_report(events: List[Dict[str, Any]]) -> str:
             )
     else:
         blocks.append("no batch.job events in this trace")
-    if summary["kernels"]:
-        usage = ", ".join(
-            f"{kernel}: {count}" for kernel, count in summary["kernels"].items()
-        )
-        blocks.append(f"scheduling backend: {usage}")
     cache = summary["cache"]
     if cache:
         line = (

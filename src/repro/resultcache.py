@@ -10,14 +10,7 @@ and with bit-identical summary numbers.
 
 The key carries every field that shapes the answer *or its report*:
 ``validate``/``certify`` because a certified result answers strictly more
-than an uncertified one, and the **resolved kernel backend** because the
-FLB backends, while bit-identical in their schedules, are reported to the
-caller (``BatchResult.kernel``, the ``repro-sched report`` backend mix) —
-serving an ``object``-computed entry to an ``array`` request would lie
-about which backend ran.  Keys must be built with the *resolved* kernel
-(:func:`repro.api.resolve_job_kernel`), never the raw request: ``auto``
-and ``array`` resolve to the same backend on a numba-less host and share
-entries, which is exactly right.
+than an uncertified one.
 
 :class:`ResultCache` is a bounded LRU with hit/miss/eviction counters.
 :func:`repro.batch.schedule_many` consults it before dispatch and inserts
@@ -49,12 +42,10 @@ __all__ = ["ResultCache", "CacheKey", "make_key", "DEFAULT_CACHE_SIZE"]
 #: (a scalar ``BatchResult``), so the default costs well under a megabyte.
 DEFAULT_CACHE_SIZE = 1024
 
-#: Cache key: (graph fingerprint, procs, algo, validate, certify, kernel,
-#: machine fingerprint).  ``kernel`` is the *resolved* backend name
-#: (``object``/``array``/``numba``), never a raw request like ``auto``;
-#: the machine fingerprint is
+#: Cache key: (graph fingerprint, procs, algo, validate, certify, machine
+#: fingerprint); the machine fingerprint is
 #: :meth:`repro.machine.model.MachineModel.fingerprint`.
-CacheKey = Tuple[str, int, str, bool, bool, str, str]
+CacheKey = Tuple[str, int, str, bool, bool, str]
 
 
 def make_key(
@@ -63,22 +54,16 @@ def make_key(
     algo: str,
     validate: bool,
     certify: bool,
-    kernel: str,
     machine: Optional[MachineModel] = None,
 ) -> CacheKey:
     """Build a :data:`CacheKey` (the one place its field order is spelled).
 
-    ``kernel`` must already be resolved via
-    :func:`repro.api.resolve_job_kernel`; passing ``auto`` here would split
-    the cache between spellings of the same backend.  ``machine=None``
-    resolves to the homogeneous ``MachineModel(procs)`` — the same model a
+    ``machine=None`` resolves to the homogeneous ``MachineModel(procs)`` — the same model a
     scheduler builds for an integer request — so both spellings of the
     paper's machine share one entry.  A ``machine`` whose ``num_procs``
     disagrees with ``procs`` is a :class:`ValueError`: such a request can
     never be served, so a key for it is necessarily a bug.
     """
-    if kernel == "auto":
-        raise ValueError("cache keys require a resolved kernel, not 'auto'")
     if machine is None:
         machine = MachineModel(procs)
     elif machine.num_procs != procs:
@@ -86,13 +71,12 @@ def make_key(
             f"cache key procs={procs} conflicts with machine.num_procs="
             f"{machine.num_procs}"
         )
-    return (fingerprint, procs, algo, validate, certify, kernel,
-            machine.fingerprint())
+    return (fingerprint, procs, algo, validate, certify, machine.fingerprint())
 
 
 class ResultCache:
     """Bounded LRU mapping ``(fingerprint, procs, algo, validate, certify,
-    kernel, machine fingerprint)`` to a successful
+    machine fingerprint)`` to a successful
     :class:`~repro.batch.BatchResult`.
 
     ``capacity=0`` disables the cache (every lookup misses nothing — no

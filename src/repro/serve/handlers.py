@@ -24,9 +24,9 @@ Endpoints
 ``POST /v1/schedule``
     Schedule a graph: ``{"fingerprint": ..., "procs": N, ...}`` for a
     registered graph or ``{"graph": <document>, "procs": N, ...}`` inline.
-    Optional: ``algo``, ``validate``, ``certify``, ``kernel``, ``tenant``,
-    ``tag``, ``base_fingerprint``.  The last marks a delta request: the
-    FLB array path warm-starts from the named base schedule when it can
+    Optional: ``algo``, ``validate``, ``certify``, ``machine``, ``tenant``,
+    ``tag``, ``base_fingerprint``.  The last marks a delta request: FLB
+    warm-starts from the named base schedule when it can
     (bit-identical answer, ``warm`` accounting in the reply) and runs
     cold when it cannot.
 

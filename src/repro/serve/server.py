@@ -13,7 +13,7 @@ long-running process (stdlib only — ``asyncio`` + the library itself):
 * **weighted-fair queuing** (:class:`repro.serve.queues.WeightedFairQueue`)
   orders admitted jobs so no tenant starves another;
 * **coalescing**: concurrent requests for the same
-  ``(fingerprint, procs, algo, validate, certify, kernel, machine)`` share
+  ``(fingerprint, procs, algo, validate, certify, machine)`` share
   a single computation — the same machine-fingerprinted key the result
   cache uses, so a coalesced answer is exactly the answer a cache hit
   would give and two requests that differ only in processor speeds never
@@ -50,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.api import SchedulingOptions, resolve_job_kernel
+from repro.api import SchedulingOptions
 from repro.batch import BatchJob, BatchResult, BatchScheduler
 from repro.graph.io import from_json
 from repro.machine.model import MachineModel
@@ -87,7 +87,7 @@ class ServeConfig:
     ``default_weight``).  ``dispatchers`` > 1 only helps with a custom
     thread-safe runner — the default runner serialises on a lock.
     ``options`` seeds the wrapped scheduler's defaults (procs-independent
-    fields: validate/certify/kernel/timeout/retries); per-request fields
+    fields: validate/certify/timeout/retries); per-request fields
     override it.  ``machine`` is the default target
     :class:`~repro.machine.MachineModel` for requests that do not carry a
     ``machine`` object of their own (a bare ``procs`` request resolves to
@@ -350,10 +350,6 @@ class SchedulingService:
                 if not isinstance(payload[key], bool):
                     raise BadRequestError(f"'{key}' must be a boolean")
                 overrides[key] = payload[key]
-        if "kernel" in payload:
-            if not isinstance(payload["kernel"], str):
-                raise BadRequestError("'kernel' must be a string")
-            overrides["kernel"] = payload["kernel"]
         base_fingerprint = payload.get("base_fingerprint")
         if base_fingerprint is not None:
             # Delta request: warm-start against the named base schedule.
@@ -369,18 +365,13 @@ class SchedulingService:
         tag = payload.get("tag", "")
         if not isinstance(tag, str):
             raise BadRequestError("'tag' must be a string")
-        try:
-            options = base.replace(**overrides)
-            resolved_kernel = resolve_job_kernel(algo, options.kernel)
-        except Exception as exc:
-            raise BadRequestError(str(exc)) from None
+        options = base.replace(**overrides)
         key = make_cache_key(
             fingerprint,
             procs,
             algo,
             options.validate,
             options.certify,
-            resolved_kernel,
             machine=machine,
         )
         job = BatchJob(
@@ -465,7 +456,6 @@ def _result_payload(
         "speedup": result.speedup,
         "procs_used": result.procs_used,
         "seconds": result.seconds,
-        "kernel": result.kernel,
         "cached": result.cached,
         "coalesced": coalesced,
         "attempts": result.attempts,

@@ -2,14 +2,14 @@
 
 The schedulers assume a frozen, well-formed :class:`~repro.graph.TaskGraph`;
 :class:`TaskGraph` itself rejects the worst malformations at construction
-time (non-positive computation costs, negative communication costs,
-self-loops, duplicate edges).  The linter covers everything the constructor
-cannot or deliberately does not reject:
+time (non-positive, ``NaN`` or infinite computation costs; negative,
+``NaN`` or infinite communication costs; self-loops, duplicate edges).  The
+linter covers everything the constructor cannot or deliberately does not
+reject:
 
 * graphs that arrive as *raw data* (JSON files, generator output) and have
-  not passed through ``TaskGraph`` validation yet — :func:`lint_data`;
-* values the constructor's comparisons let through (``NaN`` communication
-  costs, infinite weights);
+  not passed through ``TaskGraph`` validation yet — :func:`lint_data`
+  reports *all* their problems with stable codes;
 * structural anomalies that are legal DAGs but almost always input bugs:
   isolated tasks, multi-component graphs, zero-cost super-sources/sinks,
   extreme communication-to-computation outliers.

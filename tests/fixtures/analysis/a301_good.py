@@ -3,8 +3,8 @@
 from repro.resultcache import make_key
 
 
-def lookup(result_cache, fingerprint, procs, algo, kernel):
-    key = make_key(fingerprint, procs, algo, False, False, kernel)
+def lookup(result_cache, fingerprint, procs, algo):
+    key = make_key(fingerprint, procs, algo, False, False)
     hit = result_cache.get(key)
     if hit is not None:
         return hit

@@ -200,48 +200,6 @@ class TestResultCache:
         assert not res.cached  # different validate -> different key
         assert len(cache) == 2
 
-    def test_kernel_is_part_of_the_key(self):
-        """Regression: an explicit ``kernel="array"`` run used to be served
-        a ``kernel="object"`` cached entry (the key omitted the kernel), so
-        ``BatchResult.kernel`` lied about which backend produced it."""
-        from repro.api import SchedulingOptions
-
-        g = lu(6, make_rng(0))
-        cache = ResultCache(8)
-        (obj,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                               options=SchedulingOptions(kernel="object"))
-        (arr,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                               options=SchedulingOptions(kernel="array"))
-        assert obj.kernel == "object" and not obj.cached
-        assert arr.kernel == "array"
-        assert not arr.cached  # different kernel -> different key
-        assert len(cache) == 2
-        (hit,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                               options=SchedulingOptions(kernel="array"))
-        assert hit.cached and hit.kernel == "array"  # never misreported
-
-    def test_auto_and_its_resolution_share_one_entry(self):
-        """Keys carry the *resolved* kernel: ``auto`` and whatever it
-        resolves to on this host must hit the same cache entry."""
-        from repro.api import SchedulingOptions, resolve_job_kernel
-
-        resolved = resolve_job_kernel("flb", "auto")
-        g = lu(6, make_rng(0))
-        cache = ResultCache(8)
-        (first,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                                 options=SchedulingOptions(kernel="auto"))
-        (second,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                                  options=SchedulingOptions(kernel=resolved))
-        assert first.kernel == resolved
-        assert second.cached and second.kernel == resolved
-        assert len(cache) == 1
-
-    def test_cache_keys_require_a_resolved_kernel(self):
-        from repro.resultcache import make_key
-
-        with pytest.raises(ValueError, match="resolved"):
-            make_key("fp", 3, "flb", False, False, "auto")
-
     def test_machine_jobs_cache_under_their_fingerprint(self):
         # Custom machines used to bypass the cache; they now key on the
         # machine fingerprint, so a repeat is a hit while a different

@@ -277,14 +277,14 @@ class TestBatchCertification:
         assert not plain.cached and not plain.certified
 
     def test_invalid_schedule_classification(self, monkeypatch):
-        import repro.schedulers as schedulers
+        import repro.core.flb_array as flb_array_module
         from repro.batch import INVALID_SCHEDULE, BatchJob, schedule_many
 
-        def broken(graph, num_procs=None, machine=None):
+        def broken(graph, num_procs=None, machine=None, **kwargs):
             procs = machine.num_procs if machine is not None else num_procs
             return sequential_schedule(graph, procs)
 
-        monkeypatch.setitem(schedulers.SCHEDULERS, "flb", broken)
+        monkeypatch.setattr(flb_array_module, "flb_array", broken)
         res = schedule_many(
             [BatchJob(graph=paper_example(), procs=2, algo="flb")],
             workers=1, certify=True,
@@ -295,15 +295,15 @@ class TestBatchCertification:
         assert not res.certified
 
     def test_uncertified_failures_not_cached(self, monkeypatch):
-        import repro.schedulers as schedulers
+        import repro.core.flb_array as flb_array_module
         from repro.batch import BatchJob, schedule_many
         from repro.resultcache import ResultCache
 
-        def broken(graph, num_procs=None, machine=None):
+        def broken(graph, num_procs=None, machine=None, **kwargs):
             procs = machine.num_procs if machine is not None else num_procs
             return sequential_schedule(graph, procs)
 
-        monkeypatch.setitem(schedulers.SCHEDULERS, "flb", broken)
+        monkeypatch.setattr(flb_array_module, "flb_array", broken)
         cache = ResultCache(16)
         jobs = [BatchJob(graph=paper_example(), procs=2, algo="flb")]
         schedule_many(jobs, workers=1, certify=True, cache=cache)

@@ -1,13 +1,14 @@
 """The CSR fast paths must be *bit-identical* to the implementations they
 replaced.
 
-``docs/performance.md``: the fast kernels (``_flb_fast``, the CSR rewrites
-of ETF and FCP, ``Schedule._append``) are pure constant-factor work — the
+``docs/performance.md``: the fast kernels (the FLB array kernel, the CSR
+rewrites of ETF and FCP, ``Schedule._append``) are pure constant-factor
+work — the
 algorithms' decisions, tie-breaks, and floating-point arithmetic are
 unchanged.  That claim is checkable exactly, so these tests use ``==`` on
 starts and makespans, never ``approx``:
 
-* FLB: ``flb`` (fast) vs ``_flb_observed`` with no observer (the preserved
+* FLB: ``flb`` (the array kernel) vs ``_flb_observed`` with no observer (the preserved
   seed loop) vs :func:`repro.core.reference.flb_reference` (brute force),
   across random DAGs swept over V, CCR and P, and across machine variants
   (latency, comm scaling, heterogeneous speeds).
@@ -119,7 +120,7 @@ def test_observed_path_still_traces_table1():
         lambda: stencil(8, 8, make_rng(2), ccr=1.0),
     ],
 )
-def test_flb_fast_vs_observed_on_paper_workloads(builder):
+def test_flb_array_vs_observed_on_paper_workloads(builder):
     graph = builder()
     for procs in (2, 8):
         assert_bit_identical(
@@ -221,35 +222,24 @@ def test_etf_fcp_brute_on_machine_variants():
 
 
 # ---------------------------------------------------------------------------
-# Array kernels: object / array / interpreted-njit-kernel (/ numba) matrix
+# Kernel matrix: flb (array kernel) / observed seed loop / brute force
 # ---------------------------------------------------------------------------
 
 
-def _kernel_backends():
-    """Every FLB implementation that must agree bit-for-bit, as
-    (label, callable(graph, procs, machine, prefer)) pairs.  The njit
-    source is always exercised under the interpreter; the compiled form is
-    added when numba is importable."""
-    from repro.core.flb_array import (
-        _flb_array_run_interpreted,
-        flb_array,
-        numba_available,
-    )
-
+def _kernel_backends(prefer=True):
+    """Every FLB implementation that must agree bit-for-bit under the tie
+    rule ``prefer``, as (label, callable(graph, procs, machine, prefer))
+    pairs.  The brute-force reference implements the paper's rule only, so
+    it joins the matrix when ``prefer`` is True."""
     backends = [
-        ("object", lambda g, p, m, pref: flb(
+        ("flb", lambda g, p, m, pref: flb(
             g, p, machine=m, prefer_non_ep_on_tie=pref)),
         ("seed", lambda g, p, m, pref: _flb_observed(
             g, resolve_machine(p, m), None, pref)),
-        ("array", lambda g, p, m, pref: flb_array(
-            g, p, machine=m, prefer_non_ep_on_tie=pref, backend="array")),
-        ("kernel-interpreted", lambda g, p, m, pref: _flb_array_run_interpreted(
-            g, resolve_machine(p, m), pref)[0]),
     ]
-    if numba_available():
+    if prefer:
         backends.append(
-            ("numba", lambda g, p, m, pref: flb_array(
-                g, p, machine=m, prefer_non_ep_on_tie=pref, backend="numba"))
+            ("reference", lambda g, p, m, pref: flb_reference(g, p, machine=m))
         )
     return backends
 
@@ -279,24 +269,23 @@ def test_kernel_matrix_on_random_dags(v, density, procs):
 @pytest.mark.parametrize("prefer", [True, False])
 def test_kernel_matrix_on_machine_variants(machine, prefer):
     graph = layered_random(7, 6, make_rng(11), edge_density=0.3, ccr=2.0)
-    backends = _kernel_backends()
+    backends = _kernel_backends(prefer)
     ref = backends[0][1](graph, None, machine, prefer)
     for label, fn in backends[1:]:
         assert_bit_identical(
-            ref, fn(graph, None, machine, prefer), f"object vs {label}"
+            ref, fn(graph, None, machine, prefer), f"flb vs {label}"
         )
 
 
 def test_kernel_fuzz_200_random_dags_with_certify():
-    """200-graph fuzz sweep: every backend agrees with the object kernel on
-    every graph, and the array schedule passes the independent certifier
+    """200-graph fuzz sweep: every backend agrees with ``flb`` on every
+    graph, and the array kernel's schedule passes the independent certifier
     (structural invariants S001.. plus the FLB greedy certificate F001/F002).
     """
     from repro.verify import certify as certify_schedule
     from repro.verify import greedy_flavor
     from repro.workloads import fork_join
 
-    backends = _kernel_backends()
     flavor = greedy_flavor("flb")
     for i in range(200):
         rng = make_rng(10_000 + i)
@@ -315,15 +304,16 @@ def test_kernel_fuzz_200_random_dags_with_certify():
             graph = fork_join(1 + i % 4, 2 + i % 6, rng)
         procs = (1, 2, 3, 8)[i % 4]
         prefer = (i // 2) % 2 == 0
+        backends = _kernel_backends(prefer)
         ref = backends[0][1](graph, procs, None, prefer)
-        schedules = {"object": ref}
+        schedules = {"flb": ref}
         for label, fn in backends[1:]:
             schedules[label] = fn(graph, procs, None, prefer)
             assert_bit_identical(
-                ref, schedules[label], f"fuzz graph {i}: object vs {label}"
+                ref, schedules[label], f"fuzz graph {i}: flb vs {label}"
             )
         if prefer:  # the certifier's greedy certificate assumes the paper rule
-            cert = certify_schedule(schedules["array"], flavor=flavor)
+            cert = certify_schedule(schedules["flb"], flavor=flavor)
             assert cert.ok, f"fuzz graph {i}: {[v.code for v in cert.violations]}"
 
 
@@ -341,7 +331,7 @@ def test_kernel_fuzz_200_random_dags_with_certify():
     procs=st.sampled_from([1, 2, 3, 8]),
     seed=st.integers(0, 10_000),
 )
-def test_flb_fast_never_diverges(layers, width, density, ccr, procs, seed):
+def test_flb_array_never_diverges(layers, width, density, ccr, procs, seed):
     graph = layered_random(
         layers, width, make_rng(seed), edge_density=density, ccr=ccr
     )

@@ -56,6 +56,20 @@ class TestJson:
             from_json(doc)
 
 
+    @pytest.mark.parametrize("comp,comm", [
+        ("NaN", "1.0"), ("Infinity", "1.0"), ("1.0", "NaN"), ("1.0", "Infinity"),
+    ])
+    def test_rejects_non_finite_literals(self, comp, comm):
+        # json.loads accepts NaN/Infinity; the graph constructor must not.
+        doc = (
+            '{"format": "repro-taskgraph", "version": 1,'
+            f' "tasks": [{{"id": 0, "comp": {comp}}}, {{"id": 1, "comp": 1.0}}],'
+            f' "edges": [{{"src": 0, "dst": 1, "comm": {comm}}}]}}'
+        )
+        with pytest.raises(GraphError, match="finite"):
+            from_json(doc)
+
+
 class TestTgText:
     def test_roundtrip(self):
         g = paper_example()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import CycleError
+from repro.exceptions import CycleError, GraphError
 from repro.graph.io import raw_graph_data
 from repro.graph.taskgraph import TaskGraph
 from repro.verify import find_cycle, lint, lint_data, rule_catalogue
@@ -179,15 +179,15 @@ class TestReport:
         text = report.render()
         assert "G004" in text and "error" in text
 
-    def test_nan_comm_caught_despite_taskgraph_accepting_it(self):
-        # TaskGraph.add_edge's `comm < 0` check is False for NaN — the
-        # linter is the net for exactly this class of input.
+    def test_nan_comm_rejected_by_taskgraph(self):
+        # add_edge rejects NaN outright; raw data that never reaches a
+        # TaskGraph still gets G005 from lint_data.
         g = TaskGraph()
         g.add_task(1.0)
         g.add_task(1.0)
-        g.add_edge(0, 1, float("nan"))
-        report = lint(g)
-        assert "G005" in codes(report)
+        with pytest.raises(GraphError, match="finite"):
+            g.add_edge(0, 1, float("nan"))
+        assert "G005" in codes(lint_data([1.0, 1.0], [(0, 1, float("nan"))]))
 
 
 class TestRawGraphData:

@@ -7,8 +7,8 @@ Four layers of guarantees, strongest first:
   ``relabeled()`` permutations (with explicit names), and a mutation
   dirties *exactly* the mutated task's descendant closure.  The
   incremental (diff-seeded) hashes equal a from-scratch sweep bitwise.
-* **Replay equivalence** — a 200-pair fuzz across every FLB kernel
-  backend: warm-starting from the base schedule is bit-identical to the
+* **Replay equivalence** — a 200-pair fuzz: warm-starting from the base
+  schedule is bit-identical to the
   cold run on the mutated graph, and warm results pass the independent
   certifier.  This is exact ``==``, never ``approx`` — warm-start is a
   pure execution shortcut, not an approximation.
@@ -26,7 +26,7 @@ import pytest
 
 from repro.api import SchedulingOptions, schedule_graph
 from repro.batch import BatchJob, BatchScheduler, schedule_many
-from repro.core.flb_array import flb_array, numba_available
+from repro.core.flb_array import flb_array
 from repro.graph.properties import (
     bottom_levels,
     subgraph_hash_array,
@@ -197,7 +197,7 @@ class TestSubgraphHashes:
 class TestDiffPrefix:
     def test_identical_graph_reuses_everything(self):
         g = stencil(6, 10, make_rng(9))
-        base = flb_array(g, 4, backend="array")
+        base = flb_array(g, 4)
         diff = diff_prefix(base, _rebuild(g))
         assert isinstance(diff, GraphDiff)
         assert diff.reuse_steps == g.num_tasks
@@ -207,13 +207,13 @@ class TestDiffPrefix:
     def test_dirty_entry_task_kills_the_prefix(self):
         g = stencil(6, 10, make_rng(10))
         entry = g.entry_tasks[0]
-        base = flb_array(g, 4, backend="array")
+        base = flb_array(g, 4)
         mutant = _rebuild(g, comp={entry: g.comp(entry) * 0.5})
         assert diff_prefix(base, mutant).reuse_steps == 0
 
     def test_late_mutation_keeps_a_large_prefix(self):
         g = stencil(8, 30, make_rng(11))
-        base = flb_array(g, 4, backend="array")
+        base = flb_array(g, 4)
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         diff = diff_prefix(base, mutant)
@@ -223,29 +223,21 @@ class TestDiffPrefix:
     def test_unrelated_graph_is_harmless(self):
         g = stencil(6, 10, make_rng(12))
         other = lu(7, make_rng(13))
-        base = flb_array(g, 4, backend="array")
+        base = flb_array(g, 4)
         diff = diff_prefix(base, other)
         assert 0 <= diff.reuse_steps <= other.num_tasks
 
 
 # ---------------------------------------------------------------------------
-# Replay equivalence: warm == cold, bit for bit, across kernels
+# Replay equivalence: warm == cold, bit for bit
 # ---------------------------------------------------------------------------
 
 
 _KINDS = ("comp-down", "comp-up", "comm", "append", "rename")
 
 
-def _warm_backends():
-    backends = ["array"]
-    if numba_available():
-        backends.append("numba")
-    return backends
-
-
 class TestWarmColdEquivalence:
     def test_fuzz_200_pairs_bit_identical_and_certified(self):
-        backends = _warm_backends()
         flavor = greedy_flavor("flb")
         served = 0
         fallbacks = 0
@@ -263,14 +255,12 @@ class TestWarmColdEquivalence:
             mutant, _ = _mutate(g, nrng, _KINDS[i % len(_KINDS)])
             procs = (1, 2, 3, 8)[i % 4]
             prefer = (i // 2) % 2 == 0
-            backend = backends[i % len(backends)]
-            base = flb_array(g, procs, prefer_non_ep_on_tie=prefer,
-                             backend=backend)
+            base = flb_array(g, procs, prefer_non_ep_on_tie=prefer)
             cold = flb_array(_rebuild(mutant), procs,
-                             prefer_non_ep_on_tie=prefer, backend=backend)
+                             prefer_non_ep_on_tie=prefer)
             stats = {}
             warm = flb_array(mutant, procs, prefer_non_ep_on_tie=prefer,
-                             backend=backend, base=base, warm_stats=stats)
+                             base=base, warm_stats=stats)
             assert_bit_identical(cold, warm, f"pair {i}: cold vs warm")
             if "fallback" in stats:
                 fallbacks += 1
@@ -299,9 +289,9 @@ class TestWarmColdEquivalence:
         g = layered_random(7, 6, make_rng(14), edge_density=0.3, ccr=2.0)
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
-        base = flb_array(g, machine=machine, backend="array")
-        cold = flb_array(_rebuild(mutant), machine=machine, backend="array")
-        warm = flb_array(mutant, machine=machine, backend="array", base=base)
+        base = flb_array(g, machine=machine)
+        cold = flb_array(_rebuild(mutant), machine=machine)
+        warm = flb_array(mutant, machine=machine, base=base)
         assert_bit_identical(cold, warm, "machine variant")
 
 
@@ -312,19 +302,18 @@ class TestWarmColdEquivalence:
 
 class TestFallbacks:
     def _base(self, g, **kwargs):
-        return flb_array(g, 4, backend="array", **kwargs)
+        return flb_array(g, 4, **kwargs)
 
     def _attempt(self, g, base, **kwargs):
         reg = MetricsRegistry()
         stats = {}
-        schedule = flb_array(g, 4, backend="array", base=base,
+        schedule = flb_array(g, 4, base=base,
                              warm_stats=stats, metrics=reg, **kwargs)
         return schedule, stats, reg
 
     def test_machine_mismatch_falls_back(self):
         g = stencil(5, 8, make_rng(15))
-        base = flb_array(g, machine=MachineModel(4, latency=0.5),
-                         backend="array")
+        base = flb_array(g, machine=MachineModel(4, latency=0.5))
         schedule, stats, reg = self._attempt(_rebuild(g), base)
         assert stats["fallback"] == "machine-mismatch"
         assert reg.total("incr_fallback_total") == 1.0
@@ -379,7 +368,7 @@ class TestFallbacks:
 class TestScheduleBaseCache:
     def _schedule(self, seed):
         g = lu(4, make_rng(seed))
-        return flb_array(g, 2, backend="array")
+        return flb_array(g, 2)
 
     def test_exact_hit_and_stats(self):
         c = ScheduleBaseCache(capacity=2)
@@ -434,31 +423,31 @@ class TestApiWiring:
         g = stencil(6, 15, make_rng(20))
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
-        opts = SchedulingOptions(machine=MachineModel(4), kernel="array", warm_start=True)
+        opts = SchedulingOptions(machine=MachineModel(4), warm_start=True)
         schedule_graph(g, opts)  # populates the base LRU
         assert len(base_cache()) == 1
         warm = schedule_graph(mutant, opts)
         cold = schedule_graph(_rebuild(mutant),
-                              SchedulingOptions(machine=MachineModel(4), kernel="array"))
+                              SchedulingOptions(machine=MachineModel(4)))
         assert_bit_identical(cold, warm, "schedule_graph warm")
 
     def test_explicit_base_beats_cache(self):
         g = stencil(6, 15, make_rng(21))
-        base = flb_array(g, 4, backend="array")
+        base = flb_array(g, 4)
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         warm = schedule_graph(
-            mutant, SchedulingOptions(machine=MachineModel(4), kernel="array"), base=base
+            mutant, SchedulingOptions(machine=MachineModel(4)), base=base
         )
         cold = schedule_graph(_rebuild(mutant),
-                              SchedulingOptions(machine=MachineModel(4), kernel="array"))
+                              SchedulingOptions(machine=MachineModel(4)))
         assert_bit_identical(cold, warm, "explicit base")
 
     def test_certified_warm_start(self):
         g = stencil(6, 15, make_rng(22))
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
-        opts = SchedulingOptions(machine=MachineModel(4), kernel="array", warm_start=True,
+        opts = SchedulingOptions(machine=MachineModel(4), warm_start=True,
                                  certify=True)
         schedule_graph(g, opts)
         schedule = schedule_graph(mutant, opts)  # raises if cert fails
@@ -471,7 +460,7 @@ class TestBatchWiring:
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         reg = MetricsRegistry()
-        opts = SchedulingOptions(warm_start=True, kernel="array", metrics=reg)
+        opts = SchedulingOptions(warm_start=True, metrics=reg)
         r1 = schedule_many([BatchJob(graph=g, procs=4)], workers=1,
                            options=opts)
         assert r1[0].ok and r1[0].warm is None
@@ -482,24 +471,23 @@ class TestBatchWiring:
         )
         assert r2[0].ok
         assert r2[0].warm is not None and "fallback" not in r2[0].warm
-        assert r2[0].kernel == "array"
         assert reg.total("incr_warm_total") == 1.0
         cold = schedule_graph(_rebuild(mutant),
-                              SchedulingOptions(machine=MachineModel(4), kernel="array"))
+                              SchedulingOptions(machine=MachineModel(4)))
         assert r2[0].makespan == cold.makespan
 
     def test_warm_off_leaves_results_unannotated(self):
         g = stencil(5, 8, make_rng(24))
         res = schedule_many(
             [BatchJob(graph=g, procs=4)], workers=1,
-            options=SchedulingOptions(kernel="array"),
+            options=SchedulingOptions(),
         )
         assert res[0].ok and res[0].warm is None
 
     def test_batch_scheduler_stats_expose_base_cache(self):
         g = stencil(5, 8, make_rng(25))
         with BatchScheduler(
-            options=SchedulingOptions(warm_start=True, kernel="array")
+            options=SchedulingOptions(warm_start=True)
         ) as bs:
             bs.run([BatchJob(graph=g, procs=4)])
             stats = bs.stats()
@@ -523,7 +511,7 @@ class TestServeWiring:
             return BatchResult(
                 tag=job.tag, algo=job.algo, procs=job.procs, num_tasks=15,
                 makespan=10.0, speedup=1.5, procs_used=job.procs,
-                seconds=0.001, kernel="array",
+                seconds=0.001,
                 warm={"reused": 10, "replayed": 5, "total": 15,
                       "dirty": 1, "fraction": 10 / 15},
             )
@@ -585,7 +573,7 @@ class TestReportWiring:
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         reg = MetricsRegistry()
         cache = ResultCache(16)
-        opts = SchedulingOptions(warm_start=True, kernel="array", metrics=reg)
+        opts = SchedulingOptions(warm_start=True, metrics=reg)
         schedule_many([BatchJob(graph=g, procs=4)], workers=1, options=opts,
                       cache=cache)
         schedule_many(

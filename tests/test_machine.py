@@ -37,6 +37,14 @@ class TestMachineModel:
             MachineModel(2, comm_scale=-1.0)
         with pytest.raises(ValueError):
             MachineModel(2, latency=-0.1)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"latency": nan}, {"latency": inf}, {"comm_scale": nan},
+                    {"comm_scale": inf}, {"speeds": (1.0, nan)},
+                    {"speeds": (1.0, inf)}):
+            with pytest.raises(ValueError, match="finite"):
+                MachineModel(2, **bad)
+            with pytest.raises(ValueError, match="finite"):
+                MachineModel.from_dict({"num_procs": 2, **bad})
 
     def test_frozen(self):
         m = MachineModel(2)

@@ -110,8 +110,7 @@ class TestCacheKeyRegression:
     FP = "deadbeef" * 8
 
     def _key(self, machine=None, procs=4):
-        return make_key(self.FP, procs, "flb", False, False, "array",
-                        machine=machine)
+        return make_key(self.FP, procs, "flb", False, False, machine=machine)
 
     def test_same_procs_different_speeds_never_collide(self):
         a = self._key(MachineModel(4, speeds=(1.0, 1.0, 1.0, 1.0)))
@@ -199,20 +198,17 @@ class TestWarmStartMachineMismatch:
         g = stencil(6, 15, make_rng(30))
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
-        opts_a = SchedulingOptions(machine=MachineModel(4), kernel="array",
-                                   warm_start=True)
+        opts_a = SchedulingOptions(machine=MachineModel(4), warm_start=True)
         schedule_graph(g, opts_a)  # populates the base LRU on machine A
         opts_b = SchedulingOptions(
-            machine=MachineModel(4, comm_scale=2.0), kernel="array",
-            warm_start=True,
+            machine=MachineModel(4, comm_scale=2.0), warm_start=True,
         )
         stats = {}
         warm = schedule_graph(mutant, opts_b, warm_stats=stats)
         assert stats.get("fallback") == "machine-mismatch"
         cold = schedule_graph(
             _rebuild(mutant),
-            SchedulingOptions(machine=MachineModel(4, comm_scale=2.0),
-                              kernel="array"),
+            SchedulingOptions(machine=MachineModel(4, comm_scale=2.0)),
         )
         assert_bit_identical(cold, warm, "machine-mismatch fallback")
         base_cache().clear()

@@ -47,7 +47,6 @@ def _stub_result(job, options):
     return BatchResult(
         tag=job.tag, algo=job.algo, procs=job.procs, num_tasks=15,
         makespan=10.0, speedup=1.5, procs_used=job.procs, seconds=0.001,
-        kernel="array",
     )
 
 
@@ -373,7 +372,7 @@ class TestRouteLayer:
 
             ok = asyncio.run(body())
             assert ok.status == 200
-            assert json.loads(ok.body)["kernel"] == "array"
+            assert json.loads(ok.body)["makespan"] == 10.0  # the stub's answer
         finally:
             service.close()
 
@@ -430,11 +429,34 @@ class TestRouteLayer:
                 {"fingerprint": fp, "procs": 0},
                 {"fingerprint": fp, "procs": True},
                 {"fingerprint": fp, "procs": 2, "tenant": ""},
-                {"fingerprint": fp, "procs": 2, "kernel": "warp-drive"},
                 {"fingerprint": fp, "graph": _graph_doc(), "procs": 2},
+                {"fingerprint": fp,
+                 "machine": {"num_procs": 2, "latency": float("nan")}},
+                {"fingerprint": fp,
+                 "machine": {"num_procs": 2, "comm_scale": float("inf")}},
+                {"fingerprint": fp,
+                 "machine": {"num_procs": 2, "speeds": [1.0, float("nan")]}},
             ):
                 resp = self._route(service, "POST", "/v1/schedule", payload)
                 assert resp.status == 400, payload
+        finally:
+            service.close()
+
+    def test_non_finite_graph_weights_are_400(self):
+        # json.loads accepts NaN/Infinity literals (json.dumps writes them),
+        # so they reach ingest; the graph constructor refuses them.
+        service = self._service()
+        try:
+            bad_comm = _graph_doc()
+            bad_comm["edges"][0]["comm"] = float("nan")
+            bad_comp = _graph_doc()
+            bad_comp["tasks"][0]["comp"] = float("inf")
+            for doc in (bad_comm, bad_comp):
+                resp = self._route(service, "POST", "/v1/graphs", {"graph": doc})
+                assert resp.status == 400 and b"finite" in resp.body
+                resp = self._route(service, "POST", "/v1/schedule",
+                                   {"graph": doc, "procs": 2})
+                assert resp.status == 400 and b"finite" in resp.body
         finally:
             service.close()
 
@@ -490,16 +512,13 @@ class TestHttpEndToEnd:
                 {"fingerprint": reg["fingerprint"], "procs": 3},
             )
             assert status == 200 and res["ok"] and not res["cached"]
-            assert res["makespan"] > 0 and res["kernel"] in (
-                "object", "array", "numba",
-            )
+            assert res["makespan"] > 0
             status, hit = self._post(
                 base, "/v1/schedule",
                 {"fingerprint": reg["fingerprint"], "procs": 3},
             )
             assert status == 200 and hit["cached"]
             assert hit["makespan"] == res["makespan"]
-            assert hit["kernel"] == res["kernel"]  # the cache cannot lie
 
             with urllib.request.urlopen(base + "/healthz", timeout=30) as r:
                 health = json.loads(r.read())

@@ -49,17 +49,21 @@ class TestConstruction:
 
     def test_comp_must_be_positive(self):
         g = TaskGraph()
-        with pytest.raises(GraphError):
-            g.add_task(0.0)
-        with pytest.raises(GraphError):
-            g.add_task(-1.0)
+        for comp in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(GraphError):
+                g.add_task(comp)
+        with pytest.raises(GraphError, match="finite"):
+            g.add_tasks([1.0, float("inf")])
 
     def test_comm_must_be_nonnegative(self):
         g = TaskGraph()
         a, b = g.add_task(1.0), g.add_task(1.0)
         g.add_edge(a, b, 0.0)  # zero comm is allowed
-        with pytest.raises(GraphError):
-            g.add_edge(b, a, -0.5)
+        # A NaN comm would let both ends of the edge start at t=0 on
+        # different processors, and the certifier cannot see it.
+        for comm in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(GraphError):
+                g.add_edge(b, a, comm)
 
     def test_self_loop_rejected(self):
         g = TaskGraph()
