@@ -20,8 +20,11 @@ Three formats are supported:
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.taskgraph import TaskGraph
@@ -56,27 +59,109 @@ def to_json(graph: TaskGraph) -> str:
     return json.dumps(doc, indent=2)
 
 
-def from_json(text: str) -> TaskGraph:
-    """Parse a task graph from a JSON string produced by :func:`to_json`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid task-graph JSON: {exc}") from exc
+def from_json(source: Union[str, bytes, Dict[str, Any]]) -> TaskGraph:
+    """Build a frozen task graph from a ``repro-taskgraph`` document.
+
+    ``source`` is the JSON text (as :func:`to_json` writes it) or the
+    already-parsed document, so a caller that has decoded a request body
+    builds the graph without encoding and parsing it again.  Field types
+    are strict: task ``id`` and edge ``src``/``dst`` are JSON integers,
+    ``comp``/``comm`` JSON numbers, ``name`` a string or null; a wrong
+    type, a missing field or an entry that is not an object raises
+    :class:`~repro.exceptions.GraphError` naming the entry.  Values are
+    then checked by :meth:`TaskGraph.from_arrays`.
+    """
+    if isinstance(source, (str, bytes, bytearray)):
+        try:
+            doc = json.loads(source)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise GraphError(f"invalid task-graph JSON: {exc}") from exc
+    else:
+        doc = source
     if not isinstance(doc, dict) or doc.get("format") != "repro-taskgraph":
         raise GraphError("not a repro-taskgraph JSON document")
-    tasks = doc.get("tasks", [])
-    graph = TaskGraph()
-    by_id: Dict[int, Dict[str, Any]] = {}
-    for entry in tasks:
-        by_id[int(entry["id"])] = entry
-    if sorted(by_id) != list(range(len(tasks))):
-        raise GraphError("task ids must be dense 0..V-1")
-    for tid in range(len(tasks)):
-        entry = by_id[tid]
-        graph.add_task(float(entry["comp"]), name=entry.get("name"))
-    for entry in doc.get("edges", []):
-        graph.add_edge(int(entry["src"]), int(entry["dst"]), float(entry["comm"]))
-    return graph.freeze()
+    tasks = _section(doc, "tasks")
+    edges = _section(doc, "edges")
+    ids, comps = _columns(tasks, "tasks", ("id", "comp"))
+    names = [entry.get("name") for entry in tasks]
+    src, dst, comm = _columns(edges, "edges", ("src", "dst", "comm"))
+    _require(ids, "tasks", "id", _INTEGER)
+    _require(comps, "tasks", "comp", _NUMBER)
+    _require(names, "tasks", "name", _NAME)
+    _require(src, "edges", "src", _INTEGER)
+    _require(dst, "edges", "dst", _INTEGER)
+    _require(comm, "edges", "comm", _NUMBER)
+    id_arr = np.asarray(ids)
+    dense = np.arange(len(ids))
+    if not np.array_equal(id_arr, dense):
+        order = np.argsort(id_arr, kind="stable")
+        if not np.array_equal(id_arr[order], dense):
+            raise GraphError("task ids must be dense 0..V-1")
+        comps = [comps[i] for i in order.tolist()]
+        names = [names[i] for i in order.tolist()]
+    return TaskGraph.from_arrays(comps, src, dst, comm, names)
+
+
+#: JSON value types accepted per field kind (``bool`` is not an integer).
+_INTEGER = ({int}, "an integer")
+_NUMBER = ({int, float}, "a number")
+_NAME = ({str, type(None)}, "a string or null")
+
+
+def _section(doc: Dict[str, Any], key: str) -> List[Any]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise GraphError(f"'{key}' must be a list, got {_describe(entries)}")
+    return entries
+
+
+def _columns(
+    entries: List[Any], section: str, fields: Tuple[str, ...]
+) -> List[List[Any]]:
+    """One list per field, of that field's value in every entry."""
+    try:
+        return [list(map(itemgetter(name), entries)) for name in fields]
+    except (KeyError, TypeError):
+        pass
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise GraphError(
+                f"{section}[{i}] must be an object, got {_describe(entry)}"
+            )
+        for name in fields:
+            if name not in entry:
+                raise GraphError(f"{section}[{i}] has no '{name}'")
+    raise GraphError(f"malformed '{section}' entries")  # pragma: no cover
+
+
+def _require(
+    values: Sequence[Any],
+    section: str,
+    field: str,
+    kind: Tuple[AbstractSet[type], str],
+) -> None:
+    """Raise GraphError naming the first value whose type is not allowed."""
+    allowed, what = kind
+    if set(map(type, values)) <= allowed:
+        return
+    for i, value in enumerate(values):
+        if type(value) not in allowed:
+            raise GraphError(
+                f"{section}[{i}]: '{field}' must be {what}, "
+                f"got {_describe(value)}"
+            )
+
+
+def _describe(value: Any) -> str:
+    """A JSON value, spelled for an error message."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    if not isinstance(value, (str, int, float, type(None))):
+        return type(value).__name__
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def raw_graph_data(
@@ -169,12 +254,13 @@ def from_tg_text(text: str) -> TaskGraph:
             raise GraphError(f"line {lineno}: malformed record {line!r}") from exc
     if sorted(comps) != list(range(len(comps))):
         raise GraphError("task ids must be dense 0..V-1")
-    graph = TaskGraph()
-    for tid in range(len(comps)):
-        graph.add_task(comps[tid], name=names.get(tid))
-    for src, dst, comm in edges:
-        graph.add_edge(src, dst, comm)
-    return graph.freeze()
+    return TaskGraph.from_arrays(
+        [comps[tid] for tid in range(len(comps))],
+        [src for src, _dst, _comm in edges],
+        [dst for _src, dst, _comm in edges],
+        [comm for _src, _dst, comm in edges],
+        [names.get(tid) for tid in range(len(comps))],
+    )
 
 
 def to_dot(graph: TaskGraph) -> str:

@@ -9,7 +9,9 @@ run on different processors (Section 2 of the paper).
 added freely, then :meth:`TaskGraph.freeze` validates acyclicity, fixes a
 topological order, and makes the graph immutable.  All schedulers require a
 frozen graph; freezing is idempotent and returns the graph itself, so
-``schedule(g.freeze(), ...)`` is always safe.
+``schedule(g.freeze(), ...)`` is always safe.  A reader that already holds
+the whole graph as flat arrays builds it frozen in one vectorized call,
+:meth:`TaskGraph.from_arrays`, with the same checks and errors.
 
 Tasks are dense integer ids ``0..V-1`` (assigned in insertion order) with an
 optional human-readable name used by traces, Gantt charts, and DOT export.
@@ -161,12 +163,7 @@ class TaskGraph:
         """Add a task with computation cost ``comp`` (finite, > 0); return
         its id."""
         self._check_mutable()
-        comp = float(comp)
-        if not 0 < comp < math.inf:
-            raise GraphError(
-                f"task computation cost must be positive and finite, got {comp}"
-            )
-        self._comp.append(comp)
+        self._comp.append(_checked_task(comp, name))
         self._names.append(name)
         return len(self._comp) - 1
 
@@ -186,32 +183,99 @@ class TaskGraph:
             return [self.add_task(c) for c in comps]
         names = list(names)
         if len(names) != len(comps):
-            raise GraphError(
-                f"names must parallel comps: got {len(names)} names "
-                f"for {len(comps)} tasks"
-            )
+            raise _names_length_error(len(names), len(comps))
         return [self.add_task(c, name=n) for c, n in zip(comps, names)]
 
     def add_edge(self, src: int, dst: int, comm: float = 0.0) -> None:
         """Add a dependency ``src -> dst`` with communication cost ``comm``
         (finite, >= 0)."""
         self._check_mutable()
-        self._check_task(src)
-        self._check_task(dst)
-        if src == dst:
-            raise GraphError(f"self-loop on task {src}")
-        comm = float(comm)
-        if not 0 <= comm < math.inf:
+        self._edges[(src, dst)] = _checked_edge(
+            len(self._comp), src, dst, comm, (src, dst) in self._edges
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        comps: npt.ArrayLike,
+        src: npt.ArrayLike,
+        dst: npt.ArrayLike,
+        comm: npt.ArrayLike,
+        names: Optional[Sequence[Optional[str]]] = None,
+    ) -> "TaskGraph":
+        """Build a frozen graph from flat arrays, validated in bulk.
+
+        The result equals ``add_tasks(comps, names)``, then
+        ``add_edge(src[i], dst[i], comm[i])`` for every ``i`` in order,
+        then :meth:`freeze` — and invalid input raises the
+        :class:`~repro.exceptions.GraphError` those calls would raise
+        first, with the same message — but every check (positive finite
+        comp, finite non-negative comm, ids in range, no self-loop, no
+        duplicate edge) runs vectorized, and the CSR is compiled straight
+        from the arrays: no per-edge Python loop.  The JSON, TG-text and
+        shared-memory readers all build through here.
+        """
+        comp_arr = _float_array(comps, "comps")
+        n = len(comp_arr)
+        name_list: List[Optional[str]] = [None] * n if names is None else list(names)
+        if len(name_list) != n:
+            raise _names_length_error(len(name_list), n)
+        bad = ~((comp_arr > 0) & (comp_arr < math.inf))
+        if not set(map(type, name_list)) <= _NAME_TYPES:
+            bad |= [not isinstance(name, (str, type(None))) for name in name_list]
+        if bad.any():
+            # add_task's checks on the first bad task raise its error.
+            i = int(bad.argmax())
+            _checked_task(float(comp_arr[i]), name_list[i])
+        src_arr = _id_array(src, "src")
+        dst_arr = _id_array(dst, "dst")
+        comm_arr = _float_array(comm, "comm")
+        e = len(src_arr)
+        if not len(dst_arr) == len(comm_arr) == e:
             raise GraphError(
-                f"communication cost must be non-negative and finite, got {comm}"
+                f"src, dst and comm must have one entry per edge: got "
+                f"{e}, {len(dst_arr)} and {len(comm_arr)}"
             )
-        if (src, dst) in self._edges:
-            raise GraphError(f"duplicate edge ({src}, {dst})")
-        self._edges[(src, dst)] = comm
+        # One sort of the (src, dst) keys finds duplicates (equal keys end
+        # up adjacent; stability keeps the first occurrence first) and is
+        # the successor CSR order.  Out-of-range pairs get distinct
+        # negative keys so they can never alias a valid edge.
+        in_range = (src_arr >= 0) & (src_arr < n) & (dst_arr >= 0) & (dst_arr < n)
+        keys = np.where(in_range, src_arr * n + dst_arr, -1 - np.arange(e))
+        by_src = np.argsort(keys, kind="stable")
+        dup = np.zeros(e, dtype=bool)
+        dup[by_src[1:][keys[by_src[1:]] == keys[by_src[:-1]]]] = True
+        bad = (
+            ~in_range
+            | (src_arr == dst_arr)
+            | ~((comm_arr >= 0) & (comm_arr < math.inf))
+            | dup
+        )
+        if bad.any():
+            # Every edge before the first bad one is valid, so add_edge's
+            # checks on that edge raise what the per-edge loop would have.
+            i = int(bad.argmax())
+            _checked_edge(
+                n, int(src_arr[i]), int(dst_arr[i]), float(comm_arr[i]),
+                duplicate=bool(dup[i]),
+            )
+        g = cls()
+        g._comp = comp_arr.tolist()
+        g._comps_np = comp_arr
+        g._names = name_list
+        g._edges = dict(
+            zip(zip(src_arr.tolist(), dst_arr.tolist()), comm_arr.tolist())
+        )
+        if n == 0:
+            raise GraphError("task graph has no tasks")
+        g._freeze_csr(_build_csr(n, src_arr, dst_arr, comm_arr, by_src))
+        return g
 
     def set_name(self, task: int, name: str) -> None:
         self._check_mutable()
         self._check_task(task)
+        if not isinstance(name, str):
+            raise GraphError(f"task name must be a string, got {type(name).__name__}")
         self._names[task] = name
 
     def freeze(self) -> "TaskGraph":
@@ -223,29 +287,31 @@ class TaskGraph:
         """
         if self._frozen:
             return self
-        n = len(self._comp)
-        if n == 0:
+        if not self._comp:
             raise GraphError("task graph has no tasks")
-        # CSR first (it needs no topological order), then Kahn over its
-        # list mirrors — the adjacency is materialized exactly once.
-        csr = self._compile_csr()
+        self._freeze_csr(self._compile_csr())
+        return self
+
+    def _freeze_csr(self, csr: AdjacencyCSR) -> None:
+        """Freeze over an already-compiled CSR: Kahn over its list mirrors
+        (the adjacency is materialized exactly once), then the tuple views."""
+        n = len(self._comp)
         lists = csr.lists
-        succ_ptr, succ_ids = lists.succ_ptr, lists.succ_ids
-        pred_ptr, pred_ids = lists.pred_ptr, lists.pred_ids
+        succ_ptr, pred_ptr = lists.succ_ptr, lists.pred_ptr
+        # CSR slices are already in ascending-id order, so the tuple views
+        # come straight off the mirrors without re-sorting.
+        succs = [tuple(lists.succ_ids[a:b]) for a, b in zip(succ_ptr, succ_ptr[1:])]
+        preds = [tuple(lists.pred_ids[a:b]) for a, b in zip(pred_ptr, pred_ptr[1:])]
         # Kahn's algorithm; FIFO over ids keeps the order deterministic.
+        # The loop walks the list it appends to: it ends when the frontier
+        # runs dry, leaving the topological order in place.
         indeg = csr.in_degrees()
-        frontier = [t for t in range(n) if indeg[t] == 0]
-        topo: List[int] = []
-        head = 0
-        while head < len(frontier):
-            t = frontier[head]
-            head += 1
-            topo.append(t)
-            for j in range(succ_ptr[t], succ_ptr[t + 1]):
-                s = succ_ids[j]
+        topo = [t for t, d in enumerate(indeg) if not d]
+        for t in topo:
+            for s in succs[t]:
                 indeg[s] -= 1
-                if indeg[s] == 0:
-                    frontier.append(s)
+                if not indeg[s]:
+                    topo.append(s)
         if len(topo) != n:
             # Name an actual cycle, not just the stuck tasks: the graphlint
             # witness finder walks one back edge to a concrete path.
@@ -260,51 +326,21 @@ class TaskGraph:
             raise CycleError(
                 f"task graph contains a cycle through tasks {stuck[:10]}"
             )
-        # CSR slices are already in ascending-id order, so the tuple views
-        # come straight off the mirrors without re-sorting.
-        self._succs = [
-            tuple(succ_ids[succ_ptr[t]:succ_ptr[t + 1]]) for t in range(n)
-        ]
-        self._preds = [
-            tuple(pred_ids[pred_ptr[t]:pred_ptr[t + 1]]) for t in range(n)
-        ]
+        self._succs = succs
+        self._preds = preds
         self._topo = tuple(topo)
-        self._entries = tuple(t for t in range(n) if not self._preds[t])
-        self._exits = tuple(t for t in range(n) if not self._succs[t])
+        self._entries = tuple(np.flatnonzero(np.diff(csr.pred_ptr) == 0).tolist())
+        self._exits = tuple(np.flatnonzero(np.diff(csr.succ_ptr) == 0).tolist())
         self._csr = csr
         self._frozen = True
-        return self
 
     def _compile_csr(self) -> AdjacencyCSR:
-        """Flatten the adjacency into NumPy CSR arrays (one-time, ``O(V + E)``).
-
-        Built directly from the edge dictionary with two ``lexsort`` passes
-        instead of a per-edge Python loop, so freezing a million-task graph
-        costs a handful of vectorized sweeps.  The successor view is sorted
-        by ``(src, dst)`` and the predecessor view by ``(dst, src)`` —
-        exactly the ascending-id slice order of :meth:`succs`/:meth:`preds`.
-        """
-        n = len(self._comp)
+        """Flatten the edge dictionary into NumPy CSR arrays (``O(V + E)``)."""
         e = len(self._edges)
-        if e == 0:
-            zeros = np.zeros(n + 1, dtype=np.int64)
-            empty_i = np.zeros(0, dtype=np.int64)
-            empty_f = np.zeros(0, dtype=np.float64)
-            return AdjacencyCSR(zeros, empty_i, empty_f, zeros.copy(), empty_i.copy(), empty_f.copy())
         src = np.fromiter((k[0] for k in self._edges), dtype=np.int64, count=e)
         dst = np.fromiter((k[1] for k in self._edges), dtype=np.int64, count=e)
         comm = np.fromiter(self._edges.values(), dtype=np.float64, count=e)
-        by_src = np.lexsort((dst, src))
-        succ_ids = dst[by_src]
-        succ_comm = comm[by_src]
-        succ_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=succ_ptr[1:])
-        by_dst = np.lexsort((src, dst))
-        pred_ids = src[by_dst]
-        pred_comm = comm[by_dst]
-        pred_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=pred_ptr[1:])
-        return AdjacencyCSR(pred_ptr, pred_ids, pred_comm, succ_ptr, succ_ids, succ_comm)
+        return _build_csr(len(self._comp), src, dst, comm)
 
     # -- queries -------------------------------------------------------------
 
@@ -421,18 +457,29 @@ class TaskGraph:
         """
         if self._fingerprint is not None:
             return self._fingerprint
-        h = hashlib.blake2b(digest_size=16)
         n = len(self._comp)
+        # The hashed stream: a tag; V as <u8; the comps as <f8; per task,
+        # its effective name's UTF-8 length as <u4 then the bytes; E as
+        # <u8; then one (<u8 src, <u8 dst, <f8 comm) record per edge in
+        # (src, dst) order — which is the successor CSR's order, so the
+        # edge records are three column copies, not a per-edge pack.
+        csr = self._csr if self._csr is not None else self._compile_csr()
+        edges = np.empty(len(csr.succ_ids), dtype=_EDGE_RECORD)
+        edges["src"] = np.repeat(np.arange(n), np.diff(csr.succ_ptr))
+        edges["dst"] = csr.succ_ids
+        edges["comm"] = csr.succ_comm
+        h = hashlib.blake2b(digest_size=16)
         h.update(b"repro-taskgraph-v1")
         h.update(struct.pack("<Q", n))
-        h.update(struct.pack(f"<{n}d", *self._comp))
-        for t in range(n):
-            name = self.name(t).encode()
-            h.update(struct.pack("<I", len(name)))
-            h.update(name)
-        h.update(struct.pack("<Q", len(self._edges)))
-        for (src, dst), comm in sorted(self._edges.items()):
-            h.update(struct.pack("<QQd", src, dst, comm))
+        h.update(np.asarray(self._comp, dtype="<f8").tobytes())
+        pack = _NAME_LENGTH.pack
+        names = (
+            (f"t{t}" if name is None else name).encode()
+            for t, name in enumerate(self._names)
+        )
+        h.update(b"".join([pack(len(name)) + name for name in names]))
+        h.update(struct.pack("<Q", len(edges)))
+        h.update(edges.tobytes())
         digest = h.hexdigest()
         if self._frozen:
             self._fingerprint = digest
@@ -534,3 +581,105 @@ class TaskGraph:
     def _check_frozen(self) -> None:
         if not self._frozen:
             raise GraphError("operation requires a frozen task graph; call freeze()")
+
+
+# -- shared checks and bulk construction ---------------------------------------
+
+#: The types a task name may have (``None`` = the default ``t<id>``).
+_NAME_TYPES = {str, type(None)}
+
+#: One fingerprinted edge: the bytes of ``struct.pack("<QQd", src, dst, comm)``.
+_EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("comm", "<f8")])
+#: A fingerprinted name's UTF-8 byte length, ahead of its bytes.
+_NAME_LENGTH = struct.Struct("<I")
+
+
+def _checked_task(comp: float, name: Optional[str]) -> float:
+    """``add_task``'s checks, in order; returns ``comp`` as a float."""
+    comp = float(comp)
+    if not 0 < comp < math.inf:
+        raise GraphError(
+            f"task computation cost must be positive and finite, got {comp}"
+        )
+    if name is not None and not isinstance(name, str):
+        raise GraphError(
+            f"task name must be a string or None, got {type(name).__name__}"
+        )
+    return comp
+
+
+def _checked_edge(
+    num_tasks: int, src: int, dst: int, comm: float, duplicate: bool
+) -> float:
+    """``add_edge``'s checks, in order; returns ``comm`` as a float."""
+    for task in (src, dst):
+        if not 0 <= task < num_tasks:
+            raise GraphError(f"unknown task id {task}")
+    if src == dst:
+        raise GraphError(f"self-loop on task {src}")
+    comm = float(comm)
+    if not 0 <= comm < math.inf:
+        raise GraphError(
+            f"communication cost must be non-negative and finite, got {comm}"
+        )
+    if duplicate:
+        raise GraphError(f"duplicate edge ({src}, {dst})")
+    return comm
+
+
+def _names_length_error(names: int, tasks: int) -> GraphError:
+    return GraphError(
+        f"names must parallel comps: got {names} names for {tasks} tasks"
+    )
+
+
+def _float_array(values: npt.ArrayLike, what: str) -> FloatArray:
+    """``values`` as a fresh 1-D float64 array (GraphError if it is not one)."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError(f"{what} must be numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise GraphError(f"{what} must be a flat sequence of numbers")
+    return arr
+
+
+def _id_array(values: npt.ArrayLike, what: str) -> IntArray:
+    """``values`` as a 1-D int64 array of task ids; float or bool ids are
+    rejected rather than truncated."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{what} must be task ids: {exc}") from None
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise GraphError(f"{what} must be a flat sequence of integer task ids")
+    return arr.astype(np.int64, copy=False)
+
+
+def _build_csr(
+    n: int,
+    src: IntArray,
+    dst: IntArray,
+    comm: FloatArray,
+    by_src: Optional[npt.NDArray[np.intp]] = None,
+) -> AdjacencyCSR:
+    """Both CSR views of a valid edge list, with a sort per view.
+
+    The successor view is ordered by ``(src, dst)`` and the predecessor
+    view by ``(dst, src)`` — the ascending-id slice order of
+    :meth:`TaskGraph.succs`/:meth:`TaskGraph.preds`.  ``by_src`` is the
+    successor order when the caller has already sorted for it.
+    """
+    if by_src is None:
+        by_src = np.argsort(src * n + dst)
+    by_dst = np.argsort(dst * n + src)
+    succ_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=succ_ptr[1:])
+    pred_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=pred_ptr[1:])
+    return AdjacencyCSR(
+        pred_ptr, src[by_dst], comm[by_dst], succ_ptr, dst[by_src], comm[by_src]
+    )
+

@@ -113,7 +113,7 @@ def encode_graph(graph: TaskGraph) -> bytes:
     parts = [
         _HEADER.pack(_MAGIC, _VERSION, graph.num_tasks, graph.num_edges,
                      len(names_blob)),
-        np.asarray(graph._comp, dtype=np.float64).tobytes(),
+        graph.comps_array().tobytes(),
         csr.pred_ptr.tobytes(),
         csr.pred_ids.tobytes(),
         csr.pred_comm.tobytes(),
@@ -130,7 +130,13 @@ def decode_graph(buf: "bytes | memoryview") -> TaskGraph:
 
     ``buf`` may be any buffer (``bytes``, ``memoryview`` over shared
     memory); it may be longer than the payload (shm segments are rounded up
-    to page size) — lengths come from the header.
+    to page size) — lengths come from the header.  The graph is rebuilt
+    from the comps, the successor CSR and the names through
+    :meth:`TaskGraph.from_arrays`, so a corrupt segment (non-finite
+    weight, out-of-range id, self-loop, duplicate edge, cycle) raises
+    :class:`GraphStoreError` instead of decoding into an invalid graph.
+    The stored predecessor view is redundant with the successor view and
+    is not read back.
     """
     mv = memoryview(buf)
     try:
@@ -141,46 +147,41 @@ def decode_graph(buf: "bytes | memoryview") -> TaskGraph:
             raise GraphStoreError(f"bad graph segment magic {magic!r}")
         if version != _VERSION:
             raise GraphStoreError(f"unsupported graph segment version {version}")
+        # Section offsets in encode_graph's layout: the successor view
+        # starts after the comps and the (unread) predecessor view.
+        comps_at = _HEADER.size
+        succ_at = comps_at + 8 * n + 8 * (n + 1) + 16 * e
+        names_at = succ_at + 8 * (n + 1) + 16 * e
+        if names_at + names_len > len(mv):
+            raise GraphStoreError("truncated graph segment")
 
-        def take(dtype: "type[np.generic]", count: int, offset: int) -> Tuple[np.ndarray, int]:
-            nbytes = count * np.dtype(dtype).itemsize
-            if offset + nbytes > len(mv):
-                raise GraphStoreError("truncated graph segment")
+        def take(dtype: "type[np.generic]", count: int, offset: int) -> np.ndarray:
             # Copy out of the shared mapping: the decoded graph must outlive
             # the segment (the supervisor may unlink it at any time).
-            arr = np.frombuffer(mv[offset:offset + nbytes], dtype=dtype).copy()
-            return arr, offset + nbytes
+            return np.frombuffer(mv, dtype=dtype, count=count, offset=offset).copy()
 
-        off = _HEADER.size
-        comps, off = take(np.float64, n, off)
-        _pred_ptr, off = take(np.int64, n + 1, off)
-        _pred_ids, off = take(np.int64, e, off)
-        _pred_comm, off = take(np.float64, e, off)
-        succ_ptr, off = take(np.int64, n + 1, off)
-        succ_ids, off = take(np.int64, e, off)
-        succ_comm, off = take(np.float64, e, off)
-        if off + names_len > len(mv):
-            raise GraphStoreError("truncated graph segment (names)")
-        names = json.loads(bytes(mv[off:off + names_len]).decode())
-        if len(names) != n:
-            raise GraphStoreError(
-                f"graph segment names/tasks mismatch ({len(names)} vs {n})"
-            )
+        comps = take(np.float64, n, comps_at)
+        succ_ptr = take(np.int64, n + 1, succ_at)
+        succ_ids = take(np.int64, e, succ_at + 8 * (n + 1))
+        succ_comm = take(np.float64, e, succ_at + 8 * (n + 1) + 8 * e)
+        try:
+            names = json.loads(bytes(mv[names_at:names_at + names_len]).decode())
+        except ValueError as exc:
+            raise GraphStoreError(f"graph segment names are corrupt: {exc}") from None
     finally:
         mv.release()
-
-    g = TaskGraph()
-    g._comp = comps.tolist()
-    g._names = list(names)
-    # One bulk pass instead of a per-edge Python loop: repeat each source id
-    # by its out-degree, then zip against the CSR successor slices.
-    src_rep = np.repeat(np.arange(n, dtype=np.int64), np.diff(succ_ptr))
-    g._edges = dict(
-        zip(zip(src_rep.tolist(), succ_ids.tolist()), succ_comm.tolist())
-    )
-    if n:
-        g.freeze()
-    return g
+    if not isinstance(names, list) or len(names) != n:
+        raise GraphStoreError(f"graph segment names do not match its {n} tasks")
+    out_degree = np.diff(succ_ptr)
+    if succ_ptr[0] != 0 or succ_ptr[-1] != e or (out_degree < 0).any():
+        raise GraphStoreError("graph segment has a corrupt successor index")
+    try:
+        return TaskGraph.from_arrays(
+            comps, np.repeat(np.arange(n), out_degree), succ_ids, succ_comm,
+            names,
+        )
+    except GraphError as exc:
+        raise GraphStoreError(f"corrupt graph segment: {exc}") from None
 
 
 # -- supervisor side: the registry -------------------------------------------

@@ -55,7 +55,9 @@ def schedule_from_json(text: str) -> Schedule:
         raise ScheduleError(f"invalid schedule JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "repro-schedule":
         raise ScheduleError("not a repro-schedule JSON document")
-    graph = graph_from_json(json.dumps(doc["graph"]))
+    if not isinstance(doc.get("graph"), dict):
+        raise ScheduleError("schedule document has no 'graph' object")
+    graph = graph_from_json(doc["graph"])
     m = doc["machine"]
     speeds = m.get("speeds")
     machine = MachineModel(

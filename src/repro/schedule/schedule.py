@@ -349,7 +349,7 @@ class Schedule:
         descriptions of every violation (empty list = valid).
 
         Delegates to the independent checker in :mod:`repro.verify.certify`
-        (structural invariants ``S001``..``S006``), which recomputes every
+        (structural invariants ``S001``..``S007``), which recomputes every
         quantity from the graph and machine model rather than trusting this
         class's internals.  Use :func:`repro.verify.certify` directly for
         the machine-readable :class:`~repro.verify.Certificate` and the

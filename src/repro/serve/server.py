@@ -52,7 +52,9 @@ from typing import (
 
 from repro.api import SchedulingOptions
 from repro.batch import BatchJob, BatchResult, BatchScheduler
+from repro.exceptions import GraphError
 from repro.graph.io import from_json
+from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.obs import ServeInstruments, render_prometheus
 from repro.resultcache import CacheKey, make_key as make_cache_key
@@ -237,12 +239,16 @@ class SchedulingService:
         Accepts either the ``repro-taskgraph`` document itself or
         ``{"graph": <document>}``.  Idempotent per content fingerprint.
         """
-        doc = payload.get("graph", payload)
+        return self._ingest(payload.get("graph", payload))[1]
+
+    def _ingest(self, doc: Any) -> Tuple[TaskGraph, Dict[str, Any]]:
+        """Build, fingerprint and register a graph document; return the
+        graph and the ``/v1/graphs`` reply."""
         if not isinstance(doc, dict):
             raise BadRequestError("'graph' must be a JSON object")
         try:
-            graph = from_json(json.dumps(doc))
-        except Exception as exc:
+            graph = from_json(doc)
+        except GraphError as exc:
             raise BadRequestError(f"invalid task graph: {exc}") from None
         fingerprint = graph.fingerprint()
         known = fingerprint in self._graphs
@@ -250,7 +256,7 @@ class SchedulingService:
             key = self.scheduler.store.register(graph, fingerprint=fingerprint)
             self._graphs[fingerprint] = key
             self.instruments.graph_registered()
-        return {
+        return graph, {
             "fingerprint": fingerprint,
             "graph_key": self._graphs[fingerprint],
             "tasks": graph.num_tasks,
@@ -303,17 +309,23 @@ class SchedulingService:
                 "provide exactly one of 'fingerprint' (a registered graph) "
                 "or 'graph' (an inline repro-taskgraph document)"
             )
+        graph: Optional[TaskGraph] = None
+        graph_key: Optional[str] = None
         if graph_doc is not None:
-            registered = self.register_graph({"graph": graph_doc})
+            # The inline graph is registered like a POSTed one (so later
+            # requests can name it by fingerprint) but runs from the object
+            # just built, not from its shared-memory copy.
+            graph, registered = self._ingest(graph_doc)
             fingerprint = registered["fingerprint"]
-        if not isinstance(fingerprint, str):
+        elif not isinstance(fingerprint, str):
             raise BadRequestError("'fingerprint' must be a string")
-        graph_key = self._graphs.get(fingerprint)
-        if graph_key is None:
-            raise UnknownGraphError(
-                f"no graph registered with fingerprint {fingerprint!r}; "
-                f"POST it to /v1/graphs first"
-            )
+        else:
+            graph_key = self._graphs.get(fingerprint)
+            if graph_key is None:
+                raise UnknownGraphError(
+                    f"no graph registered with fingerprint {fingerprint!r}; "
+                    f"POST it to /v1/graphs first"
+                )
         procs = payload.get("procs")
         if procs is not None and (
             not isinstance(procs, int) or isinstance(procs, bool) or procs < 1
@@ -375,7 +387,7 @@ class SchedulingService:
             machine=machine,
         )
         job = BatchJob(
-            graph=None, procs=procs, algo=algo, tag=tag, graph_key=graph_key,
+            graph=graph, procs=procs, algo=algo, tag=tag, graph_key=graph_key,
             base_fingerprint=base_fingerprint, machine=machine,
         )
         future: "asyncio.Future[BatchResult]" = (
@@ -433,6 +445,9 @@ class SchedulingService:
                 self._active -= 1
                 self.instruments.inflight(self._active)
                 self.queue.task_done()
+            # Drop the finished job now: an inline job holds its graph, and
+            # freeing that on the next get() would count as queue wait.
+            del work
 
 
 def _consume_exception(future: "asyncio.Future[BatchResult]") -> None:

@@ -9,9 +9,13 @@ A bug in ``repro.core`` therefore cannot hide itself here.
 
 Two layers of checks, each with stable rule codes:
 
-**Structural invariants** (``S001``..``S006``) — hold for *any* valid
+**Structural invariants** (``S001``..``S007``) — hold for *any* valid
 schedule, regardless of algorithm:
 
+* ``S007`` every start, finish, processor ready time and the makespan is a
+  finite number — checked first, since a NaN compares false against
+  everything (the checks below are phrased as the condition for *ok*, so a
+  NaN fails them as well);
 * ``S001`` every task is scheduled exactly once;
 * ``S002`` no task starts before time zero;
 * ``S003`` ``FT(t) = ST(t) + duration(comp(t), PROC(t))``;
@@ -61,7 +65,9 @@ through ``Schedule.validate()``, the batch plane (``certify=``), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.schedule.schedule import Schedule
@@ -189,6 +195,32 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
     graph = schedule.graph
     machine = schedule.machine
     out: List[Violation] = []
+    placed = [t for t in graph.tasks() if schedule.is_scheduled(t)]
+    procs = list(map(schedule.proc_of, placed))
+    starts = list(map(schedule.start_of, placed))
+    finishes = list(map(schedule.finish_of, placed))
+    prts = [schedule.prt(p) for p in machine.procs]
+
+    # S007: every time is a finite number.  NaN compares false against
+    # everything, so it would slip past any check phrased as "violated if
+    # x < y"; hence this runs first, and every check below is phrased as
+    # the condition for *ok*, so a NaN fails it too.
+    if not all(map(math.isfinite, chain(starts, finishes, prts, [schedule.makespan]))):
+        for t, proc, start, finish in zip(placed, procs, starts, finishes):
+            if not (math.isfinite(start) and math.isfinite(finish)):
+                out.append(
+                    Violation(
+                        "S007",
+                        f"task {t} has a non-finite time: ST {start}, FT {finish}",
+                        task=t,
+                        proc=proc,
+                    )
+                )
+        for p, prt in enumerate(prts):
+            if not math.isfinite(prt):
+                out.append(Violation("S007", f"PRT({p}) is {prt}", proc=p))
+        if not math.isfinite(schedule.makespan):
+            out.append(Violation("S007", f"makespan is {schedule.makespan}"))
 
     # S001: exactly once.  Count appearances across the per-processor task
     # lists rather than trusting the placement flags — a corrupted schedule
@@ -212,15 +244,10 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
                 )
             )
 
-    placed = [t for t in graph.tasks() if schedule.is_scheduled(t)]
-
     # S002/S003: start and finish sanity, recomputing the duration from the
     # machine model.
-    for t in placed:
-        start = schedule.start_of(t)
-        finish = schedule.finish_of(t)
-        proc = schedule.proc_of(t)
-        if start < -eps:
+    for t, proc, start, finish in zip(placed, procs, starts, finishes):
+        if not start >= -eps:
             out.append(
                 Violation(
                     "S002",
@@ -230,7 +257,7 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
                 )
             )
         expected = start + machine.duration(graph.comp(t), proc)
-        if abs(finish - expected) > eps:
+        if not abs(finish - expected) <= eps:
             out.append(
                 Violation(
                     "S003",
@@ -244,7 +271,7 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
     for p in machine.procs:
         ordered = sorted(schedule.proc_tasks(p), key=schedule.start_of)
         for a, b in zip(ordered, ordered[1:]):
-            if schedule.start_of(b) < schedule.finish_of(a) - eps:
+            if not schedule.start_of(b) >= schedule.finish_of(a) - eps:
                 out.append(
                     Violation(
                         "S004",
@@ -265,7 +292,7 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
             schedule.proc_of(src), schedule.proc_of(dst), comm
         )
         earliest = schedule.finish_of(src) + delay
-        if schedule.start_of(dst) < earliest - eps:
+        if not schedule.start_of(dst) >= earliest - eps:
             out.append(
                 Violation(
                     "S005",
@@ -277,25 +304,23 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
             )
 
     # S006: reported makespan and per-processor ready times match the
-    # placements.
+    # placements (a NaN finish propagates into its processor's PRT).
     true_prt = [0.0] * machine.num_procs
-    for t in placed:
-        p = schedule.proc_of(t)
-        finish = schedule.finish_of(t)
-        if finish > true_prt[p]:
-            true_prt[p] = finish
-    for p in machine.procs:
-        if abs(schedule.prt(p) - true_prt[p]) > eps:
+    for proc, finish in zip(procs, finishes):
+        if not finish <= true_prt[proc]:
+            true_prt[proc] = finish
+    for p, prt in enumerate(prts):
+        if not abs(prt - true_prt[p]) <= eps:
             out.append(
                 Violation(
                     "S006",
-                    f"PRT({p}) reported as {schedule.prt(p)} but placements "
+                    f"PRT({p}) reported as {prt} but placements "
                     f"finish at {true_prt[p]}",
                     proc=p,
                 )
             )
     true_makespan = max(true_prt)
-    if abs(schedule.makespan - true_makespan) > eps:
+    if not abs(schedule.makespan - true_makespan) <= eps:
         out.append(
             Violation(
                 "S006",

@@ -66,9 +66,10 @@ def build_weighted_graph(
         comps = sample_weights(rng, mean_comp, n, distribution)
         raw = sample_weights(rng, 1.0, len(edge_list), distribution)
         comms = scale_to_ccr(comps, raw, ccr)
-    graph = TaskGraph()
-    for name, comp in zip(names, comps):
-        graph.add_task(float(comp), name=name)
-    for (src, dst), comm in zip(edge_list, comms):
-        graph.add_edge(src, dst, float(comm))
-    return graph.freeze()
+    return TaskGraph.from_arrays(
+        comps,
+        [src for src, _dst in edge_list],
+        [dst for _src, dst in edge_list],
+        comms,
+        names,
+    )

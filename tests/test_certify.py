@@ -6,6 +6,8 @@ each be rejected with the *expected* rule code, proving the checker has
 teeth and does not merely rubber-stamp whatever the kernels emit.
 """
 
+import math
+
 import pytest
 
 from repro.core.flb import flb
@@ -162,6 +164,44 @@ class TestStructuralMutants:
         s._prt[0] += 5.0  # reported PRT/makespan no longer match placements
         cert = certify(s)
         assert "S006" in cert.codes()
+
+    @staticmethod
+    def _chain_schedule():
+        g = TaskGraph()
+        g.add_task(1.0)
+        g.add_task(1.0)
+        g.add_edge(0, 1, 1.0)
+        return flb(g.freeze(), num_procs=2)
+
+    def test_s007_nan_times_rejected(self):
+        # NaN start/finish with the PRTs kept consistent used to pass every
+        # comparison (NaN < x is false) and certify as ok, FLB flavour too.
+        s = self._chain_schedule()
+        p = s.proc_of(1)
+        s._start[1] = s._finish[1] = math.nan
+        s._prt[p] = max(
+            (s.finish_of(t) for t in s.proc_tasks(p) if t != 1), default=0.0
+        )
+        cert = certify(s, flavor="flb")
+        assert not cert.ok
+        assert cert.codes()[0] == "S007"
+        assert any(v.code == "S007" and v.task == 1 for v in cert.violations)
+        # The checks behind it test the condition for ok, so NaN fails them.
+        assert {"S002", "S003", "S006"} <= set(cert.codes())
+        assert not cert.greedy_checked
+
+    def test_s007_infinite_times_rejected(self):
+        # inf start, finish, PRT and makespan: inf - inf is NaN, so S003 and
+        # S006 used to pass this structurally.
+        s = self._chain_schedule()
+        p = s.proc_of(1)
+        s._start[1] = s._finish[1] = math.inf
+        s._prt[p] = math.inf
+        assert s.makespan == math.inf
+        cert = certify(s)
+        assert not cert.ok
+        assert cert.codes()[:3] == ("S007", "S007", "S007")
+        assert any("makespan" in v.message for v in cert.violations)
 
     def test_certificate_shape(self):
         g = paper_example()

@@ -1,5 +1,7 @@
 """Tests for task-graph serialisation (JSON / TG text / DOT)."""
 
+import json
+
 import pytest
 
 from repro.exceptions import GraphError
@@ -12,6 +14,7 @@ from repro.graph import (
     to_json,
     to_tg_text,
 )
+from repro.graph.io import raw_graph_data
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, paper_example
 
@@ -68,6 +71,98 @@ class TestJson:
         )
         with pytest.raises(GraphError, match="finite"):
             from_json(doc)
+
+
+def _doc():
+    return {
+        "format": "repro-taskgraph", "version": 1,
+        "tasks": [{"id": 0, "comp": 1.0, "name": "a"},
+                  {"id": 1, "comp": 2.0, "name": "b"}],
+        "edges": [{"src": 0, "dst": 1, "comm": 0.5}],
+    }
+
+
+def _set(section, index, field, value):
+    def mutate(doc):
+        doc[section][index][field] = value
+    return mutate
+
+
+def _drop(section, index, field):
+    def mutate(doc):
+        del doc[section][index][field]
+    return mutate
+
+
+def _replace(section, value):
+    def mutate(doc):
+        doc[section] = value
+    return mutate
+
+
+def _entry(section, index, value):
+    def mutate(doc):
+        doc[section][index] = value
+    return mutate
+
+
+#: Malformed documents and the text their GraphError must carry (the
+#: field and the entry index).  Each used to escape as KeyError/TypeError/
+#: AttributeError or be silently coerced into a different graph.
+MALFORMED = {
+    "task without comp": (_drop("tasks", 1, "comp"), "tasks[1] has no 'comp'"),
+    "task without id": (_drop("tasks", 0, "id"), "tasks[0] has no 'id'"),
+    "edge without comm": (_drop("edges", 0, "comm"), "edges[0] has no 'comm'"),
+    "tasks not a list": (_replace("tasks", {"id": 0}), "'tasks' must be a list"),
+    "edges not a list": (_replace("edges", "0->1"), "'edges' must be a list"),
+    "task not an object": (_entry("tasks", 1, [1, 2.0]), "tasks[1] must be an object"),
+    "edge not an object": (_entry("edges", 0, 7), "edges[0] must be an object"),
+    "integer name": (_set("tasks", 1, "name", 5), "tasks[1]: 'name' must be a string or null"),
+    "float id": (_set("tasks", 1, "id", 1.7), "tasks[1]: 'id' must be an integer, got 1.7"),
+    "float src": (_set("edges", 0, "src", 0.9), "edges[0]: 'src' must be an integer, got 0.9"),
+    "bool dst": (_set("edges", 0, "dst", True), "edges[0]: 'dst' must be an integer, got true"),
+    "string comp": (_set("tasks", 0, "comp", "2"), "tasks[0]: 'comp' must be a number, got \"2\""),
+    "bool comp": (_set("tasks", 1, "comp", True), "tasks[1]: 'comp' must be a number, got true"),
+    "null comm": (_set("edges", 0, "comm", None), "edges[0]: 'comm' must be a number, got null"),
+    "huge id": (_set("tasks", 1, "id", 10**30), "task ids must be dense"),
+    "huge src": (_set("edges", 0, "src", 10**30), "integer task ids"),
+}
+
+
+class TestStrictDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_is_a_named_error(self, case):
+        mutate, message = MALFORMED[case]
+        doc = _doc()
+        mutate(doc)
+        for source in (doc, json.dumps(doc)):
+            with pytest.raises(GraphError) as exc:
+                from_json(source)
+            assert message in str(exc.value)
+
+    def test_parsed_document_equals_text(self):
+        g = erdos_dag(25, 0.2, make_rng(5), ccr=3.0)
+        text = to_json(g)
+        assert from_json(json.loads(text)).fingerprint() == from_json(text).fingerprint()
+
+    def test_integral_comp_accepted_as_number(self):
+        doc = _doc()
+        doc["tasks"][1]["comp"] = 2
+        assert from_json(doc).comp(1) == 2.0
+
+    def test_unordered_ids_are_reordered(self):
+        doc = _doc()
+        doc["tasks"].reverse()
+        g = from_json(doc)
+        assert [g.name(t) for t in g.tasks()] == ["a", "b"]
+        assert g.comps == (1.0, 2.0)
+
+    def test_raw_graph_data_stays_tolerant(self):
+        doc = _doc()
+        doc["tasks"][1]["comp"] = "2"
+        doc["edges"][0]["src"] = 0.9
+        comps, edges, names = raw_graph_data(json.dumps(doc))
+        assert comps == [1.0, 2.0] and edges == [(0, 1, 0.5)]
 
 
 class TestTgText:

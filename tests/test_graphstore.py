@@ -3,6 +3,7 @@ worker-side attach/LRU, and — crucially — *no leaked segments*, ever."""
 
 import gc
 import os
+import struct
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.graphstore import (
     decode_graph,
     encode_graph,
 )
+from repro.exceptions import GraphError
 from repro.graph.taskgraph import TaskGraph
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
@@ -79,6 +81,43 @@ class TestCodec:
         blob = encode_graph(lu(4, make_rng(0)))
         with pytest.raises(GraphStoreError):
             decode_graph(blob[: len(blob) // 2])
+
+    @pytest.mark.parametrize("section,index,value,message", [
+        ("comps", 0, float("inf"), "positive and finite"),
+        ("comps", 3, float("nan"), "positive and finite"),
+        ("succ_comm", 2, float("nan"), "non-negative and finite"),
+        ("succ_comm", 0, float("inf"), "non-negative and finite"),
+        ("succ_ids", 1, 10**6, "unknown task id"),
+        ("succ_ids", 0, None, "self-loop"),
+    ])
+    def test_patched_segment_rejected(self, section, index, value, message):
+        # Decode must validate, not trust the bytes: a corrupted weight or
+        # successor id fails like the constructor would, never yielding a
+        # graph with comp(0) == inf or a NaN edge.
+        g = lu(4, make_rng(0), ccr=1.0)
+        n, e = g.num_tasks, g.num_edges
+        offsets = {  # encode_graph's layout after the 30-byte header
+            "comps": 30,
+            "succ_ids": 30 + 8 * n + 8 * (n + 1) + 16 * e + 8 * (n + 1),
+            "succ_comm": 30 + 8 * n + 8 * (n + 1) + 16 * e + 8 * (n + 1) + 8 * e,
+        }
+        if value is None:  # point task 0's first successor back at itself
+            value = 0
+        blob = bytearray(encode_graph(g))
+        fmt = "<d" if section in ("comps", "succ_comm") else "<q"
+        struct.pack_into(fmt, blob, offsets[section] + 8 * index, value)
+        with pytest.raises(GraphError, match=message):
+            decode_graph(bytes(blob))
+        with pytest.raises(GraphStoreError):
+            decode_graph(bytes(blob))
+
+    def test_corrupt_successor_index_rejected(self):
+        g = lu(4, make_rng(0))
+        blob = bytearray(encode_graph(g))
+        succ_ptr_at = 30 + 8 * g.num_tasks + 8 * (g.num_tasks + 1) + 16 * g.num_edges
+        struct.pack_into("<q", blob, succ_ptr_at + 8, -3)
+        with pytest.raises(GraphStoreError, match="successor index"):
+            decode_graph(bytes(blob))
 
     def test_padding_tolerated(self):
         # Shared-memory segments round up to page size; trailing bytes must

@@ -460,6 +460,40 @@ class TestRouteLayer:
         finally:
             service.close()
 
+    def test_malformed_graph_documents_are_400(self):
+        # Wrong field types and missing fields used to escape ingest as
+        # KeyError/TypeError (a 500 at best) or be coerced into a different
+        # graph ("src": 0.5 scheduled task 0 and answered 200).
+        def broken(mutate):
+            doc = _graph_doc()
+            mutate(doc)
+            return doc
+
+        docs = [
+            broken(lambda d: d["edges"][0].update(src=0.5)),
+            broken(lambda d: d["tasks"][1].update(id=1.7)),
+            broken(lambda d: d["tasks"][0].update(comp="2")),
+            broken(lambda d: d["tasks"][0].update(comp=True)),
+            broken(lambda d: d["tasks"][2].update(name=5)),
+            broken(lambda d: d["tasks"][3].pop("comp")),
+            broken(lambda d: d["edges"][0].pop("comm")),
+            broken(lambda d: d.update(tasks={"id": 0})),
+            broken(lambda d: d["tasks"].__setitem__(0, [0, 1.0])),
+        ]
+        service = self._service()
+        try:
+            for doc in docs:
+                resp = self._route(service, "POST", "/v1/graphs", {"graph": doc})
+                assert resp.status == 400, doc
+                assert b"invalid task graph" in resp.body
+                resp = self._route(service, "POST", "/v1/schedule",
+                                   {"graph": doc, "procs": 2})
+                assert resp.status == 400, doc
+                assert b"invalid task graph" in resp.body
+            assert service.health()["graphs"] == 0
+        finally:
+            service.close()
+
     def test_metrics_parse_roundtrip(self):
         service = self._service()
         try:
@@ -482,6 +516,52 @@ class TestRouteLayer:
             assert json.loads(resp.body)["status"] == "draining"
         finally:
             service.close()
+
+
+class TestInlineGraphs:
+    """An inline graph runs from the object ingest just built (no decode
+    from shared memory) and is still registered for later requests."""
+
+    def test_inline_runs_without_attach_and_registers(self, monkeypatch):
+        from repro import graphstore
+
+        attached = []
+        real_attach = graphstore.attach
+
+        def counting_attach(name, *args, **kwargs):
+            attached.append(name)
+            return real_attach(name, *args, **kwargs)
+
+        monkeypatch.setattr(graphstore, "attach", counting_attach)
+        graphstore.clear_worker_cache()
+        service = SchedulingService(config=ServeConfig(max_backlog=8, workers=1))
+        try:
+            doc = _graph_doc()
+
+            async def body():
+                service.start()
+                inline = await service.submit(
+                    {"graph": doc, "procs": 3, "certify": True})
+                reg = service.register_graph({"graph": doc})
+                assert not reg["registered"]  # the inline request did it
+                fp = reg["fingerprint"]
+                again = await service.submit(
+                    {"fingerprint": fp, "procs": 3, "certify": True})
+                other = await service.submit({"fingerprint": fp, "procs": 2})
+                await service.drain()
+                return inline, again, other
+
+            inline, again, other = asyncio.run(body())
+            assert inline["ok"] and inline["certified"] and not inline["cached"]
+            assert inline["num_tasks"] == len(doc["tasks"])
+            assert again["cached"] and again["makespan"] == inline["makespan"]
+            assert other["ok"] and not other["cached"]
+            # Only the keyed request with new options decoded the segment.
+            assert len(attached) == 1
+            assert service.health()["graphs"] == 1
+        finally:
+            service.close()
+            graphstore.clear_worker_cache()
 
 
 # -- end to end over localhost -----------------------------------------------

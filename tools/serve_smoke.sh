@@ -3,6 +3,8 @@
 # ephemeral port and exercise the whole contract over actual sockets:
 #
 #   * register a generated graph, then schedule it by fingerprint;
+#   * schedule the same graph inline with certify (same makespan), and get
+#     a 400 for an inline graph with a non-integer edge endpoint;
 #   * N identical concurrent requests collapse to ONE computation
 #     (in-flight coalescing + result cache — every response agrees on the
 #     makespan);
@@ -71,6 +73,19 @@ fp = reg["fingerprint"]
 status, body, _ = post("/v1/schedule", {"fingerprint": fp, "procs": 4})
 assert status == 200, body
 assert body["makespan"] > 0, body
+
+# -- inline graph, certified: the same answer as the keyed request -----------
+status, inline, _ = post("/v1/schedule",
+                         {"graph": doc, "procs": 4, "certify": True})
+assert status == 200, inline
+assert inline["certified"] is True, inline
+assert inline["makespan"] == body["makespan"], (inline, body)
+
+# -- a malformed inline graph is a 400, never a schedule ---------------------
+bad = json.loads(json.dumps(doc))
+bad["edges"][0]["src"] = 0.5
+status, err, _ = post("/v1/schedule", {"graph": bad, "procs": 4})
+assert status == 400, (status, err)
 
 # -- coalescing: N identical concurrent requests, ONE computation ------------
 # The first in-flight request computes; overlapping duplicates attach to its
