@@ -10,20 +10,21 @@ import numpy as np
 import pytest
 
 from repro.bench import run_ablation_llb
+from repro.machine import MachineModel
 from repro.schedulers import dsc, llb
 
 
 def bench_llb_largest(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 5.0)]
     clustering = dsc(graph)
-    schedule = benchmark(llb, graph, clustering, 8, priority="largest")
+    schedule = benchmark(llb, graph, clustering, MachineModel(8), priority="largest")
     assert schedule.complete
 
 
 def bench_llb_least(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 5.0)]
     clustering = dsc(graph)
-    schedule = benchmark(llb, graph, clustering, 8, priority="least")
+    schedule = benchmark(llb, graph, clustering, MachineModel(8), priority="least")
     assert schedule.complete
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench import run_ablation_ties
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 
 
@@ -21,8 +22,8 @@ def bench_ablation_flb_vs_etf(benchmark, suite_by_problem):
 
     def run():
         return (
-            SCHEDULERS["flb"](graph, 8).makespan,
-            SCHEDULERS["etf"](graph, 8).makespan,
+            SCHEDULERS["flb"](graph, MachineModel(8)).makespan,
+            SCHEDULERS["etf"](graph, MachineModel(8)).makespan,
         )
 
     flb_span, etf_span = benchmark(run)
@@ -63,8 +64,8 @@ class TestTiePreferenceKnob:
         from repro.core import flb
 
         graph = suite_by_problem[("stencil", 0.2)]
-        a = flb(graph, 8).makespan
-        b = flb(graph, 8, prefer_non_ep_on_tie=False).makespan
+        a = flb(graph, MachineModel(8)).makespan
+        b = flb(graph, MachineModel(8), prefer_non_ep_on_tie=False).makespan
         assert b == pytest.approx(a, rel=0.1)
 
     def test_policies_comparable_with_unit_weights(self):
@@ -80,8 +81,8 @@ class TestTiePreferenceKnob:
             lambda: fork_join(6, 8, None, ccr=1.0),
         ):
             g = builder()  # unit weights maximise ties
-            paper = flb(g, 8).makespan
-            flipped = flb(g, 8, prefer_non_ep_on_tie=False).makespan
+            paper = flb(g, MachineModel(8)).makespan
+            flipped = flb(g, MachineModel(8), prefer_non_ep_on_tie=False).makespan
             ratios.append(flipped / paper)
         mean = float(np.mean(ratios))
         # Neither policy dominates by a large margin on suite average.

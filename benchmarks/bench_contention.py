@@ -10,6 +10,7 @@ degrade less than communication-oblivious ones.
 import pytest
 
 from repro.bench import run_contention
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 from repro.sim import execute_contended
 
@@ -17,7 +18,7 @@ from repro.sim import execute_contended
 @pytest.mark.parametrize("bandwidth", [0.5, 2.0])
 def bench_contended_execution(benchmark, suite_by_problem, bandwidth):
     graph = suite_by_problem[("fft", 5.0)]
-    schedule = SCHEDULERS["flb"](graph, 8)
+    schedule = SCHEDULERS["flb"](graph, MachineModel(8))
     result = benchmark(execute_contended, schedule, bandwidth)
     assert result.makespan > 0
 

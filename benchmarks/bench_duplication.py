@@ -11,17 +11,18 @@ import pytest
 from repro.bench import run_duplication
 from repro.core import flb
 from repro.duplication import dsh
+from repro.machine import MachineModel
 
 
 def bench_dsh(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 5.0)]
-    schedule = benchmark(dsh, graph, 8)
+    schedule = benchmark(dsh, graph, MachineModel(8))
     assert schedule.complete
 
 
 def bench_flb_same_instance(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 5.0)]
-    schedule = benchmark(flb, graph, 8)
+    schedule = benchmark(flb, graph, MachineModel(8))
     assert schedule.complete
 
 

@@ -13,6 +13,7 @@ check asserts the paper's qualitative ordering on this machine.
 import pytest
 
 from repro.bench import FIGURE_ALGORITHMS
+from repro.machine import MachineModel
 from repro.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 
@@ -32,7 +33,7 @@ def bench_fig2(benchmark, suite_by_problem, algo, procs):
     benchmark.extra_info["V"] = sum(g.num_tasks for g in graphs)
 
     def run():
-        return [scheduler(g, procs).makespan for g in graphs]
+        return [scheduler(g, MachineModel(procs)).makespan for g in graphs]
 
     spans = benchmark(run)
     assert all(m > 0 for m in spans)
@@ -50,7 +51,7 @@ def test_fig2_shape(suite_by_problem):
 
     def cost(algo, procs):
         return sum(
-            time_scheduler(SCHEDULERS[algo], g, procs, repeats=3) for g in graphs
+            time_scheduler(SCHEDULERS[algo], g, MachineModel(procs), repeats=3) for g in graphs
         )
 
     lo, hi = 2, 32

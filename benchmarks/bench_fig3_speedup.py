@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import PAPER_PROBLEMS
 from repro.core import flb
+from repro.machine import MachineModel
 from repro.metrics import speedup
 
 FIG3_PROCS = (1, 2, 4, 8, 16, 32)
@@ -23,13 +24,13 @@ FIG3_PROCS = (1, 2, 4, 8, 16, 32)
 def bench_fig3_flb(benchmark, suite_by_problem, problem, ccr):
     graph = suite_by_problem[(problem, ccr)]
     benchmark.extra_info["V"] = graph.num_tasks
-    schedule = benchmark(flb, graph, 32)
+    schedule = benchmark(flb, graph, MachineModel(32))
     benchmark.extra_info["speedup_P32"] = round(speedup(schedule), 3)
     assert schedule.makespan > 0
 
 
 def _speedups(graph, procs=FIG3_PROCS):
-    return {p: speedup(flb(graph, p)) for p in procs}
+    return {p: speedup(flb(graph, MachineModel(p))) for p in procs}
 
 
 def test_fig3_shape_coarse_grain(suite_by_problem):
@@ -50,8 +51,8 @@ def test_fig3_shape_coarse_grain(suite_by_problem):
 def test_fig3_shape_fine_grain(suite_by_problem):
     """CCR = 5.0 yields uniformly lower speedup than CCR = 0.2 at P = 32."""
     for prob in PAPER_PROBLEMS:
-        coarse = speedup(flb(suite_by_problem[(prob, 0.2)], 32))
-        fine = speedup(flb(suite_by_problem[(prob, 5.0)], 32))
+        coarse = speedup(flb(suite_by_problem[(prob, 0.2)], MachineModel(32)))
+        fine = speedup(flb(suite_by_problem[(prob, 5.0)], MachineModel(32)))
         assert fine <= coarse + 1e-9
 
 
@@ -59,5 +60,5 @@ def test_fig3_speedup_well_defined(suite_by_problem):
     """Speedup is >= 1 at P=1 by definition and bounded by P."""
     for (prob, ccr), graph in suite_by_problem.items():
         for procs in (1, 4, 32):
-            sp = speedup(flb(graph, procs))
+            sp = speedup(flb(graph, MachineModel(procs)))
             assert 0 < sp <= procs + 1e-9

@@ -13,6 +13,7 @@ consistently outperforms DSC-LLB.
 import pytest
 
 from repro.bench import FIGURE_ALGORITHMS, run_sweep
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 
 FIG4_PROCS = (2, 8, 32)
@@ -23,7 +24,7 @@ def bench_fig4_all_algorithms(benchmark, suite_by_problem, problem):
     graph = suite_by_problem[(problem, 5.0)]
 
     def run():
-        return {a: SCHEDULERS[a](graph, 8).makespan for a in FIGURE_ALGORITHMS}
+        return {a: SCHEDULERS[a](graph, MachineModel(8)).makespan for a in FIGURE_ALGORITHMS}
 
     spans = benchmark(run)
     benchmark.extra_info["nsl_flb"] = round(spans["flb"] / spans["mcp"], 4)

@@ -34,6 +34,7 @@ import pytest
 from repro.core.flb_array import flb_array
 from repro.graph.properties import bottom_levels_array, subgraph_hashes
 from repro.graph.taskgraph import TaskGraph
+from repro.machine import MachineModel
 from repro.util.rng import make_rng
 from repro.workloads import lu, stencil
 from repro.workloads.stencil import stencil_size_for_tasks
@@ -104,7 +105,7 @@ def _bench_pair(graph, fraction, repeats):
     side takes its min, so a throttling or noisy-neighbour episode hits
     both sides of the ratio instead of whichever block it lands on.
     """
-    base = flb_array(_prime(graph), PROCS)
+    base = flb_array(_prime(graph), MachineModel(PROCS))
     subgraph_hashes(graph)  # primed at base-store time by the serving planes
 
     cold = warm = float("inf")
@@ -119,7 +120,7 @@ def _bench_pair(graph, fraction, repeats):
         gc.disable()
         try:
             t0 = time.perf_counter()
-            flb_array(cold_mutant, PROCS)
+            flb_array(cold_mutant, MachineModel(PROCS))
             cold = min(cold, time.perf_counter() - t0)
         finally:
             gc.enable()
@@ -130,7 +131,7 @@ def _bench_pair(graph, fraction, repeats):
         try:
             stats.clear()
             t0 = time.perf_counter()
-            flb_array(warm_mutant, PROCS, base=base,
+            flb_array(warm_mutant, MachineModel(PROCS), base=base,
                       warm_stats=stats)
             warm = min(warm, time.perf_counter() - t0)
         finally:
@@ -229,10 +230,10 @@ def test_warm_start_beats_cold_5x_small_mutation():
 
     # Correctness outside the timed region: exact equality, then the
     # independent certificate on the warm result.
-    base = flb_array(graph, PROCS)
+    base = flb_array(graph, MachineModel(PROCS))
     mutant = _mutant(graph, 0.001)
-    cold = flb_array(_prime(_mutant(graph, 0.001)), PROCS)
-    warm = flb_array(mutant, PROCS, base=base)
+    cold = flb_array(_prime(_mutant(graph, 0.001)), MachineModel(PROCS))
+    warm = flb_array(mutant, MachineModel(PROCS), base=base)
     assert warm.makespan == cold.makespan
     for t in range(0, graph.num_tasks, 997):  # stride keeps the check fast
         assert warm.proc_of(t) == cold.proc_of(t)
@@ -247,11 +248,11 @@ def test_identical_resubmission_reuses_everything():
     whole schedule and cost far less than recomputing it."""
     cells, steps = stencil_size_for_tasks(20_000)
     graph = stencil(cells, steps, make_rng(7))
-    base = flb_array(_prime(graph), PROCS)
+    base = flb_array(_prime(graph), MachineModel(PROCS))
     subgraph_hashes(graph)
     resub = _prime(_resub(graph))
     stats = {}
-    warm = flb_array(resub, PROCS, base=base,
+    warm = flb_array(resub, MachineModel(PROCS), base=base,
                      warm_stats=stats)
     assert stats.get("reused") == graph.num_tasks
     assert warm.makespan == base.makespan

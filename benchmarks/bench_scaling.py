@@ -17,6 +17,7 @@ Run as a script to produce the large-V curve for the array kernel
 import pytest
 
 from repro.core import flb
+from repro.machine import MachineModel
 from repro.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
@@ -35,14 +36,14 @@ def bench_flb_scaling_v(benchmark, v):
     graph = _graph(v)
     benchmark.extra_info["V"] = graph.num_tasks
     benchmark.extra_info["E"] = graph.num_edges
-    schedule = benchmark(flb, graph, 16)
+    schedule = benchmark(flb, graph, MachineModel(16))
     assert schedule.complete
 
 
 @pytest.mark.parametrize("procs", [2, 16, 128])
 def bench_flb_scaling_p(benchmark, procs):
     graph = _graph(2000)
-    schedule = benchmark(flb, graph, procs)
+    schedule = benchmark(flb, graph, MachineModel(procs))
     assert schedule.complete
 
 
@@ -52,15 +53,15 @@ def test_scaling_near_linear_in_v():
     per_task = {}
     for v in (500, 4000):
         g = _graph(v)
-        per_task[v] = time_scheduler(flb, g, 16, repeats=3) / g.num_tasks
+        per_task[v] = time_scheduler(flb, g, MachineModel(16), repeats=3) / g.num_tasks
     assert per_task[4000] < 3.0 * per_task[500]
 
 
 def test_scaling_gentle_in_p():
     """64x more processors must cost far less than 64x more time."""
     g = _graph(2000)
-    t2 = time_scheduler(flb, g, 2, repeats=3)
-    t128 = time_scheduler(flb, g, 128, repeats=3)
+    t2 = time_scheduler(flb, g, MachineModel(2), repeats=3)
+    t128 = time_scheduler(flb, g, MachineModel(128), repeats=3)
     assert t128 < 4.0 * t2
 
 
@@ -68,8 +69,8 @@ def test_scaling_flb_beats_etf_at_scale():
     """At V=1000, P=16, FLB must be at least an order of magnitude cheaper
     than ETF (the motivating cost gap)."""
     g = _graph(1000)
-    t_flb = time_scheduler(flb, g, 16, repeats=3)
-    t_etf = time_scheduler(SCHEDULERS["etf"], g, 16, repeats=1)
+    t_flb = time_scheduler(flb, g, MachineModel(16), repeats=3)
+    t_etf = time_scheduler(SCHEDULERS["etf"], g, MachineModel(16), repeats=1)
     assert t_etf > 10.0 * t_flb
 
 
@@ -109,7 +110,7 @@ def run_scaling_curve(max_v=1_000_000, procs=16, out=None):
         try:
             for _ in range(repeats):
                 t0 = _time.perf_counter()
-                schedule = flb_array(graph, procs)
+                schedule = flb_array(graph, MachineModel(procs))
                 best = min(best, _time.perf_counter() - t0)
         finally:
             gc.enable()

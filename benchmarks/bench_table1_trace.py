@@ -9,6 +9,7 @@ row for row (the exhaustive per-cell checks live in
 
 from repro.bench import run_table1
 from repro.core import TraceRecorder, flb
+from repro.machine import MachineModel
 from repro.workloads import paper_example
 
 #: (task, proc, start, finish) per iteration, transcribed from Table 1.
@@ -38,7 +39,7 @@ def test_table1_report_renders():
 
 def bench_flb_paper_example(benchmark):
     graph = paper_example()
-    schedule = benchmark(flb, graph, 2)
+    schedule = benchmark(flb, graph, MachineModel(2))
     assert schedule.makespan == 14.0
 
 
@@ -47,7 +48,7 @@ def bench_flb_paper_example_with_trace(benchmark):
 
     def run():
         recorder = TraceRecorder(graph)
-        flb(graph, 2, observer=recorder)
+        flb(graph, MachineModel(2), observer=recorder)
         return recorder
 
     recorder = benchmark(run)

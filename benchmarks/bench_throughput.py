@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench.perfgate import measure_throughput, seed_flb
 from repro.core import flb
+from repro.machine import MachineModel
 
 FIG2_PROBLEMS = ("lu", "laplace", "stencil")
 FIG2_PROCS = (2, 8, 32)
@@ -32,7 +33,7 @@ def bench_flb_throughput(benchmark, suite_by_problem, procs):
     benchmark.extra_info["V"] = total_tasks
 
     def run():
-        return [flb(g, procs).makespan for g in graphs]
+        return [flb(g, MachineModel(procs)).makespan for g in graphs]
 
     spans = benchmark(run)
     assert all(m > 0 for m in spans)
@@ -45,7 +46,7 @@ def bench_seed_vs_fast(benchmark, suite_by_problem, impl):
     scheduler = flb if impl == "fast" else seed_flb
 
     def run():
-        return [scheduler(g, 8).makespan for g in graphs]
+        return [scheduler(g, MachineModel(8)).makespan for g in graphs]
 
     spans = benchmark(run)
     assert all(m > 0 for m in spans)
@@ -72,8 +73,8 @@ def test_fast_and_seed_agree(suite_by_problem):
     would be meaningless if the kernel bought speed with different output."""
     for graph in _graphs(suite_by_problem):
         for procs in (2, 8, 32):
-            fast = flb(graph, procs)
-            seed = seed_flb(graph, procs)
+            fast = flb(graph, MachineModel(procs))
+            seed = seed_flb(graph, MachineModel(procs))
             assert fast.makespan == seed.makespan
             assert all(
                 fast.proc_of(t) == seed.proc_of(t)

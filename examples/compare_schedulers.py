@@ -7,6 +7,7 @@ Run:  python examples/compare_schedulers.py [V] [P]
 
 import sys
 
+from repro.machine import MachineModel
 from repro.metrics import comm_stats, speedup, time_scheduler
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
@@ -20,13 +21,14 @@ def main(target_tasks: int = 800, procs: int = 8) -> None:
         f"E = {graph.num_edges}, CCR = 1.0, P = {procs}\n"
     )
 
-    mcp_span = SCHEDULERS["mcp"](graph, procs).makespan
+    machine = MachineModel(procs)
+    mcp_span = SCHEDULERS["mcp"](graph, machine).makespan
     rows = []
     for name in sorted(SCHEDULERS):
         scheduler = SCHEDULERS[name]
-        schedule = scheduler(graph, procs)
+        schedule = scheduler(graph, machine)
         schedule.validate()
-        ms = time_scheduler(scheduler, graph, procs, repeats=3) * 1e3
+        ms = time_scheduler(scheduler, graph, machine, repeats=3) * 1e3
         stats = comm_stats(schedule)
         rows.append(
             [

@@ -11,6 +11,7 @@ Run:  python examples/duplication_study.py
 
 from repro.core import flb
 from repro.duplication import dsh
+from repro.machine import MachineModel
 from repro.metrics import time_scheduler
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
@@ -18,8 +19,9 @@ from repro.workloads import fft, lu, out_tree, paper_example
 
 def main() -> None:
     print("Paper's Fig. 1 example, P = 4:")
-    d = dsh(paper_example(), 4)
-    f = flb(paper_example(), 4)
+    machine = MachineModel(4)
+    d = dsh(paper_example(), machine)
+    f = flb(paper_example(), machine)
     print(f"  FLB makespan {f.makespan:g}; DSH makespan {d.makespan:g} "
           f"(duplicated {d.total_copies() - 8} task copies)")
     for t in range(8):
@@ -36,12 +38,13 @@ def main() -> None:
         ("fft(64) ccr=5", lambda: fft(64, make_rng(2), ccr=5.0)),
     ]
     rows = []
+    machine = MachineModel(8)
     for label, builder in workloads:
         g = builder()
-        f = flb(g, 8)
-        d = dsh(g, 8)
-        t_f = time_scheduler(flb, g, 8, repeats=1)
-        t_d = time_scheduler(dsh, g, 8, repeats=1)
+        f = flb(g, machine)
+        d = dsh(g, machine)
+        t_f = time_scheduler(flb, g, machine, repeats=1)
+        t_d = time_scheduler(dsh, g, machine, repeats=1)
         rows.append(
             [
                 label,

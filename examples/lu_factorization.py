@@ -9,6 +9,7 @@ Run:  python examples/lu_factorization.py
 
 from repro.core import flb
 from repro.graph import critical_path_length, width
+from repro.machine import MachineModel
 from repro.metrics import comm_stats, efficiency, speedup, utilization
 from repro.schedule import render_gantt
 from repro.util.rng import make_rng
@@ -28,7 +29,7 @@ def main() -> None:
     rows = []
     schedules = {}
     for procs in (1, 2, 4, 8, 16, 32):
-        s = flb(graph, procs)
+        s = flb(graph, MachineModel(procs))
         schedules[procs] = s
         rows.append(
             [procs, s.makespan, speedup(s), efficiency(s), s.num_procs_used()]
@@ -52,7 +53,7 @@ def main() -> None:
     print("utilisation:", "  ".join(f"P{p}={u:.0%}" for p, u in enumerate(util)))
 
     # A small instance's Gantt chart to see the elimination wavefront.
-    small = flb(lu(7, make_rng(7), ccr=0.5), 4)
+    small = flb(lu(7, make_rng(7), ccr=0.5), MachineModel(4))
     print("\nLU(7) on 4 processors:")
     print(render_gantt(small, width=72))
 

@@ -7,6 +7,7 @@ Run:  python examples/paper_trace.py
 
 from repro.core import OracleObserver, TraceRecorder, flb, format_trace
 from repro.graph import bottom_levels, critical_path_length, to_dot, width
+from repro.machine import MachineModel
 from repro.schedule import render_gantt
 from repro.workloads import paper_example
 
@@ -21,10 +22,10 @@ def main() -> None:
 
     # Run FLB with both the trace recorder and the Theorem-3 oracle attached.
     recorder = TraceRecorder(graph)
-    schedule = flb(graph, 2, observer=recorder)
+    schedule = flb(graph, MachineModel(2), observer=recorder)
 
     oracle = OracleObserver()
-    flb(graph, 2, observer=oracle)
+    flb(graph, MachineModel(2), observer=oracle)
     print(f"Theorem 3 verified on all {oracle.iterations} iterations "
           f"({oracle.tie_iterations} EP/non-EP tie, resolved to non-EP).\n")
 

@@ -4,7 +4,9 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import TaskGraph, schedule_graph
+import dataclasses
+
+from repro import MachineModel, SchedulingOptions, TaskGraph, schedule_graph
 from repro.metrics import summarize
 from repro.schedule import render_gantt
 from repro.sim import execute
@@ -26,7 +28,8 @@ def main() -> None:
     g.freeze()
 
     # 2. Schedule on 2 processors with FLB (the paper's algorithm).
-    schedule = schedule_graph(g, 2, algorithm="flb")
+    options = SchedulingOptions(machine=MachineModel(2), algorithm="flb")
+    schedule = schedule_graph(g, options)
     schedule.validate()
 
     # 3. Inspect.
@@ -43,7 +46,7 @@ def main() -> None:
     print(f"\nre-executed makespan: {result.makespan:g} (matches the schedule)")
 
     # 5. Compare against a baseline in one line.
-    mcp = schedule_graph(g, 2, algorithm="mcp")
+    mcp = schedule_graph(g, dataclasses.replace(options, algorithm="mcp"))
     print(f"FLB vs MCP makespan: {schedule.makespan:g} vs {mcp.makespan:g}")
 
 

@@ -13,6 +13,7 @@ Run:  python examples/robustness_perturbation.py
 import numpy as np
 
 from repro.core import flb
+from repro.machine import MachineModel
 from repro.schedulers import mcp
 from repro.sim import execute_perturbed
 from repro.util.rng import make_rng
@@ -27,7 +28,7 @@ def main() -> None:
 
     rows = []
     for name, scheduler in (("flb", flb), ("mcp", mcp)):
-        planned = scheduler(graph, procs)
+        planned = scheduler(graph, MachineModel(procs))
         for cv in (0.1, 0.25, 0.5):
             achieved = [
                 execute_perturbed(planned, make_rng(1000 + i), cv, cv).makespan

@@ -8,6 +8,7 @@ Run:  python examples/schedule_inspection.py [output.svg]
 import sys
 
 from repro.core import flb
+from repro.machine import MachineModel
 from repro.schedule import (
     critical_tasks,
     idle_profile,
@@ -22,7 +23,7 @@ from repro.workloads import lu
 
 def main(svg_path: str = "/tmp/lu_schedule.svg") -> None:
     graph = lu(12, make_rng(21), ccr=2.0)
-    schedule = flb(graph, 4)
+    schedule = flb(graph, MachineModel(4))
     print(f"LU(12) on 4 processors with FLB: makespan {schedule.makespan:.2f}\n")
     print(render_gantt(schedule, width=72))
 

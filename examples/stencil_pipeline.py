@@ -10,6 +10,7 @@ Run:  python examples/stencil_pipeline.py
 """
 
 from repro.core import flb
+from repro.machine import MachineModel
 from repro.metrics import speedup
 from repro.schedulers import dsc, dsc_llb
 from repro.util.rng import make_rng
@@ -22,7 +23,7 @@ def main() -> None:
     series = {}
     for ccr in (0.2, 5.0):
         graph = stencil(40, 50, make_rng(3), ccr=ccr)
-        speedups = [speedup(flb(graph, p)) for p in procs_list]
+        speedups = [speedup(flb(graph, MachineModel(p))) for p in procs_list]
         series[f"CCR={ccr:g}"] = speedups
         rows.append([f"CCR={ccr:g}", *(f"{s:.2f}" for s in speedups)])
         clustering = dsc(graph)
@@ -42,8 +43,8 @@ def main() -> None:
     print()
     for ccr in (0.2, 5.0):
         graph = stencil(40, 50, make_rng(3), ccr=ccr)
-        f = flb(graph, 8).makespan
-        d = dsc_llb(graph, 8).makespan
+        f = flb(graph, MachineModel(8)).makespan
+        d = dsc_llb(graph, MachineModel(8)).makespan
         print(f"CCR={ccr:g}: FLB {f:8.1f}  DSC-LLB {d:8.1f}  (DSC-LLB/FLB = {d/f:.3f})")
 
 

@@ -21,9 +21,7 @@ severity, and a title; :func:`rule_catalogue` lists them all (rendered in
   (:mod:`repro.analysis.rules_frozen`);
 * ``A3xx`` — cache/metrics discipline: hand-rolled cache keys, metric
   naming conventions, warn-once latches without a reset hook
-  (:mod:`repro.analysis.rules_cachekeys`), and the machine-model options
-  migration — legacy ``SchedulingOptions(procs=...)`` constructions
-  (:mod:`repro.analysis.rules_machine`).
+  (:mod:`repro.analysis.rules_cachekeys`).
 
 Analysis is two-pass: pass one parses every file and builds a
 :class:`~repro.analysis.project.ProjectIndex` (project-wide facts such as
@@ -338,7 +336,6 @@ def _load_rules() -> None:
         rules_cachekeys,
         rules_concurrency,
         rules_frozen,
-        rules_machine,
     )
 
 

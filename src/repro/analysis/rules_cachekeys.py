@@ -51,10 +51,9 @@ def _receiver_is_cache(func: ast.Attribute) -> bool:
 def _check_inline_cache_keys(ctx: FileContext) -> List[AnalysisIssue]:
     """Flags a literal tuple used as the key of a cache-named mapping —
     ``get``/``put``/``setdefault``/``pop`` calls and subscripts alike.
-    An inline tuple cannot share the key factory's validation (the
-    machine must agree with ``procs``) or pick up new key fields when
-    the schema grows; route it through
-    :func:`repro.resultcache.make_key`."""
+    An inline tuple cannot pick up new key fields when the schema grows
+    (and silently drops the machine fingerprint if it forgets it); route
+    it through :func:`repro.resultcache.make_key`."""
     if ctx.module == _KEY_FACTORY_MODULE:
         return []
     issues: List[AnalysisIssue] = []
@@ -92,7 +91,7 @@ def _check_inline_cache_keys(ctx: FileContext) -> List[AnalysisIssue]:
                 ERROR,
                 "inline tuple used as a cache key; build keys with "
                 "repro.resultcache.make_key so every field (including the "
-                "machine fingerprint) is validated in one place",
+                "machine fingerprint) is spelled in one place",
             )
         )
     return issues
@@ -175,7 +174,7 @@ def _module_level_latches(tree: ast.Module) -> Set[str]:
 def _check_warn_once_reset(ctx: FileContext) -> List[AnalysisIssue]:
     """A ``*_warned`` module global flips once per process; without a
     ``reset_*`` function that clears it, no test after the first can
-    observe the warning (:func:`repro.api.reset_options_deprecations` is
+    observe the warning (``tests/fixtures/analysis/a303_good.py`` shows
     the pattern)."""
     latches = _module_level_latches(ctx.tree)
     if not latches:

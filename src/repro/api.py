@@ -3,36 +3,32 @@
 The three serving entry points — :func:`repro.schedule_graph` (one graph,
 in-process), :func:`repro.batch.schedule_many` (a batch across worker
 processes) and :meth:`repro.batch.BatchScheduler.run` (the long-lived
-serving front-end) — grew drifting per-function keyword sets (``validate``
-here, ``certify`` there, ``timeout``/``retries`` only on the batch side).
-:class:`SchedulingOptions` replaces that drift with a single frozen
-dataclass accepted by all three::
+serving front-end) — take their scheduling semantics from a single frozen
+dataclass, :class:`SchedulingOptions`::
 
-    from repro import SchedulingOptions, schedule_graph, schedule_many
+    import dataclasses
+
+    from repro import MachineModel, SchedulingOptions, schedule_graph, schedule_many
 
     opts = SchedulingOptions(machine=MachineModel(8), validate=True)
     schedule = schedule_graph(graph, opts)
-    results = schedule_many(jobs, workers=4, options=opts.replace(timeout=5.0))
+    results = schedule_many(
+        jobs, workers=4, options=dataclasses.replace(opts, timeout=5.0)
+    )
 
-The legacy keywords keep working through shims that emit a single
-:class:`DeprecationWarning` per call and produce **bit-identical**
-schedules (enforced by ``tests/test_api_options.py``).  Pool-shape
-parameters that are not scheduling semantics (``workers``, ``grace``,
-``backoff``, ``share_graphs``, ``cache``, ``store``) stay ordinary
-keywords and never warn.
+Pool-shape parameters that are not scheduling semantics (``workers``,
+``grace``, ``backoff``, ``share_graphs``, ``cache``, ``store``) stay
+ordinary keywords of the batch entry points.
 
 Fields (see each entry point for which ones it consumes):
 
 * ``machine`` / ``algorithm`` — the scheduling request itself; used by
   :func:`schedule_graph`.  ``machine`` is a full
   :class:`~repro.machine.MachineModel` (processor count plus the
-  heterogeneous hooks: ``speeds``, ``latency``, ``comm_scale``); the
-  legacy ``procs`` field still works as a warn-once shim that resolves
-  to the homogeneous default ``MachineModel(procs)`` (mixing both is a
-  :class:`TypeError`; see ``docs/machine-model.md``).  Batch entry
-  points take the request per :class:`~repro.batch.BatchJob`; a batch
-  ``options.machine`` supplies the default machine for jobs that carry
-  only an integer ``procs``.
+  heterogeneous hooks: ``speeds``, ``latency``, ``comm_scale``; see
+  ``docs/machine-model.md``).  Batch entry points take the request per
+  :class:`~repro.batch.BatchJob`; a batch ``options.machine`` supplies the
+  default machine for jobs that carry neither a machine nor ``procs``.
 * ``validate`` — re-check every schedule from first principles.
 * ``certify`` — run the independent checker (:mod:`repro.verify`).
 * ``timeout`` / ``retries`` — per-job execution budget and worker-death
@@ -48,10 +44,8 @@ Fields (see each entry point for which ones it consumes):
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,57 +58,16 @@ __all__ = [
     "SchedulingOptions",
     "schedule_graph",
     "schedule_graph_async",
-    "UNSET",
-    "resolve_options",
-    "reset_options_deprecations",
 ]
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit default."""
-
-    _instance: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value for deprecated keyword shims: any other value means the
-#: caller really passed the keyword, which triggers the deprecation path.
-UNSET = _Unset()
-
-#: Warn-once latch for the legacy ``procs=`` options field.
-_procs_field_warned = False
-
-
-def reset_options_deprecations() -> None:
-    """Re-arm the one-per-process ``procs=`` deprecation warning (tests)."""
-    global _procs_field_warned
-    _procs_field_warned = False
 
 
 @dataclass(frozen=True)
 class SchedulingOptions:
     """The one scheduling-options record shared by every entry point.
 
-    ``machine`` is the canonical spelling of the scheduling target; the
-    legacy ``procs`` integer still works as a warn-once shim resolving to
-    the homogeneous ``MachineModel(procs)``.  After construction both
-    fields are populated (``procs`` mirrors ``machine.num_procs``), so
-    existing readers of ``options.procs`` keep working; passing *both* at
-    construction is a :class:`TypeError`, exactly like mixing ``options``
-    with legacy keywords at an entry point.
+    Frozen: derive a variant with :func:`dataclasses.replace`.
     """
 
-    procs: Optional[int] = None
     algorithm: str = "flb"
     validate: bool = False
     certify: bool = False
@@ -125,93 +78,10 @@ class SchedulingOptions:
     machine: Optional["MachineModel"] = None
 
     def __post_init__(self) -> None:
-        global _procs_field_warned
-        if self.procs is not None and self.machine is not None:
-            # Only a caller can hand us both: the mirror backfill below
-            # runs after this check, and replace() strips the mirror.
-            raise TypeError(
-                "SchedulingOptions: pass machine=MachineModel(...) or the "
-                "legacy procs=, not both"
-            )
-        if self.procs is not None:
-            if self.procs < 1:
-                raise ValueError(f"procs must be >= 1, got {self.procs}")
-            if not _procs_field_warned:
-                _procs_field_warned = True
-                warnings.warn(
-                    "SchedulingOptions(procs=...) is deprecated; pass "
-                    "machine=MachineModel(procs) instead (see "
-                    "docs/machine-model.md). This warning is emitted once "
-                    "per process.",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            from repro.machine.model import MachineModel
-
-            object.__setattr__(self, "machine", MachineModel(self.procs))
-        elif self.machine is not None:
-            object.__setattr__(self, "procs", self.machine.num_procs)
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-
-    def replace(self, **changes: Any) -> "SchedulingOptions":
-        """A copy with ``changes`` applied (frozen dataclasses are immutable).
-
-        ``procs`` is derived state (the mirror of ``machine.num_procs``),
-        so unless ``changes`` re-specifies it the copy is rebuilt from
-        ``machine`` alone — replacing an unrelated field can never trip
-        the procs/machine mixing check and never re-warns.
-        """
-        base = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        if "procs" in changes and "machine" not in changes:
-            base["machine"] = None
-        else:
-            base["procs"] = None
-        base.update(changes)
-        return SchedulingOptions(**base)
-
-
-def resolve_options(
-    entry_point: str,
-    options: Optional[SchedulingOptions],
-    legacy: Dict[str, Any],
-    stacklevel: int = 3,
-) -> SchedulingOptions:
-    """Fold an entry point's deprecated keywords into a ``SchedulingOptions``.
-
-    ``legacy`` maps field name to the received value, with :data:`UNSET`
-    standing for "not passed".  Exactly one :class:`DeprecationWarning` is
-    emitted per call that used any legacy keyword; mixing ``options`` with
-    legacy keywords is a :class:`TypeError` (the ambiguity has no right
-    answer).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not UNSET}
-    supplied_names = sorted(supplied)
-    if options is not None:
-        if supplied:
-            raise TypeError(
-                f"{entry_point}: pass either options=SchedulingOptions(...) or "
-                f"the legacy keyword(s) {supplied_names}, not both"
-            )
-        return options
-    if supplied.get("procs") is not None:
-        # Resolve the legacy integer here so the options constructor's own
-        # procs-field shim does not fire a second warning for this call.
-        from repro.machine.model import MachineModel
-
-        supplied["machine"] = MachineModel(supplied.pop("procs"))
-    opts = SchedulingOptions(**supplied)
-    if supplied_names:
-        warnings.warn(
-            f"{entry_point}: the {supplied_names} keyword(s) are deprecated; "
-            f"pass options=SchedulingOptions(...) instead "
-            f"(see docs/performance.md, 'Unified scheduling options')",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return opts
 
 
 async def schedule_graph_async(
@@ -226,9 +96,7 @@ async def schedule_graph_async(
     asyncio event loop — e.g. the :mod:`repro.serve` front-end — stays
     responsive while a schedule is computed.
 
-    Semantics are exactly :func:`schedule_graph` with the canonical
-    ``options`` spelling; legacy keywords are not accepted here (this
-    entry point is newer than the deprecation).
+    Semantics are exactly :func:`schedule_graph`'s.
     """
     import asyncio
     import functools
@@ -243,28 +111,22 @@ async def schedule_graph_async(
 
 def schedule_graph(
     graph: "TaskGraph",
-    num_procs: Any = None,
-    algorithm: Any = UNSET,
-    *,
     options: Optional[SchedulingOptions] = None,
+    *,
     machine: Optional["MachineModel"] = None,
     base: Optional["Schedule"] = None,
     **kwargs: Any,
 ) -> "Schedule":
-    """Schedule ``graph`` in-process with the configured algorithm.
-
-    The canonical form takes a :class:`SchedulingOptions` (keyword or as
-    the second positional argument)::
+    """Schedule ``graph`` in-process with the configured algorithm::
 
         schedule_graph(graph, SchedulingOptions(machine=MachineModel(8),
                                                 algorithm="etf"))
-        schedule_graph(graph, options=opts, machine=hetero_machine)
+        schedule_graph(graph, opts, machine=hetero_machine)
 
     ``options.machine`` carries the target machine (heterogeneous models
     included); the ``machine=`` keyword, when given, overrides it for this
-    call.  The legacy ``options.procs`` integer resolves to the
-    homogeneous ``MachineModel(procs)`` and yields a bit-identical
-    schedule.
+    call.  With neither, the call raises
+    :class:`~repro.exceptions.SchedulerError`.
 
     ``options.validate`` re-checks the result from first principles;
     ``options.certify`` additionally runs the independent checker
@@ -276,10 +138,6 @@ def schedule_graph(
     and are ignored).  Extra keywords (``observer=...``,
     ``prefer_non_ep_on_tie=...``) pass through to the algorithm.
 
-    The legacy form ``schedule_graph(graph, num_procs, algorithm="flb")``
-    keeps working, emits one :class:`DeprecationWarning`, and returns a
-    bit-identical schedule.
-
     ``base`` passes an explicit warm-start base schedule;
     ``options.warm_start`` alone consults the process-global
     :func:`repro.incremental.base_cache` instead and stores this run's
@@ -288,24 +146,16 @@ def schedule_graph(
     :mod:`repro.incremental`); other algorithms and observed FLB runs
     ignore warm-start entirely.
     """
+    from repro.exceptions import SchedulerError
     from repro.schedulers import get_scheduler
 
-    if isinstance(num_procs, SchedulingOptions):
-        if options is not None:
-            raise TypeError("schedule_graph: options passed twice")
-        options = num_procs
-        num_procs = None
-    opts = resolve_options(
-        "schedule_graph",
-        options,
-        {
-            "procs": num_procs if num_procs is not None else UNSET,
-            "algorithm": algorithm,
-        },
-    )
-    # The machine= keyword wins over options.machine for this call; the
-    # options mirror guarantees opts.machine is set whenever opts.procs is.
+    opts = options if options is not None else SchedulingOptions()
     eff_machine = machine if machine is not None else opts.machine
+    if eff_machine is None:
+        raise SchedulerError(
+            "schedule_graph needs a machine: pass "
+            "SchedulingOptions(machine=MachineModel(P)) or machine="
+        )
     metrics = opts.metrics
     if opts.algorithm == "flb" and "observer" not in kwargs:
         # Observers need the observed FLB path (via the registry); every
@@ -320,12 +170,7 @@ def schedule_graph(
 
         def _run() -> "Schedule":
             result = flb_array(
-                graph,
-                opts.procs,
-                machine=eff_machine,
-                metrics=metrics,
-                base=warm_base,
-                **kwargs,
+                graph, eff_machine, metrics=metrics, base=warm_base, **kwargs
             )
             if opts.warm_start:
                 from repro.incremental import base_cache
@@ -337,7 +182,7 @@ def schedule_graph(
         scheduler = get_scheduler(opts.algorithm)
 
         def _run() -> "Schedule":
-            return scheduler(graph, opts.procs, machine=eff_machine, **kwargs)
+            return scheduler(graph, eff_machine, **kwargs)
 
     if metrics is not None:
         with metrics.span("sched.kernel", algo=opts.algorithm) as s:

@@ -1,4 +1,4 @@
-"""Parallel batch scheduling: fan many (graph, procs, algo) jobs across
+"""Parallel batch scheduling: fan many (graph, machine, algo) jobs across
 supervised worker processes.
 
 The north-star for this reproduction is serving scheduling requests at
@@ -41,7 +41,7 @@ carry the small segment key instead of an ``O(V + E)`` pickle.  One-shot
 graphs below :data:`INLINE_ONESHOT_MAX` tasks+edges still travel inline
 (a tiny pickle beats a segment round-trip).  On top of that, an optional
 content-addressed :class:`~repro.resultcache.ResultCache` answers repeated
-``(graph, procs, algo)`` requests in ``O(1)`` without dispatching a worker
+``(graph, machine, algo)`` requests in ``O(1)`` without dispatching a worker
 at all — schedulers are deterministic, so cache hits are exact.
 :class:`BatchScheduler` bundles both into a long-lived serving front-end.
 
@@ -58,7 +58,8 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.api import UNSET, SchedulingOptions, resolve_options
+from repro.api import SchedulingOptions
+from repro.exceptions import SchedulerError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.obs.metrics import MetricsRegistry
@@ -102,11 +103,11 @@ class BatchJob:
     ``tag`` is an opaque caller identifier echoed into the result (problem
     name, request id, ...).  The target machine is either ``machine`` (a
     full :class:`~repro.machine.MachineModel`, heterogeneous models
-    included) or the legacy ``procs`` integer, which resolves to the
-    homogeneous clique ``MachineModel(procs)``; passing both with
-    disagreeing processor counts is a :class:`ValueError`.  A job carrying
-    neither inherits the batch default
-    (``SchedulingOptions.machine``) at dispatch time.
+    included) or the integer ``procs``, which resolves to the homogeneous
+    clique ``MachineModel(procs)``; passing both with disagreeing processor
+    counts is a :class:`ValueError`.  A job carrying neither inherits the
+    batch default (``SchedulingOptions.machine``) at dispatch time; with no
+    default either, it fails as a ``scheduler-error``.
 
     ``graph_key`` is the graph-plane alternative to ``graph``: the name of
     a shared-memory segment registered via :class:`repro.graphstore.GraphStore`
@@ -294,6 +295,11 @@ def _run_job(
             if phases is not None:
                 phases["attach"] = time.perf_counter() - t0
         eff_machine = _effective_machine(job, machine)
+        if eff_machine is None:
+            raise SchedulerError(
+                "job has no machine: set BatchJob.machine or BatchJob.procs, "
+                "or SchedulingOptions(machine=...) for the batch"
+            )
         t_sched = time.perf_counter()
         warm: Optional[Dict[str, Any]] = None
         if job.algo == "flb":
@@ -306,7 +312,7 @@ def _run_job(
                 base = base_cache().get(job.base_fingerprint)
                 warm = {}
             schedule = flb_array(
-                job.graph, machine=eff_machine, base=base, warm_stats=warm,
+                job.graph, eff_machine, base=base, warm_stats=warm,
             )
             if warm_start:
                 from repro.incremental import base_cache
@@ -390,8 +396,8 @@ def _cache_key(
     ``procs``, else the batch default ``machine``) is folded into the key
     via its :meth:`~repro.machine.MachineModel.fingerprint`, so two
     machines with equal ``num_procs`` but different speeds/latency/scale
-    can never share an entry, while the legacy integer spelling and the
-    explicit homogeneous model do.  ``fingerprints`` memoises per graph
+    can never share an entry, while ``procs=P`` and
+    ``machine=MachineModel(P)`` do.  ``fingerprints`` memoises per graph
     object so a batch of N jobs over one graph hashes it once.
     ``certify`` is part of the key: a certified result answers strictly
     more than an uncertified one, and the cache never serves the weaker
@@ -416,23 +422,16 @@ def _cache_key(
             return None
     else:
         return None
-    return make_cache_key(
-        fp, eff_machine.num_procs, job.algo, validate, certify,
-        machine=eff_machine,
-    )
+    return make_cache_key(fp, eff_machine, job.algo, validate, certify)
 
 
 def schedule_many(
     jobs: Iterable[BatchJob],
     workers: Optional[int] = None,
-    timeout: Any = UNSET,
-    validate: Any = UNSET,
-    certify: Any = UNSET,
     *,
     options: Optional[SchedulingOptions] = None,
     metrics: Optional[MetricsRegistry] = None,
     grace: float = 1.0,
-    retries: Any = UNSET,
     backoff: float = 0.1,
     share_graphs: Optional[bool] = None,
     cache: Optional[ResultCache] = None,
@@ -450,51 +449,47 @@ def schedule_many(
         worker (or one job) everything runs inline in this process.
     options:
         A :class:`repro.api.SchedulingOptions` carrying the scheduling
-        semantics (``validate`` / ``certify`` / ``timeout`` / ``retries`` /
-        ``metrics`` / ``warm_start``) — the canonical spelling.  With
-        ``warm_start``, FLB jobs replay the clean
-        prefix of a previously stored base schedule
-        (:mod:`repro.incremental`) and report the outcome in
-        :attr:`BatchResult.warm`.  The individual ``timeout``
-        / ``validate`` / ``certify`` / ``retries`` keywords below keep
-        working but are deprecated (one :class:`DeprecationWarning` per
-        call) and cannot be mixed with ``options``.
+        semantics; the batch reads these fields:
+
+        * ``timeout`` — per-job execution budget in seconds, measured from
+          the moment a worker starts the job (queue wait never counts).
+          An overrunning job's worker is **killed** and the pool slot
+          replaced, so a hung scheduler delays the batch by at most
+          ``timeout + grace``; the job gets a ``timeout``
+          :class:`BatchResult` and every other job still completes.
+          Ignored when running inline (a hung job would hang the caller's
+          own process either way — use ``workers >= 2`` for containment).
+        * ``validate`` — re-check every produced schedule from first
+          principles (:meth:`~repro.schedule.Schedule.validate`) inside
+          the worker; a violation is reported as ``invalid-schedule``.
+        * ``certify`` — run the full independent checker
+          (:func:`repro.verify.certify`) on every produced schedule inside
+          the worker, including the FLB/ETF greedy certificate where the
+          algorithm owes one.  A failed certificate is reported as
+          ``invalid-schedule`` with the violation codes in ``error``;
+          passing results carry ``certified=True``.  The result cache
+          refuses to store uncertified entries when this is on (and
+          ``certify`` is part of the cache key, so certified and
+          uncertified answers never mix).
+        * ``retries`` — how many times a job whose worker *died*
+          (OOM-kill, segfault) is re-run before reporting
+          ``worker-died``; timeouts are never retried (schedulers are
+          deterministic — an overrun would simply repeat).
+        * ``warm_start`` — FLB jobs replay the clean prefix of a
+          previously stored base schedule (:mod:`repro.incremental`) and
+          report the outcome in :attr:`BatchResult.warm`.
+        * ``machine`` — the default machine for jobs that carry neither
+          ``machine`` nor ``procs``.
+        * ``metrics`` — as the ``metrics`` keyword.
     metrics:
         A :class:`repro.obs.MetricsRegistry` to record into (equivalent to
-        ``options.metrics``; this keyword is *not* deprecated).  Enables
-        per-job phase measurement in the workers, supervisor-side batch /
-        worker-pool counters and histograms, and one ``batch.job`` trace
-        event per job.  ``None`` (default) records nothing and skips all
-        instrumentation work.
-    timeout:
-        Per-job execution budget in seconds, measured from the moment a
-        worker starts the job (queue wait never counts).  An overrunning
-        job's worker is **killed** and the pool slot replaced, so a hung
-        scheduler delays the batch by at most ``timeout + grace``; the job
-        gets a ``timeout`` :class:`BatchResult` and every other job still
-        completes.  Ignored when running inline (a hung job would hang the
-        caller's own process either way — use ``workers >= 2`` for
-        containment).
-    validate:
-        Re-check every produced schedule from first principles
-        (:meth:`~repro.schedule.Schedule.validate`) inside the worker; a
-        violation is reported as ``invalid-schedule``.
-    certify:
-        Run the full independent checker (:func:`repro.verify.certify`) on
-        every produced schedule inside the worker, including the FLB/ETF
-        greedy certificate where the algorithm owes one.  A failed
-        certificate is reported as ``invalid-schedule`` with the violation
-        codes in ``error``; passing results carry ``certified=True``.  The
-        result cache refuses to store uncertified entries when this is on
-        (and ``certify`` is part of the cache key, so certified and
-        uncertified answers never mix).
+        ``options.metrics``).  Enables per-job phase measurement in the
+        workers, supervisor-side batch / worker-pool counters and
+        histograms, and one ``batch.job`` trace event per job.  ``None``
+        (default) records nothing and skips all instrumentation work.
     grace:
         Slack for detecting and killing an overrunning worker past
         ``timeout``, and the force-kill budget at shutdown.
-    retries:
-        How many times a job whose worker *died* (OOM-kill, segfault) is
-        re-run before reporting ``worker-died``; timeouts are never retried
-        (schedulers are deterministic — an overrun would simply repeat).
     backoff:
         Base delay in seconds before a death retry; doubles per attempt.
     share_graphs:
@@ -506,8 +501,8 @@ def schedule_many(
         (always inline pickle — the pre-graph-plane behaviour).
     cache:
         A :class:`~repro.resultcache.ResultCache`.  Jobs whose
-        ``(fingerprint, procs, algo, validate, certify, machine
-        fingerprint)`` key hits return
+        ``(fingerprint, machine fingerprint, algo, validate, certify)``
+        key hits return
         immediately with ``cached=True`` and are never dispatched;
         successful new results are inserted afterwards.  Applies on both
         the inline and the parallel path.
@@ -530,14 +525,9 @@ def schedule_many(
         One result per job, ``error``/``error_kind`` set for failures —
         never raises for a job-level problem.
     """
-    opts = resolve_options(
-        "schedule_many",
-        options,
-        {"timeout": timeout, "validate": validate,
-         "certify": certify, "retries": retries},
-    )
+    opts = options if options is not None else SchedulingOptions()
     if metrics is not None:
-        opts = opts.replace(metrics=metrics)
+        opts = replace(opts, metrics=metrics)
     timeout, validate, certify, retries = (
         opts.timeout, opts.validate, opts.certify, opts.retries,
     )
@@ -551,13 +541,9 @@ def schedule_many(
     if workers is None:
         workers = os.cpu_count() or 1
     # Parameter validation applies on every path so callers get consistent
-    # errors regardless of batch size.
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+    # errors regardless of batch size (SchedulingOptions checks its own).
     if grace <= 0:
         raise ValueError(f"grace must be positive, got {grace}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     if backoff < 0:
         raise ValueError(f"backoff must be >= 0, got {backoff}")
 
@@ -908,7 +894,8 @@ class BatchScheduler:
     registers (and each worker decodes) it again.  A serving loop holds a
     ``BatchScheduler`` instead::
 
-        with BatchScheduler(workers=8, timeout=5.0) as bs:
+        with BatchScheduler(workers=8,
+                            options=SchedulingOptions(timeout=5.0)) as bs:
             key = bs.register(graph)            # publish once
             for request in requests:            # many batches
                 results = bs.run([
@@ -920,7 +907,7 @@ class BatchScheduler:
     dispatch policy during :meth:`run`) stay in shared memory until
     :meth:`close`/``__exit__`` — guaranteed unlink, same as
     ``schedule_many``.  The result cache persists across batches, so a
-    repeated ``(graph, procs, algo)`` request is answered in ``O(1)``
+    repeated ``(graph, machine, algo)`` request is answered in ``O(1)``
     without dispatching a worker.  :meth:`stats` reports cumulative
     dispatch, cache, and registry counters.
     """
@@ -928,28 +915,19 @@ class BatchScheduler:
     def __init__(
         self,
         workers: Optional[int] = None,
-        timeout: Any = UNSET,
-        validate: Any = UNSET,
-        certify: Any = UNSET,
         *,
         options: Optional[SchedulingOptions] = None,
         metrics: Union[MetricsRegistry, bool, None] = None,
         grace: float = 1.0,
-        retries: Any = UNSET,
         backoff: float = 0.1,
         share_graphs: Optional[bool] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
-        opts = resolve_options(
-            "BatchScheduler",
-            options,
-            {"timeout": timeout, "validate": validate,
-             "certify": certify, "retries": retries},
-        )
+        opts = options if options is not None else SchedulingOptions()
         if isinstance(metrics, MetricsRegistry):
-            opts = opts.replace(metrics=metrics)
+            opts = replace(opts, metrics=metrics)
         elif metrics:
-            opts = opts.replace(metrics=MetricsRegistry())
+            opts = replace(opts, metrics=MetricsRegistry())
         self.options = opts
         self.workers = workers
         self.grace = grace
@@ -960,40 +938,6 @@ class BatchScheduler:
         self._dispatch_totals: Dict[str, int] = {}
         self._results_seen = 0
         self._failed_seen = 0
-
-    # Legacy attribute views (the pre-SchedulingOptions surface); the
-    # options record is the source of truth.
-    @property
-    def timeout(self) -> Optional[float]:
-        return self.options.timeout
-
-    @timeout.setter
-    def timeout(self, value: Optional[float]) -> None:
-        self.options = self.options.replace(timeout=value)
-
-    @property
-    def validate(self) -> bool:
-        return self.options.validate
-
-    @validate.setter
-    def validate(self, value: bool) -> None:
-        self.options = self.options.replace(validate=value)
-
-    @property
-    def certify(self) -> bool:
-        return self.options.certify
-
-    @certify.setter
-    def certify(self, value: bool) -> None:
-        self.options = self.options.replace(certify=value)
-
-    @property
-    def retries(self) -> int:
-        return self.options.retries
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self.options = self.options.replace(retries=value)
 
     def register(self, graph: TaskGraph) -> str:
         """Publish a graph into the registry; returns the ``graph_key`` for
@@ -1011,7 +955,7 @@ class BatchScheduler:
         observing without restarting.
         """
         if self.options.metrics is None:
-            self.options = self.options.replace(metrics=MetricsRegistry())
+            self.options = replace(self.options, metrics=MetricsRegistry())
         return self.options.metrics
 
     def run(
@@ -1021,16 +965,16 @@ class BatchScheduler:
     ) -> List[BatchResult]:
         """Schedule one batch through the shared registry and cache.
 
-        ``options`` overrides this scheduler's defaults for one call
-        (e.g. ``bs.run(jobs, options=bs.options.replace(certify=True))``);
-        when it carries no registry, the scheduler's own registry (if any)
-        still records the batch.
+        ``options`` overrides this scheduler's defaults for one call (e.g.
+        ``dataclasses.replace(bs.options, certify=True)``); when it
+        carries no registry, the scheduler's own registry (if any) still
+        records the batch.
         """
         if self.store.closed:
             raise graphstore.GraphStoreError("BatchScheduler is closed")
         opts = options if options is not None else self.options
         if opts.metrics is None and self.options.metrics is not None:
-            opts = opts.replace(metrics=self.options.metrics)
+            opts = replace(opts, metrics=self.options.metrics)
         per_run: Dict[str, int] = {}
         results = schedule_many(
             jobs,

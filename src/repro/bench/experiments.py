@@ -36,6 +36,7 @@ import numpy as np
 from repro.bench.runner import group_mean, run_sweep
 from repro.bench.suite import PAPER_CCRS, PAPER_PROBLEMS, PAPER_PROCS, paper_suite
 from repro.core import TraceRecorder, flb, format_trace
+from repro.machine import MachineModel
 from repro.metrics.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS, dsc, llb
 from repro.sim import execute, execute_contended, execute_perturbed
@@ -86,7 +87,7 @@ def run_table1() -> ExperimentReport:
     """Reproduce Table 1: the FLB execution trace on the Fig. 1 graph, P=2."""
     graph = paper_example()
     recorder = TraceRecorder(graph)
-    schedule = flb(graph, 2, observer=recorder)
+    schedule = flb(graph, MachineModel(2), observer=recorder)
     text = format_trace(recorder) + "\n\n" + schedule.as_table()
     placements = [
         (row.task, row.proc, row.start, row.finish) for row in recorder.rows
@@ -275,12 +276,13 @@ def run_scaling(
     """
     rows = []
     series: Dict[str, List[float]] = {a: [] for a in algorithms}
+    machine = MachineModel(procs)
     for v in sizes:
         layers = max(1, v // layer_width)
         g = layered_random(layers, layer_width, make_rng(7), edge_density=0.15, ccr=1.0)
         row = [g.num_tasks]
         for algo in algorithms:
-            seconds = time_scheduler(SCHEDULERS[algo], g, procs, repeats=time_repeats)
+            seconds = time_scheduler(SCHEDULERS[algo], g, machine, repeats=time_repeats)
             series[algo].append(seconds * 1e3)
             row.append(seconds * 1e3)
             row.append(seconds * 1e6 / g.num_tasks)
@@ -363,8 +365,9 @@ def run_ablation_llb(
     for inst in instances:
         clustering = dsc(inst.graph)
         for p in procs:
-            largest = llb(inst.graph, clustering, p, priority="largest").makespan
-            least = llb(inst.graph, clustering, p, priority="least").makespan
+            machine = MachineModel(p)
+            largest = llb(inst.graph, clustering, machine, priority="largest").makespan
+            least = llb(inst.graph, clustering, machine, priority="least").makespan
             ratio = least / largest
             ratios.append(ratio)
             rows.append([inst.label, p, largest, least, ratio])
@@ -405,7 +408,7 @@ def run_robustness(
     rows = []
     data: Dict[float, List[float]] = {cv: [] for cv in cvs}
     for inst in instances:
-        schedule = flb(inst.graph, procs)
+        schedule = flb(inst.graph, MachineModel(procs))
         for cv in cvs:
             rel = []
             for d in range(draws):
@@ -453,7 +456,7 @@ def run_contention(
     }
     for inst in instances:
         for algo in algorithms:
-            schedule = SCHEDULERS[algo](inst.graph, procs)
+            schedule = SCHEDULERS[algo](inst.graph, MachineModel(procs))
             free_span = execute(schedule).makespan
             rel = []
             for bw in bandwidths:
@@ -504,11 +507,12 @@ def run_duplication(
     rows = []
     quality = []
     cost = []
+    machine = MachineModel(procs)
     for inst in instances:
-        f = SCHEDULERS["flb"](inst.graph, procs)
-        d = dsh(inst.graph, procs)
-        t_f = time_scheduler(SCHEDULERS["flb"], inst.graph, procs, repeats=1)
-        t_d = time_scheduler(dsh, inst.graph, procs, repeats=1)
+        f = SCHEDULERS["flb"](inst.graph, machine)
+        d = dsh(inst.graph, machine)
+        t_f = time_scheduler(SCHEDULERS["flb"], inst.graph, machine, repeats=1)
+        t_d = time_scheduler(dsh, inst.graph, machine, repeats=1)
         quality.append(d.makespan / f.makespan)
         cost.append(t_d / t_f)
         rows.append(
@@ -561,8 +565,6 @@ def run_heterogeneity(
     makespans are therefore normalised per algorithm by HEFT's at the same
     skew, isolating *scheduling* quality from machine capacity.
     """
-    from repro.machine import MachineModel
-
     instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
     data: Dict[str, Dict[float, List[float]]] = {
         algo: {skew: [] for skew in skews} for algo in algorithms

@@ -52,11 +52,7 @@ DEFAULT_BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_sched.json"
 DEFAULT_TOLERANCE = 0.20
 
 
-def seed_flb(
-    graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
-) -> Schedule:
+def seed_flb(graph: TaskGraph, machine: MachineModel) -> Schedule:
     """The pre-CSR FLB implementation (the seed's algorithm).
 
     ``_flb_observed`` with ``observer=None`` is the original dict-and-
@@ -65,10 +61,6 @@ def seed_flb(
     """
     from repro.core.flb import _flb_observed
 
-    if machine is None:
-        if num_procs is None:
-            raise ValueError("seed_flb requires num_procs or machine")
-        machine = MachineModel(num_procs)
     return _flb_observed(graph, machine, None, True)
 
 
@@ -95,13 +87,14 @@ def measure_throughput(
     seed_seconds = 0.0
     for inst in instances:
         for p in procs:
+            machine = MachineModel(p)
             total_tasks += inst.graph.num_tasks
             kernel_seconds += time_scheduler(
-                flb_array, inst.graph, p, repeats=repeats
+                flb_array, inst.graph, machine, repeats=repeats
             )
             if include_seed:
                 seed_seconds += time_scheduler(
-                    seed_flb, inst.graph, p, repeats=repeats
+                    seed_flb, inst.graph, machine, repeats=repeats
                 )
     result: Dict[str, object] = {
         "tasks_per_s": round(total_tasks / kernel_seconds, 1),

@@ -127,20 +127,13 @@ def _resolve_graph(args: argparse.Namespace) -> TaskGraph:
     return _build_problem(args.problem, args.tasks, args.ccr, args.seed)
 
 
-def _run_algorithm(
-    algo: str,
-    graph: TaskGraph,
-    procs: int,
-    machine: Optional[MachineModel] = None,
-) -> Schedule:
-    """Run ``algo`` on ``machine`` (default: the homogeneous clique)."""
-    if machine is None:
-        machine = MachineModel(procs)
+def _run_algorithm(algo: str, graph: TaskGraph, machine: MachineModel) -> Schedule:
+    """Run ``algo`` on ``machine``."""
     if algo == "flb":
         from repro.core.flb_array import flb_array
 
-        return flb_array(graph, machine=machine)
-    return SCHEDULERS[algo](graph, machine=machine)
+        return flb_array(graph, machine)
+    return SCHEDULERS[algo](graph, machine)
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -173,13 +166,20 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _machine_flags_given(args: argparse.Namespace) -> bool:
+    return any(
+        getattr(args, flag, None) is not None
+        for flag in ("machine_json", "speeds", "comm_scale", "latency")
+    )
+
+
 def _machine_from_args(
     args: argparse.Namespace, procs: Optional[int]
-) -> Optional[MachineModel]:
-    """Resolve the ``--speeds/--comm-scale/--latency/--machine-json`` flags.
+) -> MachineModel:
+    """The target machine: ``--procs`` plus the
+    ``--speeds/--comm-scale/--latency/--machine-json`` flags.
 
-    Returns ``None`` when no machine flag was given, so callers fall back
-    to the plain integer path and stay bit-identical with earlier releases.
+    With no machine flag this is the homogeneous clique ``MachineModel(procs)``.
     ``procs`` is the subcommand's processor count (``None`` for ``serve``,
     which sizes the machine from the flags themselves).  Exits with a
     message (:class:`SystemExit`) on conflicts or malformed documents.
@@ -213,8 +213,6 @@ def _machine_from_args(
                 f"--procs is {procs}; pass a matching --procs"
             )
         return machine
-    if speeds is None and comm_scale is None and latency is None:
-        return None
     if procs is None:
         if speeds is None:
             raise SystemExit(
@@ -235,7 +233,7 @@ def _machine_from_args(
             speeds=None if speeds is None else tuple(speeds),
         )
     except ValueError as exc:
-        raise SystemExit(f"bad machine flags: {exc}") from None
+        raise SystemExit(f"bad machine: {exc}") from None
 
 
 def _add_workload_args(parser: argparse.ArgumentParser, with_graph: bool = True) -> None:
@@ -467,12 +465,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     machine = _machine_from_args(args, args.procs)
-    schedule = _run_algorithm(args.algo, graph, args.procs, machine=machine)
+    schedule = _run_algorithm(args.algo, graph, machine)
     schedule.validate()
-    machine_note = (
-        ", heterogeneous" if machine is not None and machine.is_heterogeneous
-        else ""
-    )
+    machine_note = ", heterogeneous" if machine.is_heterogeneous else ""
     print(
         f"{args.algo} on P={args.procs}: makespan {schedule.makespan:g} "
         f"(V={graph.num_tasks}, E={graph.num_edges}{machine_note})"
@@ -692,13 +687,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     graph = _resolve_graph(args)
     machine = _machine_from_args(args, args.procs)
-    if machine is not None:
-        for issue in lint_machine(machine).issues:
-            print(f"machine: {issue.code} [{issue.severity}] {issue.message}",
-                  file=sys.stderr)
+    for issue in lint_machine(machine).issues:
+        print(f"machine: {issue.code} [{issue.severity}] {issue.message}",
+              file=sys.stderr)
     reg = _obs_registry(args)
     t_sched = _time.perf_counter()
-    schedule = _run_algorithm(args.algo, graph, args.procs, machine=machine)
+    schedule = _run_algorithm(args.algo, graph, machine)
     t0 = _time.perf_counter()
     cert = certify(schedule, flavor=greedy_flavor(args.algo))
     elapsed = _time.perf_counter() - t0
@@ -777,28 +771,24 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         batch_throughput,
     )
 
-    machine = _machine_from_args(
-        args, args.procs[0] if len(args.procs) == 1 else None
-    )
-    if machine is not None and len(args.procs) > 1:
-        print("machine flags require a single --procs value", file=sys.stderr)
-        return 2
+    # Without machine flags every job carries its bare --procs value, so an
+    # un-modelable count fails per job instead of aborting the batch.
+    machine = None
+    if _machine_flags_given(args):
+        if len(args.procs) > 1:
+            print("machine flags require a single --procs value", file=sys.stderr)
+            return 2
+        machine = _machine_from_args(args, args.procs[0])
     jobs = []
     for problem in args.problems:
         for seed in range(args.seeds):
             graph = _build_problem(problem, args.tasks, args.ccr, seed)
             for procs in args.procs:
                 for algo in args.algos:
-                    if machine is not None:
-                        jobs.append(
-                            BatchJob(graph=graph, machine=machine, algo=algo,
-                                     tag=f"{problem}/s{seed}")
-                        )
-                    else:
-                        jobs.append(
-                            BatchJob(graph=graph, procs=procs, algo=algo,
-                                     tag=f"{problem}/s{seed}")
-                        )
+                    jobs.append(
+                        BatchJob(graph=graph, procs=procs, machine=machine,
+                                 algo=algo, tag=f"{problem}/s{seed}")
+                    )
     reg = _obs_registry(args)
     options = SchedulingOptions(
         timeout=args.timeout, validate=args.validate, certify=args.certify,
@@ -892,16 +882,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"bad --tenant-weight {spec!r}; expected TENANT=WEIGHT",
                   file=sys.stderr)
             return 2
-    machine = _machine_from_args(args, None)
     options = SchedulingOptions(
         timeout=args.timeout, validate=args.validate,
         certify=args.certify, warm_start=args.warm_start,
+        machine=(
+            _machine_from_args(args, None) if _machine_flags_given(args) else None
+        ),
     )
     try:
         config = ServeConfig(
             host=args.host, port=args.port, workers=args.workers,
             max_backlog=args.max_backlog, tenant_weights=weights,
-            options=options, machine=machine,
+            options=options,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

@@ -97,22 +97,19 @@ class FlbObserver(Protocol):
 
 def flb(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     observer: Optional[FlbObserver] = None,
     prefer_non_ep_on_tie: bool = True,
 ) -> Schedule:
-    """Schedule ``graph`` with FLB on ``num_procs`` processors.
+    """Schedule ``graph`` with FLB on ``machine``.
 
     Parameters
     ----------
     graph:
         The task graph (frozen, or freezable).
-    num_procs:
-        Number of processors; alternatively pass a full ``machine``.
     machine:
-        Machine model; defaults to the paper's contention-free homogeneous
-        clique of ``num_procs`` processors.
+        Machine model; ``MachineModel(P)`` is the paper's contention-free
+        homogeneous clique of ``P`` processors.
     observer:
         Optional per-iteration hook (trace recording, oracle checking).
         Supplying one selects the slower observed path, whose per-iteration
@@ -129,17 +126,8 @@ def flb(
         A complete, valid schedule.
     """
     graph.freeze()
-    if machine is None:
-        if num_procs is None:
-            raise SchedulerError("flb requires num_procs or machine")
-        machine = MachineModel(num_procs)
-    elif num_procs is not None and machine.num_procs != num_procs:
-        raise SchedulerError(
-            f"num_procs={num_procs} conflicts with machine.num_procs={machine.num_procs}"
-        )
     if observer is None:
-        return flb_array(graph, machine=machine,
-                         prefer_non_ep_on_tie=prefer_non_ep_on_tie)
+        return flb_array(graph, machine, prefer_non_ep_on_tie=prefer_non_ep_on_tie)
     return _flb_observed(graph, machine, observer, prefer_non_ep_on_tie)
 
 

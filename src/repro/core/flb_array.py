@@ -52,8 +52,7 @@ __all__ = ["flb_array"]
 
 def flb_array(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     prefer_non_ep_on_tie: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     base: Optional[Schedule] = None,
@@ -77,16 +76,6 @@ def flb_array(
     under ``incr_*``.
     """
     graph.freeze()
-    if machine is None:
-        if num_procs is None:
-            raise SchedulerError("flb_array requires num_procs or machine")
-        machine = MachineModel(num_procs)
-    elif num_procs is not None and machine.num_procs != num_procs:
-        raise SchedulerError(
-            f"num_procs={num_procs} conflicts with machine.num_procs="
-            f"{machine.num_procs}"
-        )
-
     schedule: Optional[Schedule] = None
     counters: Tuple[int, int, int, int] = (0, 0, 0, 0)
     if base is not None:

@@ -23,19 +23,16 @@ from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import resolve_machine
 
 __all__ = ["flb_reference"]
 
 
 def flb_reference(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with brute-force FLB semantics (see module doc)."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     bl = bottom_levels(graph)
     n = graph.num_tasks

@@ -10,7 +10,7 @@ captures exactly that data;
 :func:`format_trace` renders it in the paper's layout::
 
     trace = TraceRecorder(graph)
-    schedule = flb(graph, 2, observer=trace)
+    schedule = flb(graph, MachineModel(2), observer=trace)
     print(format_trace(trace))
 """
 

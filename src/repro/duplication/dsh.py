@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
-from repro.schedulers.base import resolve_machine
 from repro.duplication.schedule import DuplicationSchedule
 
 __all__ = ["dsh"]
@@ -121,8 +120,7 @@ def _evaluate_with_duplication(
 
 def dsh(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     max_chain: int = 8,
 ) -> DuplicationSchedule:
     """Schedule ``graph`` with DSH(-lite).  See module docstring.
@@ -132,7 +130,6 @@ def dsh(
     measuring the gain).
     """
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     if max_chain < 0:
         raise ValueError(f"max_chain must be >= 0, got {max_chain}")
     schedule = DuplicationSchedule(graph, machine)

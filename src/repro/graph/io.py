@@ -45,7 +45,13 @@ _FORMAT_VERSION = 1
 
 def to_json(graph: TaskGraph) -> str:
     """Serialise a task graph to a JSON string."""
-    doc = {
+    return json.dumps(_graph_doc(graph), indent=2)
+
+
+def _graph_doc(graph: TaskGraph) -> Dict[str, Any]:
+    """The JSON-ready document :func:`to_json` serialises (also embedded,
+    as is, in schedule documents by :mod:`repro.schedule.io`)."""
+    return {
         "format": "repro-taskgraph",
         "version": _FORMAT_VERSION,
         "tasks": [
@@ -56,7 +62,6 @@ def to_json(graph: TaskGraph) -> str:
             {"src": src, "dst": dst, "comm": comm} for src, dst, comm in graph.edges()
         ],
     }
-    return json.dumps(doc, indent=2)
 
 
 def from_json(source: Union[str, bytes, Dict[str, Any]]) -> TaskGraph:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
@@ -158,26 +158,18 @@ def summarize(schedule: Schedule) -> Dict[str, float]:
 def time_scheduler(
     scheduler: Callable[..., Schedule],
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
+    machine: MachineModel,
     repeats: int = 3,
-    machine: Optional[MachineModel] = None,
     **kwargs: object,
 ) -> float:
     """Median wall-clock running time of ``scheduler`` in seconds (Fig. 2).
 
     The graph is frozen (and its bottom levels warmed) outside the timed
     region in a first untimed call, so the measurement captures scheduling
-    work, not one-off graph preparation.  The target is passed to the
-    scheduler as a :class:`~repro.machine.MachineModel` (an integer
-    ``num_procs`` resolves to the homogeneous clique outside the timed
-    region), so timing never pays or triggers the legacy-argument shim.
+    work, not one-off graph preparation.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if machine is None:
-        if num_procs is None:
-            raise ValueError("time_scheduler requires num_procs or machine")
-        machine = MachineModel(num_procs)
     graph.freeze()
     scheduler(graph, machine=machine, **kwargs)  # warm-up, untimed
     samples = []

@@ -47,7 +47,7 @@ class KernelMetricsObserver:
     Usage::
 
         reg = MetricsRegistry()
-        flb(graph, procs, observer=KernelMetricsObserver(reg))
+        flb(graph, MachineModel(procs), observer=KernelMetricsObserver(reg))
         print(reg.total("flb_kernel_iterations_total"))
     """
 

@@ -154,7 +154,7 @@ class Span:
     :func:`span` helper::
 
         with metrics.span("flb.kernel", algo="flb") as s:
-            schedule = flb(graph, procs)
+            schedule = flb(graph, MachineModel(procs))
             s.annotate(makespan=schedule.makespan)
     """
 

@@ -1,12 +1,12 @@
 """Content-addressed result cache for batch serving.
 
 Schedulers in this repo are deterministic: the same graph content, the same
-processor count, and the same algorithm always produce the same schedule —
-so a result cache keyed by ``(graph fingerprint, procs, algo)`` returns
-*exact* answers, not approximations.  For a serving front-end (the ROADMAP
-north-star), repeated requests are the common case: a cache hit answers in
-``O(1)`` without dispatching a worker, without touching the graph plane,
-and with bit-identical summary numbers.
+machine, and the same algorithm always produce the same schedule — so a
+result cache keyed by ``(graph fingerprint, machine fingerprint, algo)``
+returns *exact* answers, not approximations.  For a serving front-end (the
+ROADMAP north-star), repeated requests are the common case: a cache hit
+answers in ``O(1)`` without dispatching a worker, without touching the
+graph plane, and with bit-identical summary numbers.
 
 The key carries every field that shapes the answer *or its report*:
 ``validate``/``certify`` because a certified result answers strictly more
@@ -18,10 +18,8 @@ successful results after; failures are never cached (timeouts and worker
 deaths are not deterministic, and a transiently failing scheduler should be
 re-tried, not remembered).  The machine is part of the key: every key
 carries the :meth:`~repro.machine.model.MachineModel.fingerprint` of the
-machine the schedule was computed for, with ``machine=None`` resolving to
-the homogeneous default ``MachineModel(procs)`` — so the legacy
-integer-``procs`` spelling and the explicit homogeneous model share
-entries, while two machines with equal ``num_procs`` but different
+machine the schedule was computed for (which covers its processor count),
+so two machines with equal ``num_procs`` but different
 ``speeds``/``latency``/``comm_scale`` can never collide.
 
 The cache is shared across batches by :class:`repro.batch.BatchScheduler`;
@@ -42,42 +40,26 @@ __all__ = ["ResultCache", "CacheKey", "make_key", "DEFAULT_CACHE_SIZE"]
 #: (a scalar ``BatchResult``), so the default costs well under a megabyte.
 DEFAULT_CACHE_SIZE = 1024
 
-#: Cache key: (graph fingerprint, procs, algo, validate, certify, machine
-#: fingerprint); the machine fingerprint is
+#: Cache key: (graph fingerprint, machine fingerprint, algo, validate,
+#: certify); the machine fingerprint is
 #: :meth:`repro.machine.model.MachineModel.fingerprint`.
-CacheKey = Tuple[str, int, str, bool, bool, str]
+CacheKey = Tuple[str, str, str, bool, bool]
 
 
 def make_key(
     fingerprint: str,
-    procs: int,
+    machine: MachineModel,
     algo: str,
     validate: bool,
     certify: bool,
-    machine: Optional[MachineModel] = None,
 ) -> CacheKey:
-    """Build a :data:`CacheKey` (the one place its field order is spelled).
-
-    ``machine=None`` resolves to the homogeneous ``MachineModel(procs)`` — the same model a
-    scheduler builds for an integer request — so both spellings of the
-    paper's machine share one entry.  A ``machine`` whose ``num_procs``
-    disagrees with ``procs`` is a :class:`ValueError`: such a request can
-    never be served, so a key for it is necessarily a bug.
-    """
-    if machine is None:
-        machine = MachineModel(procs)
-    elif machine.num_procs != procs:
-        raise ValueError(
-            f"cache key procs={procs} conflicts with machine.num_procs="
-            f"{machine.num_procs}"
-        )
-    return (fingerprint, procs, algo, validate, certify, machine.fingerprint())
+    """Build a :data:`CacheKey` (the one place its field order is spelled)."""
+    return (fingerprint, machine.fingerprint(), algo, validate, certify)
 
 
 class ResultCache:
-    """Bounded LRU mapping ``(fingerprint, procs, algo, validate, certify,
-    machine fingerprint)`` to a successful
-    :class:`~repro.batch.BatchResult`.
+    """Bounded LRU mapping ``(fingerprint, machine fingerprint, algo,
+    validate, certify)`` to a successful :class:`~repro.batch.BatchResult`.
 
     ``capacity=0`` disables the cache (every lookup misses nothing — no
     counters move, nothing is stored), which keeps call sites free of

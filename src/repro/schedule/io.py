@@ -3,19 +3,19 @@
 Persisting schedules lets toolchains separate the (expensive) scheduling
 decision from downstream consumers — code generators, visualisers, the
 discrete-event executor.  The JSON document embeds the task graph and the
-machine model so a loaded schedule is self-contained and immediately
-re-validatable.
+machine model (in :meth:`~repro.machine.MachineModel.to_dict` form) so a
+loaded schedule is self-contained and immediately re-validatable.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
 from repro.exceptions import ScheduleError
+from repro.graph.io import _graph_doc
 from repro.graph.io import from_json as graph_from_json
-from repro.graph.io import to_json as graph_to_json
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 
@@ -28,17 +28,11 @@ def schedule_to_json(schedule: Schedule) -> str:
     """Serialise a complete schedule (graph + machine + placements)."""
     if not schedule.complete:
         raise ScheduleError("only complete schedules can be serialised")
-    machine = schedule.machine
     doc = {
         "format": "repro-schedule",
         "version": _FORMAT_VERSION,
-        "machine": {
-            "num_procs": machine.num_procs,
-            "comm_scale": machine.comm_scale,
-            "latency": machine.latency,
-            "speeds": list(machine.speeds) if machine.speeds else None,
-        },
-        "graph": json.loads(graph_to_json(schedule.graph)),
+        "machine": schedule.machine.to_dict(),
+        "graph": _graph_doc(schedule.graph),
         "placements": [
             {"task": e.task, "proc": e.proc, "start": e.start}
             for e in schedule  # start-time order
@@ -48,7 +42,11 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    """Parse and re-validate a schedule produced by :func:`schedule_to_json`."""
+    """Parse and re-validate a schedule produced by :func:`schedule_to_json`.
+
+    Every malformed document raises :class:`~repro.exceptions.ScheduleError`
+    (graph defects keep their :class:`~repro.exceptions.GraphError`).
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -57,25 +55,39 @@ def schedule_from_json(text: str) -> Schedule:
         raise ScheduleError("not a repro-schedule JSON document")
     if not isinstance(doc.get("graph"), dict):
         raise ScheduleError("schedule document has no 'graph' object")
+    placements = doc.get("placements")
+    if not isinstance(placements, list):
+        raise ScheduleError("schedule document has no 'placements' list")
     graph = graph_from_json(doc["graph"])
-    m = doc["machine"]
-    speeds = m.get("speeds")
-    machine = MachineModel(
-        num_procs=int(m["num_procs"]),
-        comm_scale=float(m.get("comm_scale", 1.0)),
-        latency=float(m.get("latency", 0.0)),
-        speeds=tuple(float(s) for s in speeds) if speeds else None,
-    )
+    try:
+        machine = MachineModel.from_dict(doc.get("machine"))
+    except ValueError as exc:
+        raise ScheduleError(f"invalid schedule machine: {exc}") from None
     schedule = Schedule(graph, machine)
-    for entry in doc["placements"]:
+    for i, entry in enumerate(placements):
+        try:
+            task, proc, start = entry["task"], entry["proc"], entry["start"]
+        except (KeyError, TypeError):
+            raise ScheduleError(
+                f"placements[{i}] must be an object with task, proc and start"
+            ) from None
+        if not (_is_int(task) and _is_int(proc) and _is_number(start)):
+            raise ScheduleError(
+                f"placements[{i}]: task and proc must be integers, start a number"
+            )
         # Insertion-placed schedules may replay out of PRT order; allow it.
-        schedule.place(
-            int(entry["task"]), int(entry["proc"]), float(entry["start"]),
-            insertion=True,
-        )
+        schedule.place(task, proc, float(start), insertion=True)
     if not schedule.complete:
         raise ScheduleError("schedule document does not place every task")
     return schedule.validate()
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_schedule(schedule: Schedule, path: Union[str, Path]) -> None:

@@ -1,7 +1,8 @@
 """Scheduling algorithms: FLB plus the baselines it is evaluated against.
 
 All schedulers share the signature
-``scheduler(graph, num_procs=None, machine=None, **options) -> Schedule``.
+``scheduler(graph, machine, **options) -> Schedule``, where ``machine`` is a
+:class:`~repro.machine.MachineModel`.
 
 ========= ============================================ =========================================
 name      algorithm                                    complexity

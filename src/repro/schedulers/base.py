@@ -1,74 +1,25 @@
 """Shared machinery for the baseline schedulers.
 
 Everything here implements the common vocabulary of Section 2 of the paper:
-estimated start times on partial schedules, ready-set tracking, and argument
-resolution shared by every algorithm.  The baselines deliberately do *not*
-reuse FLB's priority-list machinery — each is implemented the way its own
-paper describes it, so cost comparisons between the algorithms remain
-meaningful.
+estimated start times on partial schedules and ready-set tracking.  The
+baselines deliberately do *not* reuse FLB's priority-list machinery — each
+is implemented the way its own paper describes it, so cost comparisons
+between the algorithms remain meaningful.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.exceptions import SchedulerError
 from repro.graph.taskgraph import TaskGraph
-from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 
 __all__ = [
-    "resolve_machine",
-    "reset_scheduler_deprecations",
     "emt_on",
     "est_on",
     "best_proc_for",
     "ReadyTracker",
 ]
-
-#: Warn-once latch for the legacy integer ``num_procs`` scheduler argument.
-_num_procs_warned = False
-
-
-def reset_scheduler_deprecations() -> None:
-    """Re-arm the one-per-process ``num_procs`` deprecation warning (tests)."""
-    global _num_procs_warned
-    _num_procs_warned = False
-
-
-def resolve_machine(
-    num_procs: Optional[int], machine: Optional[MachineModel]
-) -> MachineModel:
-    """Resolve the (num_procs, machine) argument pair used by every scheduler.
-
-    ``machine`` is the canonical spelling; a bare integer ``num_procs``
-    still resolves to the homogeneous ``MachineModel(num_procs)`` but is
-    deprecated (one :class:`DeprecationWarning` per process — this shim is
-    the single place every scheduler's legacy argument funnels through).
-    Passing both with disagreeing processor counts is a
-    :class:`~repro.exceptions.SchedulerError`.
-    """
-    global _num_procs_warned
-    if machine is None:
-        if num_procs is None:
-            raise SchedulerError("scheduler requires num_procs or machine")
-        if not _num_procs_warned:
-            _num_procs_warned = True
-            warnings.warn(
-                "calling a scheduler with an integer num_procs is "
-                "deprecated; pass machine=MachineModel(num_procs) instead "
-                "(see docs/machine-model.md). This warning is emitted once "
-                "per process.",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return MachineModel(num_procs)
-    if num_procs is not None and machine.num_procs != num_procs:
-        raise SchedulerError(
-            f"num_procs={num_procs} conflicts with machine.num_procs={machine.num_procs}"
-        )
-    return machine
 
 
 def emt_on(schedule: Schedule, task: int, proc: int) -> float:

@@ -18,25 +18,21 @@ smaller processor id.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ReadyTracker, est_on, resolve_machine
+from repro.schedulers.base import ReadyTracker, est_on
 
 __all__ = ["dls"]
 
 
 def dls(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with DLS.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     sl = static_levels(graph)
     tracker = ReadyTracker(graph)

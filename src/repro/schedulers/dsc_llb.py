@@ -9,12 +9,9 @@ processors with LLB.  The composition is cheap —
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import resolve_machine
 from repro.schedulers.dsc import dsc
 from repro.schedulers.llb import llb
 
@@ -23,12 +20,10 @@ __all__ = ["dsc_llb"]
 
 def dsc_llb(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     priority: str = "largest",
 ) -> Schedule:
     """Schedule ``graph`` with the DSC-LLB multi-step method."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     clustering = dsc(graph, machine)
     return llb(graph, clustering, machine=machine, priority=priority)

@@ -24,25 +24,20 @@ CSR rewrite changes constants only, never the complexity.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import resolve_machine
 
 __all__ = ["etf"]
 
 
 def etf(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with ETF.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     bl = bottom_levels(graph)
     n = graph.num_tasks

@@ -26,25 +26,22 @@ processor queue uses lazy invalidation keyed on the strictly increasing
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import resolve_machine
 
 __all__ = ["fcp"]
 
 
 def fcp(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with FCP.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     bl = bottom_levels(graph)
     n = graph.num_tasks

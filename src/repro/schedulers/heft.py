@@ -28,12 +28,12 @@ scanning).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import emt_on, resolve_machine
+from repro.schedulers.base import emt_on
 
 __all__ = ["heft", "upward_ranks"]
 
@@ -55,12 +55,10 @@ def upward_ranks(graph: TaskGraph, machine: MachineModel) -> List[float]:
 
 def heft(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with HEFT.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     rank = upward_ranks(graph, machine)
     order = sorted(graph.tasks(), key=lambda t: (-rank[t], t))

@@ -14,25 +14,21 @@ its priorities ignore communication entirely.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import best_proc_for, resolve_machine
+from repro.schedulers.base import best_proc_for
 
 __all__ = ["hlfet"]
 
 
 def hlfet(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with HLFET.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     sl = static_levels(graph)
     order = sorted(graph.tasks(), key=lambda t: (-sl[t], t))

@@ -20,13 +20,13 @@ incrementally from ``PRT`` and would need different bookkeeping.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import emt_on, resolve_machine
+from repro.schedulers.base import emt_on
 from repro.schedulers.mcp import mcp_priority_order
 
 __all__ = ["best_insertion_slot", "mcp_insertion", "hlfet_insertion"]
@@ -61,25 +61,21 @@ def _run_static_order(
 
 def mcp_insertion(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     tie: str = "random",
     seed: int = 0,
 ) -> Schedule:
     """MCP with idle-gap insertion (closer to Wu & Gajski's original)."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     return _run_static_order(graph, machine, mcp_priority_order(graph, tie=tie, seed=seed))
 
 
 def hlfet_insertion(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
 ) -> Schedule:
     """HLFET with idle-gap insertion."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     sl = static_levels(graph)
     order = sorted(graph.tasks(), key=lambda t: (-sl[t], t))
     return _run_static_order(graph, machine, order)

@@ -32,7 +32,7 @@ from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ReadyTracker, est_on, resolve_machine
+from repro.schedulers.base import ReadyTracker, est_on
 from repro.schedulers.dsc import Clustering
 from repro.util.heap import IndexedHeap
 
@@ -42,13 +42,11 @@ __all__ = ["llb"]
 def llb(
     graph: TaskGraph,
     clustering: Clustering,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     priority: str = "largest",
 ) -> Schedule:
     """Map ``clustering`` onto processors with LLB.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     if priority not in ("largest", "least"):
         raise SchedulerError(
             f"unknown LLB priority {priority!r}; expected 'largest' or 'least'"

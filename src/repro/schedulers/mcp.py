@@ -28,7 +28,7 @@ DESIGN.md §4.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.graph.properties import alap_times
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import best_proc_for, resolve_machine
+from repro.schedulers.base import best_proc_for
 
 __all__ = ["mcp", "mcp_priority_order"]
 
@@ -86,14 +86,12 @@ def mcp_priority_order(
 
 def mcp(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     tie: str = "random",
     seed: int = 0,
 ) -> Schedule:
     """Schedule ``graph`` with MCP.  See module docstring."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     schedule = Schedule(graph, machine)
     for task in mcp_priority_order(graph, tie=tie, seed=seed):
         proc, est = best_proc_for(schedule, task)

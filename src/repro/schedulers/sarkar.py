@@ -26,7 +26,6 @@ from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import resolve_machine
 from repro.schedulers.dsc import Clustering
 from repro.schedulers.llb import llb
 
@@ -147,12 +146,10 @@ def sarkar(graph: TaskGraph, machine: Optional[MachineModel] = None) -> Clusteri
 
 def sarkar_llb(
     graph: TaskGraph,
-    num_procs: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     priority: str = "largest",
 ) -> Schedule:
     """Multi-step scheduling: Sarkar clustering + LLB mapping."""
     graph.freeze()
-    machine = resolve_machine(num_procs, machine)
     clustering = sarkar(graph, machine)
     return llb(graph, clustering, machine=machine, priority=priority)

@@ -13,7 +13,7 @@ long-running process (stdlib only — ``asyncio`` + the library itself):
 * **weighted-fair queuing** (:class:`repro.serve.queues.WeightedFairQueue`)
   orders admitted jobs so no tenant starves another;
 * **coalescing**: concurrent requests for the same
-  ``(fingerprint, procs, algo, validate, certify, machine)`` share
+  ``(fingerprint, machine, algo, validate, certify)`` share
   a single computation — the same machine-fingerprinted key the result
   cache uses, so a coalesced answer is exactly the answer a cache hit
   would give and two requests that differ only in processor speeds never
@@ -38,7 +38,7 @@ import json
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -88,12 +88,13 @@ class ServeConfig:
     ``tenant_weights`` sets fair-queue weights (unknown tenants get
     ``default_weight``).  ``dispatchers`` > 1 only helps with a custom
     thread-safe runner — the default runner serialises on a lock.
-    ``options`` seeds the wrapped scheduler's defaults (procs-independent
-    fields: validate/certify/timeout/retries); per-request fields
-    override it.  ``machine`` is the default target
-    :class:`~repro.machine.MachineModel` for requests that do not carry a
-    ``machine`` object of their own (a bare ``procs`` request resolves to
-    the homogeneous clique as before).  ``port`` 0 binds an ephemeral port
+    ``options`` seeds the wrapped scheduler's defaults
+    (validate/certify/timeout/retries/algorithm); per-request fields
+    override it.  ``options.machine`` is the default target
+    :class:`~repro.machine.MachineModel` for requests that carry no
+    ``machine`` object of their own (their ``procs``, if any, must match
+    it); without it, such a request needs ``procs`` and runs on the
+    homogeneous clique.  ``port`` 0 binds an ephemeral port
     (the chosen one is printed as ``serving on host:port`` and exposed by
     :attr:`BackgroundServer.port`).
     """
@@ -108,7 +109,6 @@ class ServeConfig:
     max_body_bytes: int = 32 * 1024 * 1024
     drain_grace: float = 10.0
     options: Optional[SchedulingOptions] = None
-    machine: Optional[MachineModel] = None
 
     def __post_init__(self) -> None:
         if self.dispatchers < 1:
@@ -340,8 +340,9 @@ class SchedulingService:
                 machine = MachineModel.from_dict(machine_doc)
             except (TypeError, ValueError) as exc:
                 raise BadRequestError(f"invalid 'machine': {exc}") from None
+        base = self.scheduler.options
         if machine is None:
-            machine = self.config.machine
+            machine = base.machine
         if machine is None:
             if procs is None:
                 raise BadRequestError("'procs' must be an integer >= 1")
@@ -351,8 +352,6 @@ class SchedulingService:
                 f"'procs' ({procs}) conflicts with machine.num_procs "
                 f"({machine.num_procs})"
             )
-        procs = machine.num_procs
-        base = self.scheduler.options
         algo = payload.get("algo", base.algorithm)
         if not isinstance(algo, str):
             raise BadRequestError("'algo' must be a string")
@@ -377,18 +376,14 @@ class SchedulingService:
         tag = payload.get("tag", "")
         if not isinstance(tag, str):
             raise BadRequestError("'tag' must be a string")
-        options = base.replace(**overrides)
+        options = replace(base, **overrides)
         key = make_cache_key(
-            fingerprint,
-            procs,
-            algo,
-            options.validate,
-            options.certify,
-            machine=machine,
+            fingerprint, machine, algo, options.validate, options.certify
         )
         job = BatchJob(
-            graph=graph, procs=procs, algo=algo, tag=tag, graph_key=graph_key,
-            base_fingerprint=base_fingerprint, machine=machine,
+            graph=graph, procs=machine.num_procs, algo=algo, tag=tag,
+            graph_key=graph_key, base_fingerprint=base_fingerprint,
+            machine=machine,
         )
         future: "asyncio.Future[BatchResult]" = (
             asyncio.get_running_loop().create_future()

@@ -3,8 +3,8 @@
 from repro.resultcache import make_key
 
 
-def lookup(result_cache, fingerprint, procs, algo):
-    key = make_key(fingerprint, procs, algo, False, False)
+def lookup(result_cache, fingerprint, machine, algo):
+    key = make_key(fingerprint, machine, algo, False, False)
     hit = result_cache.get(key)
     if hit is not None:
         return hit

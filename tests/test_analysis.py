@@ -36,7 +36,6 @@ RULE_CODES = (
     "A301",
     "A302",
     "A303",
-    "A304",
 )
 
 

@@ -1,15 +1,18 @@
-"""The unified :class:`repro.SchedulingOptions` record and its
-deprecation shims: legacy keywords must warn exactly once per call and
-produce bit-identical schedules, all three entry points must accept the
-same options object, and mixing the two styles must be rejected."""
+"""The unified :class:`repro.SchedulingOptions` record: all three entry
+points accept the same options object, the ``machine=`` override of
+:func:`repro.schedule_graph` wins over ``options.machine``, and the
+removed legacy keywords are rejected."""
 
+import asyncio
+import dataclasses
 import warnings
 
 import pytest
 
 from repro import BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptions, schedule_graph
-from repro.api import reset_options_deprecations
-from repro.batch import BatchJob, schedule_many
+from repro.api import schedule_graph_async
+from repro.batch import SCHEDULER_ERROR, BatchJob, schedule_many
+from repro.exceptions import SchedulerError
 from repro.util.rng import make_rng
 from repro.workloads import lu, stencil
 
@@ -22,7 +25,7 @@ def graph():
 class TestSchedulingOptions:
     def test_defaults(self):
         opts = SchedulingOptions()
-        assert opts.procs is None
+        assert opts.machine is None
         assert opts.algorithm == "flb"
         assert opts.validate is False
         assert opts.certify is False
@@ -33,18 +36,16 @@ class TestSchedulingOptions:
     def test_frozen(self):
         opts = SchedulingOptions()
         with pytest.raises(AttributeError):
-            opts.procs = 4
+            opts.algorithm = "etf"
 
     def test_replace(self):
         opts = SchedulingOptions(machine=MachineModel(4))
-        other = opts.replace(algorithm="etf", certify=True)
-        assert (other.procs, other.algorithm, other.certify) == (4, "etf", True)
+        other = dataclasses.replace(opts, algorithm="etf", certify=True)
+        assert (other.machine.num_procs, other.algorithm, other.certify) == (4, "etf", True)
         assert other.machine == MachineModel(4)
         assert opts.algorithm == "flb"  # original untouched
 
     @pytest.mark.parametrize("bad", [
-        {"procs": 0},
-        {"procs": -1},
         {"timeout": 0.0},
         {"timeout": -1.0},
         {"retries": -1},
@@ -55,49 +56,11 @@ class TestSchedulingOptions:
 
 
 class TestProcsFieldShim:
-    """The legacy integer ``procs=`` field: warn-once, mirror, mixing."""
-
-    def test_procs_field_warns_once_per_process(self):
-        reset_options_deprecations()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SchedulingOptions(procs=4)
-            SchedulingOptions(procs=8)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "machine=MachineModel" in str(deprecations[0].message)
-
-    def test_procs_resolves_to_homogeneous_machine(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            opts = SchedulingOptions(procs=4)
-        assert opts.machine == MachineModel(4)
-        assert opts.procs == 4
-
-    def test_machine_backfills_procs_mirror(self):
-        opts = SchedulingOptions(machine=MachineModel(6))
-        assert opts.procs == 6
+    """The integer ``procs=`` field is gone: a machine is the only way."""
 
     def test_mixing_procs_and_machine_raises(self):
         with pytest.raises(TypeError):
             SchedulingOptions(procs=4, machine=MachineModel(4))
-
-    def test_replace_procs_rebuilds_machine(self):
-        opts = SchedulingOptions(machine=MachineModel(4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            other = opts.replace(procs=8)
-        assert other.machine == MachineModel(8)
-
-    def test_legacy_form_is_bit_identical(self, graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = schedule_graph(graph, SchedulingOptions(procs=4))
-        modern = schedule_graph(graph, SchedulingOptions(machine=MachineModel(4)))
-        assert legacy.makespan == modern.makespan
-        for task in range(graph.num_tasks):
-            assert legacy.proc_of(task) == modern.proc_of(task)
-            assert legacy.start_of(task) == modern.start_of(task)
 
 
 class TestScheduleGraph:
@@ -107,32 +70,14 @@ class TestScheduleGraph:
         b = schedule_graph(graph, options=opts)
         assert a.makespan == b.makespan
 
-    def test_legacy_kwargs_warn_exactly_once(self, graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            schedule_graph(graph, 4, algorithm="etf")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "SchedulingOptions" in str(deprecations[0].message)
-
-    def test_legacy_is_bit_identical(self, graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = schedule_graph(graph, 4, algorithm="mcp")
-        modern = schedule_graph(
-            graph, SchedulingOptions(machine=MachineModel(4), algorithm="mcp")
-        )
-        assert legacy.makespan == modern.makespan
-        for task in range(graph.num_tasks):
-            assert legacy.proc_of(task) == modern.proc_of(task)
-            assert legacy.start_of(task) == modern.start_of(task)
-
     def test_no_warning_for_options_form(self, graph):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             schedule_graph(graph, SchedulingOptions(machine=MachineModel(4)))
 
     def test_mixing_styles_raises(self, graph):
+        # The legacy positional count is gone: it can only collide with
+        # options=, never be read as a processor count.
         opts = SchedulingOptions(machine=MachineModel(4))
         with pytest.raises(TypeError):
             schedule_graph(graph, 4, options=opts)
@@ -157,6 +102,35 @@ class TestScheduleGraph:
         assert kernel["makespan"] > 0
 
 
+class TestMachineOverride:
+    """The ``machine=`` keyword wins over ``options.machine`` for one call,
+    whatever the two processor counts."""
+
+    OVERRIDES = [MachineModel(8), MachineModel(3, speeds=(2.0, 1.0, 0.5))]
+
+    @pytest.mark.parametrize("override", OVERRIDES, ids=["homog8", "hetero3"])
+    @pytest.mark.parametrize("algo", ["flb", "etf"])
+    def test_keyword_overrides_options_machine(self, graph, algo, override):
+        opts = SchedulingOptions(machine=MachineModel(4), algorithm=algo)
+        schedule = schedule_graph(graph, opts, machine=override)
+        assert schedule.machine is override
+        direct = schedule_graph(graph, dataclasses.replace(opts, machine=override))
+        assert schedule.makespan == direct.makespan
+
+    @pytest.mark.parametrize("override", OVERRIDES, ids=["homog8", "hetero3"])
+    @pytest.mark.parametrize("algo", ["flb", "etf"])
+    def test_async_keyword_overrides_options_machine(self, graph, algo, override):
+        opts = SchedulingOptions(machine=MachineModel(4), algorithm=algo)
+        schedule = asyncio.run(schedule_graph_async(graph, opts, machine=override))
+        assert schedule.machine is override
+
+    def test_missing_machine_is_scheduler_error(self, graph):
+        with pytest.raises(SchedulerError):
+            schedule_graph(graph)
+        with pytest.raises(SchedulerError):
+            schedule_graph(graph, SchedulingOptions(algorithm="etf"))
+
+
 class TestScheduleMany:
     def test_accepts_options(self, graph):
         jobs = [BatchJob(graph=graph, procs=2), BatchJob(graph=graph, procs=4)]
@@ -166,23 +140,18 @@ class TestScheduleMany:
                                     options=SchedulingOptions(validate=True))
         assert all(r.ok for r in results)
 
-    def test_legacy_kwargs_warn_once_and_match(self, graph):
-        jobs = [BatchJob(graph=graph, procs=3)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = schedule_many(jobs, workers=1, timeout=30.0, validate=True)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        modern = schedule_many(
-            jobs, workers=1,
-            options=SchedulingOptions(timeout=30.0, validate=True),
-        )
-        assert legacy[0].makespan == modern[0].makespan
-
     def test_mixing_styles_raises(self, graph):
+        # The legacy timeout= keyword is gone, with or without options=.
         with pytest.raises(TypeError):
             schedule_many([BatchJob(graph=graph, procs=2)], timeout=1.0,
                           options=SchedulingOptions())
+
+    @pytest.mark.parametrize("algo", ["flb", "etf"])
+    def test_job_without_machine_is_scheduler_error(self, graph, algo):
+        (res,) = schedule_many([BatchJob(graph=graph, algo=algo)], workers=1)
+        assert res.error_kind == SCHEDULER_ERROR
+        assert "SchedulerError" in res.error
+        assert "AttributeError" not in res.error
 
     def test_metrics_kwarg_is_not_deprecated(self, graph):
         reg = MetricsRegistry()
@@ -201,24 +170,6 @@ class TestBatchScheduler:
                 results = bs.run([BatchJob(graph=graph, procs=2)])
         assert results[0].ok
 
-    def test_legacy_ctor_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bs = BatchScheduler(workers=1, timeout=30.0, validate=True)
-            bs.close()
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_legacy_properties_view_options(self):
-        with BatchScheduler(workers=1,
-                            options=SchedulingOptions(timeout=7.0)) as bs:
-            assert bs.timeout == 7.0
-            assert bs.validate is False
-            bs.validate = True
-            assert bs.options.validate is True
-            bs.retries = 0
-            assert bs.options.retries == 0
-
     def test_per_run_options_override(self, graph):
         with BatchScheduler(workers=1) as bs:
             results = bs.run(
@@ -228,6 +179,7 @@ class TestBatchScheduler:
             assert results[0].ok and results[0].certified
 
     def test_mixing_ctor_styles_raises(self):
+        # The legacy timeout= keyword is gone, with or without options=.
         with pytest.raises(TypeError):
             BatchScheduler(workers=1, timeout=1.0, options=SchedulingOptions())
 

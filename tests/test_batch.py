@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from repro.api import SchedulingOptions
 from repro.batch import BatchJob, BatchResult, batch_throughput, schedule_many
 from repro.bench.runner import run_sweep
 from repro.bench.suite import paper_suite
 from repro.cli import main
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.workloads import layered_random, lu, stencil
@@ -27,12 +29,12 @@ def _jobs(n_graph_seeds=2):
 
 # Module-level so forked worker processes resolve them after a monkeypatched
 # SCHEDULERS entry is inherited through fork.
-def _sleepy_scheduler(graph, num_procs=None, machine=None):
+def _sleepy_scheduler(graph, machine):
     time.sleep(2.0)
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
-def _broken_scheduler(graph, num_procs=None, machine=None):
+def _broken_scheduler(graph, machine):
     raise RuntimeError("kaboom")
 
 
@@ -51,7 +53,7 @@ class TestSerial:
     def test_matches_direct_scheduler_call(self):
         g = stencil(6, 5, make_rng(1), ccr=0.2)
         (res,) = schedule_many([BatchJob(graph=g, procs=4, algo="etf")])
-        assert res.makespan == SCHEDULERS["etf"](g, 4).makespan
+        assert res.makespan == SCHEDULERS["etf"](g, MachineModel(4)).makespan
 
     def test_error_captured_not_raised(self):
         g = lu(5, make_rng(0))
@@ -65,7 +67,8 @@ class TestSerial:
 
     def test_validate_flag(self):
         g = lu(6, make_rng(0))
-        (res,) = schedule_many([BatchJob(graph=g, procs=3)], validate=True)
+        (res,) = schedule_many([BatchJob(graph=g, procs=3)],
+                               options=SchedulingOptions(validate=True))
         assert res.ok
 
 
@@ -99,7 +102,7 @@ class TestParallel:
             BatchJob(graph=g, procs=2, algo="flb"),
             BatchJob(graph=g, procs=2, algo="fcp"),
         ]
-        results = schedule_many(jobs, workers=2, timeout=0.3)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3))
         assert not results[0].ok
         assert "timeout" in results[0].error
         assert results[0].error_kind == "timeout"
@@ -186,7 +189,7 @@ def test_parallel_graph_roundtrip_is_exact():
     drift (schedulers are deterministic, so equal makespans on re-run imply
     the pickled graph arrived bit-identical)."""
     g = layered_random(6, 5, make_rng(4), edge_density=0.3, ccr=5.0)
-    direct = SCHEDULERS["flb"](g, 3).makespan
+    direct = SCHEDULERS["flb"](g, MachineModel(3)).makespan
     (res,) = schedule_many(
         [BatchJob(graph=g, procs=3), BatchJob(graph=g, procs=3)], workers=2
     )[:1]

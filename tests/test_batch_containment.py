@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.api import SchedulingOptions
 from repro.batch import (
     ERROR_KINDS,
     INVALID_SCHEDULE,
@@ -39,37 +40,37 @@ _DIE_MARKER_ENV = "REPRO_TEST_DIE_MARKER"
 
 # Module-level so forked worker processes resolve them after a monkeypatched
 # SCHEDULERS entry is inherited through fork.
-def _hung_scheduler(graph, num_procs=None, machine=None):
+def _hung_scheduler(graph, machine):
     time.sleep(60.0)  # far beyond any test timeout: must be killed, not joined
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
-def _slow_scheduler(graph, num_procs=None, machine=None):
+def _slow_scheduler(graph, machine):
     time.sleep(0.4)
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
-def _die_once_scheduler(graph, num_procs=None, machine=None):
+def _die_once_scheduler(graph, machine):
     marker = os.environ[_DIE_MARKER_ENV]
     if not os.path.exists(marker):
         with open(marker, "w") as fh:
             fh.write("died")
         os.kill(os.getpid(), signal.SIGKILL)
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
-def _die_always_scheduler(graph, num_procs=None, machine=None):
+def _die_always_scheduler(graph, machine):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _invalid_scheduler(graph, num_procs=None, machine=None):
-    schedule = SCHEDULERS["flb"](graph, num_procs, machine=machine)
+def _invalid_scheduler(graph, machine):
+    schedule = SCHEDULERS["flb"](graph, machine)
     # Corrupt one placement so FT != ST + comp: validation must catch it.
     schedule._finish[0] = schedule._start[0] - 1.0
     return schedule
 
 
-def _broken_scheduler(graph, num_procs=None, machine=None):
+def _broken_scheduler(graph, machine):
     raise RuntimeError("kaboom")
 
 
@@ -88,7 +89,7 @@ class TestHungWorkerContainment:
             BatchJob(graph=g, procs=2, algo="mcp"),
         ]
         t0 = time.perf_counter()
-        results = schedule_many(jobs, workers=2, timeout=0.5, grace=1.0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.5), grace=1.0)
         wall = time.perf_counter() - t0
         assert wall < 0.5 + 1.0 + 0.5  # timeout + grace + test slack, << 60s
         assert len(results) == len(jobs)
@@ -109,7 +110,7 @@ class TestHungWorkerContainment:
             BatchJob(graph=g, procs=2, algo="hung"),
             BatchJob(graph=g, procs=2, algo="flb"),
         ]
-        results = schedule_many(jobs, workers=2, timeout=0.4, grace=1.0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.4), grace=1.0)
         assert results[0].error_kind == TIMEOUT
         # seconds is true execution time before the kill: at least the
         # budget, but well under 2x of it.
@@ -127,7 +128,7 @@ class TestHungWorkerContainment:
             BatchJob(graph=g, procs=2, algo="fcp"),
         ]
         t0 = time.perf_counter()
-        results = schedule_many(jobs, workers=2, timeout=0.3, grace=1.0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3), grace=1.0)
         wall = time.perf_counter() - t0
         assert wall < 5.0  # two hung slots at 0.3s each + replacements
         assert results[0].error_kind == TIMEOUT
@@ -148,7 +149,7 @@ class TestDeadlineAccounting:
             BatchJob(graph=g, procs=2, algo="slow"),
             BatchJob(graph=g, procs=2, algo="flb"),  # queued ~0.4s > timeout - run
         ]
-        results = schedule_many(jobs, workers=2, timeout=0.5, grace=1.0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.5), grace=1.0)
         assert all(res.ok for res in results), [r.error for r in results]
         queued = results[2]
         # Queue wait and run time are attributed separately.
@@ -166,11 +167,11 @@ class TestDeadlineAccounting:
         g = lu(5, make_rng(0))
         jobs = [BatchJob(graph=g, procs=2)]
         with pytest.raises(ValueError):
-            schedule_many(jobs, workers=2, timeout=-1.0)
+            schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=-1.0))
         with pytest.raises(ValueError):
             schedule_many(jobs, workers=2, grace=0.0)
         with pytest.raises(ValueError):
-            schedule_many(jobs, workers=2, retries=-1)
+            schedule_many(jobs, workers=2, options=SchedulingOptions(retries=-1))
         with pytest.raises(ValueError):
             schedule_many(jobs, workers=2, backoff=-0.1)
 
@@ -184,7 +185,7 @@ class TestWorkerDeathRetry:
             BatchJob(graph=g, procs=2, algo="die-once"),
             BatchJob(graph=g, procs=2, algo="flb"),
         ]
-        results = schedule_many(jobs, workers=2, retries=2, backoff=0.05)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=2), backoff=0.05)
         assert results[0].ok, results[0].error
         assert results[0].attempts == 2  # died once, succeeded on the retry
         assert results[1].ok
@@ -196,7 +197,7 @@ class TestWorkerDeathRetry:
             BatchJob(graph=g, procs=2, algo="die-always"),
             BatchJob(graph=g, procs=2, algo="flb"),
         ]
-        results = schedule_many(jobs, workers=2, retries=1, backoff=0.01)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=1), backoff=0.01)
         assert not results[0].ok
         assert results[0].error_kind == WORKER_DIED
         assert results[0].attempts == 2  # initial run + 1 retry
@@ -210,7 +211,7 @@ class TestWorkerDeathRetry:
             BatchJob(graph=g, procs=2, algo="die-always"),
             BatchJob(graph=g, procs=2, algo="flb"),
         ]
-        results = schedule_many(jobs, workers=2, retries=0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=0))
         assert results[0].error_kind == WORKER_DIED
         assert results[0].attempts == 1
 
@@ -236,7 +237,7 @@ class TestErrorTaxonomy:
             results = schedule_many(
                 [BatchJob(graph=g, procs=2, algo="invalid"),
                  BatchJob(graph=g, procs=2, algo="flb")],
-                workers=workers, validate=True,
+                workers=workers, options=SchedulingOptions(validate=True),
             )
             assert results[0].error_kind == INVALID_SCHEDULE
             assert results[1].ok

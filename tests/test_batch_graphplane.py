@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import graphstore
+from repro.api import SchedulingOptions
 from repro.batch import (
     INLINE_ONESHOT_MAX,
     BatchJob,
@@ -35,9 +36,9 @@ def _summaries(results):
 
 
 # Module-level so forked workers resolve it after monkeypatching SCHEDULERS.
-def _sleepy_scheduler(graph, num_procs=None, machine=None):
+def _sleepy_scheduler(graph, machine):
     time.sleep(30.0)
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
 def _sweep_jobs(graph, procs=(2, 3, 5), algos=("flb", "fcp", "mcp")):
@@ -98,7 +99,7 @@ class TestKeyedDispatch:
 
     def test_graph_key_job_roundtrip(self):
         g = stencil(6, 5, make_rng(1), ccr=0.2)
-        direct = SCHEDULERS["etf"](g, 4).makespan
+        direct = SCHEDULERS["etf"](g, MachineModel(4)).makespan
         with BatchScheduler(workers=2) as bs:
             key = bs.register(g)
             out = bs.run([
@@ -196,7 +197,7 @@ class TestResultCache:
         cache = ResultCache(8)
         schedule_many([BatchJob(graph=g, procs=3)], cache=cache)
         (res,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
-                               validate=True)
+                               options=SchedulingOptions(validate=True))
         assert not res.cached  # different validate -> different key
         assert len(cache) == 2
 
@@ -296,7 +297,7 @@ class TestNoLeakedSegments:
             BatchJob(graph=g, procs=2, algo="sleepy"),
             BatchJob(graph=g, procs=2, algo="flb"),
         ]
-        results = schedule_many(jobs, workers=2, timeout=0.3, grace=1.0)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3), grace=1.0)
         assert results[0].error_kind == "timeout"
         assert results[1].ok
         assert graphstore.list_segments() == before

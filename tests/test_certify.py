@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.api import SchedulingOptions
 from repro.core.flb import flb
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
@@ -42,7 +43,7 @@ class TestGalleryCertification:
     @pytest.mark.parametrize("algo", ["flb", "etf", "fcp"])
     @pytest.mark.parametrize("procs", [2, 3, 8])
     def test_gallery_schedules_certify(self, make_graph, algo, procs):
-        schedule = SCHEDULERS[algo](make_graph(), procs)
+        schedule = SCHEDULERS[algo](make_graph(), MachineModel(procs))
         cert = certify(schedule, flavor=greedy_flavor(algo))
         assert cert.ok, cert.render()
         # FLB/ETF carry the greedy certificate; FCP is structural only.
@@ -53,7 +54,7 @@ class TestGalleryCertification:
         from repro.cli import _build_problem
 
         graph = _build_problem(problem, 150, 1.0, 0)
-        cert = certify(flb(graph, num_procs=4), flavor="flb")
+        cert = certify(flb(graph, MachineModel(4)), flavor="flb")
         assert cert.ok, cert.render()
         assert cert.greedy_checked
 
@@ -70,7 +71,7 @@ class TestGalleryCertification:
         assert greedy_flavor("mcp") is None
 
     def test_unknown_flavor_rejected(self):
-        s = flb(paper_example(), num_procs=2)
+        s = flb(paper_example(), MachineModel(2))
         with pytest.raises(ValueError):
             certify(s, flavor="dls")
 
@@ -89,7 +90,7 @@ class TestStructuralMutants:
     def test_s001_duplicate_placement(self):
         g = simple_diamond()
         g.freeze()
-        s = flb(g, num_procs=2)
+        s = flb(g, MachineModel(2))
         # Corrupt: append task 0 a second time behind the schedule's back.
         s._proc_tasks[1].append(0)
         cert = certify(s)
@@ -101,7 +102,7 @@ class TestStructuralMutants:
     def test_s002_negative_start(self):
         g = simple_diamond()
         g.freeze()
-        s = flb(g, num_procs=2)
+        s = flb(g, MachineModel(2))
         t = s.proc_tasks(0)[0]
         s._start[t] = -1.0
         cert = certify(s)
@@ -109,7 +110,7 @@ class TestStructuralMutants:
 
     def test_s003_wrong_finish(self):
         g = paper_example()
-        s = flb(g, num_procs=3)
+        s = flb(g, MachineModel(3))
         t = s.proc_tasks(0)[0]
         s._finish[t] += 0.5
         cert = certify(s)
@@ -160,7 +161,7 @@ class TestStructuralMutants:
 
     def test_s006_makespan_mismatch(self):
         g = paper_example()
-        s = flb(g, num_procs=3)
+        s = flb(g, MachineModel(3))
         s._prt[0] += 5.0  # reported PRT/makespan no longer match placements
         cert = certify(s)
         assert "S006" in cert.codes()
@@ -171,7 +172,7 @@ class TestStructuralMutants:
         g.add_task(1.0)
         g.add_task(1.0)
         g.add_edge(0, 1, 1.0)
-        return flb(g.freeze(), num_procs=2)
+        return flb(g.freeze(), MachineModel(2))
 
     def test_s007_nan_times_rejected(self):
         # NaN start/finish with the PRTs kept consistent used to pass every
@@ -205,7 +206,7 @@ class TestStructuralMutants:
 
     def test_certificate_shape(self):
         g = paper_example()
-        s = flb(g, num_procs=3)
+        s = flb(g, MachineModel(3))
         s._prt[0] += 5.0
         doc = certify(s).to_dict()
         assert doc["ok"] is False
@@ -239,7 +240,7 @@ class TestGreedyMutants:
         g.add_task(2.0, name="e")
         g.add_task(0.5, name="d")
         g.add_edge(a, c, 1.0)
-        mutant = flb(g, num_procs=2, prefer_non_ep_on_tie=False)
+        mutant = flb(g, MachineModel(2), prefer_non_ep_on_tie=False)
         cert = certify(mutant, flavor="flb")
         assert not cert.ok
         assert cert.codes() == ("F002",)
@@ -252,11 +253,11 @@ class TestGreedyMutants:
         g2.add_task(2.0, name="e")
         g2.add_task(0.5, name="d")
         g2.add_edge(a2, c2, 1.0)
-        assert certify(flb(g2, num_procs=2), flavor="flb").ok
+        assert certify(flb(g2, MachineModel(2)), flavor="flb").ok
 
     def test_greedy_skipped_on_structural_failure(self):
         g = paper_example()
-        s = flb(g, num_procs=3)
+        s = flb(g, MachineModel(3))
         s._prt[0] += 5.0
         cert = certify(s, flavor="flb")
         assert not cert.ok
@@ -297,7 +298,7 @@ class TestScheduleDelegation:
     def test_all_schedulers_still_validate(self):
         g = paper_example()
         for name, scheduler in SCHEDULERS.items():
-            assert scheduler(g, 3).violations() == [], name
+            assert scheduler(g, MachineModel(3)).violations() == [], name
 
 
 class TestBatchCertification:
@@ -308,26 +309,27 @@ class TestBatchCertification:
         g = paper_example()
         cache = ResultCache(16)
         jobs = [BatchJob(graph=g, procs=2, algo="flb")]
-        first = schedule_many(jobs, workers=1, certify=True, cache=cache)[0]
+        certified = SchedulingOptions(certify=True)
+        first = schedule_many(jobs, workers=1, options=certified, cache=cache)[0]
         assert first.ok and first.certified and not first.cached
-        again = schedule_many(jobs, workers=1, certify=True, cache=cache)[0]
+        again = schedule_many(jobs, workers=1, options=certified, cache=cache)[0]
         assert again.cached and again.certified
         # certify is part of the key: the uncertified request re-runs.
-        plain = schedule_many(jobs, workers=1, certify=False, cache=cache)[0]
+        plain = schedule_many(jobs, workers=1, cache=cache,
+                              options=SchedulingOptions(certify=False))[0]
         assert not plain.cached and not plain.certified
 
     def test_invalid_schedule_classification(self, monkeypatch):
         import repro.core.flb_array as flb_array_module
         from repro.batch import INVALID_SCHEDULE, BatchJob, schedule_many
 
-        def broken(graph, num_procs=None, machine=None, **kwargs):
-            procs = machine.num_procs if machine is not None else num_procs
-            return sequential_schedule(graph, procs)
+        def broken(graph, machine, **kwargs):
+            return sequential_schedule(graph, machine.num_procs)
 
         monkeypatch.setattr(flb_array_module, "flb_array", broken)
         res = schedule_many(
             [BatchJob(graph=paper_example(), procs=2, algo="flb")],
-            workers=1, certify=True,
+            workers=1, options=SchedulingOptions(certify=True),
         )[0]
         assert not res.ok
         assert res.error_kind == INVALID_SCHEDULE
@@ -339,14 +341,13 @@ class TestBatchCertification:
         from repro.batch import BatchJob, schedule_many
         from repro.resultcache import ResultCache
 
-        def broken(graph, num_procs=None, machine=None, **kwargs):
-            procs = machine.num_procs if machine is not None else num_procs
-            return sequential_schedule(graph, procs)
+        def broken(graph, machine, **kwargs):
+            return sequential_schedule(graph, machine.num_procs)
 
         monkeypatch.setattr(flb_array_module, "flb_array", broken)
         cache = ResultCache(16)
         jobs = [BatchJob(graph=paper_example(), procs=2, algo="flb")]
-        schedule_many(jobs, workers=1, certify=True, cache=cache)
+        schedule_many(jobs, workers=1, options=SchedulingOptions(certify=True), cache=cache)
         assert len(cache) == 0
 
     def test_multiworker_certify(self):
@@ -356,5 +357,5 @@ class TestBatchCertification:
             BatchJob(graph=paper_example(), procs=p, algo=a)
             for p in (2, 3) for a in ("flb", "etf", "fcp")
         ]
-        results = schedule_many(jobs, workers=2, certify=True)
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(certify=True))
         assert all(r.ok and r.certified for r in results)

@@ -16,7 +16,7 @@ from repro.workloads import chain, fft, independent_tasks, lu, paper_example
 class TestBasics:
     def test_high_bandwidth_converges_to_contention_free(self):
         g = fft(32, make_rng(0), ccr=2.0)
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         free = execute(s)
         contended = execute_contended(s, bandwidth=1e9)
         assert contended.makespan == pytest.approx(free.makespan)
@@ -26,21 +26,21 @@ class TestBasics:
     def test_contention_never_speeds_up(self):
         for bw in (0.5, 1.0, 2.0):
             g = lu(9, make_rng(1), ccr=3.0)
-            s = flb(g, 4)
+            s = flb(g, MachineModel(4))
             free = execute(s)
             contended = execute_contended(s, bandwidth=bw)
             assert contended.makespan >= free.makespan - 1e-9
 
     def test_monotone_in_bandwidth(self):
         g = fft(32, make_rng(2), ccr=5.0)
-        s = flb(g, 8)
+        s = flb(g, MachineModel(8))
         spans = [execute_contended(s, bandwidth=bw).makespan for bw in (0.5, 1.0, 2.0, 8.0)]
         for a, b in zip(spans, spans[1:]):
             assert b <= a + 1e-9
 
     def test_no_communication_unaffected(self):
         g = independent_tasks(12)
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         assert execute_contended(s, bandwidth=0.1).makespan == pytest.approx(
             execute(s).makespan
         )
@@ -48,13 +48,13 @@ class TestBasics:
     def test_local_messages_skip_the_port(self):
         # Everything on one processor: all messages local, no contention.
         g = chain(8, make_rng(3), ccr=5.0)
-        s = flb(g, 1)
+        s = flb(g, MachineModel(1))
         assert execute_contended(s, bandwidth=0.01).makespan == pytest.approx(
             s.makespan
         )
 
     def test_rejects_bad_bandwidth(self):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         with pytest.raises(ValueError):
             execute_contended(s, bandwidth=0.0)
 
@@ -89,7 +89,7 @@ class TestSerialisation:
 
     def test_busy_time_is_comp_only(self):
         g = fft(16, make_rng(4), ccr=5.0)
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         result = execute_contended(s, bandwidth=1.0)
         assert sum(result.busy_time) == pytest.approx(g.total_comp())
 
@@ -98,7 +98,7 @@ class TestAcrossSchedulers:
     @pytest.mark.parametrize("algo", ["flb", "mcp", "dsc-llb"])
     def test_terminates_and_valid_for_all(self, algo):
         g = lu(9, make_rng(5), ccr=5.0)
-        s = SCHEDULERS[algo](g, 4)
+        s = SCHEDULERS[algo](g, MachineModel(4))
         result = execute_contended(s, bandwidth=1.0)
         assert result.makespan > 0
         # Every task ran exactly once within the makespan.
@@ -111,7 +111,7 @@ class TestAcrossSchedulers:
         g = fft(64, make_rng(6), ccr=5.0)
         ratios = {}
         for algo in ("hlfet", "dsc-llb"):
-            s = SCHEDULERS[algo](g, 8)
+            s = SCHEDULERS[algo](g, MachineModel(8))
             free = execute(s).makespan
             contended = execute_contended(s, bandwidth=1.0).makespan
             ratios[algo] = contended / free

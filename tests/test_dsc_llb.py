@@ -93,7 +93,7 @@ class TestDsc:
 class TestLlb:
     def test_paper_example(self):
         g = paper_example()
-        s = llb(g, dsc(g), 2)
+        s = llb(g, dsc(g), MachineModel(2))
         assert s.complete
         assert s.violations() == []
 
@@ -101,7 +101,7 @@ class TestLlb:
         # Once a cluster is mapped, its tasks all run on that processor.
         g = lu(8, make_rng(4), ccr=2.0)
         c = dsc(g)
-        s = llb(g, c, 3)
+        s = llb(g, c, MachineModel(3))
         proc_of_cluster = {}
         for t in g.tasks():
             cl = c.cluster_of[t]
@@ -113,19 +113,19 @@ class TestLlb:
     def test_priority_flag(self):
         g = stencil(6, 5, make_rng(5), ccr=1.0)
         c = dsc(g)
-        s_largest = llb(g, c, 3, priority="largest")
-        s_least = llb(g, c, 3, priority="least")
+        s_largest = llb(g, c, MachineModel(3), priority="largest")
+        s_least = llb(g, c, MachineModel(3), priority="least")
         assert s_largest.violations() == []
         assert s_least.violations() == []
 
     def test_unknown_priority(self):
         g = paper_example()
         with pytest.raises(SchedulerError):
-            llb(g, dsc(g), 2, priority="median")
+            llb(g, dsc(g), MachineModel(2), priority="median")
 
     def test_more_clusters_than_procs(self):
         g = independent_tasks(9)
-        s = llb(g, dsc(g), 2)
+        s = llb(g, dsc(g), MachineModel(2))
         assert s.violations() == []
         # Perfect balance on unit tasks: 9 tasks over 2 procs -> makespan 5.
         assert s.makespan == pytest.approx(5.0)
@@ -140,7 +140,7 @@ class TestDscLlb:
         ):
             g = builder()
             for procs in (2, 4):
-                s = dsc_llb(g, procs)
+                s = dsc_llb(g, MachineModel(procs))
                 assert s.complete
                 assert s.violations() == []
 
@@ -152,7 +152,7 @@ class TestDscLlb:
         worst = 0.0
         for seed in range(5):
             g = lu(10, make_rng(seed), ccr=1.0)
-            ratio = dsc_llb(g, 4).makespan / flb(g, 4).makespan
+            ratio = dsc_llb(g, MachineModel(4)).makespan / flb(g, MachineModel(4)).makespan
             worst = max(worst, ratio)
         assert worst < 2.0
 

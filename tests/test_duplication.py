@@ -115,14 +115,14 @@ class TestDsh:
     @pytest.mark.parametrize("builder", WORKLOADS)
     @pytest.mark.parametrize("procs", [1, 2, 4])
     def test_valid_complete(self, builder, procs):
-        s = dsh(builder(), procs)
+        s = dsh(builder(), MachineModel(procs))
         assert s.complete
         assert s.violations() == []
 
     def test_paper_example_beats_flb(self):
         # Duplicating t0 lets both branches start locally: makespan 10 < 13.
-        d = dsh(paper_example(), 4)
-        f = flb(paper_example(), 4)
+        d = dsh(paper_example(), MachineModel(4))
+        f = flb(paper_example(), MachineModel(4))
         assert d.makespan < f.makespan
         assert d.duplication_ratio() > 1.0
 
@@ -130,38 +130,38 @@ class TestDsh:
         """Fork-only trees are duplication's best case: every subtree can
         own a copy of its ancestors."""
         g = out_tree(4, 2, make_rng(5), ccr=5.0)
-        d = dsh(g, 8).makespan
-        f = flb(g, 8).makespan
+        d = dsh(g, MachineModel(8)).makespan
+        f = flb(g, MachineModel(8)).makespan
         assert d <= f + 1e-9
 
     def test_never_worse_than_its_no_duplication_mode(self):
         for seed in range(5):
             g = erdos_dag(25, 0.2, make_rng(seed), ccr=4.0)
-            with_dup = dsh(g, 4, max_chain=8).makespan
-            without = dsh(g, 4, max_chain=0).makespan
+            with_dup = dsh(g, MachineModel(4), max_chain=8).makespan
+            without = dsh(g, MachineModel(4), max_chain=0).makespan
             assert with_dup <= without + 1e-9
 
     def test_max_chain_zero_means_no_duplication(self):
         g = lu(8, make_rng(6), ccr=5.0)
-        s = dsh(g, 4, max_chain=0)
+        s = dsh(g, MachineModel(4), max_chain=0)
         assert s.duplication_ratio() == 1.0
 
     def test_rejects_negative_chain(self):
         with pytest.raises(ValueError):
-            dsh(paper_example(), 2, max_chain=-1)
+            dsh(paper_example(), MachineModel(2), max_chain=-1)
 
     def test_single_proc_serialises(self):
         g = erdos_dag(20, 0.25, make_rng(7), ccr=2.0)
-        s = dsh(g, 1)
+        s = dsh(g, MachineModel(1))
         assert s.makespan == pytest.approx(g.total_comp())
         assert s.duplication_ratio() == 1.0
 
     def test_chain_no_duplication_possible(self):
-        s = dsh(chain(6, make_rng(8), ccr=5.0), 3)
+        s = dsh(chain(6, make_rng(8), ccr=5.0), MachineModel(3))
         assert s.duplication_ratio() == 1.0
 
     def test_independent_tasks_balanced(self):
-        s = dsh(independent_tasks(8), 4)
+        s = dsh(independent_tasks(8), MachineModel(4))
         assert s.makespan == pytest.approx(2.0)
 
     def test_costs_more_than_flb(self):
@@ -169,13 +169,13 @@ class TestDsh:
         gap widens with P (DSH scans every processor, FLB pays log P) and
         with fan-in (duplication-chain evaluation)."""
         g = lu(32, make_rng(9), ccr=5.0)  # V ~ 530, joins everywhere
-        t_dsh = time_scheduler(dsh, g, 16, repeats=1)
-        t_flb = time_scheduler(flb, g, 16, repeats=1)
+        t_dsh = time_scheduler(dsh, g, MachineModel(16), repeats=1)
+        t_flb = time_scheduler(flb, g, MachineModel(16), repeats=1)
         assert t_dsh > 3.0 * t_flb
 
     def test_makespan_lower_bound(self):
         g = lu(8, make_rng(10), ccr=1.0)
-        s = dsh(g, 4)
+        s = dsh(g, MachineModel(4))
         assert s.makespan >= max(static_levels(g)) - 1e-9
 
 
@@ -189,6 +189,6 @@ class TestDsh:
 )
 def test_property_dsh_valid_on_random_dags(n, p, ccr, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
-    s = dsh(g, procs)
+    s = dsh(g, MachineModel(procs))
     assert s.complete
     assert s.violations() == []

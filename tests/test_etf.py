@@ -15,7 +15,7 @@ from repro.workloads import erdos_dag, paper_example, stencil
 
 class TestEtfBehaviour:
     def test_paper_example(self):
-        s = etf(paper_example(), 2)
+        s = etf(paper_example(), MachineModel(2))
         assert s.violations() == []
         # ETF shares FLB's selection criterion; on the example both reach
         # makespan 14 (ties are broken differently but harmlessly here).
@@ -45,8 +45,8 @@ class TestEtfBehaviour:
         """FLB and ETF pick (possibly different) pairs with the same minimum
         start time at every iteration of their own runs."""
         g = stencil(6, 6, make_rng(2), ccr=1.0)
-        s_flb = flb(g, 4)
-        s_etf = etf(g, 4)
+        s_flb = flb(g, MachineModel(4))
+        s_etf = etf(g, MachineModel(4))
         # Not necessarily equal schedules, but both valid and close.
         assert s_flb.violations() == []
         assert s_etf.violations() == []
@@ -64,13 +64,13 @@ class TestEtfBehaviour:
         g.add_edge(a, c, 0.0)
         g.add_edge(b, d, 0.0)
         g.freeze()
-        s = etf(g, 1)
+        s = etf(g, MachineModel(1))
         assert s.start_of(b) < s.start_of(c)
 
     def test_keeps_processors_busy(self):
         # With plenty of independent work, no processor idles at time 0.
         g = erdos_dag(40, 0.02, make_rng(3), ccr=0.1)
-        s = etf(g, 4)
+        s = etf(g, MachineModel(4))
         busy_from_zero = sum(
             1 for p in range(4) if s.proc_tasks(p) and s.start_of(s.proc_tasks(p)[0]) == 0.0
         )

@@ -8,6 +8,9 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+#: Examples are the first code users copy: one that triggers a deprecation
+#: fails, exactly like the test suite itself (pyproject filterwarnings).
+PYTHON = [sys.executable, "-W", "error::DeprecationWarning"]
 
 
 def test_examples_directory_populated():
@@ -19,7 +22,7 @@ def test_examples_directory_populated():
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [*PYTHON, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -30,7 +33,7 @@ def test_example_runs(script):
 
 def test_quickstart_output_mentions_makespan():
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "quickstart.py")],
+        [*PYTHON, str(EXAMPLES_DIR / "quickstart.py")],
         capture_output=True,
         text=True,
         timeout=120,
@@ -40,7 +43,7 @@ def test_quickstart_output_mentions_makespan():
 
 def test_paper_trace_reproduces_table1():
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "paper_trace.py")],
+        [*PYTHON, str(EXAMPLES_DIR / "paper_trace.py")],
         capture_output=True,
         text=True,
         timeout=120,

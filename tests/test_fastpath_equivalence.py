@@ -33,7 +33,7 @@ from repro.graph.properties import bottom_levels
 from repro.machine import MachineModel
 from repro.schedule import Schedule
 from repro.schedulers import etf, fcp
-from repro.schedulers.base import emt_on, est_on, resolve_machine
+from repro.schedulers.base import emt_on, est_on
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, laplace, layered_random, lu, paper_example, stencil
 
@@ -46,8 +46,8 @@ def assert_bit_identical(a: Schedule, b: Schedule, label: str) -> None:
     assert a.makespan == b.makespan, f"{label}: makespan differs"
 
 
-def seed_flb(graph, procs, machine=None):
-    return _flb_observed(graph, resolve_machine(procs, machine), None, True)
+def seed_flb(graph, machine):
+    return _flb_observed(graph, machine, None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +60,9 @@ def seed_flb(graph, procs, machine=None):
 @pytest.mark.parametrize("procs", [1, 2, 8, 32])
 def test_flb_three_way_on_random_dags(v, density, ccr, procs):
     graph = erdos_dag(v, density, make_rng(v + procs), ccr=ccr)
-    fast = flb(graph, procs)
-    observed = seed_flb(graph, procs)
-    reference = flb_reference(graph, procs)
+    fast = flb(graph, MachineModel(procs))
+    observed = seed_flb(graph, MachineModel(procs))
+    reference = flb_reference(graph, MachineModel(procs))
     assert_bit_identical(fast, observed, "fast vs observed")
     assert_bit_identical(fast, reference, "fast vs reference")
 
@@ -90,8 +90,8 @@ def test_flb_three_way_on_machine_variants(machine):
 def test_flb_tie_ablation_matches_observed(prefer):
     # Unit weights maximise EP/non-EP ties — the knob's whole domain.
     graph = erdos_dag(40, 0.25, None, ccr=1.0)
-    machine = resolve_machine(4, None)
-    fast = flb(graph, 4, prefer_non_ep_on_tie=prefer)
+    machine = MachineModel(4)
+    fast = flb(graph, MachineModel(4), prefer_non_ep_on_tie=prefer)
     observed = _flb_observed(graph, machine, None, prefer)
     assert_bit_identical(fast, observed, f"prefer_non_ep_on_tie={prefer}")
 
@@ -101,8 +101,8 @@ def test_observed_path_still_traces_table1():
     equal the fast path's and its trace must stay complete and ordered."""
     graph = paper_example()
     recorder = TraceRecorder(graph)
-    observed = flb(graph, 2, observer=recorder)
-    fast = flb(graph, 2)
+    observed = flb(graph, MachineModel(2), observer=recorder)
+    fast = flb(graph, MachineModel(2))
     assert_bit_identical(fast, observed, "table1 graph")
     assert len(recorder.rows) == graph.num_tasks
     assert [row.task for row in recorder.rows] == [
@@ -124,7 +124,8 @@ def test_flb_array_vs_observed_on_paper_workloads(builder):
     graph = builder()
     for procs in (2, 8):
         assert_bit_identical(
-            flb(graph, procs), seed_flb(graph, procs), "paper workload"
+            flb(graph, MachineModel(procs)), seed_flb(graph, MachineModel(procs)),
+            "paper workload",
         )
 
 
@@ -133,11 +134,10 @@ def test_flb_array_vs_observed_on_paper_workloads(builder):
 # ---------------------------------------------------------------------------
 
 
-def etf_brute(graph, procs, machine=None):
+def etf_brute(graph, machine):
     """ETF semantics from the generic helpers: full (ready x proc) scan,
     minimum EST, ties by (-BL, task, proc)."""
     graph.freeze()
-    machine = resolve_machine(procs, machine)
     schedule = Schedule(graph, machine)
     bl = bottom_levels(graph)
     remaining = [graph.in_degree(t) for t in graph.tasks()]
@@ -161,12 +161,11 @@ def etf_brute(graph, procs, machine=None):
     return schedule
 
 
-def fcp_brute(graph, procs, machine=None):
+def fcp_brute(graph, machine):
     """FCP semantics from the generic helpers: highest-BL ready task, two
     candidate processors (EP with ties by (arrival, FT, id), earliest-idle),
     EP wins ties."""
     graph.freeze()
-    machine = resolve_machine(procs, machine)
     schedule = Schedule(graph, machine)
     bl = bottom_levels(graph)
     remaining = [graph.in_degree(t) for t in graph.tasks()]
@@ -200,24 +199,26 @@ def fcp_brute(graph, procs, machine=None):
 @pytest.mark.parametrize("ccr", [0.2, 1.0, 5.0])
 def test_etf_matches_brute_force(procs, ccr):
     graph = erdos_dag(35, 0.2, make_rng(procs), ccr=ccr)
-    assert_bit_identical(etf(graph, procs), etf_brute(graph, procs), "etf")
+    machine = MachineModel(procs)
+    assert_bit_identical(etf(graph, machine), etf_brute(graph, machine), "etf")
 
 
 @pytest.mark.parametrize("procs", [1, 2, 4, 8])
 @pytest.mark.parametrize("ccr", [0.2, 1.0, 5.0])
 def test_fcp_matches_brute_force(procs, ccr):
     graph = erdos_dag(45, 0.2, make_rng(procs + 100), ccr=ccr)
-    assert_bit_identical(fcp(graph, procs), fcp_brute(graph, procs), "fcp")
+    machine = MachineModel(procs)
+    assert_bit_identical(fcp(graph, machine), fcp_brute(graph, machine), "fcp")
 
 
 def test_etf_fcp_brute_on_machine_variants():
     graph = layered_random(6, 5, make_rng(9), edge_density=0.35, ccr=2.0)
     machine = MachineModel(3, latency=0.5, comm_scale=1.5)
     assert_bit_identical(
-        etf(graph, machine=machine), etf_brute(graph, None, machine), "etf machine"
+        etf(graph, machine=machine), etf_brute(graph, machine), "etf machine"
     )
     assert_bit_identical(
-        fcp(graph, machine=machine), fcp_brute(graph, None, machine), "fcp machine"
+        fcp(graph, machine=machine), fcp_brute(graph, machine), "fcp machine"
     )
 
 
@@ -228,18 +229,16 @@ def test_etf_fcp_brute_on_machine_variants():
 
 def _kernel_backends(prefer=True):
     """Every FLB implementation that must agree bit-for-bit under the tie
-    rule ``prefer``, as (label, callable(graph, procs, machine, prefer))
+    rule ``prefer``, as (label, callable(graph, machine, prefer))
     pairs.  The brute-force reference implements the paper's rule only, so
     it joins the matrix when ``prefer`` is True."""
     backends = [
-        ("flb", lambda g, p, m, pref: flb(
-            g, p, machine=m, prefer_non_ep_on_tie=pref)),
-        ("seed", lambda g, p, m, pref: _flb_observed(
-            g, resolve_machine(p, m), None, pref)),
+        ("flb", lambda g, m, pref: flb(g, m, prefer_non_ep_on_tie=pref)),
+        ("seed", lambda g, m, pref: _flb_observed(g, m, None, pref)),
     ]
     if prefer:
         backends.append(
-            ("reference", lambda g, p, m, pref: flb_reference(g, p, machine=m))
+            ("reference", lambda g, m, pref: flb_reference(g, m))
         )
     return backends
 
@@ -250,10 +249,10 @@ def test_kernel_matrix_on_random_dags(v, density, procs):
     graph = erdos_dag(v, density, make_rng(v * 31 + procs), ccr=1.0)
     backends = _kernel_backends()
     ref_label, ref_fn = backends[0]
-    ref = ref_fn(graph, procs, None, True)
+    ref = ref_fn(graph, MachineModel(procs), True)
     for label, fn in backends[1:]:
         assert_bit_identical(
-            ref, fn(graph, procs, None, True), f"{ref_label} vs {label}"
+            ref, fn(graph, MachineModel(procs), True), f"{ref_label} vs {label}"
         )
 
 
@@ -270,10 +269,10 @@ def test_kernel_matrix_on_random_dags(v, density, procs):
 def test_kernel_matrix_on_machine_variants(machine, prefer):
     graph = layered_random(7, 6, make_rng(11), edge_density=0.3, ccr=2.0)
     backends = _kernel_backends(prefer)
-    ref = backends[0][1](graph, None, machine, prefer)
+    ref = backends[0][1](graph, machine, prefer)
     for label, fn in backends[1:]:
         assert_bit_identical(
-            ref, fn(graph, None, machine, prefer), f"flb vs {label}"
+            ref, fn(graph, machine, prefer), f"flb vs {label}"
         )
 
 
@@ -305,10 +304,10 @@ def test_kernel_fuzz_200_random_dags_with_certify():
         procs = (1, 2, 3, 8)[i % 4]
         prefer = (i // 2) % 2 == 0
         backends = _kernel_backends(prefer)
-        ref = backends[0][1](graph, procs, None, prefer)
+        ref = backends[0][1](graph, MachineModel(procs), prefer)
         schedules = {"flb": ref}
         for label, fn in backends[1:]:
-            schedules[label] = fn(graph, procs, None, prefer)
+            schedules[label] = fn(graph, MachineModel(procs), prefer)
             assert_bit_identical(
                 ref, schedules[label], f"fuzz graph {i}: flb vs {label}"
             )
@@ -335,6 +334,6 @@ def test_flb_array_never_diverges(layers, width, density, ccr, procs, seed):
     graph = layered_random(
         layers, width, make_rng(seed), edge_density=density, ccr=ccr
     )
-    fast = flb(graph, procs)
-    assert_bit_identical(fast, seed_flb(graph, procs), "hypothesis observed")
-    assert_bit_identical(fast, flb_reference(graph, procs), "hypothesis reference")
+    fast = flb(graph, MachineModel(procs))
+    assert_bit_identical(fast, seed_flb(graph, MachineModel(procs)), "hypothesis observed")
+    assert_bit_identical(fast, flb_reference(graph, MachineModel(procs)), "hypothesis reference")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import flb
 from repro.graph import TaskGraph, static_levels
+from repro.machine import MachineModel
 from repro.schedulers import dls, fcp, hlfet
 from repro.util.rng import make_rng
 from repro.workloads import chain, erdos_dag, fft, independent_tasks, paper_example
@@ -11,7 +12,7 @@ from repro.workloads import chain, erdos_dag, fft, independent_tasks, paper_exam
 
 class TestFcp:
     def test_paper_example_valid(self):
-        s = fcp(paper_example(), 2)
+        s = fcp(paper_example(), MachineModel(2))
         assert s.violations() == []
         assert s.makespan <= 16.0
 
@@ -25,7 +26,7 @@ class TestFcp:
         c = g.add_task(9.0)
         g.add_edge(b, c, 0.0)
         g.freeze()
-        s = fcp(g, 1)
+        s = fcp(g, MachineModel(1))
         assert s.start_of(b) < s.start_of(a)
 
     def test_two_processor_selection_is_sound(self):
@@ -34,20 +35,20 @@ class TestFcp:
         # the better of the two choices at commit time (validity is checked
         # globally; here we sanity-check load spreading).
         g = independent_tasks(8)
-        s = fcp(g, 4)
+        s = fcp(g, MachineModel(4))
         assert s.violations() == []
         assert s.makespan == pytest.approx(2.0)
 
     def test_close_to_flb_quality(self):
         g = fft(16, make_rng(1), ccr=1.0)
-        m_fcp = fcp(g, 4).makespan
-        m_flb = flb(g, 4).makespan
+        m_fcp = fcp(g, MachineModel(4)).makespan
+        m_flb = flb(g, MachineModel(4)).makespan
         assert m_fcp == pytest.approx(m_flb, rel=0.35)
 
 
 class TestDls:
     def test_paper_example_valid(self):
-        s = dls(paper_example(), 2)
+        s = dls(paper_example(), MachineModel(2))
         assert s.violations() == []
 
     def test_dynamic_level_selection(self):
@@ -58,13 +59,13 @@ class TestDls:
         c = g.add_task(10.0)
         g.add_edge(b, c, 0.0)
         g.freeze()
-        s = dls(g, 1)
+        s = dls(g, MachineModel(1))
         # DL(b) = SL(b) - 0 = 11 > DL(a) = 1.
         assert s.start_of(b) == 0.0
 
     def test_quality_reasonable(self):
         g = erdos_dag(40, 0.15, make_rng(2), ccr=1.0)
-        s = dls(g, 4)
+        s = dls(g, MachineModel(4))
         assert s.makespan <= g.total_comp()
 
 
@@ -72,14 +73,14 @@ class TestHlfet:
     def test_static_order_respected(self):
         g = paper_example()
         sl = static_levels(g)
-        s = hlfet(g, 1)
+        s = hlfet(g, MachineModel(1))
         order = sorted(g.tasks(), key=lambda t: s.start_of(t))
         values = [sl[t] for t in order]
         assert values == sorted(values, reverse=True)
 
     def test_chain_stays_serial(self):
         g = chain(6, make_rng(3), ccr=5.0)
-        s = hlfet(g, 3)
+        s = hlfet(g, MachineModel(3))
         assert s.violations() == []
 
     def test_ignores_comm_in_priorities(self):

@@ -4,7 +4,6 @@ bookkeeping."""
 import pytest
 
 from repro.core import FlbLists, OracleObserver, flb
-from repro.exceptions import SchedulerError
 from repro.graph import TaskGraph
 from repro.machine import MachineModel
 from repro.util.rng import make_rng
@@ -25,7 +24,7 @@ from repro.workloads import (
 
 class TestPaperExample:
     def test_schedule_matches_table1(self):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         expected = {
             0: (0, 0.0, 2.0),
             3: (0, 2.0, 5.0),
@@ -45,7 +44,7 @@ class TestPaperExample:
 
     def test_oracle_holds_on_paper_example(self):
         oracle = OracleObserver()
-        flb(paper_example(), 2, observer=oracle)
+        flb(paper_example(), MachineModel(2), observer=oracle)
         assert oracle.iterations == 8
         # t6 (EP, EST 7) ties t5 (non-EP, EST 7) at iteration 6; the paper
         # prefers the non-EP task.
@@ -56,19 +55,19 @@ class TestBasicShapes:
     def test_single_task(self):
         g = TaskGraph()
         g.add_task(5.0)
-        s = flb(g.freeze(), 3)
+        s = flb(g.freeze(), MachineModel(3))
         assert s.makespan == 5.0
         assert s.start_of(0) == 0.0
 
     def test_single_proc_is_topological_execution(self):
         g = erdos_dag(30, 0.2, make_rng(0), ccr=2.0)
-        s = flb(g, 1)
+        s = flb(g, MachineModel(1))
         assert s.violations() == []
         assert s.makespan == pytest.approx(g.total_comp())
 
     def test_chain_width_one(self):
         g = chain(10, make_rng(1), ccr=3.0)
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         assert s.violations() == []
         # A chain cannot beat its serial time; with FLB all tasks should
         # end up on one processor (moving any task only adds communication).
@@ -77,25 +76,25 @@ class TestBasicShapes:
 
     def test_independent_tasks_load_balance(self):
         g = independent_tasks(16)  # unit comp
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         assert s.violations() == []
         assert s.makespan == pytest.approx(4.0)
         for p in range(4):
             assert len(s.proc_tasks(p)) == 4
 
     def test_two_chains_on_two_procs(self):
-        s = flb(two_chains(), 2)
+        s = flb(two_chains(), MachineModel(2))
         assert s.violations() == []
         assert s.makespan == pytest.approx(3.0)
 
     def test_fork_join(self):
         g = fork_join(3, 8, make_rng(2), ccr=0.5)
-        s = flb(g, 4)
+        s = flb(g, MachineModel(4))
         assert s.violations() == []
 
     def test_zero_comm_graph(self):
         g = chain(5, None, ccr=0.0)
-        s = flb(g, 2)
+        s = flb(g, MachineModel(2))
         assert s.violations() == []
         assert s.makespan == pytest.approx(5.0)
 
@@ -108,22 +107,18 @@ class TestArguments:
         assert s.violations() == []
 
     def test_missing_procs(self):
-        with pytest.raises(SchedulerError):
+        with pytest.raises(TypeError):
             flb(paper_example())
 
-    def test_conflicting_procs(self):
-        with pytest.raises(SchedulerError):
-            flb(paper_example(), 2, machine=MachineModel(4))
-
     def test_matching_procs_ok(self):
-        s = flb(paper_example(), 2, machine=MachineModel(2))
+        s = flb(paper_example(), machine=MachineModel(2))
         assert s.complete
 
     def test_unfrozen_graph_accepted(self):
         g = TaskGraph()
         a, b = g.add_task(1.0), g.add_task(1.0)
         g.add_edge(a, b, 1.0)
-        s = flb(g, 2)  # flb freezes internally
+        s = flb(g, MachineModel(2))  # flb freezes internally
         assert s.complete
 
     def test_extended_machine_model(self):
@@ -148,7 +143,7 @@ class TestQualityBounds:
     @pytest.mark.parametrize("procs", [1, 2, 4, 8])
     def test_valid_and_bounded(self, builder, procs):
         g = builder()
-        s = flb(g, procs)
+        s = flb(g, MachineModel(procs))
         assert s.violations() == []
         # Any valid schedule is at least total work / P.  Greedy
         # earliest-start scheduling can exceed serial time when joins wait
@@ -163,21 +158,21 @@ class TestQualityBounds:
         # exceed serial time on these workloads.
         for seed in range(5):
             g = erdos_dag(40, 0.15, make_rng(seed), ccr=1.0)
-            s = flb(g, 4)
+            s = flb(g, MachineModel(4))
             assert s.makespan <= g.total_comp() + 1e-9
 
     def test_more_procs_never_hurts_much(self):
         g = stencil(8, 10, make_rng(7), ccr=0.2)
-        m1 = flb(g, 1).makespan
-        m4 = flb(g, 4).makespan
+        m1 = flb(g, MachineModel(1)).makespan
+        m4 = flb(g, MachineModel(4)).makespan
         assert m4 <= m1 + 1e-9
 
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         g = erdos_dag(50, 0.15, make_rng(11), ccr=2.0)
-        s1 = flb(g, 4)
-        s2 = flb(g, 4)
+        s1 = flb(g, MachineModel(4))
+        s2 = flb(g, MachineModel(4))
         assert s1.assignment() == s2.assignment()
         assert s1.makespan == s2.makespan
 
@@ -243,8 +238,8 @@ class TestTiePreferenceAblation:
         # Iteration 6 of the trace ties t6 (EP) with t5 (non-EP) at 7; the
         # paper schedules t5.  Preferring EP instead schedules t6 first and
         # happens to finish one unit earlier on this instance.
-        s_paper = flb(paper_example(), 2)
-        s_ep = flb(paper_example(), 2, prefer_non_ep_on_tie=False)
+        s_paper = flb(paper_example(), MachineModel(2))
+        s_ep = flb(paper_example(), MachineModel(2), prefer_non_ep_on_tie=False)
         assert s_paper.makespan == 14.0
         assert s_ep.makespan == 13.0
         assert s_ep.violations() == []
@@ -254,15 +249,15 @@ class TestTiePreferenceAblation:
 
         for prefer in (True, False):
             oracle = OracleObserver()
-            flb(paper_example(), 2, observer=oracle, prefer_non_ep_on_tie=prefer)
+            flb(paper_example(), MachineModel(2), observer=oracle, prefer_non_ep_on_tie=prefer)
             assert oracle.tie_iterations >= 1
 
     def test_no_ties_means_no_difference(self):
         # Continuous random weights: EP/non-EP ties have ~zero probability,
         # so both policies give identical schedules.
         g = erdos_dag(40, 0.2, make_rng(3), ccr=1.7)
-        s1 = flb(g, 4)
-        s2 = flb(g, 4, prefer_non_ep_on_tie=False)
+        s1 = flb(g, MachineModel(4))
+        s2 = flb(g, MachineModel(4), prefer_non_ep_on_tie=False)
         assert s1.assignment() == s2.assignment()
 
     def test_both_policies_satisfy_theorem3(self):
@@ -271,5 +266,5 @@ class TestTiePreferenceAblation:
         g = fork_join(4, 6, None, ccr=1.0)  # unit weights: many ties
         for prefer in (True, False):
             oracle = OracleObserver()
-            s = flb(g, 3, observer=oracle, prefer_non_ep_on_tie=prefer)
+            s = flb(g, MachineModel(3), observer=oracle, prefer_non_ep_on_tie=prefer)
             assert s.violations() == []

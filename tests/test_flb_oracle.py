@@ -31,9 +31,9 @@ from repro.workloads import (
 )
 
 
-def run_with_oracle(graph, procs, machine=None):
+def run_with_oracle(graph, machine):
     oracle = OracleObserver()
-    schedule = flb(graph, procs, machine=machine, observer=oracle)
+    schedule = flb(graph, machine, observer=oracle)
     assert oracle.iterations == graph.num_tasks
     assert schedule.violations() == []
     return schedule
@@ -57,18 +57,18 @@ WORKLOADS = [
 @pytest.mark.parametrize("ccr", [0.2, 5.0])
 @pytest.mark.parametrize("procs", [2, 5])
 def test_theorem3_on_workloads(name, builder, ccr, procs):
-    run_with_oracle(builder(make_rng(17), ccr), procs)
+    run_with_oracle(builder(make_rng(17), ccr), MachineModel(procs))
 
 
 @pytest.mark.parametrize("procs", [1, 2, 3, 8])
 def test_theorem3_paper_example(procs):
-    run_with_oracle(paper_example(), procs)
+    run_with_oracle(paper_example(), MachineModel(procs))
 
 
 def test_theorem3_extended_machine():
     g = layered_random(5, 5, make_rng(3), ccr=2.0)
     machine = MachineModel(3, comm_scale=1.7, latency=0.4)
-    run_with_oracle(g, None, machine=machine)
+    run_with_oracle(g, machine)
 
 
 @settings(max_examples=120, deadline=None)
@@ -81,7 +81,7 @@ def test_theorem3_extended_machine():
 )
 def test_theorem3_random_graphs(n, p, ccr, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
-    run_with_oracle(g, procs)
+    run_with_oracle(g, MachineModel(procs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +94,7 @@ def test_theorem3_random_graphs(n, p, ccr, procs, seed):
 )
 def test_theorem3_layered_graphs(layers, width, density, procs, seed):
     g = layered_random(layers, width, make_rng(seed), edge_density=density, ccr=1.0)
-    run_with_oracle(g, procs)
+    run_with_oracle(g, MachineModel(procs))
 
 
 class TestOracleHelpers:
@@ -117,6 +117,6 @@ class TestOracleHelpers:
 
     def test_oracle_counts_ties(self):
         oracle = OracleObserver()
-        flb(paper_example(), 2, observer=oracle)
+        flb(paper_example(), MachineModel(2), observer=oracle)
         assert oracle.iterations == 8
         assert oracle.tie_iterations == 1

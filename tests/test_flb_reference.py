@@ -28,9 +28,9 @@ from repro.workloads import (
 )
 
 
-def assert_identical(graph, procs, machine=None):
-    fast = flb(graph, procs, machine=machine)
-    slow = flb_reference(graph, procs, machine=machine)
+def assert_identical(graph, machine):
+    fast = flb(graph, machine)
+    slow = flb_reference(graph, machine)
     for t in graph.tasks():
         assert fast.proc_of(t) == slow.proc_of(t), f"task {t}: different processor"
         assert fast.start_of(t) == pytest.approx(slow.start_of(t)), f"task {t}: different start"
@@ -55,12 +55,12 @@ WORKLOADS = [
 @pytest.mark.parametrize("name,builder", WORKLOADS)
 @pytest.mark.parametrize("procs", [1, 2, 4, 7])
 def test_identical_on_workloads(name, builder, procs):
-    assert_identical(builder(make_rng(13)), procs)
+    assert_identical(builder(make_rng(13)), MachineModel(procs))
 
 
 def test_identical_on_extended_machine():
     g = layered_random(6, 5, make_rng(1), ccr=2.0)
-    assert_identical(g, None, machine=MachineModel(3, comm_scale=1.5, latency=0.25))
+    assert_identical(g, MachineModel(3, comm_scale=1.5, latency=0.25))
 
 
 def test_identical_with_integer_weights_many_ties():
@@ -68,15 +68,15 @@ def test_identical_with_integer_weights_many_ties():
     # tie-break equivalence.
     for seed in range(5):
         g = erdos_dag(30, 0.25, None, ccr=1.0)  # deterministic unit weights
-        assert_identical(g, 3)
+        assert_identical(g, MachineModel(3))
         g2 = layered_random(5, 6, make_rng(seed), edge_density=0.4, ccr=1.0)
-        assert_identical(g2, 4)
+        assert_identical(g2, MachineModel(4))
 
 
 def test_identical_unit_weight_fork_join():
     g = fork_join(5, 7, None, ccr=1.0)  # all weights equal -> ties everywhere
     for procs in (2, 3, 8):
-        assert_identical(g, procs)
+        assert_identical(g, MachineModel(procs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,7 +89,7 @@ def test_identical_unit_weight_fork_join():
 )
 def test_property_identical_on_random_graphs(n, p, ccr, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
-    assert_identical(g, procs)
+    assert_identical(g, MachineModel(procs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,4 +110,4 @@ def test_property_identical_with_unit_weights(n, p, procs, seed):
         g2.add_task(1.0)
     for src, dst, _ in g.edges():
         g2.add_edge(src, dst, 1.0)
-    assert_identical(g2.freeze(), procs)
+    assert_identical(g2.freeze(), MachineModel(procs))

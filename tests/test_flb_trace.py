@@ -8,6 +8,7 @@ annotations), the non-EP list, and each placement decision.
 import pytest
 
 from repro.core import TraceRecorder, flb, format_trace
+from repro.machine import MachineModel
 from repro.workloads import paper_example
 
 
@@ -15,7 +16,7 @@ from repro.workloads import paper_example
 def trace():
     g = paper_example()
     recorder = TraceRecorder(g)
-    flb(g, 2, observer=recorder)
+    flb(g, MachineModel(2), observer=recorder)
     return recorder
 
 

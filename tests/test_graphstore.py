@@ -17,6 +17,7 @@ from repro.graphstore import (
 )
 from repro.exceptions import GraphError
 from repro.graph.taskgraph import TaskGraph
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.workloads import layered_random, lu
@@ -48,8 +49,8 @@ class TestCodec:
         g = lu(8, make_rng(1), ccr=1.0)
         g2 = decode_graph(encode_graph(g))
         for algo in ("flb", "fcp", "mcp"):
-            s1 = SCHEDULERS[algo](g, 4)
-            s2 = SCHEDULERS[algo](g2, 4)
+            s1 = SCHEDULERS[algo](g, MachineModel(4))
+            s2 = SCHEDULERS[algo](g2, MachineModel(4))
             assert s1.makespan == s2.makespan
             assert all(
                 s1.proc_of(t) == s2.proc_of(t) and s1.start_of(t) == s2.start_of(t)
@@ -182,7 +183,9 @@ class TestAttach:
             key = store.register(g)
             g2 = attach(key)
             assert g2.fingerprint() == g.fingerprint()
-            assert SCHEDULERS["flb"](g2, 4).makespan == SCHEDULERS["flb"](g, 4).makespan
+            machine = MachineModel(4)
+            assert (SCHEDULERS["flb"](g2, machine).makespan
+                    == SCHEDULERS["flb"](g, machine).makespan)
 
     def test_attach_unknown_key_raises(self):
         with pytest.raises(GraphStoreError, match="does not exist"):

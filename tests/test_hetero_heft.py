@@ -108,8 +108,8 @@ class TestHeft:
     def test_competitive_on_homogeneous(self):
         for seed in range(4):
             g = erdos_dag(30, 0.2, make_rng(seed), ccr=1.0)
-            h = heft(g, 4).makespan
-            f = flb(g, 4).makespan
+            h = heft(g, MachineModel(4)).makespan
+            f = flb(g, MachineModel(4)).makespan
             assert h <= 1.3 * f
 
     def test_makespan_bound_fastest_proc(self):
@@ -122,7 +122,7 @@ class TestHeft:
         assert s.makespan >= lower - 1e-9
 
     def test_registry(self):
-        s = SCHEDULERS["heft"](paper_example(), 2)
+        s = SCHEDULERS["heft"](paper_example(), MachineModel(2))
         assert s.violations() == []
 
     def test_executor_handles_hetero(self):

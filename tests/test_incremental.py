@@ -197,7 +197,7 @@ class TestSubgraphHashes:
 class TestDiffPrefix:
     def test_identical_graph_reuses_everything(self):
         g = stencil(6, 10, make_rng(9))
-        base = flb_array(g, 4)
+        base = flb_array(g, MachineModel(4))
         diff = diff_prefix(base, _rebuild(g))
         assert isinstance(diff, GraphDiff)
         assert diff.reuse_steps == g.num_tasks
@@ -207,13 +207,13 @@ class TestDiffPrefix:
     def test_dirty_entry_task_kills_the_prefix(self):
         g = stencil(6, 10, make_rng(10))
         entry = g.entry_tasks[0]
-        base = flb_array(g, 4)
+        base = flb_array(g, MachineModel(4))
         mutant = _rebuild(g, comp={entry: g.comp(entry) * 0.5})
         assert diff_prefix(base, mutant).reuse_steps == 0
 
     def test_late_mutation_keeps_a_large_prefix(self):
         g = stencil(8, 30, make_rng(11))
-        base = flb_array(g, 4)
+        base = flb_array(g, MachineModel(4))
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         diff = diff_prefix(base, mutant)
@@ -223,7 +223,7 @@ class TestDiffPrefix:
     def test_unrelated_graph_is_harmless(self):
         g = stencil(6, 10, make_rng(12))
         other = lu(7, make_rng(13))
-        base = flb_array(g, 4)
+        base = flb_array(g, MachineModel(4))
         diff = diff_prefix(base, other)
         assert 0 <= diff.reuse_steps <= other.num_tasks
 
@@ -255,11 +255,11 @@ class TestWarmColdEquivalence:
             mutant, _ = _mutate(g, nrng, _KINDS[i % len(_KINDS)])
             procs = (1, 2, 3, 8)[i % 4]
             prefer = (i // 2) % 2 == 0
-            base = flb_array(g, procs, prefer_non_ep_on_tie=prefer)
-            cold = flb_array(_rebuild(mutant), procs,
+            base = flb_array(g, MachineModel(procs), prefer_non_ep_on_tie=prefer)
+            cold = flb_array(_rebuild(mutant), MachineModel(procs),
                              prefer_non_ep_on_tie=prefer)
             stats = {}
-            warm = flb_array(mutant, procs, prefer_non_ep_on_tie=prefer,
+            warm = flb_array(mutant, MachineModel(procs), prefer_non_ep_on_tie=prefer,
                              base=base, warm_stats=stats)
             assert_bit_identical(cold, warm, f"pair {i}: cold vs warm")
             if "fallback" in stats:
@@ -302,12 +302,12 @@ class TestWarmColdEquivalence:
 
 class TestFallbacks:
     def _base(self, g, **kwargs):
-        return flb_array(g, 4, **kwargs)
+        return flb_array(g, MachineModel(4), **kwargs)
 
     def _attempt(self, g, base, **kwargs):
         reg = MetricsRegistry()
         stats = {}
-        schedule = flb_array(g, 4, base=base,
+        schedule = flb_array(g, MachineModel(4), base=base,
                              warm_stats=stats, metrics=reg, **kwargs)
         return schedule, stats, reg
 
@@ -330,10 +330,9 @@ class TestFallbacks:
 
     def test_incomplete_base_falls_back(self):
         from repro.schedule import Schedule
-        from repro.schedulers.base import resolve_machine
 
         g = stencil(5, 8, make_rng(17)).freeze()
-        partial = Schedule(g, resolve_machine(4, None))
+        partial = Schedule(g, MachineModel(4))
         partial.place(g.entry_tasks[0], 0, 0.0)
         _, stats, _ = self._attempt(_rebuild(g), partial)
         assert stats["fallback"] == "base-incomplete"
@@ -368,7 +367,7 @@ class TestFallbacks:
 class TestScheduleBaseCache:
     def _schedule(self, seed):
         g = lu(4, make_rng(seed))
-        return flb_array(g, 2)
+        return flb_array(g, MachineModel(2))
 
     def test_exact_hit_and_stats(self):
         c = ScheduleBaseCache(capacity=2)
@@ -433,7 +432,7 @@ class TestApiWiring:
 
     def test_explicit_base_beats_cache(self):
         g = stencil(6, 15, make_rng(21))
-        base = flb_array(g, 4)
+        base = flb_array(g, MachineModel(4))
         exit_task = g.exit_tasks[0]
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         warm = schedule_graph(

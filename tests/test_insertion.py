@@ -118,7 +118,7 @@ class TestInsertionSchedulers:
     )
     @pytest.mark.parametrize("procs", [1, 3])
     def test_valid(self, algo, builder, procs):
-        s = SCHEDULERS[algo](builder(), procs)
+        s = SCHEDULERS[algo](builder(), MachineModel(procs))
         assert s.complete
         assert s.violations() == []
 
@@ -129,8 +129,8 @@ class TestInsertionSchedulers:
         ratios = []
         for seed in range(10):
             g = erdos_dag(35, 0.2, make_rng(seed), ccr=3.0)
-            base = SCHEDULERS["mcp"](g, 4, seed=0).makespan
-            ins = mcp_insertion(g, 4, seed=0).makespan
+            base = SCHEDULERS["mcp"](g, MachineModel(4), seed=0).makespan
+            ins = mcp_insertion(g, MachineModel(4), seed=0).makespan
             ratios.append(ins / base)
         assert sum(ratios) / len(ratios) <= 1.02
 
@@ -138,7 +138,9 @@ class TestInsertionSchedulers:
         ratios = []
         for seed in range(10):
             g = erdos_dag(35, 0.2, make_rng(seed), ccr=3.0)
-            ratios.append(hlfet_insertion(g, 4).makespan / SCHEDULERS["hlfet"](g, 4).makespan)
+            machine = MachineModel(4)
+            ratios.append(hlfet_insertion(g, machine).makespan
+                          / SCHEDULERS["hlfet"](g, machine).makespan)
         assert sum(ratios) / len(ratios) <= 1.02
 
     def test_insertion_can_strictly_help(self):
@@ -147,7 +149,9 @@ class TestInsertionSchedulers:
         improved = False
         for seed in range(10):
             g = lu_chain(10, make_rng(seed), ccr=5.0)
-            if mcp_insertion(g, 4, seed=0).makespan < SCHEDULERS["mcp"](g, 4, seed=0).makespan - 1e-9:
+            machine = MachineModel(4)
+            if (mcp_insertion(g, machine, seed=0).makespan
+                    < SCHEDULERS["mcp"](g, machine, seed=0).makespan - 1e-9):
                 improved = True
                 break
         assert improved
@@ -165,7 +169,7 @@ class TestInsertionSchedulers:
         from repro.schedule import render_gantt
 
         g = lu(7, make_rng(3), ccr=5.0)
-        s = mcp_insertion(g, 3)
+        s = mcp_insertion(g, MachineModel(3))
         text = render_gantt(s, width=60)
         assert text.count("\n") >= 2
 
@@ -176,7 +180,7 @@ class TestInsertionExecutorCompat:
         schedules the replayed times must still be dependency-valid and can
         only be earlier or equal where gaps were artificial."""
         g = lu(8, make_rng(4), ccr=5.0)
-        s = mcp_insertion(g, 3)
+        s = mcp_insertion(g, MachineModel(3))
         result = execute(s)
         assert result.makespan <= s.makespan + 1e-6
 
@@ -191,6 +195,6 @@ class TestInsertionExecutorCompat:
 )
 def test_property_insertion_valid(n, p, ccr, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
-    ins = mcp_insertion(g, procs, seed=0)
+    ins = mcp_insertion(g, MachineModel(procs), seed=0)
     assert ins.complete
     assert ins.violations() == []

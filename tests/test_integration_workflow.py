@@ -7,7 +7,7 @@ inter-stage bugs; this file deliberately chains them.
 
 import pytest
 
-from repro import schedule_graph
+from repro import SchedulingOptions, schedule_graph
 from repro.graph import (
     ccr,
     critical_path_length,
@@ -40,7 +40,9 @@ def workflow(tmp_path_factory):
     # Round-trip the graph itself first.
     graph = from_json(to_json(graph))
 
-    schedule = schedule_graph(graph, 4, algorithm="flb")
+    schedule = schedule_graph(
+        graph, SchedulingOptions(machine=MachineModel(4), algorithm="flb")
+    )
     schedule.validate()
 
     path = tmp / "schedule.json"
@@ -112,7 +114,7 @@ class TestWorkflow:
         g = workflow["graph"]
         spans = {}
         for algo in sorted(SCHEDULERS):
-            s = SCHEDULERS[algo](g, 4)
+            s = SCHEDULERS[algo](g, MachineModel(4))
             assert s.violations() == [], algo
             spans[algo] = s.makespan
         assert max(spans.values()) <= 2.5 * min(spans.values())
@@ -122,7 +124,7 @@ class TestHeterogeneousWorkflow:
     def test_full_pipeline_on_skewed_machine(self, tmp_path):
         graph = wavefront(8, make_rng(44), ccr=1.0)
         machine = MachineModel(3, speeds=(2.0, 1.0, 1.0))
-        s = schedule_graph(graph, None, algorithm="heft", machine=machine)
+        s = schedule_graph(graph, SchedulingOptions(algorithm="heft"), machine=machine)
         s.validate()
         path = tmp_path / "hetero.json"
         save_schedule(s, path)

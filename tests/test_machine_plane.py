@@ -7,8 +7,9 @@ accepted and echoed by ``POST /v1/schedule``, and is certified by the
 related-machines replay certificate (F003).  These tests pin the plane
 together: fingerprint canonicality, the cache-key regression (equal
 ``num_procs`` but different speeds must never share an entry), exact
-homogeneous bit-identity between the legacy integer spelling and the
-explicit model, the warm-start machine-mismatch cold fallback, the
+homogeneous bit-identity between ``BatchJob(procs=P)``, the explicit
+model and a direct scheduler call, the warm-start machine-mismatch cold
+fallback, the
 adversarial F003 mutant matrix on heterogeneous machines, and the HTTP
 round-trip.
 """
@@ -16,12 +17,11 @@ round-trip.
 import json
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 
 from repro import MachineModel, SchedulingOptions, schedule_graph
-from repro.batch import BatchJob, schedule_many
+from repro.batch import BatchJob, _cache_key, schedule_many
 from repro.graph.io import to_json
 from repro.incremental import base_cache
 from repro.resultcache import make_key
@@ -109,8 +109,8 @@ class TestCacheKeyRegression:
 
     FP = "deadbeef" * 8
 
-    def _key(self, machine=None, procs=4):
-        return make_key(self.FP, procs, "flb", False, False, machine=machine)
+    def _key(self, machine):
+        return make_key(self.FP, machine, "flb", False, False)
 
     def test_same_procs_different_speeds_never_collide(self):
         a = self._key(MachineModel(4, speeds=(1.0, 1.0, 1.0, 1.0)))
@@ -125,16 +125,28 @@ class TestCacheKeyRegression:
 
     def test_legacy_integer_aliases_homogeneous_model(self):
         # The two spellings of the paper machine share one entry.
-        assert self._key() == self._key(MachineModel(4))
+        graph = stencil(5, 4, make_rng(3), ccr=0.5)
+        by_procs, by_machine = (
+            _cache_key(job, False, False, {}, None)
+            for job in (BatchJob(graph=graph, procs=4),
+                        BatchJob(graph=graph, machine=MachineModel(4)))
+        )
+        assert by_procs == by_machine
+        assert by_procs == make_key(
+            graph.fingerprint(), MachineModel(4), "flb", False, False
+        )
 
     def test_mismatched_num_procs_rejected(self):
+        # The key has no procs slot; a job whose procs disagrees with its
+        # machine is refused before any key is built.
         with pytest.raises(ValueError):
-            self._key(MachineModel(3), procs=4)
+            BatchJob(graph=None, procs=4, machine=MachineModel(3))
 
 
 class TestHomogeneousBitIdentity:
-    """``machine=MachineModel(P)`` is bit-identical to ``procs=P`` on every
-    entry point — the explicit model must not perturb the paper runs."""
+    """``machine=MachineModel(P)`` is bit-identical to a direct scheduler
+    call and to ``BatchJob(procs=P)`` — the explicit model must not perturb
+    the paper runs."""
 
     @pytest.mark.parametrize("algo", ["flb", "etf", "mcp", "heft"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -143,12 +155,8 @@ class TestHomogeneousBitIdentity:
         modern = schedule_graph(
             graph, SchedulingOptions(machine=MachineModel(4), algorithm=algo)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = schedule_graph(
-                graph, SchedulingOptions(procs=4, algorithm=algo)
-            )
-        assert_bit_identical(legacy, modern, f"{algo}/seed{seed}")
+        direct = SCHEDULERS[algo](graph, MachineModel(4))
+        assert_bit_identical(direct, modern, f"{algo}/seed{seed}")
 
     def test_schedule_many_machine_job(self):
         graph = stencil(5, 4, make_rng(3), ccr=0.5)
@@ -283,7 +291,7 @@ class TestF003ReplayCertificate:
         graph = lu(6, make_rng(7), ccr=1.0)
         from repro.core.flb import flb
 
-        cert = certify(flb(graph, num_procs=4), flavor="flb")
+        cert = certify(flb(graph, MachineModel(4)), flavor="flb")
         assert cert.ok, cert.render()
 
 
@@ -376,7 +384,8 @@ class TestServeMachine:
     def test_config_default_machine(self):
         doc = self._graph_doc()
         machine = MachineModel(2, speeds=(1.0, 2.0))
-        with BackgroundServer(ServeConfig(port=0, machine=machine)) as srv:
+        config = ServeConfig(port=0, options=SchedulingOptions(machine=machine))
+        with BackgroundServer(config) as srv:
             base = f"http://{srv.host}:{srv.port}"
             _, reg = self._post(base, "/v1/graphs", {"graph": doc})
             status, res = self._post(
@@ -386,3 +395,26 @@ class TestServeMachine:
             assert status == 200 and res["ok"]
             assert res["procs"] == 2
             assert res["machine"] == machine.to_dict()
+
+    def test_options_default_machine_inline_graph(self):
+        # A request without procs runs on options.machine; a procs that
+        # disagrees with it is a 400, one that agrees runs there too.
+        doc = self._graph_doc()
+        machine = MachineModel(2, speeds=(1.0, 2.0))
+        config = ServeConfig(port=0, options=SchedulingOptions(machine=machine))
+        with BackgroundServer(config) as srv:
+            base = f"http://{srv.host}:{srv.port}"
+            status, res = self._post(
+                base, "/v1/schedule", {"graph": doc, "algo": "heft"},
+            )
+            assert status == 200 and res["ok"]
+            assert res["machine"] == machine.to_dict()
+            status, err = self._post(
+                base, "/v1/schedule", {"graph": doc, "algo": "heft", "procs": 3},
+            )
+            assert status == 400 and "conflicts" in err["error"]
+            status, same = self._post(
+                base, "/v1/schedule", {"graph": doc, "algo": "heft", "procs": 2},
+            )
+            assert status == 200 and same["makespan"] == res["makespan"]
+            assert same["machine"] == machine.to_dict()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import SchedulerError
 from repro.graph import TaskGraph, alap_times
+from repro.machine import MachineModel
 from repro.schedulers import mcp, mcp_priority_order
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, lu, paper_example
@@ -53,20 +54,20 @@ class TestPriorityOrder:
 
 class TestMcpScheduling:
     def test_paper_example_valid(self):
-        s = mcp(paper_example(), 2)
+        s = mcp(paper_example(), MachineModel(2))
         assert s.violations() == []
         assert s.makespan <= 16.0  # comparable to FLB's 14
 
     def test_lex_variant_valid(self):
-        s = mcp(paper_example(), 2, tie="lex")
+        s = mcp(paper_example(), MachineModel(2), tie="lex")
         assert s.violations() == []
 
     def test_seed_changes_only_ties(self):
         g = lu(8, make_rng(2), ccr=1.0)
         # Continuous random weights: ALAP ties have probability zero, so
         # every seed yields the same schedule.
-        s1 = mcp(g, 3, seed=0)
-        s2 = mcp(g, 3, seed=99)
+        s1 = mcp(g, MachineModel(3), seed=0)
+        s2 = mcp(g, MachineModel(3), seed=99)
         assert s1.assignment() == s2.assignment()
 
     def test_each_task_on_min_est_processor(self):

@@ -25,7 +25,7 @@ from repro.workloads import independent_tasks, lu, paper_example, two_chains
 
 @pytest.fixture()
 def paper_schedule():
-    return flb(paper_example(), 2)
+    return flb(paper_example(), MachineModel(2))
 
 
 def _zero_makespan_schedule(procs=2):
@@ -43,12 +43,12 @@ class TestSpeedupEfficiency:
         assert efficiency(paper_schedule) == pytest.approx(19.0 / 28.0)
 
     def test_single_proc_speedup_one(self):
-        s = flb(paper_example(), 1)
+        s = flb(paper_example(), MachineModel(1))
         assert speedup(s) == pytest.approx(1.0)
         assert efficiency(s) == pytest.approx(1.0)
 
     def test_perfect_parallelism(self):
-        s = flb(independent_tasks(8), 4)
+        s = flb(independent_tasks(8), MachineModel(4))
         assert speedup(s) == pytest.approx(4.0)
         assert efficiency(s) == pytest.approx(1.0)
 
@@ -68,8 +68,8 @@ class TestNsl:
 
     def test_against_mcp(self):
         g = lu(10, make_rng(0), ccr=1.0)
-        ref = mcp(g, 4).makespan
-        nsl = normalized_schedule_length(flb(g, 4), ref)
+        ref = mcp(g, MachineModel(4)).makespan
+        nsl = normalized_schedule_length(flb(g, MachineModel(4)), ref)
         assert 0.3 < nsl < 3.0
 
     def test_bad_reference(self, paper_schedule):
@@ -87,13 +87,13 @@ class TestUtilization:
 
     def test_bounds(self):
         g = lu(10, make_rng(1), ccr=2.0)
-        for u in utilization(flb(g, 4)):
+        for u in utilization(flb(g, MachineModel(4))):
             assert 0.0 <= u <= 1.0 + 1e-9
 
     def test_load_imbalance(self):
-        s = flb(independent_tasks(8), 4)
+        s = flb(independent_tasks(8), MachineModel(4))
         assert load_imbalance(s) == pytest.approx(1.0)
-        s2 = flb(two_chains(), 4)
+        s2 = flb(two_chains(), MachineModel(4))
         assert load_imbalance(s2) >= 1.0
 
     def test_load_imbalance_degenerate_is_inf(self):
@@ -116,13 +116,13 @@ class TestCommStats:
 
     def test_single_proc_all_local(self):
         g = paper_example()
-        s = flb(g, 1)
+        s = flb(g, MachineModel(1))
         stats = comm_stats(s)
         assert stats.remote_messages == 0
         assert stats.local_volume == pytest.approx(g.total_comm())
 
     def test_no_edges(self):
-        s = flb(independent_tasks(4), 2)
+        s = flb(independent_tasks(4), MachineModel(2))
         stats = comm_stats(s)
         assert stats.total_messages == 0
         assert stats.remote_fraction == 0.0
@@ -146,10 +146,10 @@ class TestSummarize:
 class TestTimeScheduler:
     def test_returns_positive_seconds(self):
         g = lu(8, make_rng(2), ccr=1.0)
-        t = time_scheduler(flb, g, 4, repeats=3)
+        t = time_scheduler(flb, g, MachineModel(4), repeats=3)
         assert t > 0.0
         assert t < 5.0  # tiny graph: must be fast
 
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
-            time_scheduler(flb, paper_example(), 2, repeats=0)
+            time_scheduler(flb, paper_example(), MachineModel(2), repeats=0)

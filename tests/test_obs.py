@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.machine import MachineModel
 from repro.obs import (
     DEFAULT_BUCKETS,
     JOB_EVENT,
@@ -248,13 +249,13 @@ class TestKernelObserver:
         g = lu(6, make_rng(0), ccr=1.0)
         reg = MetricsRegistry()
         obs = KernelMetricsObserver(reg)
-        flb(g, 4, observer=obs)
+        flb(g, MachineModel(4), observer=obs)
         assert reg.total("flb_kernel_iterations_total") == g.num_tasks
         assert reg.total("flb_kernel_heap_ops_total") > 0
         assert reg.total("flb_kernel_choices_total") == g.num_tasks
         assert reg.histogram("flb_kernel_ready_tasks").count == g.num_tasks
         # a second run on the same observer must not go negative
-        flb(g, 4, observer=obs)
+        flb(g, MachineModel(4), observer=obs)
         assert reg.total("flb_kernel_iterations_total") == 2 * g.num_tasks
 
 

@@ -23,12 +23,12 @@ from repro.workloads import lu
 
 # Module-level so forked worker processes resolve them after a
 # monkeypatched SCHEDULERS entry is inherited through fork.
-def _hung_scheduler(graph, num_procs=None, machine=None):
+def _hung_scheduler(graph, machine):
     time.sleep(60.0)
-    return SCHEDULERS["flb"](graph, num_procs, machine=machine)
+    return SCHEDULERS["flb"](graph, machine)
 
 
-def _broken_scheduler(graph, num_procs=None, machine=None):
+def _broken_scheduler(graph, machine):
     raise RuntimeError("kaboom")
 
 

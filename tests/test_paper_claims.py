@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import FlbIteration, flb
 from repro.graph import width
+from repro.machine import MachineModel
 from repro.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
@@ -38,13 +39,13 @@ class TestSection2Claims:
     def test_ready_set_bounded_by_width(self, n, p, procs, seed):
         g = erdos_dag(n, p, make_rng(seed), ccr=1.0)
         observer = ReadyCountObserver()
-        flb(g, procs, observer=observer)
+        flb(g, MachineModel(procs), observer=observer)
         assert observer.peak <= width(g)
 
     def test_ready_set_bound_on_workloads(self):
         for g in (lu(8, make_rng(0)), stencil(6, 5, make_rng(1))):
             observer = ReadyCountObserver()
-            flb(g, 4, observer=observer)
+            flb(g, MachineModel(4), observer=observer)
             assert observer.peak <= width(g)
 
 
@@ -55,21 +56,21 @@ class TestSection6Claims:
     def test_etf_is_the_most_costly(self):
         g = stencil(20, 20, make_rng(2), ccr=1.0)  # V=400
         times = {
-            algo: time_scheduler(SCHEDULERS[algo], g, 16, repeats=1)
+            algo: time_scheduler(SCHEDULERS[algo], g, MachineModel(16), repeats=1)
             for algo in ("etf", "mcp", "dsc-llb", "fcp", "flb")
         }
         assert max(times, key=times.get) == "etf"
 
     def test_dsc_llb_cost_nearly_independent_of_p(self):
         g = stencil(20, 20, make_rng(3), ccr=1.0)
-        t2 = time_scheduler(SCHEDULERS["dsc-llb"], g, 2, repeats=3)
-        t32 = time_scheduler(SCHEDULERS["dsc-llb"], g, 32, repeats=3)
+        t2 = time_scheduler(SCHEDULERS["dsc-llb"], g, MachineModel(2), repeats=3)
+        t32 = time_scheduler(SCHEDULERS["dsc-llb"], g, MachineModel(32), repeats=3)
         assert t32 < 3.0 * t2
 
     def test_flb_cost_nearly_independent_of_p(self):
         g = stencil(25, 40, make_rng(4), ccr=1.0)  # V=1000
-        t2 = time_scheduler(SCHEDULERS["flb"], g, 2, repeats=3)
-        t32 = time_scheduler(SCHEDULERS["flb"], g, 32, repeats=3)
+        t2 = time_scheduler(SCHEDULERS["flb"], g, MachineModel(2), repeats=3)
+        t32 = time_scheduler(SCHEDULERS["flb"], g, MachineModel(32), repeats=3)
         assert t32 < 2.5 * t2
 
     def test_flb_consistently_outperforms_dsc_llb(self):
@@ -80,8 +81,8 @@ class TestSection6Claims:
         for seed in range(6):
             for ccr in (0.2, 5.0):
                 g = stencil(15, 15, make_rng(seed), ccr=ccr)
-                f = SCHEDULERS["flb"](g, 8).makespan
-                d = SCHEDULERS["dsc-llb"](g, 8).makespan
+                f = SCHEDULERS["flb"](g, MachineModel(8)).makespan
+                d = SCHEDULERS["dsc-llb"](g, MachineModel(8)).makespan
                 if f < d - 1e-9:
                     wins += 1
                 elif d < f - 1e-9:
@@ -92,8 +93,8 @@ class TestSection6Claims:
 
     def test_flb_equivalent_to_etf_on_paper_example(self):
         assert (
-            SCHEDULERS["flb"](paper_example(), 2).makespan
-            == SCHEDULERS["etf"](paper_example(), 2).makespan
+            SCHEDULERS["flb"](paper_example(), MachineModel(2)).makespan
+            == SCHEDULERS["etf"](paper_example(), MachineModel(2)).makespan
         )
 
 
@@ -102,16 +103,16 @@ class TestComplexityVisibleInvariants:
         """Doubling W at fixed V should only move cost by the log factor."""
         narrow = layered_random(100, 10, make_rng(5), ccr=1.0)  # V=1000, W=10
         wide = layered_random(10, 100, make_rng(5), ccr=1.0)  # V=1000, W=100
-        t_narrow = time_scheduler(SCHEDULERS["flb"], narrow, 8, repeats=3)
-        t_wide = time_scheduler(SCHEDULERS["flb"], wide, 8, repeats=3)
+        t_narrow = time_scheduler(SCHEDULERS["flb"], narrow, MachineModel(8), repeats=3)
+        t_wide = time_scheduler(SCHEDULERS["flb"], wide, MachineModel(8), repeats=3)
         assert t_wide < 5.0 * t_narrow
 
     def test_etf_scales_linearly_in_width(self):
         """ETF's W factor is real: 10x the width costs roughly 10x."""
         narrow = layered_random(50, 10, make_rng(6), ccr=1.0)  # V=500, W=10
         wide = layered_random(5, 100, make_rng(6), ccr=1.0)  # V=500, W=100
-        t_narrow = time_scheduler(SCHEDULERS["etf"], narrow, 8, repeats=1)
-        t_wide = time_scheduler(SCHEDULERS["etf"], wide, 8, repeats=1)
+        t_narrow = time_scheduler(SCHEDULERS["etf"], narrow, MachineModel(8), repeats=1)
+        t_wide = time_scheduler(SCHEDULERS["etf"], wide, MachineModel(8), repeats=1)
         assert t_wide > 3.0 * t_narrow
 
 
@@ -166,5 +167,5 @@ class TestFcpTwoProcessorLemma:
 
         g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
         observer = LemmaObserver()
-        flb(g, procs, observer=observer)
+        flb(g, MachineModel(procs), observer=observer)
         assert observer.failures == []

@@ -104,12 +104,12 @@ class TestSarkarLlb:
             lambda: stencil(5, 5, make_rng(6), ccr=0.2),
             lambda: fork_join(3, 4, make_rng(7), ccr=1.0),
         ):
-            s = sarkar_llb(builder(), procs)
+            s = sarkar_llb(builder(), MachineModel(procs))
             assert s.complete
             assert s.violations() == []
 
     def test_registry_entry(self):
-        s = SCHEDULERS["sarkar-llb"](paper_example(), 2)
+        s = SCHEDULERS["sarkar-llb"](paper_example(), MachineModel(2))
         assert s.violations() == []
 
     def test_competitive_with_dsc_llb_on_average(self):
@@ -118,8 +118,8 @@ class TestSarkarLlb:
         ratios = []
         for seed in range(5):
             g = erdos_dag(20, 0.25, make_rng(seed), ccr=5.0)
-            srk = sarkar_llb(g, 4).makespan
-            dsl = SCHEDULERS["dsc-llb"](g, 4).makespan
+            srk = sarkar_llb(g, MachineModel(4)).makespan
+            dsl = SCHEDULERS["dsc-llb"](g, MachineModel(4)).makespan
             ratios.append(srk / dsl)
         mean = sum(ratios) / len(ratios)
         assert 0.6 < mean < 1.6

@@ -24,14 +24,14 @@ from repro.workloads import erdos_dag, independent_tasks, lu, paper_example
 
 class TestSlack:
     def test_nonnegative_and_someone_critical(self):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         slack = slack_times(s)
         assert all(v >= -1e-9 for v in slack)
         crit = critical_tasks(s)
         assert crit, "some task must pin the makespan"
 
     def test_last_finishing_task_is_critical(self):
-        s = flb(lu(9, make_rng(0), ccr=2.0), 3)
+        s = flb(lu(9, make_rng(0), ccr=2.0), MachineModel(3))
         slack = slack_times(s)
         last = max(s.graph.tasks(), key=lambda t: s.finish_of(t))
         assert slack[last] == pytest.approx(0.0, abs=1e-9)
@@ -39,7 +39,7 @@ class TestSlack:
     def test_paper_example_values(self):
         # Table 1 schedule: t7 finishes at 14 (critical); t0..t3..t5..t7 is
         # the binding chain; t6's message (arr. 12) binds t7 too.
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         slack = slack_times(s)
         assert slack[7] == pytest.approx(0.0)
         assert slack[0] == pytest.approx(0.0)  # t0 -> t3 chain is tight
@@ -55,7 +55,7 @@ class TestSlack:
         inflation; inflating a positive-slack task by less than its slack
         leaves the makespan unchanged."""
         g = lu(8, make_rng(1), ccr=1.0)
-        s = flb(g, 3)
+        s = flb(g, MachineModel(3))
         slack = slack_times(s)
         comp = [g.comp(t) for t in g.tasks()]
 
@@ -91,7 +91,7 @@ def _replay_like(schedule, comp, target, delta):
 
 class TestIdleProfile:
     def test_accounts_for_full_timeline(self):
-        s = flb(lu(8, make_rng(2), ccr=2.0), 3)
+        s = flb(lu(8, make_rng(2), ccr=2.0), MachineModel(3))
         profile = idle_profile(s)
         span = s.makespan
         for p in range(3):
@@ -104,7 +104,7 @@ class TestIdleProfile:
             assert total == pytest.approx(span)
 
     def test_empty_processor(self):
-        s = flb(independent_tasks(2), 4)
+        s = flb(independent_tasks(2), MachineModel(4))
         profile = idle_profile(s)
         empty = [p for p in range(4) if not s.proc_tasks(p)]
         for p in empty:
@@ -112,7 +112,7 @@ class TestIdleProfile:
             assert profile.idle_trailing[p] == pytest.approx(s.makespan)
 
     def test_no_idle_on_saturated_schedule(self):
-        s = flb(independent_tasks(8), 4)
+        s = flb(independent_tasks(8), MachineModel(4))
         profile = idle_profile(s)
         assert profile.total_idle == pytest.approx(0.0)
 
@@ -122,7 +122,7 @@ class TestScheduleIo:
         return schedule_from_json(schedule_to_json(s))
 
     def test_roundtrip_paper_example(self):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         s2 = self.roundtrip(s)
         assert s2.makespan == s.makespan
         for t in s.graph.tasks():
@@ -131,7 +131,7 @@ class TestScheduleIo:
 
     def test_roundtrip_inserted_schedule(self):
         g = lu(8, make_rng(3), ccr=5.0)
-        s = mcp_insertion(g, 3)
+        s = mcp_insertion(g, MachineModel(3))
         s2 = self.roundtrip(s)
         assert s2.makespan == pytest.approx(s.makespan)
 
@@ -143,7 +143,7 @@ class TestScheduleIo:
         assert s2.machine == m
 
     def test_file_roundtrip(self, tmp_path):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         path = tmp_path / "s.json"
         save_schedule(s, path)
         assert load_schedule(path).makespan == 14.0
@@ -160,8 +160,51 @@ class TestScheduleIo:
         with pytest.raises(ScheduleError):
             schedule_from_json("not json")
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.pop("machine"),
+            lambda doc: doc.update(machine=[2]),
+            lambda doc: doc["machine"].update(num_procs=2.7),
+            lambda doc: doc["machine"].update(num_procs="2"),
+            lambda doc: doc["machine"].update(cores=8),
+            lambda doc: doc.pop("placements"),
+        ],
+        ids=["no-machine", "machine-list", "float-procs", "string-procs",
+             "unknown-machine-key", "no-placements"],
+    )
+    def test_malformed_documents_rejected(self, mutate):
+        import json
+
+        doc = json.loads(schedule_to_json(flb(paper_example(), MachineModel(2))))
+        mutate(doc)
+        with pytest.raises(ScheduleError):
+            schedule_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "entry", [[0, 0, 0.0], {"task": 0, "proc": 0}, {"task": 0.0, "proc": 0, "start": 0.0},
+                  {"task": 0, "proc": True, "start": 0.0}, {"task": 0, "proc": 0, "start": "0"}],
+    )
+    def test_malformed_placement_entries_rejected(self, entry):
+        import json
+
+        doc = json.loads(schedule_to_json(flb(paper_example(), MachineModel(2))))
+        doc["placements"][0] = entry
+        with pytest.raises(ScheduleError):
+            schedule_from_json(json.dumps(doc))
+
+    def test_null_speeds_still_load(self):
+        import json
+
+        s = flb(paper_example(), MachineModel(2))
+        doc = json.loads(schedule_to_json(s))
+        doc["machine"]["speeds"] = None  # how older files spell a homogeneous machine
+        loaded = schedule_from_json(json.dumps(doc))
+        assert loaded.machine == MachineModel(2)
+        assert loaded.makespan == s.makespan
+
     def test_invalid_placements_rejected(self):
-        s = flb(paper_example(), 2)
+        s = flb(paper_example(), MachineModel(2))
         import json
 
         doc = json.loads(schedule_to_json(s))
@@ -179,7 +222,7 @@ class TestScheduleIo:
 )
 def test_property_slack_and_io(n, p, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=1.5)
-    s = SCHEDULERS["flb"](g, procs)
+    s = SCHEDULERS["flb"](g, MachineModel(procs))
     slack = slack_times(s)
     assert all(v >= -1e-9 for v in slack)
     assert min(slack) == pytest.approx(0.0, abs=1e-9)

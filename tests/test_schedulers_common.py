@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import schedule_graph
+from repro import SchedulingOptions, schedule_graph
 from repro.exceptions import SchedulerError
 from repro.graph import static_levels
 from repro.machine import MachineModel
@@ -46,7 +46,7 @@ WORKLOADS = [
 @pytest.mark.parametrize("procs", [1, 3])
 def test_valid_complete_schedules(algo, wname, builder, procs):
     g = builder()
-    s = SCHEDULERS[algo](g, procs)
+    s = SCHEDULERS[algo](g, MachineModel(procs))
     assert s.complete
     assert s.violations() == []
 
@@ -55,7 +55,7 @@ def test_valid_complete_schedules(algo, wname, builder, procs):
 def test_lower_bounds(algo):
     g = lu(10, make_rng(9), ccr=0.5)
     for procs in (2, 4):
-        s = SCHEDULERS[algo](g, procs)
+        s = SCHEDULERS[algo](g, MachineModel(procs))
         # Work bound and (communication-free) critical-path bound.
         assert s.makespan >= g.total_comp() / procs - 1e-9
         assert s.makespan >= max(static_levels(g)) - 1e-9
@@ -64,8 +64,8 @@ def test_lower_bounds(algo):
 @pytest.mark.parametrize("algo", ALL)
 def test_deterministic(algo):
     g = erdos_dag(40, 0.15, make_rng(10), ccr=2.0)
-    s1 = SCHEDULERS[algo](g, 4)
-    s2 = SCHEDULERS[algo](g, 4)
+    s1 = SCHEDULERS[algo](g, MachineModel(4))
+    s2 = SCHEDULERS[algo](g, MachineModel(4))
     assert s1.assignment() == s2.assignment()
     assert [s1.start_of(t) for t in g.tasks()] == [s2.start_of(t) for t in g.tasks()]
 
@@ -73,7 +73,7 @@ def test_deterministic(algo):
 @pytest.mark.parametrize("algo", ALL)
 def test_single_proc_serialises(algo):
     g = erdos_dag(25, 0.2, make_rng(11), ccr=3.0)
-    s = SCHEDULERS[algo](g, 1)
+    s = SCHEDULERS[algo](g, MachineModel(1))
     assert s.makespan == pytest.approx(g.total_comp())
     assert s.violations() == []
 
@@ -84,9 +84,7 @@ def test_machine_argument(algo):
     m = MachineModel(2, comm_scale=2.0)
     s = SCHEDULERS[algo](g, machine=m)
     assert s.violations() == []
-    with pytest.raises(SchedulerError):
-        SCHEDULERS[algo](g, 3, machine=m)
-    with pytest.raises(SchedulerError):
+    with pytest.raises(TypeError):
         SCHEDULERS[algo](g)
 
 
@@ -100,13 +98,20 @@ class TestRegistry:
             get_scheduler("nope")
 
     def test_top_level_schedule_helper(self):
-        s = schedule_graph(paper_example(), 2, algorithm="flb")
+        s = schedule_graph(
+            paper_example(),
+            SchedulingOptions(machine=MachineModel(2), algorithm="flb"),
+        )
         assert s.makespan == 14.0
-        s = schedule_graph(paper_example(), 2)  # default algorithm is flb
+        s = schedule_graph(paper_example(), machine=MachineModel(2))  # default algorithm is flb
         assert s.makespan == 14.0
 
     def test_top_level_passes_kwargs(self):
-        s = schedule_graph(paper_example(), 2, algorithm="mcp", seed=3)
+        s = schedule_graph(
+            paper_example(),
+            SchedulingOptions(machine=MachineModel(2), algorithm="mcp"),
+            seed=3,
+        )
         assert s.violations() == []
 
 
@@ -121,7 +126,7 @@ class TestRegistry:
 def test_property_all_schedulers_valid_on_random_dags(n, p, ccr, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
     for algo in ALL:
-        s = SCHEDULERS[algo](g, procs)
+        s = SCHEDULERS[algo](g, MachineModel(procs))
         assert s.complete
         assert s.violations() == [], f"{algo} produced an invalid schedule"
 

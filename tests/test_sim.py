@@ -88,7 +88,7 @@ class TestExecute:
         """Every scheduler's claimed times must survive independent
         self-timed re-execution — the strongest cross-check in the suite."""
         g = builder()
-        s = SCHEDULERS[algo](g, 3)
+        s = SCHEDULERS[algo](g, MachineModel(3))
         result = execute(s)
         assert result.matches(s), result.mismatches(s)[:3]
         assert result.makespan == pytest.approx(s.makespan)
@@ -102,7 +102,7 @@ class TestExecute:
 
     def test_busy_time_accounting(self):
         g = paper_example()
-        s = SCHEDULERS["flb"](g, 2)
+        s = SCHEDULERS["flb"](g, MachineModel(2))
         result = execute(s)
         assert sum(result.busy_time) == pytest.approx(g.total_comp())
 
@@ -133,13 +133,13 @@ class TestExecute:
 class TestPerturbed:
     def test_zero_noise_is_exact(self):
         g = lu(8, make_rng(3), ccr=1.0)
-        s = SCHEDULERS["flb"](g, 3)
+        s = SCHEDULERS["flb"](g, MachineModel(3))
         r = execute_perturbed(s, make_rng(0), comp_cv=0.0, comm_cv=0.0)
         assert r.matches(s)
 
     def test_noise_changes_makespan(self):
         g = lu(8, make_rng(4), ccr=1.0)
-        s = SCHEDULERS["flb"](g, 3)
+        s = SCHEDULERS["flb"](g, MachineModel(3))
         r = execute_perturbed(s, make_rng(5), comp_cv=0.5, comm_cv=0.5)
         assert r.makespan != pytest.approx(s.makespan)
         # Execution is self-timed from the real weights: still dependency-safe.
@@ -147,14 +147,14 @@ class TestPerturbed:
 
     def test_deterministic_given_rng(self):
         g = lu(8, make_rng(6), ccr=1.0)
-        s = SCHEDULERS["flb"](g, 3)
+        s = SCHEDULERS["flb"](g, MachineModel(3))
         r1 = execute_perturbed(s, make_rng(7), 0.3, 0.3)
         r2 = execute_perturbed(s, make_rng(7), 0.3, 0.3)
         assert r1.makespan == r2.makespan
 
     def test_rejects_negative_cv(self):
         g = paper_example()
-        s = SCHEDULERS["flb"](g, 2)
+        s = SCHEDULERS["flb"](g, MachineModel(2))
         with pytest.raises(ValueError):
             execute_perturbed(s, make_rng(0), comp_cv=-0.1)
 
@@ -162,7 +162,7 @@ class TestPerturbed:
         # Across many draws, perturbed makespans should straddle the
         # noise-free makespan (lognormal factors have mean exactly 1).
         g = stencil(6, 6, make_rng(8), ccr=0.5)
-        s = SCHEDULERS["flb"](g, 3)
+        s = SCHEDULERS["flb"](g, MachineModel(3))
         spans = [
             execute_perturbed(s, make_rng(100 + i), 0.3, 0.3).makespan
             for i in range(30)
@@ -180,5 +180,5 @@ class TestPerturbed:
 )
 def test_property_flb_replay_exact_on_random_dags(n, p, procs, seed):
     g = erdos_dag(n, p, make_rng(seed), ccr=1.5)
-    s = SCHEDULERS["flb"](g, procs)
+    s = SCHEDULERS["flb"](g, MachineModel(procs))
     assert execute(s).matches(s)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph import ccr as graph_ccr
 from repro.graph import parallelism_profile, width
+from repro.machine import MachineModel
 from repro.util.rng import make_rng
 from repro.workloads import (
     chain,
@@ -338,5 +339,5 @@ class TestWavefront:
 
         g = wavefront(6, make_rng(0), ccr=2.0)
         for algo in ("flb", "mcp", "dsc-llb"):
-            s = SCHEDULERS[algo](g, 4)
+            s = SCHEDULERS[algo](g, MachineModel(4))
             assert s.violations() == []
