@@ -3,9 +3,17 @@
 :func:`certify` re-checks a produced :class:`~repro.schedule.Schedule`
 against the paper's formal invariants *without sharing any code with the
 scheduling kernels*: it consumes only the schedule's public query API, the
-task graph, and the machine model's cost primitives, and recomputes every
+task graph, and the machine model's cost parameters, and recomputes every
 quantity (durations, message arrivals, ready times) from first principles.
 A bug in ``repro.core`` therefore cannot hide itself here.
+
+Each call reads its inputs once: the placements through the schedule's
+public queries (``is_scheduled``, ``proc_of``, ``start_of``, ``finish_of``,
+``proc_tasks``, ``prt``, ``makespan`` — never the warm-start placement-array
+cache, which can go stale), and the edges from ``graph.edges()``, the
+dictionary the CSR is compiled from, so a CSR bug cannot hide from S005 or
+the replay, which share those edge arrays.  Every check then runs as a bulk
+NumPy pass over the arrays.
 
 Two layers of checks, each with stable rule codes:
 
@@ -16,10 +24,13 @@ schedule, regardless of algorithm:
   finite number — checked first, since a NaN compares false against
   everything (the checks below are phrased as the condition for *ok*, so a
   NaN fails them as well);
-* ``S001`` every task is scheduled exactly once;
+* ``S001`` every task is scheduled exactly once: placed, and named once
+  by the per-processor task lists, on ``PROC(t)``; a list entry that names
+  an unplaced or unknown task is an ``S001`` too;
 * ``S002`` no task starts before time zero;
 * ``S003`` ``FT(t) = ST(t) + duration(comp(t), PROC(t))``;
-* ``S004`` tasks on the same processor do not overlap;
+* ``S004`` tasks on the same processor do not overlap — per ``PROC(t)``
+  and per processor list, so a list that disagrees cannot hide an overlap;
 * ``S005`` every task starts at or after each predecessor's message arrival
   ``FT(pred) + delay`` (zero delay when co-located) — the paper's
   ``ST(t) >= EMT(t, PROC(t))``;
@@ -29,7 +40,8 @@ schedule, regardless of algorithm:
 **Greedy certificate** (``F001``/``F002``) — the ETF-greedy invariant that
 Theorem 3 proves FLB preserves.  The checker replays the schedule in start
 order, maintaining the ready set and per-processor ready times, and at
-every step recomputes the paper's two candidate pairs:
+every step recomputes, from that step's PRT, the paper's two candidate
+pairs:
 
 (a) the EP-type ready task (``LMT(t) >= PRT(EP(t))``) with the minimum
     ``EST(t, EP(t)) = max(EMT(t, EP(t)), PRT(EP(t)))``, and
@@ -43,6 +55,14 @@ every step recomputes the paper's two candidate pairs:
   breaks such ties toward the non-EP task, whose communication is already
   overlapped with computation.
 
+The replay is brute force — every ready task is reclassified and its EST
+recomputed at every step — but evaluated in bulk over (task, step) pairs:
+a task's LMT, EP and EMT are fixed by the recorded placements, and it is
+ready from the step after its last predecessor's to its own, so the pairs
+are known up front.  They are evaluated a block of steps at a time, at
+most ``_REPLAY_BLOCK`` pairs per block, and the first failing step is
+reported.
+
 **Related-machines replay certificate** (``F003``, flavour ``"heft"``) —
 for HEFT schedules on (possibly heterogeneous) related machines the
 checker recomputes the upward ranks from the machine model's mean
@@ -55,9 +75,12 @@ the schedule is not the greedy insertion-based EFT schedule the
 algorithm promises (cf. the list-scheduling analyses on related machines,
 arXiv:2004.14639).
 
-Structural checks cost ``O(E + V log V)`` (the sort dominates); the greedy
-replay adds ``O(E + V·W)`` where ``W`` is the peak ready-set width, and the
-HEFT replay ``O(V·P·K + E)`` with ``K`` the peak per-processor queue.  The
+Structural checks cost ``O(E + V log V)`` (the sorts dominate); the greedy
+replay adds ``O(E log E + V·W)`` where ``W`` is the peak ready-set width,
+in memory ``O(V + E + _REPLAY_BLOCK)`` however large ``W`` grows, and the
+HEFT replay ``O(V·P·K + E)`` with ``K`` the peak per-processor queue.  At
+``V = 2000`` a certificate costs less than the FLB run that produced the
+schedule (the perfgate ``test_certify_within_kernel_time``).  The
 certificate is machine-readable (:meth:`Certificate.to_dict`) and surfaces
 through ``Schedule.validate()``, the batch plane (``certify=``), and
 ``repro-sched certify``.
@@ -68,13 +91,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
+from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 
 __all__ = ["Certificate", "Violation", "certify", "greedy_flavor"]
 
+IntArray = npt.NDArray[np.int64]
+FloatArray = npt.NDArray[np.float64]
+BoolArray = npt.NDArray[np.bool_]
+
 _EPS = 1e-9
+
+#: Most (task, step) pairs one replay block evaluates, and most steps x
+#: processors of PRT history it holds: the replay's memory stays
+#: O(V + E + _REPLAY_BLOCK) however wide the ready set grows (a single
+#: step wider than the block runs alone).
+_REPLAY_BLOCK = 1 << 14
+
+#: One ``graph.edges()`` triple.
+_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("comm", np.float64)])
 
 #: Algorithms whose output carries an ETF-greedy certificate obligation.
 #: FLB additionally promises the non-EP tie rule (F002); plain ETF only the
@@ -169,13 +209,14 @@ def certify(
     """
     if flavor not in (None, "flb", "etf", "heft"):
         raise ValueError(f"unknown greedy flavor {flavor!r}")
-    violations = _structural_violations(schedule, eps)
+    inputs = _read_inputs(schedule)
+    violations = _structural_violations(inputs, eps)
     greedy_checked = False
     if flavor is not None and not violations and schedule.complete:
         if flavor == "heft":
             violations.extend(_heft_replay_violations(schedule, eps))
         else:
-            violations.extend(_greedy_violations(schedule, flavor, eps))
+            violations.extend(_greedy_violations(inputs, flavor, eps))
         greedy_checked = True
     return Certificate(
         ok=not violations,
@@ -188,143 +229,239 @@ def certify(
     )
 
 
+# -- inputs ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """Everything the passes check, read once through public queries.
+
+    ``proc``/``start``/``finish`` are task-indexed, holding ``-1``/``0.0``
+    for unplaced tasks; ``listed_task``/``listed_proc`` flatten the
+    per-processor task lists; ``src``/``dst`` are ``graph.edges()`` in
+    insertion order, shared by S005 and the replay, with each edge's
+    cross-processor delay in ``remote`` (``MachineModel.remote_delay``).
+    """
+
+    machine: MachineModel
+    comp: FloatArray
+    placed: BoolArray
+    proc: IntArray
+    start: FloatArray
+    finish: FloatArray
+    listed_task: IntArray
+    listed_proc: IntArray
+    prt: FloatArray
+    makespan: float
+    src: IntArray
+    dst: IntArray
+    remote: FloatArray
+
+
+def _read_inputs(schedule: Schedule) -> _Inputs:
+    graph = schedule.graph
+    machine = schedule.machine
+    n = graph.num_tasks
+    placed = np.fromiter(map(schedule.is_scheduled, range(n)), dtype=bool, count=n)
+    ids = np.flatnonzero(placed)
+    id_list = ids.tolist()
+
+    def per_task(query: Callable[[int], float], dtype: type, fill: float) -> Any:
+        values = np.fromiter(map(query, id_list), dtype=dtype, count=len(id_list))
+        if len(id_list) == n:
+            return values
+        out = np.full(n, fill, dtype=dtype)
+        out[ids] = values
+        return out
+
+    lists = [schedule.proc_tasks(p) for p in machine.procs]
+    edges = np.fromiter(graph.edges(), dtype=_EDGE, count=graph.num_edges)
+    return _Inputs(
+        machine=machine,
+        comp=np.array(graph.comps, dtype=np.float64),
+        placed=placed,
+        proc=per_task(schedule.proc_of, np.int64, -1),
+        start=per_task(schedule.start_of, np.float64, 0.0),
+        finish=per_task(schedule.finish_of, np.float64, 0.0),
+        listed_task=np.fromiter(chain.from_iterable(lists), dtype=np.int64),
+        listed_proc=np.repeat(np.arange(machine.num_procs), list(map(len, lists))),
+        prt=np.array([schedule.prt(p) for p in machine.procs], dtype=np.float64),
+        makespan=schedule.makespan,
+        src=edges["src"].copy(),
+        dst=edges["dst"].copy(),
+        remote=machine.latency + machine.comm_scale * edges["comm"],
+    )
+
+
 # -- structural invariants ---------------------------------------------------
 
 
-def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
-    graph = schedule.graph
-    machine = schedule.machine
+@np.errstate(all="ignore")  # non-finite times are S007, not warnings
+def _structural_violations(inputs: _Inputs, eps: float) -> List[Violation]:
+    machine = inputs.machine
+    placed, proc, start, finish = (
+        inputs.placed, inputs.proc, inputs.start, inputs.finish,
+    )
+    n = len(placed)
     out: List[Violation] = []
-    placed = [t for t in graph.tasks() if schedule.is_scheduled(t)]
-    procs = list(map(schedule.proc_of, placed))
-    starts = list(map(schedule.start_of, placed))
-    finishes = list(map(schedule.finish_of, placed))
-    prts = [schedule.prt(p) for p in machine.procs]
 
     # S007: every time is a finite number.  NaN compares false against
     # everything, so it would slip past any check phrased as "violated if
     # x < y"; hence this runs first, and every check below is phrased as
     # the condition for *ok*, so a NaN fails it too.
-    if not all(map(math.isfinite, chain(starts, finishes, prts, [schedule.makespan]))):
-        for t, proc, start, finish in zip(placed, procs, starts, finishes):
-            if not (math.isfinite(start) and math.isfinite(finish)):
-                out.append(
-                    Violation(
-                        "S007",
-                        f"task {t} has a non-finite time: ST {start}, FT {finish}",
-                        task=t,
-                        proc=proc,
-                    )
-                )
-        for p, prt in enumerate(prts):
-            if not math.isfinite(prt):
-                out.append(Violation("S007", f"PRT({p}) is {prt}", proc=p))
-        if not math.isfinite(schedule.makespan):
-            out.append(Violation("S007", f"makespan is {schedule.makespan}"))
-
-    # S001: exactly once.  Count appearances across the per-processor task
-    # lists rather than trusting the placement flags — a corrupted schedule
-    # can disagree between the two.
-    appearances: Dict[int, int] = {}
-    for p in machine.procs:
-        for t in schedule.proc_tasks(p):
-            appearances[t] = appearances.get(t, 0) + 1
-    for t in graph.tasks():
-        count = appearances.get(t, 0)
-        if not schedule.is_scheduled(t) or count == 0:
+    finite = np.isfinite(start) & np.isfinite(finish)  # unplaced read 0.0
+    prt_finite = np.isfinite(inputs.prt)
+    if not (finite.all() and prt_finite.all() and math.isfinite(inputs.makespan)):
+        for t in np.flatnonzero(~finite).tolist():
             out.append(
-                Violation("S001", f"task {t} is not scheduled", task=t)
+                Violation(
+                    "S007",
+                    f"task {t} has a non-finite time: ST {float(start[t])}, "
+                    f"FT {float(finish[t])}",
+                    task=t,
+                    proc=int(proc[t]),
+                )
             )
-        elif count > 1:
+        for p in np.flatnonzero(~prt_finite).tolist():
+            out.append(Violation("S007", f"PRT({p}) is {float(inputs.prt[p])}", proc=p))
+        if not math.isfinite(inputs.makespan):
+            out.append(Violation("S007", f"makespan is {inputs.makespan}"))
+
+    # S001: exactly once, on PROC(t).  Count appearances across the
+    # per-processor task lists rather than trusting the placement flags — a
+    # corrupted schedule can disagree between the two — and name a list
+    # entry that no task matches, or that sits on another processor.
+    known = (inputs.listed_task >= 0) & (inputs.listed_task < n)
+    listed, listed_on = inputs.listed_task[known], inputs.listed_proc[known]
+    count = np.bincount(listed, minlength=n)
+    home = np.full(n, -1, dtype=np.int64)
+    home[listed] = listed_on  # read only where the task is listed once
+    listed_home = np.zeros(n, dtype=bool)
+    listed_home[listed[listed_on == proc[listed]]] = True
+    missing = ~placed | (count == 0)
+    repeated = ~missing & (count > 1)
+    moved = ~missing & (count == 1) & ~listed_home
+    for t in np.flatnonzero(missing | repeated | moved).tolist():
+        if missing[t]:
+            out.append(Violation("S001", f"task {t} is not scheduled", task=t))
+        elif repeated[t]:
+            out.append(
+                Violation(
+                    "S001", f"task {t} is scheduled {int(count[t])} times", task=t
+                )
+            )
+        else:
             out.append(
                 Violation(
                     "S001",
-                    f"task {t} is scheduled {count} times",
+                    f"task {t} is listed on processor {int(home[t])} but "
+                    f"placed on processor {int(proc[t])}",
                     task=t,
+                    proc=int(home[t]),
                 )
             )
+    unknown = ~known
+    for x, p in zip(
+        inputs.listed_task[unknown].tolist(), inputs.listed_proc[unknown].tolist()
+    ):
+        out.append(Violation("S001", f"processor {p} lists unknown task {x}", proc=p))
+
+    # The checks below cover the tasks placed on a real processor; a
+    # placement on any other id is already an S001.
+    runs = placed & (proc >= 0) & (proc < machine.num_procs)
+    tasks = np.flatnonzero(runs)
+    on = proc[tasks]
 
     # S002/S003: start and finish sanity, recomputing the duration from the
-    # machine model.
-    for t, proc, start, finish in zip(placed, procs, starts, finishes):
-        if not start >= -eps:
+    # machine model (``comp / speed(p)`` as in MachineModel.duration).
+    duration = inputs.comp[tasks]
+    if machine.speeds is not None:
+        duration = duration / np.array(machine.speeds)[on]
+    expected = start[tasks] + duration
+    early = ~(start[tasks] >= -eps)
+    wrong = ~(np.abs(finish[tasks] - expected) <= eps)
+    for i in np.flatnonzero(early | wrong).tolist():
+        t, p = int(tasks[i]), int(on[i])
+        if early[i]:
             out.append(
                 Violation(
                     "S002",
-                    f"task {t} starts before time 0 ({start})",
+                    f"task {t} starts before time 0 ({float(start[t])})",
                     task=t,
-                    proc=proc,
-                )
-            )
-        expected = start + machine.duration(graph.comp(t), proc)
-        if not abs(finish - expected) <= eps:
-            out.append(
-                Violation(
-                    "S003",
-                    f"task {t}: FT {finish} != ST + duration = {expected}",
-                    task=t,
-                    proc=proc,
-                )
-            )
-
-    # S004: processor exclusivity.
-    for p in machine.procs:
-        ordered = sorted(schedule.proc_tasks(p), key=schedule.start_of)
-        for a, b in zip(ordered, ordered[1:]):
-            if not schedule.start_of(b) >= schedule.finish_of(a) - eps:
-                out.append(
-                    Violation(
-                        "S004",
-                        f"tasks {a} and {b} overlap on processor {p}: "
-                        f"[{schedule.start_of(a)}, {schedule.finish_of(a)}) vs "
-                        f"[{schedule.start_of(b)}, {schedule.finish_of(b)})",
-                        task=b,
-                        proc=p,
-                    )
-                )
-
-    # S005: precedence + communication — ST(t) >= FT(pred) + delay with the
-    # delay zeroed on co-location (the paper's EMT lower bound).
-    for src, dst, comm in graph.edges():
-        if not (schedule.is_scheduled(src) and schedule.is_scheduled(dst)):
-            continue
-        delay = machine.comm_delay(
-            schedule.proc_of(src), schedule.proc_of(dst), comm
-        )
-        earliest = schedule.finish_of(src) + delay
-        if not schedule.start_of(dst) >= earliest - eps:
-            out.append(
-                Violation(
-                    "S005",
-                    f"edge ({src}->{dst}): task {dst} starts at "
-                    f"{schedule.start_of(dst)} before message arrival {earliest}",
-                    task=dst,
-                    proc=schedule.proc_of(dst),
-                )
-            )
-
-    # S006: reported makespan and per-processor ready times match the
-    # placements (a NaN finish propagates into its processor's PRT).
-    true_prt = [0.0] * machine.num_procs
-    for proc, finish in zip(procs, finishes):
-        if not finish <= true_prt[proc]:
-            true_prt[proc] = finish
-    for p, prt in enumerate(prts):
-        if not abs(prt - true_prt[p]) <= eps:
-            out.append(
-                Violation(
-                    "S006",
-                    f"PRT({p}) reported as {prt} but placements "
-                    f"finish at {true_prt[p]}",
                     proc=p,
                 )
             )
-    true_makespan = max(true_prt)
-    if not abs(schedule.makespan - true_makespan) <= eps:
+        if wrong[i]:
+            out.append(
+                Violation(
+                    "S003",
+                    f"task {t}: FT {float(finish[t])} != ST + duration = "
+                    f"{float(expected[i])}",
+                    task=t,
+                    proc=p,
+                )
+            )
+
+    # S004: processor exclusivity.  Each processor holds the placed tasks
+    # its list names and every task placed on it that the list leaves out,
+    # so neither view can hide an overlap; in start order, a tie keeping
+    # the list's order.
+    named = placed[listed]
+    unlisted = tasks[~listed_home[tasks]]
+    occ_task = np.concatenate((listed[named], unlisted))
+    occ_proc = np.concatenate((listed_on[named], proc[unlisted]))
+    by_start = np.lexsort((start[occ_task], occ_proc))  # stable
+    a, b, p_b = occ_task[by_start[:-1]], occ_task[by_start[1:]], occ_proc[by_start[1:]]
+    overlap = (occ_proc[by_start[:-1]] == p_b) & ~(start[b] >= finish[a] - eps)
+    for i in np.flatnonzero(overlap).tolist():
+        ta, tb, p = int(a[i]), int(b[i]), int(p_b[i])
+        out.append(
+            Violation(
+                "S004",
+                f"tasks {ta} and {tb} overlap on processor {p}: "
+                f"[{float(start[ta])}, {float(finish[ta])}) vs "
+                f"[{float(start[tb])}, {float(finish[tb])})",
+                task=tb,
+                proc=p,
+            )
+        )
+
+    # S005: precedence + communication — ST(t) >= FT(pred) + delay with the
+    # delay zeroed on co-location (the paper's EMT lower bound).
+    src, dst = inputs.src, inputs.dst
+    earliest = finish[src] + np.where(proc[src] == proc[dst], 0.0, inputs.remote)
+    late = runs[src] & runs[dst] & ~(start[dst] >= earliest - eps)
+    for i in np.flatnonzero(late).tolist():
+        s, d = int(src[i]), int(dst[i])
+        out.append(
+            Violation(
+                "S005",
+                f"edge ({s}->{d}): task {d} starts at {float(start[d])} before "
+                f"message arrival {float(earliest[i])}",
+                task=d,
+                proc=int(proc[d]),
+            )
+        )
+
+    # S006: reported makespan and per-processor ready times match the
+    # placements (a NaN finish propagates into its processor's PRT).
+    true_prt = np.zeros(machine.num_procs)
+    np.maximum.at(true_prt, on, finish[tasks])
+    for p in np.flatnonzero(~(np.abs(inputs.prt - true_prt) <= eps)).tolist():
         out.append(
             Violation(
                 "S006",
-                f"makespan reported as {schedule.makespan} but placements "
+                f"PRT({p}) reported as {float(inputs.prt[p])} but placements "
+                f"finish at {float(true_prt[p])}",
+                proc=p,
+            )
+        )
+    true_makespan = float(true_prt.max())
+    if not abs(inputs.makespan - true_makespan) <= eps:
+        out.append(
+            Violation(
+                "S006",
+                f"makespan reported as {inputs.makespan} but placements "
                 f"finish at {true_makespan}",
             )
         )
@@ -334,8 +471,9 @@ def _structural_violations(schedule: Schedule, eps: float) -> List[Violation]:
 # -- greedy certificate ------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # huge finite times may overflow, as floats do
 def _greedy_violations(
-    schedule: Schedule, flavor: str, eps: float
+    inputs: _Inputs, flavor: str, eps: float
 ) -> List[Violation]:
     """Replay the schedule in start order and check the Theorem-3 invariant.
 
@@ -346,158 +484,188 @@ def _greedy_violations(
     *within* a start-time tie can only raise other tasks' ready times, never
     lower them, so the minimum-EST comparison cannot produce false
     positives.
+
+    Everything a task carries into the ready set — its LMT, its enabling
+    processor EP (the predecessor with the lexicographically largest
+    ``(arrival, FT, id)``) and its EMT on EP — is fixed by the recorded
+    placements, and so is the step range over which it is ready: from the
+    step after its last predecessor's to its own.  Only the PRT vector
+    evolves.  The replay therefore evaluates every (task, step) pair of
+    those ranges in bulk, a block of steps at a time: a pair is EP-type
+    when ``LMT >= PRT(EP)`` at that step, its EST follows, and a step fails
+    when the placed task is not ready yet (F001, desync), when some pair's
+    EST or the placed task's own EST beats the recorded start (F001), or —
+    FLB only — when the placed task is EP-type and a non-EP pair's EST ties
+    its start (F002).  The first failing step is reported, with the
+    candidate minima recomputed there.
     """
-    graph = schedule.graph
-    machine = schedule.machine
-    num_procs = machine.num_procs
+    proc, start, finish = inputs.proc, inputs.start, inputs.finish
+    n, num_procs = len(proc), inputs.machine.num_procs
 
-    order = sorted(
-        graph.tasks(),
-        key=lambda t: (schedule.start_of(t), schedule.finish_of(t), t),
+    order = np.lexsort((finish, start))  # stable: a full tie falls to the lower id
+    step = np.empty(n, dtype=np.int64)
+    step[order] = np.arange(n)
+
+    # The edges grouped by destination (a stable sort keeps each group in
+    # insertion order).  EP is the predecessor with the largest
+    # (arrival, FT(pred), pred): narrow each group to its maximum one
+    # component at a time; the ids are distinct, so one edge remains.
+    by_dst = np.argsort(inputs.dst, kind="stable")
+    src, dst, remote = inputs.src[by_dst], inputs.dst[by_dst], inputs.remote[by_dst]
+    heads = np.flatnonzero(np.diff(dst, prepend=-1))
+    sizes = np.diff(heads, append=len(dst))
+    fed = dst[heads]
+    arrival = finish[src] + remote
+    top = np.ones(len(dst), dtype=bool)
+    for key in (arrival, finish[src], src):
+        best = np.maximum.reduceat(np.where(top, key, -np.inf), heads)
+        top &= key == np.repeat(best, sizes)
+    lmt = np.zeros(n)
+    lmt[fed] = arrival[top]
+    # An entry task's EP is a virtual processor ``num_procs`` whose PRT is
+    # +inf, so ``LMT >= PRT(EP)`` never makes it EP-type.
+    ep = np.full(n, num_procs, dtype=np.int64)
+    ep[fed] = proc[src[top]]
+    on_ep = finish[src] + np.where(proc[src] == ep[dst], 0.0, remote)
+    emt_ep = np.zeros(n)
+    emt_ep[fed] = np.maximum(np.maximum.reduceat(on_ep, heads), 0.0)
+    ready = np.zeros(n, dtype=np.int64)
+    ready[fed] = np.maximum.reduceat(step[src], heads) + 1
+
+    # A task whose own step comes before it is ready fails there (desync),
+    # so only tasks with ready <= step ever sit in a ready set that matters.
+    live = ready <= step
+    width = np.cumsum(
+        np.bincount(ready[live], minlength=n + 1)[:n]
+        - np.bincount(step[live] + 1, minlength=n + 1)[:n]
     )
-    prt = [0.0] * num_procs
-    remaining_preds = [graph.in_degree(t) for t in graph.tasks()]
-    # Cached once when a task becomes ready (O(E) total over the replay):
-    # its LMT, enabling processor (-1 for entry tasks), and EMT on the
-    # enabling processor.
-    lmt = [0.0] * graph.num_tasks
-    ep = [-1] * graph.num_tasks
-    emt_ep = [0.0] * graph.num_tasks
-    ready: List[int] = []
+    pairs_before = np.concatenate(([0], np.cumsum(width)))  # before each step
 
-    def admit(t: int) -> None:
-        """Compute LMT / EP / EMT-on-EP for a newly ready task."""
-        best_key: Tuple[float, float, int] = (-1.0, -1.0, -1)
-        best_proc = -1
-        for pred in graph.preds(t):
-            ft = schedule.finish_of(pred)
-            arrival = ft + machine.remote_delay(graph.comm(pred, t))
-            key = (arrival, ft, pred)
-            if key > best_key:
-                best_key = key
-                best_proc = schedule.proc_of(pred)
-        lmt[t] = best_key[0] if best_proc >= 0 else 0.0
-        ep[t] = best_proc
-        emt = 0.0
-        if best_proc >= 0:
-            for pred in graph.preds(t):
-                arrival = schedule.finish_of(pred) + machine.comm_delay(
-                    schedule.proc_of(pred), best_proc, graph.comm(pred, t)
+    start_at, finish_at, proc_at = start[order], finish[order], proc[order]
+    prt = np.zeros(num_procs)
+    max_steps = max(1, _REPLAY_BLOCK // (num_procs + 1) - 1)
+    k0 = 0
+    while k0 < n:
+        # The longest run of steps whose pairs fit in one block (at least
+        # one step, so a single ready set wider than the block still runs).
+        k1 = int(np.searchsorted(pairs_before, pairs_before[k0] + _REPLAY_BLOCK,
+                                 side="right")) - 1
+        k1 = min(max(k1, k0 + 1), k0 + max_steps, n)
+        rows = k1 - k0
+
+        # hist[p, i]: PRT(p) before step k0 + i — the running max of the
+        # finishes committed on p — with PRT after the block in the last
+        # column and the virtual processor's +inf in the last row.
+        hist = np.zeros((num_procs + 1, rows + 1))
+        hist[:num_procs, 0] = prt
+        hist[proc_at[k0:k1], np.arange(1, rows + 1)] = finish_at[k0:k1]
+        hist = np.maximum.accumulate(hist, axis=1)
+        hist[num_procs] = np.inf
+        prt = hist[:num_procs, rows]
+        min_prt = hist[:num_procs].min(axis=0)
+
+        # Every (task, step) pair of the block with the task ready, task by
+        # task: a run of consecutive rows, ending on the task's own step if
+        # that falls in the block.
+        cand = np.flatnonzero(live & (ready < k1) & (step >= k0))
+        lo = np.maximum(ready[cand], k0) - k0
+        runs = np.minimum(step[cand], k1 - 1) - k0 - lo + 1
+        ends = np.cumsum(runs)
+        row = np.arange(runs.sum()) + np.repeat(lo - ends + runs, runs)
+        lmt_p = np.repeat(lmt[cand], runs)
+        prt_e = hist.ravel()[row + np.repeat(ep[cand] * (rows + 1), runs)]
+        is_ep = lmt_p >= prt_e
+        est = np.where(
+            is_ep,
+            np.maximum(np.repeat(emt_ep[cand], runs), prt_e),
+            np.maximum(lmt_p, min_prt[row]),
+        )
+        own = ends[step[cand] < k1] - 1
+        own_est = np.full(rows, np.inf)
+        own_est[row[own]] = est[own]
+        own_ep = np.zeros(rows, dtype=bool)
+        own_ep[row[own]] = is_ep[own]
+
+        # A step fails when the placed task was not ready (desync) or
+        # started later than its own EST, when a ready pair could have
+        # started earlier, or (FLB) when the placed task is EP-type and a
+        # non-EP pair ties it.  The ready set is never empty: an unready
+        # placed task has a not-yet-replayed ancestor whose predecessors
+        # all are, and that ancestor is ready.
+        start_row = start_at[k0:k1][row]
+        fails = (own_est == np.inf) | (start_at[k0:k1] > own_est + eps)
+        hits = [np.flatnonzero(fails), row[start_row > est + eps]]
+        if flavor == "flb":
+            tied = row[~is_ep & (est <= start_row + eps)]
+            hits.append(tied[own_ep[tied]])
+        hit = np.concatenate(hits)
+        if len(hit):
+            i = int(hit.min())
+            at = row == i
+            return [
+                _replay_violation(
+                    k0 + i,
+                    int(order[k0 + i]),
+                    int(proc_at[k0 + i]),
+                    float(start_at[k0 + i]),
+                    float(own_est[i]),
+                    bool(own_ep[i]),
+                    float(est[at].min(initial=np.inf)),
+                    float(est[at & ~is_ep].min(initial=np.inf)),
+                    flavor,
+                    eps,
                 )
-                if arrival > emt:
-                    emt = arrival
-        emt_ep[t] = emt
-        ready.append(t)
+            ]
+        k0 = k1
+    return []
 
-    for t in graph.entry_tasks:
-        admit(t)
 
-    out: List[Violation] = []
-    for step, t in enumerate(order):
-        if not ready:
-            # Unreachable when the structural checks passed (S005 guarantees
-            # predecessors finish before their successors start); guard
-            # anyway so a replay bug surfaces as a violation, not silence.
-            out.append(
-                Violation(
-                    "F001",
-                    f"replay step {step}: task {t} has unscheduled "
-                    f"predecessors (replay desync)",
-                    task=t,
-                )
-            )
-            break
-
-        # Recompute the two Theorem-3 candidates over the current ready set.
-        min_prt = min(prt)
-        best_ep_est = float("inf")
-        best_non_ep_est = float("inf")
-        chosen_est = float("inf")
-        chosen_is_ep = False
-        for u in ready:
-            e = ep[u]
-            if e >= 0 and lmt[u] >= prt[e]:
-                # EP-type: runs on its enabling processor.
-                est = emt_ep[u] if emt_ep[u] > prt[e] else prt[e]
-                if est < best_ep_est:
-                    best_ep_est = est
-                is_ep = True
-            else:
-                # Non-EP (entry tasks always are): earliest-idle processor.
-                est = lmt[u] if lmt[u] > min_prt else min_prt
-                if est < best_non_ep_est:
-                    best_non_ep_est = est
-                is_ep = False
-            if u == t:
-                chosen_est = est
-                chosen_is_ep = is_ep
-        best = min(best_ep_est, best_non_ep_est)
-
-        start = schedule.start_of(t)
-        if chosen_est == float("inf"):
-            out.append(
-                Violation(
-                    "F001",
-                    f"replay step {step}: task {t} scheduled before it was "
-                    f"ready (replay desync)",
-                    task=t,
-                )
-            )
-            break
-        if start > best + eps:
-            out.append(
-                Violation(
-                    "F001",
-                    f"replay step {step}: task {t} starts at {start} but a "
-                    f"ready candidate could start at {best} "
-                    f"(ETF-greedy invariant violated)",
-                    task=t,
-                    proc=schedule.proc_of(t),
-                )
-            )
-        elif start > chosen_est + eps:
-            out.append(
-                Violation(
-                    "F001",
-                    f"replay step {step}: task {t} starts at {start} but its "
-                    f"own earliest start was {chosen_est}",
-                    task=t,
-                    proc=schedule.proc_of(t),
-                )
-            )
-        elif (
-            flavor == "flb"
-            and chosen_is_ep
-            and best_non_ep_est <= start + eps
-        ):
-            out.append(
-                Violation(
-                    "F002",
-                    f"replay step {step}: EP-type task {t} chosen at {start} "
-                    f"but a non-EP candidate achieves {best_non_ep_est} "
-                    f"(ties must favour the non-EP task)",
-                    task=t,
-                    proc=schedule.proc_of(t),
-                )
-            )
-
-        # Commit the placement exactly as the schedule recorded it, then
-        # release newly ready successors.
-        ready.remove(t)
-        finish = schedule.finish_of(t)
-        p = schedule.proc_of(t)
-        if finish > prt[p]:
-            prt[p] = finish
-        for succ in graph.succs(t):
-            remaining_preds[succ] -= 1
-            if remaining_preds[succ] == 0:
-                admit(succ)
-
-        if out:
-            # One greedy violation invalidates every later replay state;
-            # stop at the first to keep the report actionable.
-            break
-    return out
+def _replay_violation(
+    step: int,
+    t: int,
+    proc: int,
+    start: float,
+    chosen_est: float,
+    chosen_is_ep: bool,
+    best: float,
+    best_non_ep_est: float,
+    flavor: str,
+    eps: float,
+) -> Violation:
+    """The violation a failing replay step reports, in rule order."""
+    if chosen_est == math.inf:
+        return Violation(
+            "F001",
+            f"replay step {step}: task {t} scheduled before it was "
+            f"ready (replay desync)",
+            task=t,
+        )
+    if start > best + eps:
+        return Violation(
+            "F001",
+            f"replay step {step}: task {t} starts at {start} but a "
+            f"ready candidate could start at {best} "
+            f"(ETF-greedy invariant violated)",
+            task=t,
+            proc=proc,
+        )
+    if start > chosen_est + eps:
+        return Violation(
+            "F001",
+            f"replay step {step}: task {t} starts at {start} but its "
+            f"own earliest start was {chosen_est}",
+            task=t,
+            proc=proc,
+        )
+    # Otherwise the step failed the FLB tie rule.
+    return Violation(
+        "F002",
+        f"replay step {step}: EP-type task {t} chosen at {start} "
+        f"but a non-EP candidate achieves {best_non_ep_est} "
+        f"(ties must favour the non-EP task)",
+        task=t,
+        proc=proc,
+    )
 
 
 # -- related-machines replay certificate (F003) ------------------------------

@@ -16,7 +16,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 from repro.schedulers import SCHEDULERS
-from repro.verify import certify, greedy_flavor
+from repro.verify import Violation, certify, greedy_flavor
 from repro.workloads.gallery import paper_example, simple_diamond, two_chains
 
 GALLERY = [paper_example, simple_diamond, two_chains]
@@ -213,6 +213,70 @@ class TestStructuralMutants:
         assert doc["violations"][0]["code"] == "S006"
         text = certify(s).render()
         assert "S006" in text
+
+
+class TestProcessorListMutants:
+    """A processor list that disagrees with ``PROC(t)``, or names a task
+    that is unplaced or does not exist, is an S001 — never a pass, never an
+    exception."""
+
+    @staticmethod
+    def _both_on_processor_zero():
+        # Two independent tasks with comp 2.0: processor 1 lists task 1, but
+        # PROC(1) = 0, so by their placements both run on processor 0 over
+        # [0, 2) — and PRT(1) agrees that processor 1 ran nothing.
+        g = TaskGraph()
+        g.add_task(2.0)
+        g.add_task(2.0)
+        g.freeze()
+        s = Schedule(g, MachineModel(2))
+        s._append(0, 0, 0.0)
+        s._append(1, 1, 0.0)
+        s._proc[1] = 0
+        s._prt[1] = 0.0
+        return s
+
+    @pytest.mark.parametrize("flavor", [None, "flb", "etf"])
+    def test_list_disagreeing_with_proc_rejected(self, flavor):
+        cert = certify(self._both_on_processor_zero(), flavor=flavor)
+        assert not cert.ok
+        assert [v.to_dict() for v in cert.violations] == [
+            {
+                "code": "S001",
+                "message": "task 1 is listed on processor 1 but placed on "
+                "processor 0",
+                "task": 1,
+                "proc": 1,
+            },
+            {
+                "code": "S004",
+                "message": "tasks 0 and 1 overlap on processor 0: "
+                "[0.0, 2.0) vs [0.0, 2.0)",
+                "task": 1,
+                "proc": 0,
+            },
+        ]
+
+    @pytest.mark.parametrize("flavor", [None, "flb", "etf"])
+    def test_list_naming_unplaced_task_is_s001(self, flavor):
+        s = flb(paper_example(), MachineModel(2))
+        t = s.proc_tasks(1)[0]
+        s._placed[t] = False  # still listed on processor 1
+        s._num_placed -= 1
+        cert = certify(s, flavor=flavor)
+        assert not cert.ok
+        assert cert.violations[0] == Violation(
+            "S001", f"task {t} is not scheduled", task=t
+        )
+
+    @pytest.mark.parametrize("bogus", [99, -1])
+    def test_list_naming_unknown_task_is_s001(self, bogus):
+        s = flb(simple_diamond(), MachineModel(2))
+        s._proc_tasks[1].append(bogus)
+        cert = certify(s, flavor="flb")
+        assert cert.violations == (
+            Violation("S001", f"processor 1 lists unknown task {bogus}", proc=1),
+        )
 
 
 class TestGreedyMutants:
