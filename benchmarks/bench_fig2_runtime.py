@@ -69,5 +69,7 @@ def test_fig2_shape(suite_by_problem):
     assert costs["fcp"][hi] / costs["fcp"][lo] < 2.0
     # FLB is within a small constant factor of FCP (paper: "same level").
     assert costs["flb"][hi] < 4.0 * costs["fcp"][hi]
-    # MCP at P=32 is far cheaper than ETF at P=32.
+    # MCP's cost grows with P (its per-(task, processor) predecessor scan)
+    # but at P=32 stays far cheaper than ETF's.
+    assert costs["mcp"][hi] > 2 * costs["mcp"][lo]
     assert costs["mcp"][hi] < 0.5 * costs["etf"][hi]

@@ -430,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fair-queue weight for a tenant (repeatable); "
                          "unknown tenants get weight 1.0")
     p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-job execution budget in seconds")
+                         help="refused with exit 2: the service runs each "
+                         "request inline and cannot enforce a per-job "
+                         "timeout")
     p_serve.add_argument("--validate", action="store_true",
                          help="re-check every schedule from first principles")
     p_serve.add_argument("--certify", action="store_true",
@@ -867,9 +869,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Exit codes: 0 = clean drain after SIGTERM/SIGINT, 2 = bad flags."""
+    """Exit codes: 0 = clean drain after SIGTERM/SIGINT, 2 = bad flags
+    (including ``--timeout``, which the service cannot enforce)."""
     from repro.api import SchedulingOptions
-    from repro.serve import ServeConfig, serve
+    from repro.serve import ServeConfig, UnenforceableTimeoutError, serve
 
     weights = {}
     for spec in args.tenant_weight:
@@ -900,6 +903,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         serve(config)
+    except UnenforceableTimeoutError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         pass  # ctrl-C before the loop's own handler was installed
     return 0

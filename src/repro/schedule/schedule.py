@@ -217,9 +217,12 @@ class Schedule:
         fits on ``proc`` — inside an idle gap or after the last task.
 
         ``O(tasks on proc)``; the building block of insertion-based
-        placement.
+        placement.  A bound at or after ``PRT(proc)`` (the latest finish on
+        ``proc``) is returned at once: no task can move it.
         """
         candidate = max(lower_bound, 0.0)
+        if candidate >= self._prt[proc]:
+            return candidate
         for t in self._proc_tasks[proc]:
             if self._start[t] - candidate >= duration - _EPS:
                 return candidate

@@ -1,10 +1,17 @@
 """Shared machinery for the baseline schedulers.
 
-Everything here implements the common vocabulary of Section 2 of the paper:
-estimated start times on partial schedules and ready-set tracking.  The
-baselines deliberately do *not* reuse FLB's priority-list machinery — each
-is implemented the way its own paper describes it, so cost comparisons
-between the algorithms remain meaningful.
+Everything here implements the common vocabulary of Section 2 of the paper
+on a partial schedule: message arrival (``EMT``) and start (``EST``) times,
+and ready-set tracking.  The baselines deliberately do *not* reuse FLB's
+priority-list machinery — each is implemented the way its own paper
+describes it, so cost comparisons between the algorithms remain meaningful.
+
+:class:`Placer` is the one ``EMT``/``EST`` evaluator of the list-scheduling
+baselines (MCP, HLFET, DLS, LLB, HEFT and the insertion variants).  It runs
+on the graph's CSR list mirrors with task-indexed finish/processor lists,
+and evaluates every (task, processor) pair by scanning all of the task's
+predecessors — the ``O((E + V) P)`` work of the paper's Fig. 2 cost model,
+kept on purpose (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -12,53 +19,127 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.graph.taskgraph import TaskGraph
+from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 
 __all__ = [
-    "emt_on",
-    "est_on",
-    "best_proc_for",
+    "Placer",
     "ReadyTracker",
 ]
 
 
-def emt_on(schedule: Schedule, task: int, proc: int) -> float:
-    """``EMT(task, proc)``: latest message arrival if ``task`` ran on ``proc``
-    (messages from predecessors already on ``proc`` are free).
+class Placer:
+    """``EMT``/``EST`` evaluation and placement for a schedule under
+    construction.
 
-    All predecessors must already be scheduled.  ``O(in_degree)``.
+    Owns :attr:`schedule` (empty at construction) and mirrors each placed
+    task's finish time and processor, plus every processor's ready time
+    :attr:`prt`, in plain lists, so an evaluation reads no dicts and calls
+    no methods.  All placements go through :meth:`place`, which commits via
+    :meth:`Schedule.place` (and so keeps its checks).
+
+    Arrivals use ETF's arithmetic: ``FT(pred)`` from a predecessor on the
+    same processor, else ``FT(pred) + (latency + comm_scale * comm)``,
+    parenthesised like :meth:`MachineModel.remote_delay`, so every ``EMT``
+    is bit-identical to one built from ``comm_delay`` and ``graph.comm``.
     """
-    graph = schedule.graph
-    machine = schedule.machine
-    emt = 0.0
-    for pred in graph.preds(task):
-        arrival = schedule.finish_of(pred) + machine.comm_delay(
-            schedule.proc_of(pred), proc, graph.comm(pred, task)
+
+    __slots__ = (
+        "schedule",
+        "prt",
+        "_finish",
+        "_proc",
+        "_pred_ptr",
+        "_pred_ids",
+        "_pred_comm",
+        "_delay",
+        "_zeros",
+    )
+
+    def __init__(self, graph: TaskGraph, machine: MachineModel) -> None:
+        graph.freeze()
+        csr = graph.csr().lists
+        self.schedule = Schedule(graph, machine)
+        #: ``PRT(p)`` for every processor (read-only by contract).
+        self.prt: List[float] = [0.0] * machine.num_procs
+        self._finish: List[float] = [0.0] * graph.num_tasks
+        self._proc: List[int] = [0] * graph.num_tasks
+        self._pred_ptr = csr.pred_ptr
+        self._pred_ids = csr.pred_ids
+        self._pred_comm = csr.pred_comm
+        self._delay = (machine.latency, machine.comm_scale)
+        self._zeros = [0.0] * machine.num_procs
+
+    def emt(self, task: int, proc: int) -> float:
+        """``EMT(task, proc)``: the latest message arrival if ``task`` ran
+        on ``proc``.  Every predecessor must be placed.  ``O(in_degree)``."""
+        finish, on_proc, pred_ids, pred_comm = (
+            self._finish, self._proc, self._pred_ids, self._pred_comm
         )
-        if arrival > emt:
-            emt = arrival
-    return emt
+        lat, scale = self._delay
+        emt = 0.0
+        for i in range(self._pred_ptr[task], self._pred_ptr[task + 1]):
+            pred = pred_ids[i]
+            ft = finish[pred]
+            arr = ft if on_proc[pred] == proc else ft + (lat + scale * pred_comm[i])
+            if arr > emt:
+                emt = arr
+        return emt
 
+    def emts(self, task: int) -> List[float]:
+        """``EMT(task, p)`` for every processor ``p``, in one loop nest
+        (HEFT and the insertion variants search idle gaps from these)."""
+        return self._scan(task, self._zeros)
 
-def est_on(schedule: Schedule, task: int, proc: int) -> float:
-    """``EST(task, proc) = max(EMT(task, proc), PRT(proc))``."""
-    return max(emt_on(schedule, task, proc), schedule.prt(proc))
+    def ests(self, task: int) -> List[float]:
+        """``EST(task, p) = max(EMT(task, p), PRT(p))`` for every processor
+        ``p``, in one loop nest."""
+        return self._scan(task, self.prt)
 
+    def best_est(self, task: int) -> Tuple[int, float]:
+        """The processor where ``task`` starts the earliest (non-insertion)
+        and that start; ties go to the lower processor id."""
+        ests = self.ests(task)
+        est = min(ests)
+        return ests.index(est), est
 
-def best_proc_for(schedule: Schedule, task: int) -> Tuple[int, float]:
-    """Scan all processors for the minimum-``EST`` placement of ``task``.
+    def _scan(self, task: int, floors: List[float]) -> List[float]:
+        """``max(floors[p], EMT(task, p))`` for every processor ``p``.
 
-    Returns ``(proc, est)``; ties go to the lower processor id.  This is the
-    ``O(P * in_degree)`` inner step of MCP/ETF-style algorithms.
-    """
-    best_proc = 0
-    best_est = float("inf")
-    for proc in schedule.machine.procs:
-        est = est_on(schedule, task, proc)
-        if est < best_est:
-            best_est = est
-            best_proc = proc
-    return best_proc, best_est
+        ETF's inner loop nest: every (task, processor) pair scans all of the
+        task's predecessors with the same arithmetic as ETF, so a call costs
+        ``O(in_degree * P)`` — Fig. 2's ``(E + V) P`` term — and MCP's cost
+        stays comparable with ETF's pair for pair.  Seeding the running
+        maximum with ``PRT(p)`` instead of ``0.0`` gives ``EST`` directly,
+        since ``max`` is exact.
+        """
+        finish, on_proc, pred_ids, pred_comm = (
+            self._finish, self._proc, self._pred_ids, self._pred_comm
+        )
+        lat, scale = self._delay
+        lo, hi = self._pred_ptr[task], self._pred_ptr[task + 1]
+        out = []
+        for proc, emt in enumerate(floors):
+            for i in range(lo, hi):
+                pred = pred_ids[i]
+                ft = finish[pred]
+                arr = ft if on_proc[pred] == proc else ft + (lat + scale * pred_comm[i])
+                if arr > emt:
+                    emt = arr
+            out.append(emt)
+        return out
+
+    def place(
+        self, task: int, proc: int, start: float, insertion: bool = False
+    ) -> float:
+        """Commit ``task`` to ``proc`` at ``start`` through
+        :meth:`Schedule.place`; returns the finish time."""
+        finish = self.schedule.place(task, proc, start, insertion).finish
+        self._finish[task] = finish
+        self._proc[task] = proc
+        if finish > self.prt[proc]:
+            self.prt[proc] = finish
+        return finish
 
 
 class ReadyTracker:

@@ -22,7 +22,7 @@ from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ReadyTracker, est_on
+from repro.schedulers.base import Placer, ReadyTracker
 
 __all__ = ["dls"]
 
@@ -32,27 +32,29 @@ def dls(
     machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with DLS.  See module docstring."""
-    graph.freeze()
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
     sl = static_levels(graph)
     tracker = ReadyTracker(graph)
 
     for _ in range(graph.num_tasks):
         best_key = None
-        best_task = -1
-        best_proc = -1
         best_est = 0.0
         for task in tracker.ready:
-            for proc in machine.procs:
-                est = est_on(schedule, task, proc)
-                dl = sl[task] - est
-                key = (-dl, -sl[task], task, proc)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_task, best_proc, best_est = task, proc, est
+            # The key's tail is fixed within a task, so its best pair is the
+            # largest DL, ties to the lowest processor.  DL is compared, not
+            # EST, because rounding in SL - EST can tie two different ESTs.
+            ests = placer.ests(task)
+            dls = [sl[task] - est for est in ests]
+            dl = max(dls)
+            proc = dls.index(dl)
+            key = (-dl, -sl[task], task, proc)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_est = ests[proc]
         assert best_key is not None, "ready set empty with tasks unscheduled"
-        schedule.place(best_task, best_proc, best_est)
-        tracker.remove_ready(best_task)
-        tracker.mark_scheduled(best_task)
+        _, _, task, proc = best_key
+        placer.place(task, proc, best_est)
+        tracker.remove_ready(task)
+        tracker.mark_scheduled(task)
 
-    return schedule
+    return placer.schedule

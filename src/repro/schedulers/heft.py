@@ -33,7 +33,7 @@ from typing import List
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import emt_on
+from repro.schedulers.base import Placer
 
 __all__ = ["heft", "upward_ranks"]
 
@@ -58,8 +58,8 @@ def heft(
     machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with HEFT.  See module docstring."""
-    graph.freeze()
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
+    schedule = placer.schedule
     rank = upward_ranks(graph, machine)
     order = sorted(graph.tasks(), key=lambda t: (-rank[t], t))
 
@@ -67,15 +67,15 @@ def heft(
         best_proc = 0
         best_start = 0.0
         best_finish = float("inf")
-        for proc in machine.procs:
-            duration = machine.duration(graph.comp(task), proc)
-            lower = emt_on(schedule, task, proc)
+        comp = graph.comp(task)
+        for proc, lower in enumerate(placer.emts(task)):
+            duration = machine.duration(comp, proc)
             start = schedule.earliest_gap(proc, lower, duration)
             finish = start + duration
             if finish < best_finish:
                 best_finish = finish
                 best_start = start
                 best_proc = proc
-        schedule.place(task, best_proc, best_start, insertion=True)
+        placer.place(task, best_proc, best_start, insertion=True)
 
     return schedule

@@ -18,7 +18,7 @@ from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import best_proc_for
+from repro.schedulers.base import Placer
 
 __all__ = ["hlfet"]
 
@@ -28,11 +28,9 @@ def hlfet(
     machine: MachineModel,
 ) -> Schedule:
     """Schedule ``graph`` with HLFET.  See module docstring."""
-    graph.freeze()
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
     sl = static_levels(graph)
-    order = sorted(graph.tasks(), key=lambda t: (-sl[t], t))
-    for task in order:
-        proc, est = best_proc_for(schedule, task)
-        schedule.place(task, proc, est)
-    return schedule
+    for task in sorted(graph.tasks(), key=lambda t: (-sl[t], t)):
+        proc, est = placer.best_est(task)
+        placer.place(task, proc, est)
+    return placer.schedule

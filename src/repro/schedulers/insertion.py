@@ -26,22 +26,23 @@ from repro.graph.properties import static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import emt_on
+from repro.schedulers.base import Placer
 from repro.schedulers.mcp import mcp_priority_order
 
 __all__ = ["best_insertion_slot", "mcp_insertion", "hlfet_insertion"]
 
 
-def best_insertion_slot(schedule: Schedule, task: int) -> Tuple[int, float]:
-    """The (processor, start) minimising ``task``'s start time when idle-gap
-    insertion is allowed.  Ties go to the lower processor id."""
-    graph = schedule.graph
+def best_insertion_slot(placer: Placer, task: int) -> Tuple[int, float]:
+    """The (processor, start) minimising ``task``'s start time on
+    ``placer``'s schedule when idle-gap insertion is allowed.  Ties go to
+    the lower processor id."""
+    schedule = placer.schedule
     machine = schedule.machine
+    comp = schedule.graph.comp(task)
     best_proc = 0
     best_start = float("inf")
-    for proc in machine.procs:
-        duration = machine.duration(graph.comp(task), proc)
-        lower = emt_on(schedule, task, proc)
+    for proc, lower in enumerate(placer.emts(task)):
+        duration = machine.duration(comp, proc)
         start = schedule.earliest_gap(proc, lower, duration)
         if start < best_start:
             best_start = start
@@ -52,11 +53,11 @@ def best_insertion_slot(schedule: Schedule, task: int) -> Tuple[int, float]:
 def _run_static_order(
     graph: TaskGraph, machine: MachineModel, order: Sequence[int]
 ) -> Schedule:
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
     for task in order:
-        proc, start = best_insertion_slot(schedule, task)
-        schedule.place(task, proc, start, insertion=True)
-    return schedule
+        proc, start = best_insertion_slot(placer, task)
+        placer.place(task, proc, start, insertion=True)
+    return placer.schedule
 
 
 def mcp_insertion(

@@ -32,7 +32,7 @@ from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ReadyTracker, est_on
+from repro.schedulers.base import Placer, ReadyTracker
 from repro.schedulers.dsc import Clustering
 from repro.util.heap import IndexedHeap
 
@@ -57,7 +57,8 @@ def llb(
     def prio_key(task: int) -> Tuple[float, int]:
         return (sign * bl[task], task)
 
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
+    prt = placer.prt
     tracker = ReadyTracker(graph)
     cluster_proc: List[Optional[int]] = [None] * clustering.num_clusters
     mapped_ready: List[IndexedHeap] = [IndexedHeap() for _ in machine.procs]
@@ -81,16 +82,17 @@ def llb(
     for _ in range(graph.num_tasks):
         # Destination processor: earliest idle with at least one candidate.
         chosen: Optional[Tuple[int, int, float, bool]] = None  # task, proc, est, unmapped
-        for proc in sorted(machine.procs, key=lambda p: (schedule.prt(p), p)):
+        for proc in sorted(machine.procs, key=lambda p: (prt[p], p)):
             cand_mapped = mapped_ready[proc].peek_item()
             cand_unmapped = unmapped_ready.peek_item()
             if cand_mapped is None and cand_unmapped is None:
                 continue
             best: Optional[Tuple[int, float, bool]] = None
             if cand_mapped is not None:
-                best = (cand_mapped, est_on(schedule, cand_mapped, proc), False)
+                est_m = max(placer.emt(cand_mapped, proc), prt[proc])
+                best = (cand_mapped, est_m, False)
             if cand_unmapped is not None:
-                est_u = est_on(schedule, cand_unmapped, proc)
+                est_u = max(placer.emt(cand_unmapped, proc), prt[proc])
                 # Strict <: on ties the already-mapped task keeps its cluster
                 # local instead of committing a fresh cluster to this proc.
                 if best is None or est_u < best[1]:
@@ -113,9 +115,9 @@ def llb(
         else:
             mapped_ready[proc].remove(task)
 
-        schedule.place(task, proc, est)
+        placer.place(task, proc, est)
         tracker.remove_ready(task)
         for succ in tracker.mark_scheduled(task):
             enqueue_ready(succ)
 
-    return schedule
+    return placer.schedule

@@ -37,7 +37,7 @@ from repro.graph.properties import alap_times
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import best_proc_for
+from repro.schedulers.base import Placer
 
 __all__ = ["mcp", "mcp_priority_order"]
 
@@ -91,9 +91,8 @@ def mcp(
     seed: int = 0,
 ) -> Schedule:
     """Schedule ``graph`` with MCP.  See module docstring."""
-    graph.freeze()
-    schedule = Schedule(graph, machine)
+    placer = Placer(graph, machine)
     for task in mcp_priority_order(graph, tie=tie, seed=seed):
-        proc, est = best_proc_for(schedule, task)
-        schedule.place(task, proc, est)
-    return schedule
+        proc, est = placer.best_est(task)
+        placer.place(task, proc, est)
+    return placer.schedule

@@ -31,6 +31,7 @@ from repro.serve.server import (
     BackgroundServer,
     SchedulingService,
     ServeConfig,
+    UnenforceableTimeoutError,
     serve,
     serve_async,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "ServeConfig",
     "SchedulingService",
     "BackgroundServer",
+    "UnenforceableTimeoutError",
     "AdmissionController",
     "ShedError",
     "WeightedFairQueue",

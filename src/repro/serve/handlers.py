@@ -38,9 +38,12 @@ Failure mapping
 * wrong method on a known path → **405**;
 * admission shed or draining → **429** with ``Retry-After`` derived from
   the observed service-time EWMA;
-* scheduling failed: ``timeout`` → **504**, ``worker-died`` → **500**,
-  ``scheduler-error`` / ``invalid-schedule`` → **422** (the graph or
-  options are at fault, retrying will not help).
+* scheduling failed: ``worker-died`` → **500**, ``scheduler-error`` /
+  ``invalid-schedule`` → **422** (the graph or options are at fault,
+  retrying will not help).  ``timeout`` maps to **504**, but on the
+  default runner no request can time out: every request runs inline, so
+  the service refuses a configured ``timeout`` at startup
+  (:class:`~repro.serve.server.UnenforceableTimeoutError`).
 """
 
 from __future__ import annotations

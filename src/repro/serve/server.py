@@ -71,6 +71,7 @@ from repro.serve.queues import QueueFull, WeightedFairQueue
 __all__ = [
     "ServeConfig",
     "SchedulingService",
+    "UnenforceableTimeoutError",
     "BackgroundServer",
     "serve",
     "serve_async",
@@ -89,9 +90,10 @@ class ServeConfig:
     ``default_weight``).  ``dispatchers`` > 1 only helps with a custom
     thread-safe runner — the default runner serialises on a lock.
     ``options`` seeds the wrapped scheduler's defaults
-    (validate/certify/timeout/retries/algorithm); per-request fields
-    override it.  ``options.machine`` is the default target
-    :class:`~repro.machine.MachineModel` for requests that carry no
+    (validate/certify/algorithm); per-request fields override it.  A
+    ``timeout`` is refused (:class:`UnenforceableTimeoutError`): the
+    default runner cannot enforce it.  ``options.machine`` is the default
+    target :class:`~repro.machine.MachineModel` for requests that carry no
     ``machine`` object of their own (their ``procs``, if any, must match
     it); without it, such a request needs ``procs`` and runs on the
     homogeneous clique.  ``port`` 0 binds an ephemeral port
@@ -121,6 +123,18 @@ class ServeConfig:
             )
 
 
+class UnenforceableTimeoutError(ValueError):
+    """A per-job ``timeout`` was configured for a service that cannot
+    enforce it.
+
+    The default runner executes every request as a one-job
+    :meth:`~repro.batch.BatchScheduler.run_one` batch, and a one-job batch
+    always runs inline, in the server process, where no deadline can stop
+    the kernel.  Refusing the option is the honest answer; silently
+    ignoring it would leave a dead knob.
+    """
+
+
 @dataclass
 class _Work:
     """One admitted schedule request waiting in the fair queue."""
@@ -142,7 +156,10 @@ class SchedulingService:
     ``serve_*`` and ``batch_*`` together.  ``runner`` injects the blocking
     per-job computation (default: ``scheduler.run_one`` behind a lock) —
     tests substitute a counting/delaying stub to pin down coalescing and
-    drain semantics deterministically.
+    drain semantics deterministically.  The default runner runs every job
+    inline, so a ``timeout`` in the scheduling options (the supplied
+    scheduler's, else ``config.options``) raises
+    :class:`UnenforceableTimeoutError` instead of being ignored.
     """
 
     def __init__(
@@ -152,6 +169,13 @@ class SchedulingService:
         runner: Optional[Runner] = None,
     ) -> None:
         self.config = config or ServeConfig()
+        options = scheduler.options if scheduler is not None else self.config.options
+        if runner is None and options is not None and options.timeout is not None:
+            raise UnenforceableTimeoutError(
+                f"timeout={options.timeout} cannot be enforced: the service "
+                f"runs each request inline, where no deadline can stop the "
+                f"kernel; drop the timeout"
+            )
         self._owns_scheduler = scheduler is None
         if scheduler is None:
             scheduler = BatchScheduler(

@@ -15,8 +15,8 @@ starts and makespans, never ``approx``:
 * The *observed* path still reproduces the paper's Table 1 trace, so the
   dispatch on ``observer`` cost no fidelity.
 * ETF and FCP: against brute-force re-implementations written here from the
-  generic ``est_on``/``emt_on`` helpers — independent of the CSR code they
-  check.
+  dict-path ``est_on`` helper (``tests/placement_oracle.py``) — independent
+  of the CSR code they check.
 * A hypothesis sweep hunts for divergence on arbitrary layered DAGs.
 """
 
@@ -33,9 +33,9 @@ from repro.graph.properties import bottom_levels
 from repro.machine import MachineModel
 from repro.schedule import Schedule
 from repro.schedulers import etf, fcp
-from repro.schedulers.base import emt_on, est_on
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, laplace, layered_random, lu, paper_example, stencil
+from tests.placement_oracle import est_on
 
 
 def assert_bit_identical(a: Schedule, b: Schedule, label: str) -> None:

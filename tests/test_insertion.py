@@ -10,6 +10,7 @@ from repro.graph import TaskGraph
 from repro.machine import MachineModel
 from repro.schedule import Schedule
 from repro.schedulers import SCHEDULERS, hlfet_insertion, mcp_insertion
+from repro.schedulers.base import Placer
 from repro.schedulers.insertion import best_insertion_slot
 from repro.sim import execute
 from repro.util.rng import make_rng
@@ -158,11 +159,11 @@ class TestInsertionSchedulers:
 
     def test_best_insertion_slot_prefers_gap(self):
         g = gap_graph()
-        s = Schedule(g, MachineModel(2))
-        s.place(0, 0, 0.0)
-        s.place(1, 0, 6.0)
-        s.place(2, 1, 0.0)
-        proc, start = best_insertion_slot(s, 3)
+        placer = Placer(g, MachineModel(2))
+        placer.place(0, 0, 0.0)
+        placer.place(1, 0, 6.0)
+        placer.place(2, 1, 0.0)
+        proc, start = best_insertion_slot(placer, 3)
         assert (proc, start) == (0, 2.0)  # the gap beats both queue ends
 
     def test_gantt_renders_inserted_schedules(self):

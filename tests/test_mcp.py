@@ -71,7 +71,7 @@ class TestMcpScheduling:
         assert s1.assignment() == s2.assignment()
 
     def test_each_task_on_min_est_processor(self):
-        from repro.schedulers.base import est_on
+        from tests.placement_oracle import est_on
         from repro.machine import MachineModel
         from repro.schedule import Schedule
 

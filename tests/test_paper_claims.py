@@ -67,6 +67,17 @@ class TestSection6Claims:
         t32 = time_scheduler(SCHEDULERS["dsc-llb"], g, MachineModel(32), repeats=3)
         assert t32 < 3.0 * t2
 
+    def test_mcp_cost_grows_with_p(self):
+        """MCP's ``(E + V) P`` term is real: every (task, processor) pair
+        scans all of the task's predecessors.  A rewrite that collapsed the
+        ``E x P`` product would leave no P-dependent scan and a nearly flat
+        cost (the Fig. 2 shape check in ``benchmarks/bench_fig2_runtime.py``
+        asserts the same on the figure's suite)."""
+        g = stencil(20, 20, make_rng(2), ccr=1.0)  # V=400
+        t2 = time_scheduler(SCHEDULERS["mcp"], g, MachineModel(2), repeats=3)
+        t32 = time_scheduler(SCHEDULERS["mcp"], g, MachineModel(32), repeats=3)
+        assert t32 > 2.0 * t2
+
     def test_flb_cost_nearly_independent_of_p(self):
         g = stencil(25, 40, make_rng(4), ccr=1.0)  # V=1000
         t2 = time_scheduler(SCHEDULERS["flb"], g, MachineModel(2), repeats=3)

@@ -17,7 +17,9 @@ import urllib.request
 
 import pytest
 
-from repro.batch import BatchResult
+from repro.api import SchedulingOptions
+from repro.batch import BatchResult, BatchScheduler
+from repro.cli import main
 from repro.graph.io import to_json
 from repro.obs import parse_prometheus
 from repro.serve import (
@@ -27,6 +29,7 @@ from repro.serve import (
     SchedulingService,
     ServeConfig,
     ShedError,
+    UnenforceableTimeoutError,
     WeightedFairQueue,
     route,
 )
@@ -562,6 +565,36 @@ class TestInlineGraphs:
         finally:
             service.close()
             graphstore.clear_worker_cache()
+
+
+# -- timeouts the service cannot enforce -------------------------------------
+
+class TestTimeoutRefusal:
+    """The default runner runs each request inline, where no deadline can
+    stop the kernel, so a configured ``timeout`` is refused, not ignored."""
+
+    def test_config_timeout_is_refused(self):
+        config = ServeConfig(options=SchedulingOptions(timeout=0.2))
+        with pytest.raises(UnenforceableTimeoutError, match="timeout=0.2"):
+            SchedulingService(config=config)
+
+    def test_supplied_scheduler_timeout_is_refused(self):
+        with BatchScheduler(options=SchedulingOptions(timeout=0.2)) as scheduler:
+            with pytest.raises(UnenforceableTimeoutError):
+                SchedulingService(scheduler=scheduler)
+
+    def test_custom_runner_may_carry_a_timeout(self):
+        config = ServeConfig(options=SchedulingOptions(timeout=0.2))
+        SchedulingService(config=config, runner=_stub_result).close()
+
+    def test_no_timeout_is_accepted(self):
+        SchedulingService(config=ServeConfig(options=SchedulingOptions())).close()
+
+    def test_cli_serve_timeout_is_a_usage_error(self, capsys):
+        assert main(["serve", "--port", "0", "--timeout", "0.2"]) == 2
+        out, err = capsys.readouterr()
+        assert "cannot be enforced" in err
+        assert "serving on" not in out  # refused before the socket binds
 
 
 # -- end to end over localhost -----------------------------------------------

@@ -16,11 +16,13 @@ export PYTHONPATH=src
 # with <= 1% mutated >= 5x faster than cold, bit-identical and certified,
 # plus the ingest budget: from_json(doc) + fingerprint of a V=2000 stencil
 # costs no more than one FLB run on it, plus the certify budget: the FLB
-# certificate of that schedule costs no more than the run that produced it.
+# certificate of that schedule costs no more than the run that produced it,
+# plus the placement floor: MCP on the CSR evaluator runs at least 2x faster
+# than the dict-path oracle on the V=120 suite at P=32.
 python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_gate.py \
     tests/test_batch_graphplane.py tests/test_obs_overhead.py \
     benchmarks/bench_incremental.py tests/test_ingest.py \
-    tests/test_certify_bulk.py -p no:cacheprovider
+    tests/test_certify_bulk.py tests/test_placement_csr.py -p no:cacheprovider
 
 # Throughput gate at smoke scale against the stored full-scale baseline.
 # Smoke graphs are ~7x smaller than the baseline's, so per-task overheads
