@@ -12,7 +12,8 @@ This bench quantifies the gap distribution on the benchmark suite.
 import numpy as np
 import pytest
 
-from repro.bench import run_ablation_ties
+from repro.bench import EXPERIMENTS
+from repro.bench.experiments import by_instance
 from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 
@@ -31,26 +32,30 @@ def bench_ablation_flb_vs_etf(benchmark, suite_by_problem):
 
 
 @pytest.fixture(scope="module")
-def tie_report(bench_tasks, bench_seeds):
-    return run_ablation_ties(target_tasks=bench_tasks, seeds=bench_seeds, procs=(4, 16))
+def tie_report(registry_run):
+    return registry_run("ablation-ties")
+
+
+def _ratios(report):
+    return np.array([d["flb"] / d["etf"] for d in by_instance(report["records"]).values()])
 
 
 def test_ties_mean_ratio_near_one(tie_report):
     """On suite average FLB and ETF are equivalent to within a few percent
     (they optimise the same criterion)."""
-    assert tie_report.data["mean"] == pytest.approx(1.0, abs=0.08)
+    assert _ratios(tie_report).mean() == pytest.approx(1.0, abs=0.08)
 
 
 def test_ties_individual_gaps_bounded(tie_report):
     """Per-instance gaps stay inside a generous band around the paper's
     reported 12%-ish maximum (random weights differ from theirs)."""
-    ratios = np.asarray(tie_report.data["ratios"])
+    ratios = _ratios(tie_report)
     assert ratios.min() > 0.7
     assert ratios.max() < 1.35
 
 
 def test_ties_report_renders(tie_report):
-    assert "FLB/ETF makespan ratio" in tie_report.text
+    assert "FLB/ETF makespan ratio" in EXPERIMENTS["ablation-ties"].render(tie_report)
 
 
 class TestTiePreferenceKnob:

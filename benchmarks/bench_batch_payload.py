@@ -1,145 +1,34 @@
-"""Batch dispatch payload and throughput: inline pickle vs. the graph plane.
+"""Batch dispatch payload and throughput: inline pickle vs the graph plane.
 
-Two questions, answered at bench scale (``REPRO_BENCH_TASKS``, default 300):
-
-* **bytes/job** — how many bytes cross the supervisor->worker pipe per job
-  when the graph rides inline in every ``BatchJob``, vs. when jobs carry a
-  16-byte-ish segment key and the graph crosses once through shared memory
-  (segment bytes amortised over the sweep).
-* **jobs/s** — end-to-end ``schedule_many`` throughput on a repeated-graph
-  sweep for the inline path, the keyed path, and the keyed path fronted by
-  the content-addressed result cache (second pass = pure hits).
-
-Run directly for a table (recorded in ``results/batch_payload.txt``)::
-
-    PYTHONPATH=src python benchmarks/bench_batch_payload.py [--tasks N]
-
-or through pytest for the ``bench_*`` timings.
+pytest-benchmark timings of the repeated-graph sweep in
+:mod:`repro.bench.payload` at bench scale (``REPRO_BENCH_TASKS``, default
+300).  The bytes/job and jobs/s table of ``results/batch_payload.txt`` is
+the registry's ``batch_payload`` entry
+(``repro-sched experiment batch_payload``).
 """
 
-import argparse
-import pickle
-import time
-from dataclasses import replace
-
-from repro.batch import BatchJob, BatchScheduler, schedule_many
-from repro.graphstore import GraphStore
+from repro.batch import schedule_many
+from repro.bench.payload import payload_bytes, sweep_jobs
 from repro.resultcache import ResultCache
-from repro.util.rng import make_rng
-from repro.workloads import lu, lu_size_for_tasks
 
-SWEEP = [(p, a) for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
-         for a in ("flb", "fcp")]
-
-
-def _jobs(graph):
-    return [BatchJob(graph=graph, procs=p, algo=a, tag=f"{p}/{a}")
-            for p, a in SWEEP]
-
-
-def payload_bytes(graph):
-    """(inline bytes/job, keyed bytes/job incl. amortised segment)."""
-    jobs = _jobs(graph)
-    inline = sum(len(pickle.dumps((job, False))) for job in jobs) / len(jobs)
-    with GraphStore() as store:
-        key = store.register(graph)
-        keyed_wire = sum(
-            len(pickle.dumps((replace(job, graph=None, graph_key=key), False)))
-            for job in jobs
-        ) / len(jobs)
-        segment = store.total_bytes()
-    return inline, keyed_wire + segment / len(jobs), segment
-
-
-def _best(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def throughput(graph, workers=2, passes=3, repeats=2):
-    """jobs/s for inline, keyed, and keyed+cache serving of the sweep."""
-    jobs = _jobs(graph)
-    n = passes * len(jobs)
-
-    def inline():
-        for _ in range(passes):
-            schedule_many(jobs, workers=workers, share_graphs=False)
-
-    def keyed():
-        for _ in range(passes):
-            schedule_many(jobs, workers=workers, share_graphs=True)
-
-    def cached():
-        with BatchScheduler(workers=workers) as bs:
-            for _ in range(passes):
-                bs.run(jobs)
-
-    return {
-        "inline": n / _best(inline, repeats),
-        "keyed": n / _best(keyed, repeats),
-        "keyed+cache": n / _best(cached, repeats),
-    }
-
-
-# -- pytest-benchmark entry points ------------------------------------------
 
 def bench_dispatch_inline(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 0.2)]
-    jobs = _jobs(graph)
+    jobs = sweep_jobs(graph)
     benchmark.extra_info["bytes_per_job"] = round(payload_bytes(graph)[0])
     benchmark(lambda: schedule_many(jobs, workers=2, share_graphs=False))
 
 
 def bench_dispatch_keyed(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 0.2)]
-    jobs = _jobs(graph)
+    jobs = sweep_jobs(graph)
     benchmark.extra_info["bytes_per_job"] = round(payload_bytes(graph)[1])
     benchmark(lambda: schedule_many(jobs, workers=2, share_graphs=True))
 
 
 def bench_result_cache_hits(benchmark, suite_by_problem):
     graph = suite_by_problem[("lu", 0.2)]
-    jobs = _jobs(graph)
+    jobs = sweep_jobs(graph)
     cache = ResultCache(64)
     schedule_many(jobs, workers=2, cache=cache)  # warm: all misses
     benchmark(lambda: schedule_many(jobs, workers=2, cache=cache))
-
-
-# -- script mode ------------------------------------------------------------
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tasks", type=int, default=None,
-                        help="target task count (default REPRO_BENCH_TASKS/300)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--passes", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    if args.tasks is None:
-        import os
-        args.tasks = int(os.environ.get("REPRO_BENCH_TASKS", 300))
-
-    graph = lu(lu_size_for_tasks(args.tasks), make_rng(0), ccr=1.0)
-    print(f"graph: lu, V={graph.num_tasks}, E={graph.num_edges}; "
-          f"sweep: {len(SWEEP)} jobs x {args.passes} passes, "
-          f"workers={args.workers}")
-
-    inline_b, keyed_b, segment = payload_bytes(graph)
-    print(f"bytes/job  inline: {inline_b:>10.0f}")
-    print(f"bytes/job  keyed:  {keyed_b:>10.0f}  "
-          f"(wire {keyed_b - segment / len(SWEEP):.0f} + segment "
-          f"{segment}/{len(SWEEP)} jobs)  x{inline_b / keyed_b:.1f} smaller")
-
-    jps = throughput(graph, workers=args.workers, passes=args.passes)
-    for label in ("inline", "keyed", "keyed+cache"):
-        ratio = jps[label] / jps["inline"]
-        print(f"jobs/s  {label:<12}{jps[label]:>8.1f}   x{ratio:.2f} vs inline")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

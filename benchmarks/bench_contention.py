@@ -9,7 +9,7 @@ degrade less than communication-oblivious ones.
 
 import pytest
 
-from repro.bench import run_contention
+from repro.bench.experiments import contention_means
 from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 from repro.sim import execute_contended
@@ -24,34 +24,32 @@ def bench_contended_execution(benchmark, suite_by_problem, bandwidth):
 
 
 @pytest.fixture(scope="module")
-def contention_report(bench_tasks):
-    return run_contention(target_tasks=bench_tasks, seeds=1, procs=8)
+def contention_report(registry_run):
+    """Mean contended/free makespan per algorithm, one value per bandwidth
+    (lowest first), from the registry run."""
+    return contention_means(registry_run("contention"))
 
 
 def test_contention_monotone_in_bandwidth(contention_report):
-    bandwidths = contention_report.data["bandwidths"]
-    for algo, means in contention_report.data["means"].items():
-        values = [means[bw] for bw in bandwidths]
+    for algo, values in contention_report.items():
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-9, f"{algo}: degradation not monotone"
 
 
 def test_contention_never_below_one(contention_report):
-    for means in contention_report.data["means"].values():
-        for value in means.values():
+    for values in contention_report.values():
+        for value in values:
             assert value >= 1.0 - 1e-9
 
 
 def test_dsc_llb_degrades_least_at_low_bandwidth(contention_report):
     """The communication-minimising multi-step schedule keeps more of its
     promise under severe contention."""
-    means = contention_report.data["means"]
-    low_bw = contention_report.data["bandwidths"][0]
-    assert means["dsc-llb"][low_bw] <= means["flb"][low_bw]
-    assert means["dsc-llb"][low_bw] <= means["mcp"][low_bw]
+    means = contention_report
+    assert means["dsc-llb"][0] <= means["flb"][0]
+    assert means["dsc-llb"][0] <= means["mcp"][0]
 
 
 def test_high_bandwidth_converges(contention_report):
-    high_bw = contention_report.data["bandwidths"][-1]
-    for means in contention_report.data["means"].values():
-        assert means[high_bw] == pytest.approx(1.0, abs=0.25)
+    for values in contention_report.values():
+        assert values[-1] == pytest.approx(1.0, abs=0.25)

@@ -8,7 +8,7 @@ This bench measures both halves of that sentence.
 import numpy as np
 import pytest
 
-from repro.bench import run_duplication
+from repro.bench import EXPERIMENTS
 from repro.core import flb
 from repro.duplication import dsh
 from repro.machine import MachineModel
@@ -27,19 +27,19 @@ def bench_flb_same_instance(benchmark, suite_by_problem):
 
 
 @pytest.fixture(scope="module")
-def dup_report(bench_tasks):
-    return run_duplication(target_tasks=min(bench_tasks, 400), seeds=1, procs=8)
+def dup_report(registry_run):
+    return registry_run("duplication")
 
 
 def test_duplication_improves_quality_on_average(dup_report):
-    quality = np.asarray(dup_report.data["quality"])  # DSH/FLB makespans
+    quality = np.array([r["dsh"] / r["flb"] for r in dup_report["records"]])
     assert quality.mean() <= 1.02
 
 
 def test_duplication_costs_more(dup_report):
-    cost = np.asarray(dup_report.data["cost"])  # DSH/FLB scheduling times
+    cost = np.array([r["dsh_s"] / r["flb_s"] for r in dup_report["records"]])
     assert cost.mean() > 1.5
 
 
 def test_report_renders(dup_report):
-    assert "DSH/FLB makespan ratio" in dup_report.text
+    assert "DSH/FLB makespan ratio" in EXPERIMENTS["duplication"].render(dup_report)

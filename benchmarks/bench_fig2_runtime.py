@@ -7,14 +7,14 @@ cheapest and nearly flat (33-41 ms and 38-49 ms).
 
 Each ``bench_*`` function times one algorithm at one processor count over
 the three Fig. 2 problems (LU, Laplace, Stencil); the ``test_fig2_shape``
-check asserts the paper's qualitative ordering on this machine.
+check asserts the paper's qualitative ordering on the registry's Fig. 2
+run at bench scale.
 """
 
 import pytest
 
 from repro.bench import FIGURE_ALGORITHMS
 from repro.machine import MachineModel
-from repro.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 
 FIG2_PROBLEMS = ("lu", "laplace", "stencil")
@@ -39,7 +39,7 @@ def bench_fig2(benchmark, suite_by_problem, algo, procs):
     assert all(m > 0 for m in spans)
 
 
-def test_fig2_shape(suite_by_problem):
+def test_fig2_shape(registry_run):
     """The paper's qualitative cost ordering must hold:
 
     * ETF is the most expensive at every P and grows superlinearly with P;
@@ -47,11 +47,11 @@ def test_fig2_shape(suite_by_problem):
     * FLB stays within a small factor of FCP (paper: comparable);
     * MCP's cost grows with P but stays well below ETF's.
     """
-    graphs = _graphs(suite_by_problem)
+    records = registry_run("fig2")["records"]
 
     def cost(algo, procs):
         return sum(
-            time_scheduler(SCHEDULERS[algo], g, MachineModel(procs), repeats=3) for g in graphs
+            r["seconds"] for r in records if r["algorithm"] == algo and r["procs"] == procs
         )
 
     lo, hi = 2, 32

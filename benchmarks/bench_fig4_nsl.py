@@ -12,12 +12,10 @@ consistently outperforms DSC-LLB.
 
 import pytest
 
-from repro.bench import FIGURE_ALGORITHMS, run_sweep
+from repro.bench import FIGURE_ALGORITHMS
+from repro.bench.experiments import by_instance
 from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
-
-FIG4_PROCS = (2, 8, 32)
-
 
 @pytest.mark.parametrize("problem", ["lu", "stencil", "laplace"])
 def bench_fig4_all_algorithms(benchmark, suite_by_problem, problem):
@@ -32,17 +30,10 @@ def bench_fig4_all_algorithms(benchmark, suite_by_problem, problem):
 
 
 @pytest.fixture(scope="module")
-def nsl_records(fig_suite):
+def nsl_records(registry_run):
     """Per-instance makespans for all algorithms at the Fig. 4 processor
-    counts, on the (smaller) benchmark suite."""
-    instances = [i for i in fig_suite if i.problem in ("lu", "stencil", "laplace")]
-    records = run_sweep(instances, FIGURE_ALGORITHMS, FIG4_PROCS)
-    spans = {}
-    for rec in records:
-        spans.setdefault((rec.problem, rec.ccr, rec.seed_index, rec.procs), {})[
-            rec.algorithm
-        ] = rec.makespan
-    return spans
+    counts: the registry's Fig. 4 run at bench scale."""
+    return by_instance(registry_run("fig4")["records"])
 
 
 def _mean_nsl(spans, algo, ref="mcp"):

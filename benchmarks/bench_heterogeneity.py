@@ -8,7 +8,7 @@ speeds skew, against HEFT as the heterogeneity-aware reference.
 
 import pytest
 
-from repro.bench import run_heterogeneity
+from repro.bench.experiments import heterogeneity_means
 from repro.machine import MachineModel
 from repro.schedulers import heft
 
@@ -24,13 +24,17 @@ def bench_heft_under_skew(benchmark, suite_by_problem, skew):
 
 
 @pytest.fixture(scope="module")
-def hetero_report(bench_tasks):
-    return run_heterogeneity(target_tasks=min(bench_tasks, 400), seeds=1, procs=8)
+def hetero_report(registry_run):
+    data = registry_run("heterogeneity")
+    return {
+        "skews": data["skews"],
+        "means": {a: heterogeneity_means(data, a) for a in data["algorithms"]},
+    }
 
 
 def test_heft_at_parity_on_homogeneous(hetero_report):
     """At skew 1 (homogeneous) the algorithms are comparable."""
-    means = hetero_report.data["means"]
+    means = hetero_report["means"]
     for algo in means:
         assert means[algo][1.0] == pytest.approx(1.0, abs=0.15)
 
@@ -38,8 +42,8 @@ def test_heft_at_parity_on_homogeneous(hetero_report):
 def test_gap_grows_with_skew(hetero_report):
     """Homogeneous-minded schedulers fall further behind HEFT as the
     machine skews."""
-    means = hetero_report.data["means"]
-    skews = hetero_report.data["skews"]
+    means = hetero_report["means"]
+    skews = hetero_report["skews"]
     for algo in ("flb", "mcp"):
         values = [means[algo][s] for s in skews]
         assert values[-1] > values[0]
@@ -47,6 +51,6 @@ def test_gap_grows_with_skew(hetero_report):
 
 
 def test_heft_is_the_reference(hetero_report):
-    means = hetero_report.data["means"]
-    for s in hetero_report.data["skews"]:
+    means = hetero_report["means"]
+    for s in hetero_report["skews"]:
         assert means["heft"][s] == pytest.approx(1.0)

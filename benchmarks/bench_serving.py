@@ -1,216 +1,20 @@
-"""Serving front-end under offered load: goodput vs shed rate.
+"""Serving front-end under offered load: a smoke-sized sweep.
 
-Drives a real :class:`repro.serve.BackgroundServer` (localhost HTTP, the
-wrapped scheduler running inline) with an open-loop request generator at
-increasing offered rates.  Every request schedules the same registered
-graph at a *distinct* processor count, so each admitted request is real
-scheduling work (no result-cache hits) and the admission controller's
-bounded backlog actually fills.
-
-The interesting shape: goodput climbs with offered load until the service
-saturates at roughly ``1 / service_time``, then flattens while the shed
-rate (429 + ``Retry-After``) absorbs the excess — the fast-failure
-behaviour the bounded queue buys over unbounded buffering.
-
-Run directly to write the curve to ``results/serving.txt``::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py
-
-or through pytest (``pytest benchmarks/bench_serving.py``) for the smoke
-variants.
+The load generator lives in :mod:`repro.bench.serving`; the full curve of
+``results/serving.txt`` is the registry's ``serving`` entry
+(``repro-sched experiment serving``).
 """
 
-import concurrent.futures
-import json
-import threading
-import time
-import urllib.error
-import urllib.request
-from pathlib import Path
-
-from repro.api import SchedulingOptions
-from repro.serve import BackgroundServer, ServeConfig
-from repro.graph.io import to_json
-from repro.util.rng import make_rng
-from repro.util.tables import format_table
-from repro.workloads import lu, lu_size_for_tasks
-
-#: Offered request rates (requests/second) for the sweep.  The top rates
-#: sit well past the single-dispatcher capacity (~1/service_time) so the
-#: shed-rate column actually engages.
-OFFERED_RATES = (10, 50, 100, 200, 400)
-
-#: Seconds of offered load per rate step.
-WINDOW_SECONDS = 2.0
-
-#: Admission bound — small, so the saturation knee shows at bench scale.
-MAX_BACKLOG = 8
-
-_TASKS = 2000
-
-
-def _post(base: str, path: str, payload: dict) -> tuple:
-    req = urllib.request.Request(
-        base + path, data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"}, method="POST",
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return resp.status, json.loads(resp.read()), dict(resp.headers)
-    except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read()), dict(err.headers)
-
-
-class _LoadStep:
-    """One offered-rate step's tallies."""
-
-    def __init__(self, offered: int) -> None:
-        self.offered = offered
-        self.sent = 0
-        self.ok = 0
-        self.shed = 0
-        self.other = 0
-        self.latencies: list = []
-        self.retry_hints: list = []
-        self._lock = threading.Lock()
-
-    def record(self, status: int, seconds: float, headers: dict) -> None:
-        with self._lock:
-            if status == 200:
-                self.ok += 1
-                self.latencies.append(seconds)
-            elif status == 429:
-                self.shed += 1
-                hint = headers.get("Retry-After")
-                if hint is not None:
-                    self.retry_hints.append(int(hint))
-            else:
-                self.other += 1
-
-
-def _drive(base: str, fingerprint: str, offered: int, window: float,
-           procs_counter: list) -> _LoadStep:
-    """Open-loop load: one request every ``1/offered`` seconds."""
-    step = _LoadStep(offered)
-    n_requests = max(1, int(offered * window))
-
-    def fire(i: int) -> None:
-        procs_counter[0] += 1
-        payload = {
-            "fingerprint": fingerprint,
-            "procs": 2 + procs_counter[0],  # distinct => no cache hits
-            "tenant": f"tenant-{i % 4}",
-            "tag": f"load-{offered}-{i}",
-        }
-        t0 = time.perf_counter()
-        status, _body, headers = _post(base, "/v1/schedule", payload)
-        step.record(status, time.perf_counter() - t0, headers)
-
-    start = time.perf_counter()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=64) as pool:
-        futures = []
-        for i in range(n_requests):
-            due = start + i / offered
-            delay = due - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            futures.append(pool.submit(fire, i))
-            step.sent += 1
-        for fut in futures:
-            fut.result()
-    step.window = time.perf_counter() - start
-    return step
-
-
-def run_sweep(rates=OFFERED_RATES, window=WINDOW_SECONDS,
-              max_backlog=MAX_BACKLOG, tasks=_TASKS):
-    """Run the offered-load sweep; returns (steps, metadata dict)."""
-    graph = lu(lu_size_for_tasks(tasks), make_rng(0))
-    doc = json.loads(to_json(graph))
-    config = ServeConfig(
-        port=0, max_backlog=max_backlog,
-        options=SchedulingOptions(),
-    )
-    steps = []
-    with BackgroundServer(config) as srv:
-        base = f"http://{srv.host}:{srv.port}"
-        status, reg, _ = _post(base, "/v1/graphs", {"graph": doc})
-        assert status == 200, reg
-        fingerprint = reg["fingerprint"]
-        procs_counter = [0]
-        for offered in rates:
-            steps.append(
-                _drive(base, fingerprint, offered, window, procs_counter)
-            )
-        with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
-            metrics_text = resp.read().decode()
-    meta = {
-        "graph_tasks": graph.num_tasks,
-        "max_backlog": max_backlog,
-        "window_seconds": window,
-        "metrics_text": metrics_text,
-    }
-    return steps, meta
-
-
-def render(steps, meta) -> str:
-    rows = []
-    for s in steps:
-        goodput = s.ok / s.window if s.window else 0.0
-        shed_rate = s.shed / s.sent if s.sent else 0.0
-        lat = sorted(s.latencies)
-        p50 = lat[len(lat) // 2] * 1e3 if lat else float("nan")
-        hint = (sum(s.retry_hints) / len(s.retry_hints)
-                if s.retry_hints else float("nan"))
-        rows.append([s.offered, s.sent, s.ok, s.shed,
-                     round(goodput, 1), round(shed_rate, 3),
-                     round(p50, 1), hint])
-    table = format_table(
-        ["offered[rps]", "sent", "ok(200)", "shed(429)",
-         "goodput[rps]", "shed_rate", "p50[ms]", "retry_hint[s]"],
-        rows,
-        title=f"serving: offered load vs goodput / shed rate "
-              f"(V={meta['graph_tasks']}, max_backlog={meta['max_backlog']}, "
-              f"window={meta['window_seconds']:g}s per step)",
-    )
-    header = (
-        "Scheduling-as-a-service load sweep: the bounded admission queue\n"
-        "converts overload into fast 429s with a Retry-After hint derived\n"
-        "from the observed service-time EWMA, instead of unbounded queueing.\n"
-        "Distinct procs per request defeat the result cache, so every 200\n"
-        "is a real scheduling computation.  Produced by\n"
-        "benchmarks/bench_serving.py (PYTHONPATH=src python "
-        "benchmarks/bench_serving.py).\n"
-    )
-    return header + "\n" + table + "\n"
-
-
-def main(out: str = "results/serving.txt") -> int:
-    steps, meta = run_sweep()
-    text = render(steps, meta)
-    print(text)
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"(written to {path})")
-    total_ok = sum(s.ok for s in steps)
-    return 0 if total_ok else 1
-
-
-# -- pytest entry points (smoke-sized) ---------------------------------------
+from repro.bench.serving import offered_load
 
 
 def test_sweep_smoke():
     """A miniature sweep: the service stays up, sheds are well-formed, and
     at least the low-rate step achieves goodput."""
-    steps, meta = run_sweep(rates=(5, 40), window=1.0, max_backlog=4,
-                            tasks=400)
+    steps, meta = offered_load(rates=(5, 40), window=1.0, max_backlog=4,
+                               tasks=400)
     assert steps[0].ok > 0
     assert all(s.other == 0 for s in steps)  # nothing but 200s and 429s
     for s in steps:
         assert all(h >= 1 for h in s.retry_hints)
     assert "repro_serve_requests_total" in meta["metrics_text"]
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

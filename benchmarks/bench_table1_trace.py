@@ -7,7 +7,7 @@ row for row (the exhaustive per-cell checks live in
 """
 
 
-from repro.bench import run_table1
+from repro.bench import EXPERIMENTS
 from repro.core import TraceRecorder, flb
 from repro.machine import MachineModel
 from repro.workloads import paper_example
@@ -26,15 +26,16 @@ TABLE1_PLACEMENTS = [
 
 
 def test_table1_placements_reproduced():
-    report = run_table1()
-    assert report.data["placements"] == TABLE1_PLACEMENTS
-    assert report.data["makespan"] == 14.0
+    data = EXPERIMENTS["table1"].run()
+    placements = [(r["task"], r["proc"], r["start"], r["finish"]) for r in data["trace"]]
+    assert placements == TABLE1_PLACEMENTS
+    assert data["makespan"] == 14.0
 
 
 def test_table1_report_renders():
-    report = run_table1()
-    assert "t7 -> p0, [12 - 14]" in report.text
-    assert "makespan 14" in report.text
+    text = EXPERIMENTS["table1"].render(EXPERIMENTS["table1"].run())
+    assert "t7 -> p0, [12 - 14]" in text
+    assert "makespan 14" in text
 
 
 def bench_flb_paper_example(benchmark):

@@ -37,7 +37,10 @@ def bench_flb_throughput(benchmark, suite_by_problem, procs):
 
     spans = benchmark(run)
     assert all(m > 0 for m in spans)
-    benchmark.extra_info["tasks_per_s"] = round(total_tasks / benchmark.stats.stats.median, 1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["tasks_per_s"] = round(
+            total_tasks / benchmark.stats.stats.median, 1
+        )
 
 
 @pytest.mark.parametrize("impl", ["fast", "seed"])

@@ -10,7 +10,8 @@ import os
 
 import pytest
 
-from repro.bench import paper_suite
+from repro.bench import EXPERIMENTS, paper_suite
+
 
 def _env_int(name: str, default: int) -> int:
     try:
@@ -29,11 +30,6 @@ def bench_tasks():
 
 
 @pytest.fixture(scope="session")
-def bench_seeds():
-    return BENCH_SEEDS
-
-
-@pytest.fixture(scope="session")
 def suite_by_problem():
     """One representative instance per (problem, ccr) at bench scale."""
     instances = paper_suite(BENCH_TASKS, seeds=1)
@@ -41,6 +37,14 @@ def suite_by_problem():
 
 
 @pytest.fixture(scope="session")
-def fig_suite():
-    """The multi-seed suite used by the figure reproductions."""
-    return paper_suite(BENCH_TASKS, seeds=BENCH_SEEDS)
+def registry_run():
+    """``registry_run(id)``: one registry run of that experiment at bench
+    scale, shared by every shape check that reads it."""
+    runs = {}
+
+    def run(exp_id):
+        if exp_id not in runs:
+            runs[exp_id] = EXPERIMENTS[exp_id].run(BENCH_TASKS, BENCH_SEEDS)
+        return runs[exp_id]
+
+    return run

@@ -1,23 +1,7 @@
-"""Experiment harness: the paper's workload suite, sweep runner, and
-reproductions of every table and figure."""
+"""Experiment harness: the paper's workload suite, the sweep runner, and
+the registry that regenerates every ``results/*.txt``."""
 
-from repro.bench.experiments import (
-    FIGURE_ALGORITHMS,
-    ExperimentReport,
-    run_ablation_llb,
-    run_ablation_ties,
-    run_all,
-    run_contention,
-    run_duplication,
-    run_heterogeneity,
-    run_extended_sweep,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_robustness,
-    run_scaling,
-    run_table1,
-)
+from repro.bench.experiments import EXPERIMENTS, FIGURE_ALGORITHMS, Experiment
 from repro.bench.runner import RunRecord, group_mean, run_sweep
 from repro.bench.suite import (
     PAPER_CCRS,
@@ -36,19 +20,7 @@ __all__ = [
     "run_sweep",
     "RunRecord",
     "group_mean",
-    "ExperimentReport",
+    "EXPERIMENTS",
+    "Experiment",
     "FIGURE_ALGORITHMS",
-    "run_table1",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_scaling",
-    "run_ablation_ties",
-    "run_ablation_llb",
-    "run_robustness",
-    "run_contention",
-    "run_duplication",
-    "run_heterogeneity",
-    "run_extended_sweep",
-    "run_all",
 ]

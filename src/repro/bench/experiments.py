@@ -1,81 +1,166 @@
-"""Reproductions of every table and figure in the paper's evaluation.
+"""The experiment registry: every ``results/<id>.txt`` and its raw data.
 
-Each ``run_*`` function regenerates one artefact and returns an
-:class:`ExperimentReport` containing a rendered text report plus the
-underlying data series:
+:data:`EXPERIMENTS` maps each results-file stem to an :class:`Experiment`
+with two halves.  ``run(tasks, seeds, workers)`` measures and returns
+JSON-native raw records — per-instance makespans and per-call seconds,
+never pre-aggregated means — and ``render(data)`` builds the text report
+from those records alone.  ``repro-sched experiment <id>|all -o DIR``
+writes ``DIR/raw/<id>.json`` and then ``DIR/<id>.txt`` rendered from it,
+so every committed report can be re-rendered or re-analysed without
+re-running anything.
 
 =============== =====================================================
-function        paper artefact
+id              artefact
 =============== =====================================================
-run_table1      Table 1 — FLB execution trace on the Fig. 1 graph
-run_fig2        Fig. 2 — scheduling cost (running time) vs P
-run_fig3        Fig. 3 — FLB speedup vs P per problem and CCR
-run_fig4        Fig. 4 — NSL (vs MCP) per problem, CCR and P
-run_scaling     X1 — FLB/FCP cost scaling in V (complexity check)
-run_ablation_ties  X2 — FLB vs ETF tie-breaking quality gap
-run_ablation_llb   X3 — LLB priority direction
-run_robustness  X4 — makespan degradation under weight perturbation
-run_contention  X5 — degradation under sender-port link contention
-run_duplication X6 — DSH duplication quality/cost trade-off vs FLB
-run_heterogeneity X7 — speed heterogeneity: HEFT vs homogeneous-minded
-run_extended_sweep X8 — TR-style extended problem/granularity sweep
+table1          Table 1 — FLB execution trace on the Fig. 1 graph
+fig2            Fig. 2 — scheduling cost (running time) vs P
+fig3            Fig. 3 — FLB speedup vs P per problem and CCR
+fig4            Fig. 4 — NSL (vs MCP) per problem, CCR and P
+scaling         X1 — array-kernel cost on square stencils, 10^3..10^6 tasks
+ablation-ties   X2 — FLB vs ETF tie-breaking quality gap
+ablation-llb    X3 — LLB priority direction
+robustness      X4 — makespan degradation under weight perturbation
+contention      X5 — degradation under sender-port link contention
+duplication     X6 — DSH duplication quality/cost trade-off vs FLB
+heterogeneity   X7 — speed heterogeneity: HEFT vs homogeneous-minded
+extended-sweep  X8 — TR-style extended problem/granularity sweep
+incremental     warm-start rescheduling vs the cold array kernel
+batch_payload   batch dispatch: inline pickle vs the shared graph plane
+serving         HTTP service: goodput and shed rate vs offered load
+fastpath        FLB array kernel vs the seed implementation
 =============== =====================================================
 
-Absolute running times obviously differ from the paper's 1999 hardware; the
+Each entry's defaults are the scale of its committed report.  ``tasks``
+is the one size argument: tasks per instance, or the largest V for
+``scaling``, ``incremental``, ``serving`` and ``batch_payload``.
+Absolute running times differ from the paper's 1999 hardware; the
 reproduction target is the *shape* of each figure (orderings, trends,
 crossovers).  See EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+import gc
+import json
+import math
+import statistics
+import time
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.runner import group_mean, run_sweep
-from repro.bench.suite import PAPER_CCRS, PAPER_PROBLEMS, PAPER_PROCS, paper_suite
-from repro.core import TraceRecorder, flb, format_trace
+from repro.bench.suite import PAPER_CCRS, PAPER_PROBLEMS, PAPER_PROCS, Instance, paper_suite
+from repro.core import TraceRecorder, flb
+from repro.core.trace import render_trace, trace_rows
 from repro.machine import MachineModel
 from repro.metrics.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS, dsc, llb
 from repro.sim import execute, execute_contended, execute_perturbed
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, spawn_rngs
 from repro.util.tables import format_series_chart, format_table
-from repro.workloads import layered_random, paper_example
+from repro.workloads import lu, lu_size_for_tasks, paper_example, stencil, stencil_size_for_tasks
 
 __all__ = [
-    "ExperimentReport",
-    "run_table1",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_scaling",
-    "run_ablation_ties",
-    "run_ablation_llb",
-    "run_robustness",
-    "run_contention",
-    "run_duplication",
-    "run_heterogeneity",
-    "run_extended_sweep",
-    "run_all",
+    "EXPERIMENTS",
+    "FIGURE_ALGORITHMS",
+    "Experiment",
+    "by_instance",
+    "contention_means",
+    "heterogeneity_means",
+    "to_json",
 ]
+
+#: JSON-native raw data of one experiment run.
+Data = Dict[str, Any]
 
 #: Algorithms compared in Figs. 2 and 4 (the paper's comparison set).
 FIGURE_ALGORITHMS: Tuple[str, ...] = ("mcp", "etf", "dsc-llb", "fcp", "flb")
 
+FIG2_PROBLEMS = ("lu", "laplace", "stencil")
+FIG4_PROBLEMS = ("lu", "stencil", "laplace")
+FIG4_PROCS = (2, 8, 32)
 
-@dataclass
-class ExperimentReport:
-    """A regenerated table/figure: rendered text plus raw data."""
 
-    experiment: str
+@dataclass(frozen=True)
+class Experiment:
+    """One results file: how to measure it and how to render it."""
+
+    id: str
     title: str
-    text: str
-    data: Dict[str, object] = field(default_factory=dict)
+    #: Default scale: the committed report's.
+    tasks: int
+    seeds: int
+    measure: Callable[[int, int, int], Data]
+    body: Callable[[Data], str]
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return f"== {self.experiment}: {self.title} ==\n{self.text}"
+    def run(
+        self, tasks: Optional[int] = None, seeds: Optional[int] = None, workers: int = 1
+    ) -> Data:
+        """Measure at ``tasks``/``seeds`` (default: the committed scale)."""
+        tasks = self.tasks if tasks is None else tasks
+        seeds = self.seeds if seeds is None else seeds
+        return {"tasks": tasks, "seeds": seeds, **self.measure(tasks, seeds, workers)}
+
+    def render(self, data: Data) -> str:
+        """The report text, built from ``data`` alone."""
+        return f"== {self.id}: {self.title} ==\n{self.body(data)}\n"
+
+
+def to_json(data: Data) -> str:
+    """``data`` as JSON with one top-level key, and one record, per line."""
+    lines = []
+    for key, value in data.items():
+        if isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+            records = ",\n  ".join(json.dumps(v) for v in value)
+            lines.append(f" {json.dumps(key)}: [\n  {records}\n ]")
+        else:
+            lines.append(f" {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _sweep(
+    instances: Sequence[Instance], algorithms: Sequence[str], procs: Sequence[int],
+    workers: int = 1, measure_time: bool = False,
+) -> List[Data]:
+    records = run_sweep(instances, algorithms, procs, workers=workers,
+                        measure_time=measure_time)
+    return [asdict(rec) for rec in records]
+
+
+def by_instance(records: List[Data]) -> Dict[Tuple[str, float, int, int], Dict[str, float]]:
+    """Sweep records as ``{(problem, ccr, seed, P): {algorithm: makespan}}``."""
+    spans: Dict[Tuple[str, float, int, int], Dict[str, float]] = {}
+    for r in records:
+        key = (r["problem"], r["ccr"], r["seed_index"], r["procs"])
+        spans.setdefault(key, {})[r["algorithm"]] = r["makespan"]
+    return spans
+
+
+def _up_to(sizes: Sequence[int], largest: int) -> List[int]:
+    """The V ladder of a size sweep: ``sizes`` below ``largest``, then it."""
+    return [*(v for v in sizes if v < largest), largest]
+
+
+def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
+    """Best of ``repeats`` timed calls, with the garbage collector off.
+
+    At large V, generational sweeps over the million-object graph would
+    dominate the timed region; they are allocator noise, not kernel cost.
+    """
+    best = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -83,626 +168,655 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_table1() -> ExperimentReport:
-    """Reproduce Table 1: the FLB execution trace on the Fig. 1 graph, P=2."""
+def _table1(tasks: int, seeds: int, workers: int) -> Data:
     graph = paper_example()
     recorder = TraceRecorder(graph)
     schedule = flb(graph, MachineModel(2), observer=recorder)
-    text = format_trace(recorder) + "\n\n" + schedule.as_table()
-    placements = [
-        (row.task, row.proc, row.start, row.finish) for row in recorder.rows
-    ]
-    return ExperimentReport(
-        experiment="table1",
-        title="FLB execution trace (Fig. 1 graph, P=2)",
-        text=text,
-        data={"placements": placements, "makespan": schedule.makespan},
+    return {
+        "procs": 2,
+        "makespan": schedule.makespan,
+        "trace": trace_rows(recorder),
+        "schedule": [[graph.name(e.task), e.task, e.proc, e.start, e.finish] for e in schedule],
+    }
+
+
+def _render_table1(data: Data) -> str:
+    schedule = format_table(
+        ["task", "id", "proc", "start", "finish"],
+        data["schedule"],
+        title=f"schedule on {data['procs']} processors, makespan {data['makespan']:g}",
     )
+    return render_trace(data["trace"]) + "\n\n" + schedule
 
 
 # ---------------------------------------------------------------------------
-# Fig. 2 — scheduling costs
+# Figs. 2-4
 # ---------------------------------------------------------------------------
 
 
-def run_fig2(
-    target_tasks: int = 2000,
-    seeds: int = 5,
-    procs: Sequence[int] = PAPER_PROCS,
-    algorithms: Sequence[str] = FIGURE_ALGORITHMS,
-    problems: Sequence[str] = ("lu", "laplace", "stencil"),
-    time_repeats: int = 3,
-    workers: int = 1,
-) -> ExperimentReport:
-    """Reproduce Fig. 2: average algorithm running time vs P.
+def _fig2(tasks: int, seeds: int, workers: int) -> Data:
+    # Timed sweeps stay serial whatever ``workers`` says: parallel timing
+    # runs would contend for cores and corrupt the costs this figure shows.
+    instances = paper_suite(tasks, seeds=seeds, problems=FIG2_PROBLEMS)
+    return {
+        "V": instances[0].graph.num_tasks,
+        "procs": list(PAPER_PROCS),
+        "algorithms": list(FIGURE_ALGORITHMS),
+        "records": _sweep(instances, FIGURE_ALGORITHMS, PAPER_PROCS, measure_time=True),
+    }
 
-    ``workers`` is accepted for CLI symmetry with the other figures but the
-    timed sweep itself always runs serially — parallel timing runs would
-    contend for cores and corrupt the cost measurements this figure is about.
-    """
-    del workers  # timing must stay serial; see docstring
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    records = run_sweep(
-        instances, algorithms, procs, measure_time=True, time_repeats=time_repeats
-    )
+
+def _render_fig2(data: Data) -> str:
+    procs, algorithms = data["procs"], data["algorithms"]
     mean_ms = group_mean(
-        records, key=lambda r: (r.algorithm, r.procs), value=lambda r: r.seconds * 1e3
+        data["records"], key=lambda r: (r["algorithm"], r["procs"]),
+        value=lambda r: r["seconds"] * 1e3,
     )
-    rows = [
-        [algo, *(mean_ms[(algo, p)] for p in procs)] for algo in algorithms
-    ]
+    series = {a: [mean_ms[(a, p)] for p in procs] for a in algorithms}
     table = format_table(
         ["algorithm", *(f"P={p} [ms]" for p in procs)],
-        rows,
-        title=f"Fig. 2 — mean scheduling time, V~{instances[0].graph.num_tasks}, "
-        f"{len(instances)} instances",
+        [[a, *series[a]] for a in algorithms],
+        title=f"Fig. 2 — mean scheduling time, V~{data['V']}, "
+        f"{len(by_instance(data['records'])) // len(procs)} instances",
     )
-    series = {algo: [mean_ms[(algo, p)] for p in procs] for algo in algorithms}
-    chart = format_series_chart(
-        list(procs), series, title="scheduling time [ms] vs P", x_label="P"
-    )
-    return ExperimentReport(
-        experiment="fig2",
-        title="Scheduling algorithm costs",
-        text=table + "\n\n" + chart,
-        data={"procs": list(procs), "mean_ms": series},
-    )
+    chart = format_series_chart(procs, series, title="scheduling time [ms] vs P", x_label="P")
+    return table + "\n\n" + chart
 
 
-# ---------------------------------------------------------------------------
-# Fig. 3 — FLB speedup
-# ---------------------------------------------------------------------------
+def _fig3(tasks: int, seeds: int, workers: int) -> Data:
+    procs = (1, *PAPER_PROCS)
+    return {
+        "procs": list(procs),
+        "problems": list(PAPER_PROBLEMS),
+        "ccrs": list(PAPER_CCRS),
+        "records": _sweep(paper_suite(tasks, seeds=seeds), ["flb"], procs, workers=workers),
+    }
 
 
-def run_fig3(
-    target_tasks: int = 2000,
-    seeds: int = 5,
-    procs: Sequence[int] = (1, *PAPER_PROCS),
-    problems: Sequence[str] = PAPER_PROBLEMS,
-    ccrs: Sequence[float] = PAPER_CCRS,
-    workers: int = 1,
-) -> ExperimentReport:
-    """Reproduce Fig. 3: FLB speedup vs P for each problem and CCR."""
-    instances = paper_suite(target_tasks, ccrs=ccrs, seeds=seeds, problems=problems)
-    records = run_sweep(instances, ["flb"], procs, workers=workers)
+def _render_fig3(data: Data) -> str:
+    procs, problems = data["procs"], data["problems"]
     mean_speedup = group_mean(
-        records, key=lambda r: (r.problem, r.ccr, r.procs), value=lambda r: r.speedup
+        data["records"], key=lambda r: (r["problem"], r["ccr"], r["procs"]),
+        value=lambda r: r["speedup"],
     )
-    sections: List[str] = []
-    data: Dict[float, Dict[str, List[float]]] = {}
-    for ccr in ccrs:
-        series = {
-            prob: [mean_speedup[(prob, ccr, p)] for p in procs] for prob in problems
-        }
-        data[ccr] = series
-        rows = [[prob, *series[prob]] for prob in problems]
+    sections = []
+    for ccr in data["ccrs"]:
+        series = {prob: [mean_speedup[(prob, ccr, p)] for p in procs] for prob in problems}
         table = format_table(
             ["problem", *(f"P={p}" for p in procs)],
-            rows,
+            [[prob, *series[prob]] for prob in problems],
             title=f"Fig. 3 — FLB speedup, CCR = {ccr:g}",
         )
         chart = format_series_chart(
-            list(procs), series, title=f"speedup vs P (CCR={ccr:g})", x_label="P"
+            procs, series, title=f"speedup vs P (CCR={ccr:g})", x_label="P"
         )
         sections.append(table + "\n\n" + chart)
-    return ExperimentReport(
-        experiment="fig3",
-        title="FLB speedup",
-        text="\n\n".join(sections),
-        data={"procs": list(procs), "speedup": data},
+    return "\n\n".join(sections)
+
+
+def _fig4(tasks: int, seeds: int, workers: int) -> Data:
+    instances = paper_suite(tasks, seeds=seeds, problems=FIG4_PROBLEMS)
+    return {
+        "procs": list(FIG4_PROCS),
+        "problems": list(FIG4_PROBLEMS),
+        "ccrs": list(PAPER_CCRS),
+        "algorithms": list(FIGURE_ALGORITHMS),
+        "records": _sweep(instances, FIGURE_ALGORITHMS, FIG4_PROCS, workers=workers),
+    }
+
+
+def _mean_nsl(
+    records: List[Data], key: Callable[[Tuple[str, float, int, int]], Tuple[object, ...]]
+) -> Dict[Tuple[object, ...], float]:
+    """Mean per-instance NSL (makespan over MCP's on the same instance and
+    P), grouped by ``(*key(instance), algorithm)``."""
+    return group_mean(
+        [((*key(inst), algo), span / spans["mcp"])
+         for inst, spans in by_instance(records).items() for algo, span in spans.items()],
+        key=lambda kv: kv[0], value=lambda kv: kv[1],
     )
 
 
+def _render_fig4(data: Data) -> str:
+    procs, algorithms = data["procs"], data["algorithms"]
+    nsl = _mean_nsl(data["records"], key=lambda inst: (inst[0], inst[1], inst[3]))
+    sections = []
+    for problem in data["problems"]:
+        for ccr in data["ccrs"]:
+            sections.append(format_table(
+                ["algorithm", *(f"P={p}" for p in procs)],
+                [[a, *(nsl[(problem, ccr, p, a)] for p in procs)] for a in algorithms],
+                title=f"Fig. 4 — mean NSL (vs MCP), {problem}, CCR = {ccr:g}",
+            ))
+    return "\n\n".join(sections)
+
+
 # ---------------------------------------------------------------------------
-# Fig. 4 — normalized schedule lengths
+# X1 — cost scaling in V
 # ---------------------------------------------------------------------------
 
 
-def run_fig4(
-    target_tasks: int = 2000,
-    seeds: int = 5,
-    procs: Sequence[int] = PAPER_PROCS,
-    algorithms: Sequence[str] = FIGURE_ALGORITHMS,
-    problems: Sequence[str] = ("lu", "stencil", "laplace"),
-    ccrs: Sequence[float] = PAPER_CCRS,
-    workers: int = 1,
-) -> ExperimentReport:
-    """Reproduce Fig. 4: average NSL (vs MCP) per problem, CCR and P.
+def _scaling(tasks: int, seeds: int, workers: int) -> Data:
+    """The array kernel on square stencil grids from 10^3 up to ``tasks``.
 
-    NSL is computed per instance against MCP's schedule length on the same
-    instance at the same processor count, then averaged over seeds.
+    Square grids (``cells = steps = sqrt(V)``) keep the shape family fixed
+    while V grows, so time/V directly tests the paper's
+    ``O(V (log W + log P) + E)`` bound: with bounded degree (E ~ 3V) and
+    slowly-growing W, the per-task cost must stay near-flat.
     """
-    if "mcp" not in algorithms:
-        algorithms = (*algorithms, "mcp")
-    instances = paper_suite(target_tasks, ccrs=ccrs, seeds=seeds, problems=problems)
-    records = run_sweep(instances, algorithms, procs, workers=workers)
-    by_key: Dict[Tuple[str, float, int, int], Dict[str, float]] = {}
-    for rec in records:
-        by_key.setdefault(
-            (rec.problem, rec.ccr, rec.seed_index, rec.procs), {}
-        )[rec.algorithm] = rec.makespan
-    nsl_sum: Dict[Tuple[str, float, str, int], float] = {}
-    nsl_count: Dict[Tuple[str, float, str, int], int] = {}
-    for (problem, ccr, _seed, p), spans in by_key.items():
-        ref = spans["mcp"]
-        for algo, span in spans.items():
-            key = (problem, ccr, algo, p)
-            nsl_sum[key] = nsl_sum.get(key, 0.0) + span / ref
-            nsl_count[key] = nsl_count.get(key, 0) + 1
-    nsl = {k: nsl_sum[k] / nsl_count[k] for k in nsl_sum}
+    from repro.core.flb_array import flb_array
 
-    sections: List[str] = []
-    data: Dict[str, object] = {}
-    for problem in problems:
-        for ccr in ccrs:
-            series = {
-                algo: [nsl[(problem, ccr, algo, p)] for p in procs]
-                for algo in algorithms
-            }
-            data[(problem, ccr)] = series
-            rows = [[algo, *series[algo]] for algo in algorithms]
-            sections.append(
-                format_table(
-                    ["algorithm", *(f"P={p}" for p in procs)],
-                    rows,
-                    title=f"Fig. 4 — mean NSL (vs MCP), {problem}, CCR = {ccr:g}",
-                )
-            )
-    return ExperimentReport(
-        experiment="fig4",
-        title="Scheduling algorithm performance (NSL)",
-        text="\n\n".join(sections),
-        data={"procs": list(procs), "nsl": data},
-    )
+    machine = MachineModel(16)
+    records = []
+    for v in _up_to((1_000, 10_000, 100_000), tasks):
+        side = math.isqrt(v)
+        graph = stencil(side, side, make_rng(7))
+        seconds = _best_seconds(partial(flb_array, graph, machine), 3 if v <= 10_000 else 2)
+        records.append({"V": graph.num_tasks, "E": graph.num_edges, "seconds": seconds})
+        del graph  # one large graph alive at a time: 10^6 tasks take ~2 GB
+    return {"procs": machine.num_procs, "records": records}
+
+
+def _render_scaling(data: Data) -> str:
+    rows = data["records"]
+    lines = [
+        f"square 1-D stencil grids, P={data['procs']}, bounded degree (E ~ 3V)",
+        format_table(
+            ["V", "E", "time [s]", "us/task", "tasks/s"],
+            [[r["V"], r["E"], r["seconds"], r["seconds"] / r["V"] * 1e6, r["V"] / r["seconds"]]
+             for r in rows],
+        ),
+    ]
+    lo = next((r for r in rows if r["V"] >= 9_000), None)
+    hi = rows[-1] if rows[-1]["V"] >= 100_000 else None
+    if lo is not None and hi is not None and hi["V"] > lo["V"]:
+        flat = (hi["seconds"] / hi["V"]) / (lo["seconds"] / lo["V"])
+        lines.append(
+            f"time/V from V={lo['V']:,} to V={hi['V']:,}: {flat:.2f}x "
+            f"({'flat within 2x — near-linear' if flat < 2.0 else 'NOT flat'})"
+        )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# X1 — complexity scaling
+# X2 — FLB vs ETF tie-breaking; X3 — LLB priority direction
 # ---------------------------------------------------------------------------
 
-
-def run_scaling(
-    sizes: Sequence[int] = (250, 500, 1000, 2000, 4000),
-    procs: int = 16,
-    layer_width: int = 25,
-    algorithms: Sequence[str] = ("flb", "fcp"),
-    time_repeats: int = 3,
-) -> ExperimentReport:
-    """X1: running time of the low-cost schedulers as V grows.
-
-    Uses layered random graphs of fixed width so ``W`` (and ``log W``) stays
-    constant while ``V`` and ``E`` scale linearly — under the paper's bound
-    the time per task should stay near-constant.
-    """
-    rows = []
-    series: Dict[str, List[float]] = {a: [] for a in algorithms}
-    machine = MachineModel(procs)
-    for v in sizes:
-        layers = max(1, v // layer_width)
-        g = layered_random(layers, layer_width, make_rng(7), edge_density=0.15, ccr=1.0)
-        row = [g.num_tasks]
-        for algo in algorithms:
-            seconds = time_scheduler(SCHEDULERS[algo], g, machine, repeats=time_repeats)
-            series[algo].append(seconds * 1e3)
-            row.append(seconds * 1e3)
-            row.append(seconds * 1e6 / g.num_tasks)
-        rows.append(row)
-    headers = ["V"]
-    for algo in algorithms:
-        headers += [f"{algo} [ms]", f"{algo} [us/task]"]
-    table = format_table(headers, rows, title=f"X1 — cost scaling, P={procs}, W~{layer_width}")
-    return ExperimentReport(
-        experiment="scaling",
-        title="FLB cost scaling in V",
-        text=table,
-        data={"sizes": [r[0] for r in rows], "ms": series},
-    )
+ABLATION_PROBLEMS = ("lu", "laplace", "stencil")
+ABLATION_PROCS = (4, 16)
 
 
-# ---------------------------------------------------------------------------
-# X2 — FLB vs ETF tie-breaking ablation
-# ---------------------------------------------------------------------------
+def _ablation_ties(tasks: int, seeds: int, workers: int) -> Data:
+    """FLB and ETF share the selection criterion; their makespans differ
+    only by tie-breaking (paper §6.2: up to ~12%, usually in FLB's
+    favour)."""
+    instances = paper_suite(tasks, seeds=seeds, problems=ABLATION_PROBLEMS)
+    return {"records": _sweep(instances, ("flb", "etf"), ABLATION_PROCS, workers=workers)}
 
 
-def run_ablation_ties(
-    target_tasks: int = 400,
-    seeds: int = 5,
-    procs: Sequence[int] = (4, 16),
-    problems: Sequence[str] = ("lu", "laplace", "stencil"),
-) -> ExperimentReport:
-    """X2: FLB and ETF share the selection criterion; quantify the makespan
-    differences their different tie-breaking produces (paper §6.2: up to
-    ~12%, usually in FLB's favour)."""
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    records = run_sweep(instances, ["flb", "etf"], procs)
-    spans: Dict[Tuple[str, float, int, int], Dict[str, float]] = {}
-    for rec in records:
-        spans.setdefault((rec.problem, rec.ccr, rec.seed_index, rec.procs), {})[
-            rec.algorithm
-        ] = rec.makespan
-    ratios = []
-    rows = []
-    for (problem, ccr, seed, p), d in sorted(spans.items()):
-        ratio = d["flb"] / d["etf"]
-        ratios.append(ratio)
-        rows.append([f"{problem}/ccr={ccr:g}/#{seed}", p, d["etf"], d["flb"], ratio])
-    arr = np.array(ratios)
+def _render_ablation_ties(data: Data) -> str:
+    rows = [
+        [f"{problem}/ccr={ccr:g}/#{seed}", p, d["etf"], d["flb"], d["flb"] / d["etf"]]
+        for (problem, ccr, seed, p), d in sorted(by_instance(data["records"]).items())
+    ]
+    arr = np.array([row[-1] for row in rows])
     summary = (
-        f"FLB/ETF makespan ratio over {len(ratios)} runs: "
+        f"FLB/ETF makespan ratio over {len(rows)} runs: "
         f"mean {arr.mean():.4f}, min {arr.min():.4f}, max {arr.max():.4f}; "
         f"FLB strictly better in {(arr < 1 - 1e-9).mean() * 100:.0f}%, "
         f"equal in {(np.abs(arr - 1) <= 1e-9).mean() * 100:.0f}% of runs"
     )
     table = format_table(
-        ["instance", "P", "ETF", "FLB", "FLB/ETF"],
-        rows,
+        ["instance", "P", "ETF", "FLB", "FLB/ETF"], rows,
         title="X2 — FLB vs ETF (identical criterion, different tie-breaking)",
     )
-    return ExperimentReport(
-        experiment="ablation-ties",
-        title="FLB vs ETF tie-breaking",
-        text=summary + "\n\n" + table,
-        data={"ratios": ratios, "mean": float(arr.mean())},
-    )
+    return summary + "\n\n" + table
 
 
-# ---------------------------------------------------------------------------
-# X3 — LLB priority-direction ablation
-# ---------------------------------------------------------------------------
-
-
-def run_ablation_llb(
-    target_tasks: int = 400,
-    seeds: int = 5,
-    procs: Sequence[int] = (4, 16),
-    problems: Sequence[str] = ("lu", "laplace", "stencil"),
-) -> ExperimentReport:
-    """X3: 'largest' vs 'least' bottom-level priority in LLB (the FLB paper's
+def _ablation_llb(tasks: int, seeds: int, workers: int) -> Data:
+    """'largest' vs 'least' bottom-level priority in LLB (the FLB paper's
     related-work text and the LLB paper disagree; DESIGN.md §4.4)."""
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    rows = []
-    ratios = []
-    for inst in instances:
+    records = []
+    for inst in paper_suite(tasks, seeds=seeds, problems=ABLATION_PROBLEMS):
         clustering = dsc(inst.graph)
-        for p in procs:
-            machine = MachineModel(p)
-            largest = llb(inst.graph, clustering, machine, priority="largest").makespan
-            least = llb(inst.graph, clustering, machine, priority="least").makespan
-            ratio = least / largest
-            ratios.append(ratio)
-            rows.append([inst.label, p, largest, least, ratio])
-    arr = np.array(ratios)
+        for p in ABLATION_PROCS:
+            spans = {
+                priority: llb(inst.graph, clustering, MachineModel(p), priority=priority).makespan
+                for priority in ("largest", "least")
+            }
+            records.append({"instance": inst.label, "procs": p, **spans})
+    return {"records": records}
+
+
+def _render_ablation_llb(data: Data) -> str:
+    rows = [[r["instance"], r["procs"], r["largest"], r["least"], r["least"] / r["largest"]]
+            for r in data["records"]]
+    arr = np.array([row[-1] for row in rows])
     summary = (
-        f"least/largest makespan ratio over {len(ratios)} runs: mean "
+        f"least/largest makespan ratio over {len(rows)} runs: mean "
         f"{arr.mean():.4f} (>1 means 'largest' wins), worst {arr.max():.4f}"
     )
     table = format_table(
-        ["instance", "P", "largest", "least", "least/largest"],
-        rows,
+        ["instance", "P", "largest", "least", "least/largest"], rows,
         title="X3 — LLB priority direction",
     )
-    return ExperimentReport(
-        experiment="ablation-llb",
-        title="LLB priority direction",
-        text=summary + "\n\n" + table,
-        data={"ratios": ratios, "mean": float(arr.mean())},
-    )
+    return summary + "\n\n" + table
 
 
 # ---------------------------------------------------------------------------
-# X4 — robustness under weight perturbation
+# X4 — weight perturbation; X5 — link contention; X6 — duplication
 # ---------------------------------------------------------------------------
 
+ROBUSTNESS_CVS = (0.1, 0.3, 0.5)
+ROBUSTNESS_DRAWS = 10
 
-def run_robustness(
-    target_tasks: int = 400,
-    seeds: int = 3,
-    procs: int = 8,
-    cvs: Sequence[float] = (0.1, 0.3, 0.5),
-    draws: int = 10,
-    problems: Sequence[str] = ("lu", "stencil"),
-) -> ExperimentReport:
-    """X4: how much do FLB schedules degrade when run-time weights deviate
+
+def _robustness(tasks: int, seeds: int, workers: int) -> Data:
+    """How much do FLB schedules degrade when run-time weights deviate
     from the compile-time estimates?  (Self-timed re-execution.)"""
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    rows = []
-    data: Dict[float, List[float]] = {cv: [] for cv in cvs}
-    for inst in instances:
-        schedule = flb(inst.graph, MachineModel(procs))
-        for cv in cvs:
-            rel = []
-            for d in range(draws):
-                result = execute_perturbed(
-                    schedule, make_rng(hash((inst.label, cv, d)) % 2**32), cv, cv
-                )
-                rel.append(result.makespan / schedule.makespan)
-            mean_rel = float(np.mean(rel))
-            data[cv].append(mean_rel)
-            rows.append([inst.label, cv, schedule.makespan, mean_rel])
-    table = format_table(
+    machine = MachineModel(8)
+    records = []
+    for i, inst in enumerate(paper_suite(tasks, seeds=seeds, problems=("lu", "stencil"))):
+        schedule = flb(inst.graph, machine)
+        rng = make_rng(i)
+        for cv in ROBUSTNESS_CVS:
+            achieved = [execute_perturbed(schedule, rng, cv, cv).makespan
+                        for _ in range(ROBUSTNESS_DRAWS)]
+            records.append({"instance": inst.label, "cv": cv,
+                            "planned": schedule.makespan, "achieved": achieved})
+    return {"procs": machine.num_procs, "records": records}
+
+
+def _render_robustness(data: Data) -> str:
+    return format_table(
         ["instance", "cv", "planned makespan", "mean achieved/planned"],
-        rows,
-        title=f"X4 — robustness under weight perturbation, P={procs}",
-    )
-    return ExperimentReport(
-        experiment="robustness",
-        title="Perturbation robustness",
-        text=table,
-        data={"relative": {cv: data[cv] for cv in cvs}},
+        [[r["instance"], r["cv"], r["planned"], statistics.fmean(r["achieved"]) / r["planned"]]
+         for r in data["records"]],
+        title=f"X4 — robustness under weight perturbation, P={data['procs']}",
     )
 
 
-# ---------------------------------------------------------------------------
-# X5 — link contention
-# ---------------------------------------------------------------------------
+CONTENTION_BANDWIDTHS = (0.5, 1.0, 2.0, 8.0)
+CONTENTION_ALGORITHMS = ("flb", "mcp", "dsc-llb")
 
 
-def run_contention(
-    target_tasks: int = 400,
-    seeds: int = 2,
-    procs: int = 8,
-    bandwidths: Sequence[float] = (0.5, 1.0, 2.0, 8.0),
-    algorithms: Sequence[str] = ("flb", "mcp", "dsc-llb"),
-    problems: Sequence[str] = ("fft", "lu"),
-) -> ExperimentReport:
-    """X5: degradation under single-port sender contention — how much of the
+def _contention(tasks: int, seeds: int, workers: int) -> Data:
+    """Degradation under single-port sender contention: how much of the
     contention-free model's promise survives on a machine that serialises
-    outbound messages.  Communication-minimising schedules (DSC-LLB) should
-    degrade less at low bandwidth."""
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    rows = []
-    data: Dict[str, Dict[float, List[float]]] = {
-        algo: {bw: [] for bw in bandwidths} for algo in algorithms
+    outbound messages.  Communication-minimising schedules (DSC-LLB)
+    should degrade less at low bandwidth."""
+    machine = MachineModel(8)
+    records = []
+    for inst in paper_suite(tasks, seeds=seeds, problems=("fft", "lu")):
+        for algo in CONTENTION_ALGORITHMS:
+            schedule = SCHEDULERS[algo](inst.graph, machine)
+            records.append({
+                "instance": inst.label, "algorithm": algo, "free": execute(schedule).makespan,
+                "contended": [execute_contended(schedule, bandwidth=bw).makespan
+                              for bw in CONTENTION_BANDWIDTHS],
+            })
+    return {"procs": machine.num_procs, "bandwidths": list(CONTENTION_BANDWIDTHS),
+            "algorithms": list(CONTENTION_ALGORITHMS), "records": records}
+
+
+def contention_means(data: Data) -> Dict[str, List[float]]:
+    """Mean contended/contention-free makespan per algorithm, one value
+    per bandwidth."""
+    return {
+        algo: [
+            statistics.fmean(r["contended"][i] / r["free"]
+                             for r in data["records"] if r["algorithm"] == algo)
+            for i in range(len(data["bandwidths"]))
+        ]
+        for algo in data["algorithms"]
     }
-    for inst in instances:
-        for algo in algorithms:
-            schedule = SCHEDULERS[algo](inst.graph, MachineModel(procs))
-            free_span = execute(schedule).makespan
-            rel = []
-            for bw in bandwidths:
-                contended = execute_contended(schedule, bandwidth=bw).makespan
-                ratio = contended / free_span
-                data[algo][bw].append(ratio)
-                rel.append(ratio)
-            rows.append([inst.label, algo, *rel])
-    table = format_table(
-        ["instance", "algorithm", *(f"bw={bw:g}" for bw in bandwidths)],
-        rows,
-        title=f"X5 — contended / contention-free makespan, P={procs}",
-    )
-    means = {
-        algo: {bw: float(np.mean(v)) for bw, v in per_bw.items()}
-        for algo, per_bw in data.items()
-    }
-    summary_rows = [
-        [algo, *(means[algo][bw] for bw in bandwidths)] for algo in algorithms
-    ]
+
+
+def _render_contention(data: Data) -> str:
+    bw_headers = [f"bw={bw:g}" for bw in data["bandwidths"]]
+    means = contention_means(data)
     summary = format_table(
-        ["algorithm (mean)", *(f"bw={bw:g}" for bw in bandwidths)], summary_rows
+        ["algorithm (mean)", *bw_headers], [[algo, *means[algo]] for algo in means]
     )
-    return ExperimentReport(
-        experiment="contention",
-        title="Degradation under sender-port contention",
-        text=summary + "\n\n" + table,
-        data={"bandwidths": list(bandwidths), "means": means},
+    table = format_table(
+        ["instance", "algorithm", *bw_headers],
+        [[r["instance"], r["algorithm"], *(c / r["free"] for c in r["contended"])]
+         for r in data["records"]],
+        title=f"X5 — contended / contention-free makespan, P={data['procs']}",
     )
+    return summary + "\n\n" + table
 
 
-# ---------------------------------------------------------------------------
-# X6 — duplication quality/cost trade-off
-# ---------------------------------------------------------------------------
-
-
-def run_duplication(
-    target_tasks: int = 400,
-    seeds: int = 2,
-    procs: int = 8,
-    problems: Sequence[str] = ("lu", "fft"),
-) -> ExperimentReport:
-    """X6: the paper's taxonomy claim — duplication (DSH) buys schedule
-    quality at significantly higher scheduling cost than FLB."""
+def _duplication(tasks: int, seeds: int, workers: int) -> Data:
+    """The paper's taxonomy claim: duplication (DSH) buys schedule quality
+    at significantly higher scheduling cost than FLB."""
     from repro.duplication import dsh
 
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    rows = []
-    quality = []
-    cost = []
-    machine = MachineModel(procs)
-    for inst in instances:
-        f = SCHEDULERS["flb"](inst.graph, machine)
+    machine = MachineModel(8)
+    records = []
+    for inst in paper_suite(tasks, seeds=seeds, problems=("lu", "fft")):
         d = dsh(inst.graph, machine)
-        t_f = time_scheduler(SCHEDULERS["flb"], inst.graph, machine, repeats=1)
-        t_d = time_scheduler(dsh, inst.graph, machine, repeats=1)
-        quality.append(d.makespan / f.makespan)
-        cost.append(t_d / t_f)
-        rows.append(
-            [
-                inst.label,
-                f.makespan,
-                d.makespan,
-                d.makespan / f.makespan,
-                d.duplication_ratio(),
-                t_d / t_f,
-            ]
-        )
-    q = np.asarray(quality)
-    c = np.asarray(cost)
+        records.append({
+            "instance": inst.label,
+            "flb": flb(inst.graph, machine).makespan,
+            "dsh": d.makespan,
+            "dup_ratio": d.duplication_ratio(),
+            "flb_s": time_scheduler(flb, inst.graph, machine, repeats=1),
+            "dsh_s": time_scheduler(dsh, inst.graph, machine, repeats=1),
+        })
+    return {"procs": machine.num_procs, "records": records}
+
+
+def _render_duplication(data: Data) -> str:
+    rows = [[r["instance"], r["flb"], r["dsh"], r["dsh"] / r["flb"], r["dup_ratio"],
+             r["dsh_s"] / r["flb_s"]] for r in data["records"]]
+    q = np.array([row[3] for row in rows])
+    c = np.array([row[5] for row in rows])
     summary = (
         f"DSH/FLB makespan ratio: mean {q.mean():.3f} (min {q.min():.3f}); "
         f"DSH/FLB scheduling-cost ratio: mean {c.mean():.1f}x"
     )
     table = format_table(
-        ["instance", "FLB", "DSH", "DSH/FLB", "dup ratio", "cost ratio"],
-        rows,
-        title=f"X6 — duplication trade-off, P={procs}",
+        ["instance", "FLB", "DSH", "DSH/FLB", "dup ratio", "cost ratio"], rows,
+        title=f"X6 — duplication trade-off, P={data['procs']}",
     )
-    return ExperimentReport(
-        experiment="duplication",
-        title="Duplication quality/cost trade-off (DSH vs FLB)",
-        text=summary + "\n\n" + table,
-        data={"quality": quality, "cost": cost},
-    )
+    return summary + "\n\n" + table
 
 
 # ---------------------------------------------------------------------------
 # X7 — heterogeneity
 # ---------------------------------------------------------------------------
 
+HETEROGENEITY_SKEWS = (1.0, 2.0, 4.0, 8.0)
+HETEROGENEITY_ALGORITHMS = ("heft", "flb", "mcp")
 
-def run_heterogeneity(
-    target_tasks: int = 400,
-    seeds: int = 2,
-    procs: int = 8,
-    skews: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-    algorithms: Sequence[str] = ("heft", "flb", "mcp"),
-    problems: Sequence[str] = ("lu", "stencil"),
-) -> ExperimentReport:
-    """X7: processor-speed heterogeneity (the natural follow-up direction of
-    the paper; the authors' later work went heterogeneous).
+
+def _heterogeneity(tasks: int, seeds: int, workers: int) -> Data:
+    """Processor-speed heterogeneity (the authors' later work went
+    heterogeneous).
 
     ``skew`` is the fastest/slowest speed ratio; speeds are geometrically
-    spaced between ``1`` and ``1/skew`` so total capacity varies with skew —
-    makespans are therefore normalised per algorithm by HEFT's at the same
-    skew, isolating *scheduling* quality from machine capacity.
+    spaced between ``1`` and ``1/skew``, so total capacity varies with
+    skew and makespans are normalised by HEFT's at the same skew.  Each
+    row also schedules FLB on the heterogeneity-blind model — one uniform
+    rate equal to the true machine's mean — and times the independent
+    certificate of that schedule (F001/F002) and of HEFT's (F003 replay).
     """
-    instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
-    data: Dict[str, Dict[float, List[float]]] = {
-        algo: {skew: [] for skew in skews} for algo in algorithms
-    }
-    for skew in skews:
-        if procs > 1:
-            speeds = tuple(skew ** (-i / (procs - 1)) for i in range(procs))
-        else:
-            speeds = (1.0,)
+    from repro.verify import certify
+
+    procs = 8
+    instances = paper_suite(tasks, seeds=seeds, problems=("lu", "stencil"))
+    records = []
+    for skew in HETEROGENEITY_SKEWS:
+        speeds = tuple(skew ** (-i / (procs - 1)) for i in range(procs))
         machine = MachineModel(procs, speeds=speeds)
+        mean_rate = MachineModel(procs, speeds=(sum(speeds) / procs,) * procs)
         for inst in instances:
-            spans = {
-                algo: SCHEDULERS[algo](inst.graph, machine=machine).makespan
-                for algo in algorithms
-            }
-            ref = spans["heft"]
-            for algo in algorithms:
-                data[algo][skew].append(spans[algo] / ref)
-    rows = [
-        [algo, *(float(np.mean(data[algo][skew])) for skew in skews)]
-        for algo in algorithms
-    ]
-    table = format_table(
-        ["algorithm (vs HEFT)", *(f"skew={s:g}" for s in skews)],
-        rows,
-        title=f"X7 — mean makespan relative to HEFT, P={procs}",
-    )
-    means = {
-        algo: {skew: float(np.mean(v)) for skew, v in per.items()}
-        for algo, per in data.items()
+            schedules = {algo: SCHEDULERS[algo](inst.graph, machine=machine)
+                         for algo in HETEROGENEITY_ALGORITHMS}
+            blind = flb(inst.graph, mean_rate)
+            record: Data = {"instance": inst.label, "skew": skew,
+                            **{algo: s.makespan for algo, s in schedules.items()},
+                            "flb_mean_rate": blind.makespan}
+            for name, schedule in (("flb", blind), ("heft", schedules["heft"])):
+                t0 = time.perf_counter()
+                cert = certify(schedule, flavor=name)
+                record[f"certify_{name}_s"] = time.perf_counter() - t0
+                if not cert.ok:
+                    raise RuntimeError(cert.render())
+            records.append(record)
+    return {"procs": procs, "skews": list(HETEROGENEITY_SKEWS),
+            "algorithms": list(HETEROGENEITY_ALGORITHMS), "records": records}
+
+
+def heterogeneity_means(data: Data, column: str) -> Dict[float, float]:
+    """Mean makespan of ``column`` relative to HEFT's, per skew."""
+    return {
+        skew: statistics.fmean(r[column] / r["heft"] for r in data["records"]
+                               if r["skew"] == skew)
+        for skew in data["skews"]
     }
-    return ExperimentReport(
-        experiment="heterogeneity",
-        title="Processor heterogeneity (HEFT vs homogeneous-minded schedulers)",
-        text=table,
-        data={"skews": list(skews), "means": means},
+
+
+def _render_heterogeneity(data: Data) -> str:
+    skews = data["skews"]
+    headers = [f"skew={s:g}" for s in skews]
+    columns = [*((a, a) for a in data["algorithms"]), ("flb_mean_rate", "flb, mean-rate model")]
+    relative = format_table(
+        ["algorithm (vs HEFT)", *headers],
+        [[name, *heterogeneity_means(data, col).values()] for col, name in columns],
+        title=f"X7 — mean makespan relative to HEFT, P={data['procs']}",
     )
+    certify_ms = format_table(
+        ["certificate", *headers],
+        [[name, *(statistics.fmean(r[col] * 1e3 for r in data["records"] if r["skew"] == s)
+                  for s in skews)]
+         for col, name in (("certify_flb_s", "flb (F001/F002)"), ("certify_heft_s", "heft (F003)"))],
+        title="mean certify time per schedule [ms]",
+    )
+    return relative + "\n\n" + certify_ms
 
 
 # ---------------------------------------------------------------------------
 # X8 — TR-style extended sweep
 # ---------------------------------------------------------------------------
 
+EXTENDED_CCRS = (0.1, 0.5, 1.0, 2.0, 10.0)
+EXTENDED_ALGORITHMS = ("mcp", "dsc-llb", "fcp", "flb")
 
-def run_extended_sweep(
-    target_tasks: int = 500,
-    seeds: int = 2,
-    procs: Sequence[int] = (4, 16),
-    ccrs: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
-    algorithms: Sequence[str] = ("mcp", "dsc-llb", "fcp", "flb"),
-) -> ExperimentReport:
-    """X8: the paper's TR (ref [6]) evaluates "a larger set of problems and
+
+def _extended_sweep(tasks: int, seeds: int, workers: int) -> Data:
+    """The paper's TR (ref [6]) evaluates "a larger set of problems and
     granularities"; this sweep extends Fig. 4 in that spirit — five CCR
     points spanning two orders of magnitude and two extra problem families
     (wavefront, cholesky) beyond the conference suite.  ETF is omitted for
     cost (FLB provably matches its criterion; see the Theorem 3 tests)."""
-    from repro.workloads import cholesky, cholesky_size_for_tasks, wavefront, wavefront_size_for_tasks
-
-    if "mcp" not in algorithms:
-        algorithms = (*algorithms, "mcp")
-    instances = list(
-        paper_suite(target_tasks, ccrs=ccrs, seeds=seeds, problems=("lu", "stencil"))
+    from repro.workloads import (
+        cholesky,
+        cholesky_size_for_tasks,
+        wavefront,
+        wavefront_size_for_tasks,
     )
-    # Extra families, same seeding discipline.
-    from repro.util.rng import spawn_rngs
 
-    streams = spawn_rngs(2006, 2 * len(ccrs) * seeds)
-    i = 0
-    for problem, builder in (
-        ("wavefront", lambda rng, c: wavefront(wavefront_size_for_tasks(target_tasks), rng, ccr=c)),
-        ("cholesky", lambda rng, c: cholesky(cholesky_size_for_tasks(target_tasks), rng, ccr=c)),
-    ):
-        for c in ccrs:
+    instances = paper_suite(tasks, ccrs=EXTENDED_CCRS, seeds=seeds, problems=("lu", "stencil"))
+    streams = iter(spawn_rngs(2006, 2 * len(EXTENDED_CCRS) * seeds))
+    for problem in ("wavefront", "cholesky"):
+        for c in EXTENDED_CCRS:
             for s in range(seeds):
-                from repro.bench.suite import Instance
+                rng = next(streams)
+                graph = (wavefront(wavefront_size_for_tasks(tasks), rng, ccr=c)
+                         if problem == "wavefront"
+                         else cholesky(cholesky_size_for_tasks(tasks), rng, ccr=c))
+                instances.append(Instance(problem, c, s, graph))
+    procs = (4, 16)
+    return {
+        "procs": list(procs),
+        "ccrs": list(EXTENDED_CCRS),
+        "algorithms": list(EXTENDED_ALGORITHMS),
+        "records": _sweep(instances, EXTENDED_ALGORITHMS, procs, workers=workers),
+    }
 
-                instances.append(Instance(problem, c, s, builder(streams[i], c)))
-                i += 1
 
-    records = run_sweep(instances, algorithms, procs)
-    spans: Dict[Tuple[str, float, int, int], Dict[str, float]] = {}
-    for rec in records:
-        spans.setdefault((rec.problem, rec.ccr, rec.seed_index, rec.procs), {})[
-            rec.algorithm
-        ] = rec.makespan
-    # Mean NSL per (algorithm, ccr), pooled over problems/procs/seeds.
-    sums: Dict[Tuple[str, float], float] = {}
-    counts: Dict[Tuple[str, float], int] = {}
-    for (problem, c, _s, _p), d in spans.items():
-        ref = d["mcp"]
-        for algo, span in d.items():
-            key = (algo, c)
-            sums[key] = sums.get(key, 0.0) + span / ref
-            counts[key] = counts.get(key, 0) + 1
-    nsl = {k: sums[k] / counts[k] for k in sums}
-    rows = [[algo, *(nsl[(algo, c)] for c in ccrs)] for algo in algorithms]
-    table = format_table(
-        ["algorithm", *(f"CCR={c:g}" for c in ccrs)],
-        rows,
-        title=(
-            f"X8 — mean NSL (vs MCP) pooled over lu/stencil/wavefront/cholesky, "
-            f"P in {tuple(procs)}"
-        ),
-    )
-    return ExperimentReport(
-        experiment="extended-sweep",
-        title="TR-style extended granularity sweep",
-        text=table,
-        data={"ccrs": list(ccrs), "nsl": {a: [nsl[(a, c)] for c in ccrs] for a in algorithms}},
+def _render_extended_sweep(data: Data) -> str:
+    # Mean NSL per (algorithm, ccr), pooled over problems, P and seeds.
+    nsl = _mean_nsl(data["records"], key=lambda inst: (inst[1],))
+    return format_table(
+        ["algorithm", *(f"CCR={c:g}" for c in data["ccrs"])],
+        [[a, *(nsl[(c, a)] for c in data["ccrs"])] for a in data["algorithms"]],
+        title="X8 — mean NSL (vs MCP) pooled over lu/stencil/wavefront/cholesky, "
+        f"P in {tuple(data['procs'])}",
     )
 
 
 # ---------------------------------------------------------------------------
+# The serving planes: warm start, batch dispatch, HTTP load, fast path
+# ---------------------------------------------------------------------------
 
 
-def run_all(
-    target_tasks: int = 400,
-    seeds: int = 2,
-    quick: bool = True,
-) -> List[ExperimentReport]:
-    """Run every experiment at a configurable scale; returns all reports.
+def _incremental(tasks: int, seeds: int, workers: int) -> Data:
+    """Warm-start reuse sweep: 0.1%..50% of late tasks retuned on stencil
+    graphs of 10^4 and 10^5 tasks (up to ``tasks``) and an LU graph of
+    up to 10^4 tasks."""
+    from repro.bench.warmstart import FRACTIONS, PROCS, measure_pair
 
-    ``quick=True`` trims processor lists and repeat counts so the full set
-    finishes in a couple of minutes; the EXPERIMENTS.md record was produced
-    with paper-scale parameters.
-    """
-    procs = (2, 8, 32) if quick else PAPER_PROCS
-    reports = [
-        run_table1(),
-        run_fig2(target_tasks, seeds=seeds, procs=procs, time_repeats=1 if quick else 3),
-        run_fig3(target_tasks, seeds=seeds, procs=(1, *procs)),
-        run_fig4(target_tasks, seeds=seeds, procs=procs),
-        run_scaling(sizes=(250, 500, 1000) if quick else (250, 500, 1000, 2000, 4000)),
-        run_ablation_ties(target_tasks, seeds=seeds, procs=procs[:2]),
-        run_ablation_llb(target_tasks, seeds=seeds, procs=procs[:2]),
-        run_robustness(target_tasks, seeds=min(seeds, 3)),
-        run_contention(target_tasks, seeds=min(seeds, 2)),
-        run_duplication(target_tasks, seeds=min(seeds, 2)),
-        run_heterogeneity(target_tasks, seeds=min(seeds, 2)),
-    ]
-    return reports
+    graphs = [("stencil", stencil(*stencil_size_for_tasks(v), make_rng(7)))
+              for v in _up_to((10_000,), tasks)]
+    graphs.append(("lu", lu(lu_size_for_tasks(min(tasks, 10_000)), make_rng(7))))
+    records = []
+    for name, graph in graphs:
+        for fraction in FRACTIONS:
+            cold, warm, stats = measure_pair(graph, fraction, 3 if graph.num_tasks <= 20_000 else 2)
+            served = "fallback" not in stats
+            records.append({
+                "graph": name, "V": graph.num_tasks, "mutated": fraction,
+                "reuse": float(stats.get("fraction", 0.0)) if served else None,
+                "cold_s": cold, "warm_s": warm,
+            })
+    return {"procs": PROCS, "records": records}
+
+
+def _render_incremental(data: Data) -> str:
+    return "\n".join([
+        f"late-task comp retunes, P={data['procs']}; warm includes diff + "
+        "incremental re-hash + suffix replay (bit-identical to cold)",
+        format_table(
+            ["graph", "V", "mutated", "reuse", "cold [ms]", "warm [ms]", "speedup"],
+            [[r["graph"], r["V"], f"{r['mutated']:.1%}",
+              "fallback" if r["reuse"] is None else f"{r['reuse']:.1%}",
+              r["cold_s"] * 1e3, r["warm_s"] * 1e3, f"{r['cold_s'] / r['warm_s']:.1f}x"]
+             for r in data["records"]],
+        ),
+    ])
+
+
+def _batch_payload(tasks: int, seeds: int, workers: int) -> Data:
+    from repro.bench.payload import PASSES, SWEEP, payload_bytes, throughput
+
+    workers = max(2, workers)  # the payload crosses a pipe only with a pool
+    records = []
+    for v in _up_to((300,), tasks):
+        graph = lu(lu_size_for_tasks(v), make_rng(0), ccr=1.0)
+        inline, keyed, segment = payload_bytes(graph)
+        records.append({
+            "V": graph.num_tasks, "E": graph.num_edges, "inline_bytes": inline,
+            "keyed_bytes": keyed, "segment_bytes": segment,
+            "jobs_per_s": throughput(graph, workers=workers, passes=PASSES),
+        })
+    return {"jobs": len(SWEEP), "passes": PASSES, "workers": workers, "records": records}
+
+
+def _render_batch_payload(data: Data) -> str:
+    rows = []
+    for r in data["records"]:
+        jps = r["jobs_per_s"]
+        rows.append([
+            r["V"], r["E"], round(r["inline_bytes"]), round(r["keyed_bytes"]),
+            f"{r['inline_bytes'] / r['keyed_bytes']:.1f}x", jps["inline"],
+            *(f"{jps[mode]:.1f} ({jps[mode] / jps['inline']:.2f}x)"
+              for mode in ("keyed", "keyed+cache")),
+        ])
+    return format_table(
+        ["V", "E", "inline [B/job]", "keyed [B/job]", "smaller", "inline [jobs/s]",
+         "keyed [jobs/s]", "keyed+cache [jobs/s]"],
+        rows,
+        title=f"LU graph, {data['jobs']}-job (P, algorithm) sweep x {data['passes']} passes, "
+        f"workers={data['workers']}; keyed bytes include the shared-memory segment "
+        "amortised over the sweep",
+    )
+
+
+def _serving(tasks: int, seeds: int, workers: int) -> Data:
+    from repro.bench.serving import offered_load
+
+    steps, meta = offered_load(tasks=tasks)
+    records = [{
+        "offered": s.offered, "sent": s.sent, "ok": s.ok, "shed": s.shed, "other": s.other,
+        "seconds": s.window,
+        "p50_ms": statistics.median(s.latencies) * 1e3 if s.latencies else None,
+        "retry_hint_s": statistics.fmean(s.retry_hints) if s.retry_hints else None,
+    } for s in steps]
+    return {"V": meta["graph_tasks"], "max_backlog": meta["max_backlog"],
+            "window_s": meta["window_seconds"], "records": records}
+
+
+def _render_serving(data: Data) -> str:
+    return format_table(
+        ["offered[rps]", "sent", "ok(200)", "shed(429)", "other", "goodput[rps]",
+         "shed_rate", "p50[ms]", "retry_hint[s]"],
+        [[r["offered"], r["sent"], r["ok"], r["shed"], r["other"], r["ok"] / r["seconds"],
+          r["shed"] / r["sent"], *("-" if x is None else x for x in (r["p50_ms"], r["retry_hint_s"]))]
+         for r in data["records"]],
+        title=f"offered load vs goodput / shed rate (V={data['V']}, "
+        f"max_backlog={data['max_backlog']}, window={data['window_s']:g}s per step); "
+        "distinct procs per request defeat the result cache",
+    )
+
+
+def _fastpath(tasks: int, seeds: int, workers: int) -> Data:
+    from repro.bench.perfgate import seed_flb
+
+    records = []
+    for inst in paper_suite(tasks, ccrs=(1.0,), seeds=seeds, problems=FIG2_PROBLEMS):
+        for p in FIG4_PROCS:
+            machine = MachineModel(p)
+            records.append({
+                "instance": inst.label, "V": inst.graph.num_tasks, "procs": p,
+                "seed_s": time_scheduler(seed_flb, inst.graph, machine, repeats=3),
+                "fast_s": time_scheduler(flb, inst.graph, machine, repeats=3),
+            })
+    return {"records": records}
+
+
+def _render_fastpath(data: Data) -> str:
+    rows = data["records"]
+    table = format_table(
+        ["instance", "V", "P", "seed [ms]", "fast [ms]", "seed [tasks/s]", "fast [tasks/s]",
+         "speedup"],
+        [[r["instance"], r["V"], r["procs"], r["seed_s"] * 1e3, r["fast_s"] * 1e3,
+          r["V"] / r["seed_s"], r["V"] / r["fast_s"], r["seed_s"] / r["fast_s"]] for r in rows],
+        title="FLB array kernel (flb) vs the seed implementation (_flb_observed, the "
+        "pre-CSR loop kept for the trace); identical schedules, median of 3",
+    )
+    tasks = sum(r["V"] for r in rows)
+    seed_s = sum(r["seed_s"] for r in rows)
+    fast_s = sum(r["fast_s"] for r in rows)
+    return (f"{table}\naggregate: seed {tasks / seed_s:,.0f} tasks/s, "
+            f"fast {tasks / fast_s:,.0f} tasks/s ({seed_s / fast_s:.2f}x)")
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    e.id: e
+    for e in (
+        Experiment("table1", "FLB execution trace (Fig. 1 graph, P=2)", 8, 1,
+                   _table1, _render_table1),
+        Experiment("fig2", "Scheduling algorithm costs", 2000, 2, _fig2, _render_fig2),
+        Experiment("fig3", "FLB speedup", 2000, 3, _fig3, _render_fig3),
+        Experiment("fig4", "Scheduling algorithm performance (NSL)", 2000, 2,
+                   _fig4, _render_fig4),
+        Experiment("scaling", "FLB array kernel cost scaling in V", 1_000_000, 1,
+                   _scaling, _render_scaling),
+        Experiment("ablation-ties", "FLB vs ETF tie-breaking", 1000, 3,
+                   _ablation_ties, _render_ablation_ties),
+        Experiment("ablation-llb", "LLB priority direction", 1000, 3,
+                   _ablation_llb, _render_ablation_llb),
+        Experiment("robustness", "Perturbation robustness", 1000, 3,
+                   _robustness, _render_robustness),
+        Experiment("contention", "Degradation under sender-port contention", 1000, 2,
+                   _contention, _render_contention),
+        Experiment("duplication", "Duplication quality/cost trade-off (DSH vs FLB)", 1000, 2,
+                   _duplication, _render_duplication),
+        Experiment("heterogeneity",
+                   "Processor heterogeneity (HEFT vs homogeneous-minded schedulers)", 1000, 2,
+                   _heterogeneity, _render_heterogeneity),
+        Experiment("extended-sweep", "TR-style extended granularity sweep", 500, 2,
+                   _extended_sweep, _render_extended_sweep),
+        Experiment("incremental", "warm-start rescheduling vs cold array kernel", 100_000, 1,
+                   _incremental, _render_incremental),
+        Experiment("batch_payload", "batch dispatch payload and throughput, inline pickle "
+                   "vs the shared graph plane", 2000, 1, _batch_payload, _render_batch_payload),
+        Experiment("serving", "HTTP service goodput and shed rate vs offered load", 2000, 1,
+                   _serving, _render_serving),
+        Experiment("fastpath", "FLB scheduling throughput, array kernel vs seed", 2000, 1,
+                   _fastpath, _render_fastpath),
+    )
+}

@@ -9,7 +9,7 @@ repeats, warm cache), quality comes straight from the schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.bench.suite import Instance
 from repro.machine.model import MachineModel
@@ -18,6 +18,8 @@ from repro.resultcache import ResultCache
 from repro.schedulers import SCHEDULERS
 
 __all__ = ["RunRecord", "run_sweep", "group_mean"]
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,9 @@ def run_sweep(
 
 
 def group_mean(
-    records: Iterable[RunRecord],
-    key: Callable[[RunRecord], Tuple[object, ...]],
-    value: Callable[[RunRecord], float],
+    records: Iterable[R],
+    key: Callable[[R], Tuple[object, ...]],
+    value: Callable[[R], float],
 ) -> Dict[Tuple[object, ...], float]:
     """Group records by ``key`` and average ``value`` within each group."""
     sums: Dict[Tuple[object, ...], float] = {}

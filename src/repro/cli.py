@@ -11,7 +11,7 @@ Subcommands::
     batch       schedule many jobs across supervised worker processes
     serve       run the HTTP scheduling service (see docs/serving.md)
     report      render a human summary from a --trace-out JSONL trace
-    experiment  regenerate the paper's tables/figures and the ablations
+    experiment  regenerate a results/<id>.txt (tables, figures, extensions)
 
 Observability flags are spelled the same everywhere they appear
 (``batch``, ``lint``, ``certify``, ``report``): ``--json`` switches the
@@ -26,7 +26,7 @@ Examples::
     repro-sched schedule --problem stencil --tasks 400 --procs 8 --algo mcp
     repro-sched compare --problem fft --tasks 300 --procs 16
     repro-sched trace
-    repro-sched experiment fig2 --tasks 500 --seeds 2
+    repro-sched experiment fig2 --tasks 500 --seeds 2 -o results
 """
 
 from __future__ import annotations
@@ -38,21 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
 
-from repro.bench import (
-    run_ablation_llb,
-    run_ablation_ties,
-    run_all,
-    run_contention,
-    run_duplication,
-    run_heterogeneity,
-    run_extended_sweep,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_robustness,
-    run_scaling,
-    run_table1,
-)
+from repro.bench.experiments import EXPERIMENTS, to_json
 from repro.core import TraceRecorder, flb, format_trace
 from repro.graph import TaskGraph, load_json, save_json, width
 from repro.machine.model import MachineModel
@@ -80,24 +66,6 @@ from repro.workloads import (
 __all__ = ["main", "build_parser"]
 
 _PROBLEMS = ("lu", "lu-chain", "laplace", "stencil", "fft", "cholesky", "wavefront")
-
-_EXPERIMENTS = {
-    "table1": lambda args: run_table1(),
-    "fig2": lambda args: run_fig2(args.tasks, seeds=args.seeds, procs=(2, 8, 32), time_repeats=1,
-                                  workers=args.workers),
-    "fig3": lambda args: run_fig3(args.tasks, seeds=args.seeds, procs=(1, 2, 8, 32),
-                                  workers=args.workers),
-    "fig4": lambda args: run_fig4(args.tasks, seeds=args.seeds, procs=(2, 8, 32),
-                                  workers=args.workers),
-    "scaling": lambda args: run_scaling(),
-    "ties": lambda args: run_ablation_ties(args.tasks, seeds=args.seeds),
-    "llb": lambda args: run_ablation_llb(args.tasks, seeds=args.seeds),
-    "robustness": lambda args: run_robustness(args.tasks, seeds=min(args.seeds, 3)),
-    "contention": lambda args: run_contention(args.tasks, seeds=min(args.seeds, 2)),
-    "duplication": lambda args: run_duplication(args.tasks, seeds=min(args.seeds, 2)),
-    "heterogeneity": lambda args: run_heterogeneity(args.tasks, seeds=min(args.seeds, 2)),
-    "extended": lambda args: run_extended_sweep(args.tasks, seeds=min(args.seeds, 2)),
-}
 
 
 def _build_problem(problem: str, tasks: int, ccr: float, seed: int) -> TaskGraph:
@@ -345,16 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sender-port bandwidth (0 = contention-free)")
     p_exec.add_argument("--draws", type=int, default=10)
 
-    p_exp = sub.add_parser("experiment", help="regenerate the paper's tables and figures")
-    p_exp.add_argument(
-        "which", choices=[*sorted(_EXPERIMENTS), "all"], help="experiment id"
+    p_exp = sub.add_parser(
+        "experiment", help="regenerate results/<id>.txt and its raw JSON (see EXPERIMENTS.md)"
     )
-    p_exp.add_argument("--tasks", type=int, default=400)
-    p_exp.add_argument("--seeds", type=int, default=2)
+    p_exp.add_argument("which", choices=[*EXPERIMENTS, "all"], help="experiment id")
+    p_exp.add_argument("--tasks", type=int, default=None,
+                       help="tasks per instance, or the largest V for scaling, incremental, "
+                       "serving and batch_payload (default: the committed report's scale)")
+    p_exp.add_argument("--seeds", type=int, default=None,
+                       help="instances per configuration (default: the committed scale)")
     p_exp.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the fig3/fig4 sweeps "
+                       help="worker processes for the quality sweeps "
                        "(timed experiments always run serially)")
-    p_exp.add_argument("-o", "--output", help="also write the report(s) to this file")
+    p_exp.add_argument("-o", "--output", metavar="DIR",
+                       help="write DIR/raw/<id>.json, then DIR/<id>.txt rendered from it")
 
     p_batch = sub.add_parser(
         "batch", help="schedule many (problem, P, algo) jobs across worker processes"
@@ -523,21 +495,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.which == "all":
-        reports = run_all(args.tasks, seeds=args.seeds)
-    else:
-        reports = [_EXPERIMENTS[args.which](args)]
-    blocks = []
-    for report in reports:
-        block = f"== {report.experiment}: {report.title} ==\n{report.text}"
-        print(block)
-        print()
-        blocks.append(block)
-    if args.output:
-        from pathlib import Path
+    import json
+    from pathlib import Path
 
-        Path(args.output).write_text("\n\n".join(blocks) + "\n")
-        print(f"(written to {args.output})")
+    out = Path(args.output) if args.output else None
+    ids = list(EXPERIMENTS) if args.which == "all" else [args.which]
+    for exp_id in ids:
+        experiment = EXPERIMENTS[exp_id]
+        data = experiment.run(args.tasks, args.seeds, args.workers)
+        print(experiment.render(data))
+        if out is not None:
+            raw = out / "raw" / f"{exp_id}.json"
+            raw.parent.mkdir(parents=True, exist_ok=True)
+            raw.write_text(to_json(data))
+            report = out / f"{exp_id}.txt"
+            report.write_text(experiment.render(json.loads(raw.read_text())))
+            print(f"(written to {report})")
     return 0
 
 

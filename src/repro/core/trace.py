@@ -17,14 +17,14 @@ captures exactly that data;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graph.properties import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.core.flb import FlbIteration
 from repro.util.tables import format_float
 
-__all__ = ["TraceRecorder", "TraceRow", "format_trace"]
+__all__ = ["TraceRecorder", "TraceRow", "format_trace", "render_trace", "trace_rows"]
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,29 @@ class TraceRecorder:
         )
 
 
-def _ep_cell(graph: TaskGraph, entries: List[EpEntry]) -> List[str]:
+def trace_rows(recorder: TraceRecorder) -> List[Dict[str, Any]]:
+    """The recorded trace as JSON-native rows, task names resolved.
+
+    Each row holds ``ep_tasks`` (processor id as a string -> ``[name,
+    EMT, BL, LMT]`` entries), ``non_ep_tasks`` (``[name, LMT]`` entries)
+    and the placement (``task``, ``name``, ``proc``, ``start``,
+    ``finish``); :func:`render_trace` lays them out.
+    """
+    name = recorder.graph.name
     return [
-        f"{graph.name(e.task)}[{format_float(e.emt)};"
-        f"{format_float(e.bottom_level)}/{format_float(e.lmt)}]"
-        for e in entries
+        {
+            "ep_tasks": {
+                str(p): [[name(e.task), e.emt, e.bottom_level, e.lmt] for e in entries]
+                for p, entries in row.ep_tasks.items()
+            },
+            "non_ep_tasks": [[name(t), lmt] for t, lmt in row.non_ep_tasks],
+            "task": row.task,
+            "name": name(row.task),
+            "proc": row.proc,
+            "start": row.start,
+            "finish": row.finish,
+        }
+        for row in recorder.rows
     ]
 
 
@@ -102,27 +120,30 @@ def format_trace(recorder: TraceRecorder, procs: Optional[List[int]] = None) -> 
     ``procs`` selects/orders the EP columns; defaults to every processor
     that ever enables an EP task (all processors if none ever does).
     """
-    graph = recorder.graph
+    return render_trace(trace_rows(recorder), procs)
+
+
+def render_trace(rows: List[Dict[str, Any]], procs: Optional[List[int]] = None) -> str:
+    """Lay out :func:`trace_rows` output as the paper's Table 1."""
     if procs is None:
-        seen = sorted({p for row in recorder.rows for p in row.ep_tasks})
+        seen = sorted({int(p) for row in rows for p in row["ep_tasks"]})
         procs = seen if seen else [0]
 
+    f = format_float
     headers = [*(f"EP tasks on p{p}" for p in procs), "non-EP tasks", "scheduling"]
     col_lines: List[List[List[str]]] = []  # row -> column -> lines
-    for row in recorder.rows:
-        cols: List[List[str]] = []
-        for p in procs:
-            entries = row.ep_tasks.get(p, [])
-            cols.append(_ep_cell(graph, entries) if entries else ["-"])
-        non_ep = [
-            f"{graph.name(t)}[{format_float(lmt)}]" for t, lmt in row.non_ep_tasks
-        ] or ["-"]
-        cols.append(non_ep)
-        cols.append(
+    for row in rows:
+        cols: List[List[str]] = [
             [
-                f"{graph.name(row.task)} -> p{row.proc}, "
-                f"[{format_float(row.start)} - {format_float(row.finish)}]"
+                f"{t}[{f(emt)};{f(bl)}/{f(lmt)}]"
+                for t, emt, bl, lmt in row["ep_tasks"].get(str(p), [])
             ]
+            or ["-"]
+            for p in procs
+        ]
+        cols.append([f"{t}[{f(lmt)}]" for t, lmt in row["non_ep_tasks"]] or ["-"])
+        cols.append(
+            [f"{row['name']} -> p{row['proc']}, [{f(row['start'])} - {f(row['finish'])}]"]
         )
         col_lines.append(cols)
 

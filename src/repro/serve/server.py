@@ -25,7 +25,8 @@ long-running process (stdlib only — ``asyncio`` + the library itself):
   scheduler's worker pool, and ``dispatchers`` stays 1 unless a custom
   thread-safe runner is injected;
 * **graceful drain**: SIGTERM/SIGINT stop accepting work (new schedules
-  shed with 429), complete every queued job, then exit.
+  shed with 429), close idle keep-alive connections, complete every
+  queued job and in-flight response, then exit.
 
 Entry points: :func:`serve` (blocking; ``repro-sched serve`` calls it) and
 :class:`BackgroundServer` (thread-hosted, for tests and benchmarks).
@@ -513,17 +514,14 @@ def _result_payload(
 
 
 async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
-) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
-    """Parse one request; returns ``None`` on EOF before a request line.
+    line: bytes, reader: asyncio.StreamReader, max_body: int
+) -> Tuple[str, str, Dict[str, str], bytes, bool]:
+    """Parse the rest of the request whose request line is ``line``.
 
     Returns ``(method, path, headers, body, keep_alive)``.  Raises
     :class:`BadRequestError` on malformed framing and :class:`ShedError`
     never — overload is an application decision, not a parsing one.
     """
-    line = await reader.readline()
-    if not line:
-        return None
     try:
         method, target, version = line.decode("latin-1").split()
     except ValueError:
@@ -575,6 +573,9 @@ class _HttpFrontend:
     def __init__(self, service: SchedulingService) -> None:
         self.service = service
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
+        # Connections waiting for their next request line: no response owed.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -595,10 +596,19 @@ class _HttpFrontend:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        while True:
+        while not self._closing:
+            self._idle.add(writer)
+            try:
+                line = await reader.readline()
+            except ConnectionError:
+                return
+            finally:
+                self._idle.discard(writer)
+            if not line:
+                return
             try:
                 parsed = await _read_request(
-                    reader, self.service.config.max_body_bytes
+                    line, reader, self.service.config.max_body_bytes
                 )
             except _PayloadTooLarge as exc:
                 writer.write(
@@ -618,8 +628,6 @@ class _HttpFrontend:
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
-            if parsed is None:
-                return
             method, path, _headers, body, keep_alive = parsed
             started = time.monotonic()
             response = await route(self.service, method, path, body)
@@ -628,6 +636,7 @@ class _HttpFrontend:
                 response.status,
                 time.monotonic() - started,
             )
+            keep_alive = keep_alive and not self._closing
             writer.write(_render_response(response, keep_alive))
             try:
                 await writer.drain()
@@ -635,6 +644,14 @@ class _HttpFrontend:
                 return
             if not keep_alive:
                 return
+
+    def close_idle(self) -> None:
+        """Start the drain: close every connection with no request in
+        flight (it has no response left to read).  A connection that is
+        mid-request gets its response, with ``Connection: close``."""
+        self._closing = True
+        for writer in list(self._idle):
+            writer.close()
 
     async def wait_idle(self, grace: float) -> None:
         """Give open connections up to ``grace`` seconds to finish."""
@@ -688,7 +705,7 @@ async def serve_async(
         await stop.wait()
         print("draining: completing in-flight jobs...", flush=True)
         server.close()
-        await server.wait_closed()
+        frontend.close_idle()
         await service.drain()
         await frontend.wait_idle(cfg.drain_grace)
         print("drained; bye", flush=True)

@@ -1,9 +1,11 @@
 """Tests for the repro-sched command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.bench import EXPERIMENTS
 from repro.cli import build_parser, main
 
 
@@ -106,15 +108,29 @@ class TestExperiment:
         assert "t7 -> p0, [12 - 14]" in text
 
     def test_fig3_small(self, capsys, tmp_path):
-        out = tmp_path / "report.txt"
         code, text = run_cli(
             capsys,
-            "experiment", "fig3", "--tasks", "60", "--seeds", "1", "-o", str(out),
+            "experiment", "fig3", "--tasks", "60", "--seeds", "1", "-o", str(tmp_path),
         )
         assert code == 0
         assert "FLB speedup" in text
-        assert out.exists()
-        assert "FLB speedup" in out.read_text()
+        assert "FLB speedup" in (tmp_path / "fig3.txt").read_text()
+        raw = json.loads((tmp_path / "raw" / "fig3.json").read_text())
+        assert (raw["tasks"], raw["seeds"]) == (60, 1)
+
+    def test_all_writes_every_registry_id(self, capsys, tmp_path, monkeypatch):
+        for exp_id, experiment in list(EXPERIMENTS.items()):
+            monkeypatch.setitem(EXPERIMENTS, exp_id, dataclasses.replace(
+                experiment, measure=lambda tasks, seeds, workers: {}, body=lambda data: "stub",
+            ))
+        code, _ = run_cli(capsys, "experiment", "all", "-o", str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("*.txt")) == sorted(
+            f"{exp_id}.txt" for exp_id in EXPERIMENTS
+        )
+        assert sorted(p.name for p in (tmp_path / "raw").iterdir()) == sorted(
+            f"{exp_id}.json" for exp_id in EXPERIMENTS
+        )
 
 
 class TestParser:

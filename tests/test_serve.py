@@ -10,6 +10,8 @@ register a graph, schedule by fingerprint, hit the cache, scrape
 
 import asyncio
 import json
+import logging
+import socket
 import threading
 import time
 import urllib.error
@@ -650,3 +652,37 @@ class TestHttpEndToEnd:
                 base, "/v1/schedule", {"fingerprint": "feedface", "procs": 2}
             )
             assert status == 404 and "feedface" in body["error"]
+
+    def test_drain_closes_idle_keepalive_and_answers_inflight(self, caplog, capfd):
+        """An idle keep-alive connection must not hold up the exit, the
+        drain must log nothing, and a request already in flight when the
+        drain starts still gets its answer."""
+        caplog.set_level(logging.DEBUG)
+        srv = BackgroundServer(ServeConfig(port=0)).start()
+        idle = socket.create_connection((srv.host, srv.port), timeout=10)
+        busy = socket.create_connection((srv.host, srv.port), timeout=10)
+        try:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200")
+            busy.sendall(b"GET /healthz HTTP/1.1\r\n")  # request line only
+            time.sleep(0.5)  # let the server read it: this request is in flight
+            started = time.monotonic()
+            stopper = threading.Thread(target=srv.stop)
+            stopper.start()
+            while not srv.service.draining:
+                assert time.monotonic() - started < 5, "drain never started"
+                time.sleep(0.01)
+            assert idle.recv(1) == b""  # closed: no response was owed
+            busy.sendall(b"Host: x\r\n\r\n")
+            reply = busy.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 200")
+            assert b"Connection: close" in reply
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+            assert time.monotonic() - started < 2.0
+        finally:
+            idle.close()
+            busy.close()
+            srv.stop()
+        assert "Exception in callback" not in caplog.text
+        assert "Exception in callback" not in capfd.readouterr().err
