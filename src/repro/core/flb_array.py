@@ -13,13 +13,15 @@ vector                  dtype      meaning
 ``prt``                 f64[P]     per-processor ready times
 ``npreds``              int64[V]   unscheduled-predecessor (indegree) counts
 ``state``               int8[V]    ready flags (not-ready/EP/non-EP/done)
-``neg_bl``              f64[V]     ``-BL(t)`` heap keys (vectorized CSR sweep)
+``neg_bl``              f64[V]     ``-BL(t)`` heap keys (CSR level sweep)
 ``pred_delay``          f64[E]     ``latency + comm_scale * comm`` per edge
 ======================  =========  =========================================
 
-Initialization is fully vectorized (bottom levels, edge delays,
-indegrees), placement is batched into the state vectors and the schedule
-is materialized in one shot at the end (no per-placement method calls).
+Initialization is one ``O(V + E)`` pass per input (bottom levels from the
+width-switching level sweep of :mod:`repro.graph.properties`, vectorized
+edge delays and indegrees), placement is batched into the state vectors
+and the schedule is materialized in one shot at the end (no per-placement
+method calls).
 Inside the scalar loop the driver iterates *list mirrors* of the state
 vectors: CPython indexes a Python list ~3x faster than an ndarray (every
 ``arr[i]`` boxes a fresh scalar object), so mirroring costs ``O(V + E)``
@@ -139,16 +141,19 @@ def _kernel_inputs(
     it cannot change a single bit of any arrival time.  Both vectors are
     memoized on the frozen graph (``pred_delay`` keyed by the machine's
     latency/scale), so serving many schedules of one graph — the batch
-    plane's common shape — pays the ``O(V + E)`` setup once.
+    plane's common shape — pays the ``O(V + E)`` setup once.  Both are
+    read-only, like every array the frozen graph hands out.
     """
     neg_bl = graph.memo_get("neg_bl_arr")
     if neg_bl is None:
         neg_bl = -bottom_levels_array(graph)
+        neg_bl.flags.writeable = False
         graph.memo_set("neg_bl_arr", neg_bl)
     delay_key = ("pred_delay", machine.latency, machine.comm_scale)
     pred_delay = graph.memo_get(delay_key)
     if pred_delay is None:
         pred_delay = machine.latency + machine.comm_scale * graph.csr().pred_comm
+        pred_delay.flags.writeable = False
         graph.memo_set(delay_key, pred_delay)
     return neg_bl, pred_delay
 

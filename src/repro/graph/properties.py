@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import deque
-from typing import Deque, Dict, List, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -57,10 +57,13 @@ __all__ = [
 ]
 
 
-#: Below this task count the scalar sweep beats NumPy's per-call overhead
-#: (each frontier level costs a fixed ~10 array operations, and deep graphs
-#: like LU have many shallow levels); above it the vectorized sweep wins.
-_VECTOR_MIN_TASKS = 16384
+#: Frontier width from which a level sweep evaluates a frontier with one
+#: batch of NumPy calls instead of task by task.  A batch costs a fixed
+#: ~25 array calls; a task costs one interpreted pass over its edges, so
+#: below this width (chains, LU's shallow levels, V≈2000 stencils) the
+#: scalar loop is cheaper, and above it (FFT butterflies, layered and
+#: large square graphs) the batch is.
+_VECTOR_WIDTH = 64
 
 IntArray = npt.NDArray[np.int64]
 FloatArray = npt.NDArray[np.float64]
@@ -83,155 +86,251 @@ def _concat_slices(starts: IntArray, counts: IntArray) -> IntArray:
 def bottom_levels(graph: TaskGraph) -> List[float]:
     """``BL(t)`` for every task (communication included, ``comp(t)`` included).
 
-    Runs on the CSR adjacency view: every scheduler computes bottom levels
-    up front, so this ``O(V + E)`` sweep is part of each one's hot start.
-    Dispatches to the vectorized frontier sweep for large graphs; both paths
-    produce bit-identical floats (same adds in the same order, and ``max``
-    is order-independent).
+    A fresh list each call, from the memoized :func:`bottom_levels_array`.
     """
-    graph.freeze()
-    cached = graph._prop_cache.get("bl")
-    if cached is None:
-        if graph.num_tasks >= _VECTOR_MIN_TASKS:
-            cached = bottom_levels_array(graph).tolist()
-        else:
-            cached = _bottom_levels_py(graph)
-        graph._prop_cache["bl"] = cached
-    # Defensive copy: the memo must survive callers mutating their result.
-    return list(cached)  # type: ignore[call-overload]
-
-
-def _bottom_levels_py(graph: TaskGraph) -> List[float]:
-    """Pure-Python reference sweep over the CSR list mirrors."""
-    csr = graph.csr().lists
-    succ_ptr, succ_ids, succ_comm = csr.succ_ptr, csr.succ_ids, csr.succ_comm
-    comps = graph.comps
-    bl = [0.0] * graph.num_tasks
-    for t in reversed(graph.topological_order):
-        best = 0.0
-        for i in range(succ_ptr[t], succ_ptr[t + 1]):
-            cand = succ_comm[i] + bl[succ_ids[i]]
-            if cand > best:
-                best = cand
-        bl[t] = comps[t] + best
-    return bl
+    return bottom_levels_array(graph).tolist()
 
 
 def bottom_levels_array(graph: TaskGraph) -> FloatArray:
-    """Vectorized ``BL`` over the CSR: a level-synchronous reverse sweep.
+    """``BL`` as a read-only float64 vector (memoized on the frozen graph).
 
-    Kahn's algorithm on *out*-degrees; each frontier batch finalizes every
-    task whose successors are all done, gathering the successor slices in
-    one shot and reducing per task with ``np.maximum.reduceat``.  Performs
-    the same float additions as the scalar sweep (``comm + bl`` per edge,
-    then ``comp + max``), so the results are bit-identical.
+    One reverse :func:`_level_sweep`: ``BL(t) = comp(t) + max(comm(t, s) +
+    BL(s))`` over the CSR successors, ``comp(t)`` at an exit.  Every task
+    gets the same float additions whether its frontier runs scalar or
+    vectorized (``max`` is order-independent), so the vector is the same
+    whatever the graph's shape.
     """
     graph.freeze()
-    cached = graph._prop_cache.get("bl_arr")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    bl_list = graph._prop_cache.get("bl")
-    if bl_list is not None:
-        result = np.asarray(bl_list, dtype=np.float64)
-        graph._prop_cache["bl_arr"] = result
-        return result
-    csr = graph.csr()
-    n = graph.num_tasks
-    comps = graph.comps_array()
-    succ_ptr, succ_ids, succ_comm = csr.succ_ptr, csr.succ_ids, csr.succ_comm
-    pred_ptr, pred_ids = csr.pred_ptr, csr.pred_ids
-    bl = np.zeros(n, dtype=np.float64)
-    best = np.zeros(n, dtype=np.float64)
-    outdeg = np.diff(succ_ptr)
-    frontier = np.flatnonzero(outdeg == 0)
-    while frontier.size:
-        counts = succ_ptr[frontier + 1] - succ_ptr[frontier]
-        rows = frontier[counts > 0]
-        if rows.size:
-            cnt = counts[counts > 0]
-            idx = _concat_slices(succ_ptr[rows], cnt)
-            cand = succ_comm[idx] + bl[succ_ids[idx]]
-            best[rows] = np.maximum.reduceat(cand, np.cumsum(cnt) - cnt)
-        bl[frontier] = comps[frontier] + best[frontier]
-        pidx = _concat_slices(
-            pred_ptr[frontier], pred_ptr[frontier + 1] - pred_ptr[frontier]
-        )
-        if pidx.size == 0:
-            break
-        # One sort handles both deduplication and per-pred decrements.
-        candidates, dec = np.unique(pred_ids[pidx], return_counts=True)
-        outdeg[candidates] -= dec
-        frontier = candidates[outdeg[candidates] == 0]
-    graph._prop_cache["bl_arr"] = bl
-    return bl
+    cached = graph.memo_get("bl_arr")
+    if cached is None:
+        cached = _bottom_sweep(graph)
+        graph.memo_set("bl_arr", cached)
+    return cached  # type: ignore[no-any-return]
 
 
 def top_levels(graph: TaskGraph) -> List[float]:
     """``TL(t)`` for every task (communication included, ``comp(t)`` excluded).
 
-    Dispatches like :func:`bottom_levels`; both paths are bit-identical.
+    A fresh list each call, from the memoized :func:`top_levels_array`.
     """
-    graph.freeze()
-    cached = graph._prop_cache.get("tl")
-    if cached is None:
-        if graph.num_tasks >= _VECTOR_MIN_TASKS:
-            cached = top_levels_array(graph).tolist()
-        else:
-            cached = _top_levels_py(graph)
-        graph._prop_cache["tl"] = cached
-    return list(cached)  # type: ignore[call-overload]
-
-
-def _top_levels_py(graph: TaskGraph) -> List[float]:
-    """Pure-Python reference sweep over the CSR list mirrors."""
-    csr = graph.csr().lists
-    pred_ptr, pred_ids, pred_comm = csr.pred_ptr, csr.pred_ids, csr.pred_comm
-    comps = graph.comps
-    tl = [0.0] * graph.num_tasks
-    for t in graph.topological_order:
-        best = 0.0
-        for i in range(pred_ptr[t], pred_ptr[t + 1]):
-            p = pred_ids[i]
-            cand = tl[p] + comps[p] + pred_comm[i]
-            if cand > best:
-                best = cand
-        tl[t] = best
-    return tl
+    return top_levels_array(graph).tolist()
 
 
 def top_levels_array(graph: TaskGraph) -> FloatArray:
-    """Vectorized ``TL``: the forward mirror of :func:`bottom_levels_array`."""
+    """``TL`` as a read-only float64 vector (memoized): the forward
+    :func:`_level_sweep`, ``TL(t) = max(TL(p) + comp(p) + comm(p, t))`` over
+    the CSR predecessors, 0 at an entry."""
     graph.freeze()
-    cached = graph._prop_cache.get("tl_arr")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    csr = graph.csr()
+    cached = graph.memo_get("tl_arr")
+    if cached is None:
+        cached = _top_sweep(graph)
+        graph.memo_set("tl_arr", cached)
+    return cached  # type: ignore[no-any-return]
+
+
+# -- the level sweep ------------------------------------------------------------
+
+#: ``(lo, hi, wide)``: a run of sweep positions and how it is evaluated.
+_Segment = Tuple[int, int, bool]
+
+
+def _sweep_order(graph: TaskGraph) -> Tuple[IntArray, IntArray, IntArray]:
+    """``(order, pos, last)``: the topological order as a vector, each
+    task's position in it, and per position the position of its last
+    predecessor (``-1`` at an entry).
+
+    The order is FIFO Kahn, so a task enters it right when its last
+    predecessor leaves the queue: ``last`` never decreases along the order,
+    and any run of positions ``[a, b)`` with ``last[b - 1] < a`` holds no
+    edge.  Such a run is a frontier — every task in it depends only on
+    positions before it — and a run that starts at a level's first task and
+    is as long as that rule allows is exactly the level.
+    """
     n = graph.num_tasks
-    comps = graph.comps_array()
-    succ_ptr, succ_ids = csr.succ_ptr, csr.succ_ids
-    pred_ptr, pred_ids, pred_comm = csr.pred_ptr, csr.pred_ids, csr.pred_comm
-    tl = np.zeros(n, dtype=np.float64)
-    indeg = np.diff(pred_ptr)
-    frontier = np.flatnonzero(indeg == 0)
-    while frontier.size:
-        counts = pred_ptr[frontier + 1] - pred_ptr[frontier]
-        rows = frontier[counts > 0]
-        if rows.size:
-            cnt = counts[counts > 0]
-            idx = _concat_slices(pred_ptr[rows], cnt)
-            src = pred_ids[idx]
-            cand = tl[src] + comps[src] + pred_comm[idx]
-            tl[rows] = np.maximum.reduceat(cand, np.cumsum(cnt) - cnt)
-        sidx = _concat_slices(
-            succ_ptr[frontier], succ_ptr[frontier + 1] - succ_ptr[frontier]
-        )
-        if sidx.size == 0:
+    csr = graph.csr()
+    order = np.fromiter(graph.topological_order, dtype=np.int64, count=n)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    fed = np.flatnonzero(np.diff(csr.pred_ptr))
+    last = np.full(n, -1, dtype=np.int64)
+    if fed.size:
+        last[fed] = np.maximum.reduceat(pos[csr.pred_ids], csr.pred_ptr[fed])
+    return order, pos, last[order]
+
+
+def _segments(last: IntArray, reverse: bool) -> List[_Segment]:
+    """The sweep's runs in the order it takes them: every frontier of at
+    least ``_VECTOR_WIDTH`` tasks, wide, and the narrow stretches between.
+
+    Forward, the frontier starting at ``c`` runs to the first position
+    whose last predecessor is at or after ``c``; in reverse, the one
+    ending at ``b`` starts right after ``last[b - 1]``.  Each wide frontier
+    is found with one search, so a narrow stretch costs nothing per level.
+    """
+    n = len(last)
+    at = np.arange(n)
+    segments: List[_Segment] = []
+    if reverse:
+        wide = np.flatnonzero(at - last >= _VECTOR_WIDTH)
+        i = n
+        while True:
+            k = int(np.searchsorted(wide, i - 1, side="right")) - 1
+            if k < 0:
+                break
+            b = int(wide[k]) + 1
+            a = int(last[b - 1]) + 1
+            if b < i:
+                segments.append((b, i, False))
+            segments.append((a, b, True))
+            i = a
+        if i > 0:
+            segments.append((0, i, False))
+        return segments
+    ends = np.searchsorted(last, at)
+    wide = np.flatnonzero(ends - at >= _VECTOR_WIDTH)
+    i = 0
+    while True:
+        k = int(np.searchsorted(wide, i))
+        if k == len(wide):
             break
-        candidates, dec = np.unique(succ_ids[sidx], return_counts=True)
-        indeg[candidates] -= dec
-        frontier = candidates[indeg[candidates] == 0]
-    graph._prop_cache["tl_arr"] = tl
-    return tl
+        c = int(wide[k])
+        e = int(ends[c])
+        if c > i:
+            segments.append((i, c, False))
+        segments.append((c, e, True))
+        i = e
+    if i < n:
+        segments.append((i, n, False))
+    return segments
+
+
+def _level_sweep(
+    order: IntArray,
+    segments: List[_Segment],
+    scalar: Callable[[List[float], int, int], None],
+    vector: Callable[[FloatArray, int, int], None],
+) -> FloatArray:
+    """Run ``segments`` in order: a narrow one through ``scalar`` over a
+    list of values indexed by sweep position (CPython indexes a list ~3x
+    faster than an array), a wide one through ``vector`` over an array of
+    the same values indexed by task id.  On each switch the run just
+    finished is copied across (one gather or scatter through ``order``),
+    so either side reads every value computed before it and each value
+    crosses at most once: ``O(V)`` conversions however the graph
+    alternates.  Returns the values by task id, read-only."""
+    values = [0.0] * len(order)
+    array = np.zeros(len(order))
+    mode: Optional[bool] = None
+    run_lo = run_hi = 0
+    for lo, hi, wide in segments:
+        if wide is not mode:
+            if mode:
+                values[run_lo:run_hi] = array[order[run_lo:run_hi]].tolist()
+            elif mode is not None:
+                array[order[run_lo:run_hi]] = values[run_lo:run_hi]
+            mode, run_lo, run_hi = wide, lo, hi
+        else:
+            run_lo, run_hi = min(run_lo, lo), max(run_hi, hi)
+        if wide:
+            vector(array, lo, hi)
+        else:
+            scalar(values, lo, hi)
+    if mode is False:
+        array[order[run_lo:run_hi]] = values[run_lo:run_hi]
+    array.flags.writeable = False
+    return array
+
+
+def _bottom_sweep(graph: TaskGraph) -> FloatArray:
+    """``BL`` in reverse sweep order: a narrow stretch task by task over
+    the CSR list mirrors, each frontier of ``_VECTOR_WIDTH`` or more tasks
+    in one batch over the CSR arrays."""
+    order, pos, last = _sweep_order(graph)
+    csr = graph.csr()
+    segments = _segments(last, reverse=True)
+    narrow = any(not wide for _lo, _hi, wide in segments)
+    succ_pos = pos[csr.succ_ids].tolist() if narrow else []
+    tasks = graph.topological_order
+    comps = graph.comps
+    lists = csr.lists
+    succ_ptr, succ_comm = lists.succ_ptr, lists.succ_comm
+
+    def scalar(bl: List[float], lo: int, hi: int) -> None:
+        for i in range(hi - 1, lo - 1, -1):
+            t = tasks[i]
+            a, b = succ_ptr[t], succ_ptr[t + 1]
+            if b - a == 1:
+                # Every candidate is positive, so a lone one is the max:
+                # the same two additions, without the loop.
+                bl[i] = comps[t] + (succ_comm[a] + bl[succ_pos[a]])
+                continue
+            best = 0.0
+            for k in range(a, b):
+                cand = succ_comm[k] + bl[succ_pos[k]]
+                if cand > best:
+                    best = cand
+            bl[i] = comps[t] + best
+
+    comps_arr = graph.comps_array()
+
+    def vector(bl: FloatArray, lo: int, hi: int) -> None:
+        front = order[lo:hi]
+        starts = csr.succ_ptr[front]
+        counts = csr.succ_ptr[front + 1] - starts
+        best = np.zeros(hi - lo)
+        rows = np.flatnonzero(counts)
+        if rows.size:
+            cnt = counts[rows]
+            idx = _concat_slices(starts[rows], cnt)
+            cand = csr.succ_comm[idx] + bl[csr.succ_ids[idx]]
+            best[rows] = np.maximum.reduceat(cand, np.cumsum(cnt) - cnt)
+        bl[front] = comps_arr[front] + best
+
+    return _level_sweep(order, segments, scalar, vector)
+
+
+def _top_sweep(graph: TaskGraph) -> FloatArray:
+    """``TL`` in sweep order, evaluated as in :func:`_bottom_sweep`."""
+    order, pos, last = _sweep_order(graph)
+    csr = graph.csr()
+    segments = _segments(last, reverse=False)
+    narrow = any(not wide for _lo, _hi, wide in segments)
+    pred_pos = pos[csr.pred_ids].tolist() if narrow else []
+    tasks = graph.topological_order
+    comps = graph.comps
+    lists = csr.lists
+    pred_ptr, pred_ids, pred_comm = lists.pred_ptr, lists.pred_ids, lists.pred_comm
+
+    def scalar(tl: List[float], lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            t = tasks[i]
+            a, b = pred_ptr[t], pred_ptr[t + 1]
+            if b - a == 1:
+                # A lone (positive) candidate is the max, as in BL.
+                tl[i] = tl[pred_pos[a]] + comps[pred_ids[a]] + pred_comm[a]
+                continue
+            best = 0.0
+            for k in range(a, b):
+                cand = tl[pred_pos[k]] + comps[pred_ids[k]] + pred_comm[k]
+                if cand > best:
+                    best = cand
+            tl[i] = best
+
+    comps_arr = graph.comps_array()
+
+    def vector(tl: FloatArray, lo: int, hi: int) -> None:
+        front = order[lo:hi]
+        starts = csr.pred_ptr[front]
+        counts = csr.pred_ptr[front + 1] - starts
+        rows = np.flatnonzero(counts)
+        if rows.size:
+            cnt = counts[rows]
+            idx = _concat_slices(starts[rows], cnt)
+            src = csr.pred_ids[idx]
+            cand = tl[src] + comps_arr[src] + csr.pred_comm[idx]
+            tl[front[rows]] = np.maximum.reduceat(cand, np.cumsum(cnt) - cnt)
+
+    return _level_sweep(order, segments, scalar, vector)
 
 
 #: Domain separator for the per-task digests (16 bytes, blake2b ``person``).
@@ -302,6 +401,7 @@ def subgraph_hash_array(graph: TaskGraph) -> npt.NDArray[np.bytes_]:
     if cached is not None:
         return cached  # type: ignore[return-value]
     result = np.array(subgraph_hashes(graph), dtype="S16")
+    result.flags.writeable = False
     graph._prop_cache["subh_arr"] = result
     return result
 

@@ -13,6 +13,17 @@ frozen graph; freezing is idempotent and returns the graph itself, so
 the whole graph as flat arrays builds it frozen in one vectorized call,
 :meth:`TaskGraph.from_arrays`, with the same checks and errors.
 
+A frozen graph has one representation, whichever way it was built: the
+computation costs and names, the as-submitted edge arrays
+(:meth:`TaskGraph.edge_arrays`, in insertion order), the CSR compiled from
+them (:meth:`TaskGraph.csr`) and the FIFO Kahn topological order, which
+freezing computes because it is also the cycle check.  Every array it hands
+out is read-only.  The ``(src, dst)``-keyed edge dictionary behind
+:meth:`TaskGraph.comm`/:meth:`TaskGraph.has_edge` and the per-task
+:meth:`TaskGraph.succs`/:meth:`TaskGraph.preds` tuples are views built on
+first use, so a request that only schedules and certifies never pays for
+them.
+
 Tasks are dense integer ids ``0..V-1`` (assigned in insertion order) with an
 optional human-readable name used by traces, Gantt charts, and DOT export.
 """
@@ -127,6 +138,7 @@ class TaskGraph:
         "_comp",
         "_names",
         "_edges",
+        "_edge_arrays",
         "_succs",
         "_preds",
         "_frozen",
@@ -142,9 +154,12 @@ class TaskGraph:
     def __init__(self) -> None:
         self._comp: List[float] = []
         self._names: List[Optional[str]] = []
-        self._edges: Dict[Tuple[int, int], float] = {}
-        self._succs: List[Tuple[int, ...]] = []
-        self._preds: List[Tuple[int, ...]] = []
+        # The edges while building; once frozen, a view of _edge_arrays
+        # built on first use (None until then), like _succs and _preds.
+        self._edges: Optional[Dict[Tuple[int, int], float]] = {}
+        self._edge_arrays: Optional[Tuple[IntArray, IntArray, FloatArray]] = None
+        self._succs: Optional[List[Tuple[int, ...]]] = None
+        self._preds: Optional[List[Tuple[int, ...]]] = None
         self._frozen = False
         self._topo: Tuple[int, ...] = ()
         self._entries: Tuple[int, ...] = ()
@@ -163,7 +178,7 @@ class TaskGraph:
         """Add a task with computation cost ``comp`` (finite, > 0); return
         its id."""
         self._check_mutable()
-        self._comp.append(_checked_task(comp, name))
+        self._comp.append(_checked_task(comp, name, len(self._comp)))
         self._names.append(name)
         return len(self._comp) - 1
 
@@ -190,8 +205,9 @@ class TaskGraph:
         """Add a dependency ``src -> dst`` with communication cost ``comm``
         (finite, >= 0)."""
         self._check_mutable()
-        self._edges[(src, dst)] = _checked_edge(
-            len(self._comp), src, dst, comm, (src, dst) in self._edges
+        edges = self._edge_dict()
+        edges[(src, dst)] = _checked_edge(
+            len(self._comp), src, dst, comm, (src, dst) in edges
         )
 
     @classmethod
@@ -223,10 +239,13 @@ class TaskGraph:
         bad = ~((comp_arr > 0) & (comp_arr < math.inf))
         if not set(map(type, name_list)) <= _NAME_TYPES:
             bad |= [not isinstance(name, (str, type(None))) for name in name_list]
+        unencodable = _first_unencodable(name_list)
+        if unencodable is not None:
+            bad[unencodable] = True
         if bad.any():
             # add_task's checks on the first bad task raise its error.
             i = int(bad.argmax())
-            _checked_task(float(comp_arr[i]), name_list[i])
+            _checked_task(float(comp_arr[i]), name_list[i], i)
         src_arr = _id_array(src, "src")
         dst_arr = _id_array(dst, "dst")
         comm_arr = _float_array(comm, "comm")
@@ -261,14 +280,10 @@ class TaskGraph:
             )
         g = cls()
         g._comp = comp_arr.tolist()
-        g._comps_np = comp_arr
         g._names = name_list
-        g._edges = dict(
-            zip(zip(src_arr.tolist(), dst_arr.tolist()), comm_arr.tolist())
-        )
         if n == 0:
             raise GraphError("task graph has no tasks")
-        g._freeze_csr(_build_csr(n, src_arr, dst_arr, comm_arr, by_src))
+        g._freeze_arrays(comp_arr, src_arr, dst_arr, comm_arr, by_src)
         return g
 
     def set_name(self, task: int, name: str) -> None:
@@ -276,6 +291,7 @@ class TaskGraph:
         self._check_task(task)
         if not isinstance(name, str):
             raise GraphError(f"task name must be a string, got {type(name).__name__}")
+        _check_encodable(task, name)
         self._names[task] = name
 
     def freeze(self) -> "TaskGraph":
@@ -283,32 +299,41 @@ class TaskGraph:
 
         Idempotent.  Raises :class:`~repro.exceptions.CycleError` if the
         graph has a cycle and :class:`~repro.exceptions.GraphError` if it is
-        empty.
+        empty.  The frozen graph is the one :meth:`from_arrays` builds from
+        the same tasks and edges: the edge dictionary becomes the edge
+        arrays, in insertion order.
         """
         if self._frozen:
             return self
         if not self._comp:
             raise GraphError("task graph has no tasks")
-        self._freeze_csr(self._compile_csr())
+        self._freeze_arrays(
+            np.array(self._comp, dtype=np.float64), *self._dict_arrays()
+        )
         return self
 
-    def _freeze_csr(self, csr: AdjacencyCSR) -> None:
-        """Freeze over an already-compiled CSR: Kahn over its list mirrors
-        (the adjacency is materialized exactly once), then the tuple views."""
-        n = len(self._comp)
+    def _freeze_arrays(
+        self,
+        comps: FloatArray,
+        src: IntArray,
+        dst: IntArray,
+        comm: FloatArray,
+        by_src: Optional[npt.NDArray[np.intp]] = None,
+    ) -> None:
+        """Freeze over valid, graph-owned arrays: compile the CSR, run Kahn
+        over its list mirrors (also the cycle check), and keep the arrays
+        read-only.  Nothing is assigned unless the graph is acyclic."""
+        n = len(comps)
+        csr = _build_csr(n, src, dst, comm, by_src)
         lists = csr.lists
-        succ_ptr, pred_ptr = lists.succ_ptr, lists.pred_ptr
-        # CSR slices are already in ascending-id order, so the tuple views
-        # come straight off the mirrors without re-sorting.
-        succs = [tuple(lists.succ_ids[a:b]) for a, b in zip(succ_ptr, succ_ptr[1:])]
-        preds = [tuple(lists.pred_ids[a:b]) for a, b in zip(pred_ptr, pred_ptr[1:])]
+        succ_ptr, succ_ids = lists.succ_ptr, lists.succ_ids
         # Kahn's algorithm; FIFO over ids keeps the order deterministic.
         # The loop walks the list it appends to: it ends when the frontier
         # runs dry, leaving the topological order in place.
         indeg = csr.in_degrees()
         topo = [t for t, d in enumerate(indeg) if not d]
         for t in topo:
-            for s in succs[t]:
+            for s in succ_ids[succ_ptr[t]:succ_ptr[t + 1]]:
                 indeg[s] -= 1
                 if not indeg[s]:
                     topo.append(s)
@@ -318,7 +343,7 @@ class TaskGraph:
             # Imported lazily — repro.verify.graphlint imports this module.
             from repro.verify.graphlint import find_cycle
 
-            witness = find_cycle(n, self._edges.keys())
+            witness = find_cycle(n, zip(src.tolist(), dst.tolist()))
             if witness is not None:
                 path = " -> ".join(self.name(t) for t in witness)
                 raise CycleError(f"task graph contains a cycle: {path}")
@@ -326,21 +351,38 @@ class TaskGraph:
             raise CycleError(
                 f"task graph contains a cycle through tasks {stuck[:10]}"
             )
-        self._succs = succs
-        self._preds = preds
+        for array in (comps, src, dst, comm):
+            array.flags.writeable = False
+        self._comps_np = comps
+        self._edge_arrays = (src, dst, comm)
+        self._edges = None
+        self._succs = self._preds = None
         self._topo = tuple(topo)
         self._entries = tuple(np.flatnonzero(np.diff(csr.pred_ptr) == 0).tolist())
         self._exits = tuple(np.flatnonzero(np.diff(csr.succ_ptr) == 0).tolist())
         self._csr = csr
         self._frozen = True
 
-    def _compile_csr(self) -> AdjacencyCSR:
-        """Flatten the edge dictionary into NumPy CSR arrays (``O(V + E)``)."""
-        e = len(self._edges)
-        src = np.fromiter((k[0] for k in self._edges), dtype=np.int64, count=e)
-        dst = np.fromiter((k[1] for k in self._edges), dtype=np.int64, count=e)
-        comm = np.fromiter(self._edges.values(), dtype=np.float64, count=e)
-        return _build_csr(len(self._comp), src, dst, comm)
+    def _dict_arrays(self) -> Tuple[IntArray, IntArray, FloatArray]:
+        """A mutable graph's edge dictionary as ``(src, dst, comm)`` arrays,
+        in insertion order (``O(E)``)."""
+        edges = self._edge_dict()
+        e = len(edges)
+        src = np.fromiter((k[0] for k in edges), dtype=np.int64, count=e)
+        dst = np.fromiter((k[1] for k in edges), dtype=np.int64, count=e)
+        comm = np.fromiter(edges.values(), dtype=np.float64, count=e)
+        return src, dst, comm
+
+    def _edge_dict(self) -> Dict[Tuple[int, int], float]:
+        """The ``(src, dst) -> comm`` dictionary; on a frozen graph it is
+        built from the edge arrays on first use."""
+        edges = self._edges
+        if edges is None:
+            assert self._edge_arrays is not None
+            src, dst, comm = self._edge_arrays
+            edges = dict(zip(zip(src.tolist(), dst.tolist()), comm.tolist()))
+            self._edges = edges
+        return edges
 
     # -- queries -------------------------------------------------------------
 
@@ -356,7 +398,9 @@ class TaskGraph:
     @property
     def num_edges(self) -> int:
         """``E`` — the number of dependencies."""
-        return len(self._edges)
+        if self._edge_arrays is not None:
+            return len(self._edge_arrays[0])
+        return len(self._edge_dict())
 
     def tasks(self) -> range:
         return range(len(self._comp))
@@ -371,10 +415,10 @@ class TaskGraph:
         return tuple(self._comp)
 
     def comps_array(self) -> FloatArray:
-        """Computation costs as a float64 vector (cached; frozen graphs only)."""
+        """Computation costs as a read-only float64 vector (frozen graphs
+        only)."""
         self._check_frozen()
-        if self._comps_np is None:
-            self._comps_np = np.asarray(self._comp, dtype=np.float64)
+        assert self._comps_np is not None
         return self._comps_np
 
     def name(self, task: int) -> str:
@@ -383,44 +427,63 @@ class TaskGraph:
 
     def comm(self, src: int, dst: int) -> float:
         """Communication cost of edge ``src -> dst`` (KeyError if absent)."""
-        return self._edges[(src, dst)]
+        edges = self._edges
+        if edges is None:
+            edges = self._edge_dict()
+        return edges[(src, dst)]
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._edges
+        edges = self._edges
+        if edges is None:
+            edges = self._edge_dict()
+        return (src, dst) in edges
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate ``(src, dst, comm)`` triples in insertion order."""
-        for (src, dst), comm in self._edges.items():
-            yield src, dst, comm
+        if self._edge_arrays is None:
+            return ((src, dst, comm) for (src, dst), comm in self._edge_dict().items())
+        src, dst, comm = self._edge_arrays
+        return zip(src.tolist(), dst.tolist(), comm.tolist())
+
+    def edge_arrays(self) -> Tuple[IntArray, IntArray, FloatArray]:
+        """The edges as submitted: read-only ``(src, dst, comm)`` vectors in
+        insertion order, the arrays the CSR is compiled from (frozen graphs
+        only)."""
+        self._check_frozen()
+        assert self._edge_arrays is not None
+        return self._edge_arrays
 
     def succs(self, task: int) -> Tuple[int, ...]:
         """Successor ids of ``task`` (frozen graphs only)."""
-        self._check_frozen()
-        return self._succs[task]
+        views = self._succs
+        if views is None:
+            lists = self.csr().lists
+            views = self._succs = _slices(lists.succ_ptr, lists.succ_ids)
+        return views[task]
 
     def preds(self, task: int) -> Tuple[int, ...]:
         """Predecessor ids of ``task`` (frozen graphs only)."""
-        self._check_frozen()
-        return self._preds[task]
+        views = self._preds
+        if views is None:
+            lists = self.csr().lists
+            views = self._preds = _slices(lists.pred_ptr, lists.pred_ids)
+        return views[task]
 
     def csr(self) -> AdjacencyCSR:
         """Flat CSR adjacency view, compiled on :meth:`freeze`.
 
-        The fast scheduling kernels iterate this instead of the tuple-keyed
-        edge dictionary; the dict API stays authoritative for construction,
-        traces, and serialization.  Frozen graphs only.
+        The scheduling kernels, the level sweeps and the shared-memory codec
+        read this; its arrays are read-only.  Frozen graphs only.
         """
         self._check_frozen()
         assert self._csr is not None
         return self._csr
 
     def in_degree(self, task: int) -> int:
-        self._check_frozen()
-        return len(self._preds[task])
+        return len(self.preds(task))
 
     def out_degree(self, task: int) -> int:
-        self._check_frozen()
-        return len(self._succs[task])
+        return len(self.succs(task))
 
     @property
     def topological_order(self) -> Tuple[int, ...]:
@@ -463,7 +526,9 @@ class TaskGraph:
         # <u8; then one (<u8 src, <u8 dst, <f8 comm) record per edge in
         # (src, dst) order — which is the successor CSR's order, so the
         # edge records are three column copies, not a per-edge pack.
-        csr = self._csr if self._csr is not None else self._compile_csr()
+        csr = self._csr
+        if csr is None:
+            csr = _build_csr(n, *self._dict_arrays())
         edges = np.empty(len(csr.succ_ids), dtype=_EDGE_RECORD)
         edges["src"] = np.repeat(np.arange(n), np.diff(csr.succ_ptr))
         edges["dst"] = csr.succ_ids
@@ -514,8 +579,25 @@ class TaskGraph:
         return sum(self._comp)
 
     def total_comm(self) -> float:
-        """Sum of all communication costs."""
-        return sum(self._edges.values())
+        """Sum of all communication costs (in edge insertion order)."""
+        if self._edge_arrays is not None:
+            return sum(self._edge_arrays[2].tolist())
+        return sum(self._edge_dict().values())
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        """Unpickle (and ``copy.deepcopy``): NumPy restores arrays writable,
+        so a frozen graph's are made read-only again."""
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        if self._frozen:
+            assert self._csr is not None and self._edge_arrays is not None
+            csr = self._csr
+            arrays = [self._comps_np, *self._edge_arrays, csr.pred_ptr,
+                      csr.pred_ids, csr.pred_comm, csr.succ_ptr, csr.succ_ids,
+                      csr.succ_comm, *self._prop_cache.values()]
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
 
     def __repr__(self) -> str:
         state = "frozen" if self._frozen else "building"
@@ -534,10 +616,11 @@ class TaskGraph:
         g = TaskGraph()
         g._comp = list(self._comp)
         g._names = list(self._names)
-        g._edges = dict(self._edges)
         if self._frozen and not mutable:
-            g._succs = list(self._succs)
-            g._preds = list(self._preds)
+            g._edges = self._edges
+            g._edge_arrays = self._edge_arrays
+            g._succs = self._succs
+            g._preds = self._preds
             g._topo = self._topo
             g._entries = self._entries
             g._exits = self._exits
@@ -546,6 +629,8 @@ class TaskGraph:
             g._prop_cache = dict(self._prop_cache)
             g._fingerprint = self._fingerprint
             g._frozen = True
+        else:
+            g._edges = dict(self._edge_dict())
         return g
 
     def relabeled(self, permutation: Sequence[int]) -> "TaskGraph":
@@ -564,8 +649,9 @@ class TaskGraph:
         for old in range(n):
             g._comp[permutation[old]] = self._comp[old]
             g._names[permutation[old]] = self._names[old]
-        for (src, dst), comm in self._edges.items():
-            g._edges[(permutation[src], permutation[dst])] = comm
+        edges = g._edge_dict()
+        for src, dst, comm in self.edges():
+            edges[(permutation[src], permutation[dst])] = comm
         if self._frozen:
             g.freeze()
         return g
@@ -594,8 +680,9 @@ _EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("comm", "<f8")])
 _NAME_LENGTH = struct.Struct("<I")
 
 
-def _checked_task(comp: float, name: Optional[str]) -> float:
-    """``add_task``'s checks, in order; returns ``comp`` as a float."""
+def _checked_task(comp: float, name: Optional[str], task: int) -> float:
+    """``add_task``'s checks on task ``task``, in order; returns ``comp`` as
+    a float."""
     comp = float(comp)
     if not 0 < comp < math.inf:
         raise GraphError(
@@ -605,7 +692,41 @@ def _checked_task(comp: float, name: Optional[str]) -> float:
         raise GraphError(
             f"task name must be a string or None, got {type(name).__name__}"
         )
+    if name is not None:
+        _check_encodable(task, name)
     return comp
+
+
+def _check_encodable(task: int, name: str) -> None:
+    """Reject a name with no UTF-8 encoding (a lone surrogate, which JSON's
+    ``\\ud800`` escapes can produce): the fingerprint and the graph codec
+    hash and store names as UTF-8."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        raise GraphError(
+            f"task {task}: name {name!r} cannot be encoded as UTF-8"
+        ) from None
+
+
+def _first_unencodable(names: Sequence[object]) -> Optional[int]:
+    """Index of the first string name with no UTF-8 encoding, if any.
+
+    One encode of all the names joined; only when it fails (or a name is
+    not a string, which the type check reports) are they tried one by one.
+    """
+    try:
+        "".join(filter(None, names)).encode()  # type: ignore[arg-type]
+        return None
+    except (TypeError, UnicodeEncodeError):
+        pass
+    for i, name in enumerate(names):
+        if isinstance(name, str):
+            try:
+                name.encode()
+            except UnicodeEncodeError:
+                return i
+    return None
 
 
 def _checked_edge(
@@ -625,6 +746,12 @@ def _checked_edge(
     if duplicate:
         raise GraphError(f"duplicate edge ({src}, {dst})")
     return comm
+
+
+def _slices(ptr: List[int], ids: List[int]) -> List[Tuple[int, ...]]:
+    """One tuple per CSR row: the per-task ``succs``/``preds`` views, built
+    on first use.  CSR rows are already in ascending id order."""
+    return [tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
 def _names_length_error(names: int, tasks: int) -> GraphError:
@@ -655,7 +782,8 @@ def _id_array(values: npt.ArrayLike, what: str) -> IntArray:
         return np.zeros(0, dtype=np.int64)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         raise GraphError(f"{what} must be a flat sequence of integer task ids")
-    return arr.astype(np.int64, copy=False)
+    # A copy, never the caller's array: a frozen graph keeps it.
+    return np.array(arr, dtype=np.int64)
 
 
 def _build_csr(
@@ -670,7 +798,8 @@ def _build_csr(
     The successor view is ordered by ``(src, dst)`` and the predecessor
     view by ``(dst, src)`` — the ascending-id slice order of
     :meth:`TaskGraph.succs`/:meth:`TaskGraph.preds`.  ``by_src`` is the
-    successor order when the caller has already sorted for it.
+    successor order when the caller has already sorted for it.  The six
+    arrays are fresh and read-only.
     """
     if by_src is None:
         by_src = np.argsort(src * n + dst)
@@ -679,7 +808,10 @@ def _build_csr(
     np.cumsum(np.bincount(src, minlength=n), out=succ_ptr[1:])
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n), out=pred_ptr[1:])
-    return AdjacencyCSR(
+    arrays = (
         pred_ptr, src[by_dst], comm[by_dst], succ_ptr, dst[by_src], comm[by_src]
     )
+    for array in arrays:
+        array.flags.writeable = False
+    return AdjacencyCSR(*arrays)
 

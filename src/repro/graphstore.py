@@ -100,9 +100,9 @@ def encode_graph(graph: TaskGraph) -> bytes:
         pred_comm: E   float64    succ_comm: E   float64
         names    : names_len bytes (JSON list; null = unnamed task)
 
-    The six CSR arrays are exactly ``TaskGraph._compile_csr()``'s NumPy
-    buffers, dumped with ``ndarray.tobytes`` — encoding is ``O(V + E)``
-    memcpy, not a per-object pickle walk.
+    The six CSR arrays are exactly the graph's ``csr()`` NumPy buffers,
+    dumped with ``ndarray.tobytes`` — encoding is ``O(V + E)`` memcpy, not
+    a per-object pickle walk.
     """
     if not graph.frozen:
         raise GraphStoreError("only frozen graphs can be registered; call freeze()")

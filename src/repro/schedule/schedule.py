@@ -23,7 +23,8 @@ first principles (used by the test suite on every scheduler output):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -32,7 +33,7 @@ from repro.exceptions import InvalidScheduleError, ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 
-__all__ = ["Schedule", "ScheduledTask"]
+__all__ = ["Placements", "Schedule", "ScheduledTask"]
 
 _EPS = 1e-9
 
@@ -45,6 +46,25 @@ class ScheduledTask:
     proc: int
     start: float
     finish: float
+
+
+class Placements(NamedTuple):
+    """A schedule's state as arrays (:meth:`Schedule.placements`).
+
+    ``placed``/``proc``/``start``/``finish`` are task-indexed, with
+    ``-1``/``0.0``/``0.0`` for an unplaced task; ``listed`` is every
+    processor's task list (:meth:`Schedule.proc_tasks`) back to back, and
+    ``listed_proc`` the processor of each entry; ``prt`` is
+    :meth:`Schedule.prt` per processor.
+    """
+
+    placed: npt.NDArray[np.bool_]
+    proc: npt.NDArray[np.int64]
+    start: npt.NDArray[np.float64]
+    finish: npt.NDArray[np.float64]
+    listed: npt.NDArray[np.int64]
+    listed_proc: npt.NDArray[np.int64]
+    prt: npt.NDArray[np.float64]
 
 
 class Schedule:
@@ -292,6 +312,30 @@ class Schedule:
         sequence, so the order is recorded explicitly.
         """
         return tuple(self._order)
+
+    def placements(self) -> Placements:
+        """Every placement, processor list and ready time as fresh arrays.
+
+        The bulk form of :meth:`is_scheduled`, :meth:`proc_of`,
+        :meth:`start_of`, :meth:`finish_of`, :meth:`proc_tasks` and
+        :meth:`prt`, with the same values.  Not cached: each call reads the
+        schedule's current state, so an independent checker
+        (:func:`repro.verify.certify`) sees exactly what those queries
+        would answer.
+        """
+        placed = np.array(self._placed, dtype=bool)
+        lists = self._proc_tasks
+        return Placements(
+            placed=placed,
+            proc=np.where(placed, np.array(self._proc, dtype=np.int64), -1),
+            start=np.where(placed, np.array(self._start, dtype=np.float64), 0.0),
+            finish=np.where(placed, np.array(self._finish, dtype=np.float64), 0.0),
+            listed=np.fromiter(chain.from_iterable(lists), dtype=np.int64),
+            listed_proc=np.repeat(
+                np.arange(len(lists), dtype=np.int64), list(map(len, lists))
+            ),
+            prt=np.array(self._prt, dtype=np.float64),
+        )
 
     def _placement_arrays(
         self,

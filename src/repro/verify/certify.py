@@ -7,13 +7,15 @@ task graph, and the machine model's cost parameters, and recomputes every
 quantity (durations, message arrivals, ready times) from first principles.
 A bug in ``repro.core`` therefore cannot hide itself here.
 
-Each call reads its inputs once: the placements through the schedule's
-public queries (``is_scheduled``, ``proc_of``, ``start_of``, ``finish_of``,
-``proc_tasks``, ``prt``, ``makespan`` — never the warm-start placement-array
-cache, which can go stale), and the edges from ``graph.edges()``, the
-dictionary the CSR is compiled from, so a CSR bug cannot hide from S005 or
-the replay, which share those edge arrays.  Every check then runs as a bulk
-NumPy pass over the arrays.
+Each call reads its inputs once, in bulk: the placements through
+:meth:`Schedule.placements` (the array form of ``is_scheduled``,
+``proc_of``, ``start_of``, ``finish_of``, ``proc_tasks`` and ``prt``, read
+from the schedule on every call — never the warm-start placement-array
+cache, which can go stale), the makespan through ``makespan``, and the
+edges through :meth:`TaskGraph.edge_arrays`, the as-submitted arrays the
+CSR is compiled from, so a CSR bug cannot hide from S005 or the replay,
+which share them.  Every check then runs as a bulk NumPy pass over the
+arrays.
 
 Two layers of checks, each with stable rule codes:
 
@@ -90,8 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -112,9 +113,6 @@ _EPS = 1e-9
 #: O(V + E + _REPLAY_BLOCK) however wide the ready set grows (a single
 #: step wider than the block runs alone).
 _REPLAY_BLOCK = 1 << 14
-
-#: One ``graph.edges()`` triple.
-_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("comm", np.float64)])
 
 #: Algorithms whose output carries an ETF-greedy certificate obligation.
 #: FLB additionally promises the non-EP tie rule (F002); plain ETF only the
@@ -234,11 +232,11 @@ def certify(
 
 @dataclass(frozen=True)
 class _Inputs:
-    """Everything the passes check, read once through public queries.
+    """Everything the passes check, read once through public bulk queries.
 
     ``proc``/``start``/``finish`` are task-indexed, holding ``-1``/``0.0``
     for unplaced tasks; ``listed_task``/``listed_proc`` flatten the
-    per-processor task lists; ``src``/``dst`` are ``graph.edges()`` in
+    per-processor task lists; ``src``/``dst`` are the graph's edges in
     insertion order, shared by S005 and the replay, with each edge's
     cross-processor delay in ``remote`` (``MachineModel.remote_delay``).
     """
@@ -261,35 +259,22 @@ class _Inputs:
 def _read_inputs(schedule: Schedule) -> _Inputs:
     graph = schedule.graph
     machine = schedule.machine
-    n = graph.num_tasks
-    placed = np.fromiter(map(schedule.is_scheduled, range(n)), dtype=bool, count=n)
-    ids = np.flatnonzero(placed)
-    id_list = ids.tolist()
-
-    def per_task(query: Callable[[int], float], dtype: type, fill: float) -> Any:
-        values = np.fromiter(map(query, id_list), dtype=dtype, count=len(id_list))
-        if len(id_list) == n:
-            return values
-        out = np.full(n, fill, dtype=dtype)
-        out[ids] = values
-        return out
-
-    lists = [schedule.proc_tasks(p) for p in machine.procs]
-    edges = np.fromiter(graph.edges(), dtype=_EDGE, count=graph.num_edges)
+    state = schedule.placements()
+    src, dst, comm = graph.edge_arrays()
     return _Inputs(
         machine=machine,
-        comp=np.array(graph.comps, dtype=np.float64),
-        placed=placed,
-        proc=per_task(schedule.proc_of, np.int64, -1),
-        start=per_task(schedule.start_of, np.float64, 0.0),
-        finish=per_task(schedule.finish_of, np.float64, 0.0),
-        listed_task=np.fromiter(chain.from_iterable(lists), dtype=np.int64),
-        listed_proc=np.repeat(np.arange(machine.num_procs), list(map(len, lists))),
-        prt=np.array([schedule.prt(p) for p in machine.procs], dtype=np.float64),
+        comp=graph.comps_array(),
+        placed=state.placed,
+        proc=state.proc,
+        start=state.start,
+        finish=state.finish,
+        listed_task=state.listed,
+        listed_proc=state.listed_proc,
+        prt=state.prt,
         makespan=schedule.makespan,
-        src=edges["src"].copy(),
-        dst=edges["dst"].copy(),
-        remote=machine.latency + machine.comm_scale * edges["comm"],
+        src=src,
+        dst=dst,
+        remote=machine.latency + machine.comm_scale * comm,
     )
 
 

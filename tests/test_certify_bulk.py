@@ -481,7 +481,10 @@ def test_certifier_shares_nothing_with_the_kernels():
     for banned in ("repro.core", "repro.schedulers", "repro.graph.properties", "heapq"):
         assert not any(m == banned or m.startswith(banned + ".") for m in imported)
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert not attributes & {"csr", "_placement_arrays", "heappush", "heappop"}
+    assert not attributes & {
+        "csr", "lists", "_placement_arrays", "heappush", "heappop",
+    }
+    assert not {a for a in attributes if a.startswith("_")}
 
 
 # -- budget ------------------------------------------------------------------

@@ -5,8 +5,10 @@ built on it (``from_json`` on text or a parsed document, ``from_tg_text``,
 Three properties are pinned here:
 
 * **equivalence** — every bulk reader builds exactly the graph the
-  per-edge ``add_task``/``add_edge``/``freeze`` path builds (content, CSR,
-  topological order, fingerprint, FLB schedule);
+  per-edge ``add_task``/``add_edge``/``freeze`` path builds (content,
+  ``edges()`` order and float sum, CSR, topological order, fingerprint,
+  copies, FLB schedule), in the same frozen form: the edge arrays, with
+  the edge dict and tuple views left to first use;
 * **error parity** — a defective input raises the same exception class and
   message through the bulk path as through the per-edge path;
 * **the fingerprint is unchanged** — the batched digest equals the
@@ -30,9 +32,10 @@ from repro.core.flb_array import flb_array
 from repro.exceptions import CycleError, GraphError
 from repro.graph.io import from_json, from_tg_text, to_json, to_tg_text
 from repro.graph.taskgraph import TaskGraph
-from repro.graphstore import decode_graph, encode_graph
+from repro.graphstore import GraphStore, decode_graph, encode_graph
 from repro.machine.model import MachineModel
 from repro.util.rng import make_rng
+from repro.verify import certify
 from repro.workloads import erdos_dag, paper_example, stencil, stencil_size_for_tasks
 
 
@@ -101,11 +104,15 @@ def _readers(g):
     }
 
 
-def _assert_same_graph(got, want):
+def _assert_same_graph(got, want, copies=True):
     assert got.frozen
     assert got.comps == want.comps
     assert [got.name(t) for t in got.tasks()] == [want.name(t) for t in want.tasks()]
-    assert set(got.edges()) == set(want.edges())
+    assert list(got.edges()) == list(want.edges())
+    assert got.num_edges == want.num_edges
+    assert got.total_comm() == want.total_comm()
+    for src, dst, comm in want.edges():
+        assert got.has_edge(src, dst) and got.comm(src, dst) == comm
     for field in ("pred_ptr", "pred_ids", "pred_comm",
                   "succ_ptr", "succ_ids", "succ_comm"):
         assert np.array_equal(getattr(got.csr(), field),
@@ -116,16 +123,23 @@ def _assert_same_graph(got, want):
     assert got.entry_tasks == want.entry_tasks
     assert got.exit_tasks == want.exit_tasks
     assert got.fingerprint() == want.fingerprint()
+    if copies:
+        for clone in (got.copy(), got.copy(mutable=True).freeze()):
+            _assert_same_graph(clone, want, copies=False)
 
 
 class TestBulkReadersMatchPerEdgeBuild:
     @pytest.mark.parametrize("label,graph", GRAPHS, ids=[label for label, _ in GRAPHS])
     def test_every_reader_builds_the_per_edge_graph(self, label, graph):
-        want = per_edge_graph(graph.comps, graph._names, list(graph.edges()))
+        edges = list(graph.edges())
+        want = per_edge_graph(graph.comps, graph._names, edges)
+        # The graph codec stores the successor CSR, so a decoded graph's
+        # edges come back in (src, dst) order.
+        want_decoded = per_edge_graph(graph.comps, graph._names, sorted(edges))
         machine = MachineModel(4)
         reference = flb_array(want, machine=machine)
         for reader, got in _readers(graph).items():
-            _assert_same_graph(got, want)
+            _assert_same_graph(got, want_decoded if reader == "decode_graph" else want)
             schedule = flb_array(got, machine=machine)
             assert schedule.makespan == reference.makespan, reader
             for t in want.tasks():
@@ -149,6 +163,46 @@ class TestBulkReadersMatchPerEdgeBuild:
         assert g.num_edges == 0
         assert g.entry_tasks == g.exit_tasks == (0, 1)
         assert g.fingerprint() == reference_fingerprint(g)
+
+
+class TestOneFrozenRepresentation:
+    def test_inline_request_path_builds_no_views(self):
+        # The inline request: ingest, fingerprint, publish, FLB and its
+        # certificate read arrays only; nothing builds the edge dictionary
+        # or the per-task tuples.
+        doc = json.loads(to_json(stencil(*stencil_size_for_tasks(300), make_rng(0))))
+        graph = from_json(doc)
+        with GraphStore() as store:
+            store.register(graph, fingerprint=graph.fingerprint())
+            schedule = flb_array(graph, machine=MachineModel(8))
+            assert certify(schedule, "flb").ok
+        assert graph._edges is None
+        assert graph._succs is None and graph._preds is None
+
+    def test_builder_freezes_to_the_from_arrays_state(self):
+        g = paper_example()
+        built = per_edge_graph(g.comps, g._names, list(g.edges()))
+        bulk = TaskGraph.from_arrays(g.comps, *map(list, zip(*g.edges())), g._names)
+        for graph in (built, bulk):
+            assert graph._edges is None
+            assert graph._succs is None and graph._preds is None
+        for a, b in zip(built.edge_arrays(), bulk.edge_arrays()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert built.succs(0) == bulk.succs(0) and built._succs is not None
+        assert built.comm(0, 1) == bulk.comm(0, 1) and built._edges is not None
+
+    def test_the_graph_owns_its_arrays(self):
+        comps = np.array([1.0, 2.0, 3.0])
+        src = np.array([0, 1], dtype=np.int64)
+        dst = np.array([1, 2], dtype=np.int64)
+        comm = np.array([0.5, 0.25])
+        g = TaskGraph.from_arrays(comps, src, dst, comm)
+        for given, kept in zip((src, dst, comm), g.edge_arrays()):
+            assert not np.shares_memory(given, kept)
+        assert not np.shares_memory(comps, g.comps_array())
+        src[0], comm[0], comps[0] = 2, 9.0, 9.0
+        assert list(g.edges()) == [(0, 1, 0.5), (1, 2, 0.25)]
+        assert g.comps == (1.0, 2.0, 3.0)
 
 
 class TestFingerprintMatchesPerEdgeDigest:
@@ -215,6 +269,7 @@ SINGLE_DEFECTS = {
     "sparse ids": _defect(("tasks", 4, "id"), 7),
     "duplicate ids": _defect(("tasks", 3, "id"), 1),
     "cycle": _append_edge(4, 1, 1.0),
+    "lone-surrogate name": _defect(("tasks", 3, "name"), "\ud800"),
 }
 
 
@@ -272,6 +327,30 @@ class TestErrorParity:
             TaskGraph().add_task(1.0, name=5)
         with pytest.raises(GraphError, match="one entry per edge"):
             TaskGraph.from_arrays([1.0, 2.0], [0], [1], [])
+
+    def test_unencodable_names_fail_like_add_task(self):
+        # A name with no UTF-8 form is refused, naming the task, by
+        # add_task, set_name and from_arrays alike — and from_arrays still
+        # reports the defect the per-task loop meets first.
+        with pytest.raises(GraphError, match="task 0: name '\\\\ud800' cannot"):
+            TaskGraph().add_task(1.0, name="\ud800")
+        g = TaskGraph()
+        g.add_tasks([1.0, 2.0])
+        with pytest.raises(GraphError, match="task 1: name .* UTF-8"):
+            g.set_name(1, "a\udfffb")
+        assert g.name(1) == "t1"
+        cases = [
+            ([1.0, 2.0, 3.0], [None, "ok", "\ud800"]),
+            ([1.0, -1.0, 3.0], [None, None, "\ud800"]),
+            ([1.0, -1.0, 3.0], ["\ud800", None, None]),
+            ([1.0, 2.0], [5, "\ud800"]),
+            ([1.0, 2.0], ["\ud800", 5]),
+            ([1.0, 2.0, 3.0], ["é", "\x00\ud800", "\udc80"]),
+        ]
+        for comps, names in cases:
+            bulk = _outcome(TaskGraph.from_arrays, comps, [], [], [], names)
+            per_edge = _outcome(per_edge_graph, comps, names, [])
+            assert bulk == per_edge and bulk[0] is GraphError, (names, bulk)
 
     def test_float_ids_are_rejected_not_truncated(self):
         with pytest.raises(GraphError, match="integer task ids"):

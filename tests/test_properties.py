@@ -1,4 +1,14 @@
-"""Tests for static task-graph analysis (levels, critical path, width, CCR)."""
+"""Tests for static task-graph analysis (levels, critical path, width, CCR).
+
+The ``perfgate`` test holds the cold-graph budget: FLB on a freshly
+ingested graph, priorities not yet computed, costs at most 1.3x a run on
+the same graph with them memoized.
+"""
+
+import gc
+import json
+import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +27,11 @@ from repro.graph import (
     width,
     width_lower_bound,
 )
+import repro.graph.properties as props
+from repro.core.flb_array import flb_array
+from repro.graph.io import from_json, to_json
+from repro.graph.properties import bottom_levels_array, top_levels_array
+from repro.machine.model import MachineModel
 from repro.util.rng import make_rng
 from repro.workloads import (
     chain,
@@ -24,8 +39,14 @@ from repro.workloads import (
     fft,
     independent_tasks,
     layered_random,
+    lu,
+    lu_chain,
+    lu_size_for_tasks,
     paper_example,
+    stencil,
+    stencil_size_for_tasks,
 )
+from tests.level_oracle import bottom_levels_py, top_levels_py
 
 
 class TestLevelsOnPaperExample:
@@ -206,13 +227,40 @@ def test_property_bottom_level_dominates_succs(n, p, seed):
             assert bl[t] == pytest.approx(g.comp(t))
 
 
+#: The sweep's switch width, read before any test patches it.
+SWITCH_WIDTH = props._VECTOR_WIDTH
+
+
+def widths_graph(widths, seed):
+    """Layers of the given widths, every task fed by one to three tasks of
+    the layer before and now and then by one two layers back: its FIFO
+    Kahn frontiers are exactly the layers."""
+    rng = make_rng(seed)
+    g = TaskGraph()
+    layers = [[g.add_task(float(rng.uniform(0.5, 2.0))) for _ in range(w)]
+              for w in widths]
+    for k in range(1, len(layers)):
+        for t in layers[k]:
+            prev = layers[k - 1]
+            count = min(len(prev), int(rng.integers(1, 4)))
+            for p in rng.choice(prev, size=count, replace=False).tolist():
+                g.add_edge(p, t, float(rng.uniform(0.0, 3.0)))
+            if k >= 2 and rng.random() < 0.2:
+                g.add_edge(int(rng.choice(layers[k - 2])), t, float(rng.uniform(0.0, 3.0)))
+    return g.freeze()
+
+
 class TestVectorizedLevels:
-    """The CSR frontier sweeps (``bottom_levels_array`` / ``top_levels_array``)
-    must be bit-identical to the pure-Python recurrences they accelerate —
-    both compute ``comp + max(comm + level)`` over the same CSR slices, so
-    ``==`` applies, never ``approx``."""
+    """The level sweep (``bottom_levels_array`` / ``top_levels_array``)
+    must be bit-identical to the scalar recurrences in
+    ``tests/level_oracle.py`` whichever way it evaluates a frontier — both
+    compute ``comp + max(comm + level)`` over the same CSR slices, so
+    ``==`` applies, never ``approx``.  The graphs are deep (one-task
+    frontiers), wide (frontiers far above the switch width) and mixed
+    (frontiers crossing the switch width in both directions)."""
 
     def _graphs(self):
+        w = SWITCH_WIDTH
         yield paper_example()
         yield chain(30, make_rng(1))
         yield independent_tasks(20, make_rng(2))
@@ -220,29 +268,36 @@ class TestVectorizedLevels:
         for seed, density in ((4, 0.05), (5, 0.2), (6, 0.5)):
             yield erdos_dag(80, density, make_rng(seed), ccr=(0.2, 1.0, 5.0)[seed % 3])
         yield layered_random(12, 9, make_rng(7), edge_density=0.3, ccr=2.0)
+        # Deep.
+        yield chain(2000, make_rng(8))
+        yield lu_chain(40, make_rng(9), ccr=2.0)
+        # Wide.
+        yield fft(256, make_rng(10), ccr=1.0)
+        yield layered_random(6, 3 * w, make_rng(11), edge_density=0.02)
+        # Mixed: narrow -> wide -> narrow, and frontiers one either side
+        # of the switch width.
+        yield widths_graph((1, w + 6, 2, 1, 2 * w, w, w - 1, 1, w + 1, 3, 3 * w, 1), 12)
+        yield widths_graph((3 * w, 1, 1, w - 1, w, 2, 2 * w, 1), 13)
 
     def test_bottom_levels_array_bit_identical(self):
-        from repro.graph.properties import _bottom_levels_py, bottom_levels_array
-
         for g in self._graphs():
             g.freeze()
-            assert bottom_levels_array(g).tolist() == _bottom_levels_py(g)
+            assert bottom_levels_array(g).tolist() == bottom_levels_py(g)
+            assert bottom_levels(g) == bottom_levels_py(g)
 
     def test_top_levels_array_bit_identical(self):
-        from repro.graph.properties import _top_levels_py, top_levels_array
-
         for g in self._graphs():
             g.freeze()
-            assert top_levels_array(g).tolist() == _top_levels_py(g)
+            assert top_levels_array(g).tolist() == top_levels_py(g)
+            assert top_levels(g) == top_levels_py(g)
 
-    def test_dispatch_uses_array_path_above_threshold(self, monkeypatch):
-        import repro.graph.properties as props
-
-        monkeypatch.setattr(props, "_VECTOR_MIN_TASKS", 0)
-        g = erdos_dag(60, 0.15, make_rng(11), ccr=1.0)
-        g.freeze()
-        assert props.bottom_levels(g) == props._bottom_levels_py(g)
-        assert props.top_levels(g) == props._top_levels_py(g)
+    @pytest.mark.parametrize("width", [1, 10**9], ids=["all-vector", "all-scalar"])
+    def test_either_evaluation_alone_is_bit_identical(self, width, monkeypatch):
+        monkeypatch.setattr(props, "_VECTOR_WIDTH", width)
+        for g in self._graphs():
+            g.freeze()
+            assert bottom_levels_array(g).tolist() == bottom_levels_py(g)
+            assert top_levels_array(g).tolist() == top_levels_py(g)
 
     def test_cached_results_are_defensive_copies(self):
         g = erdos_dag(40, 0.2, make_rng(12))
@@ -255,18 +310,50 @@ class TestVectorizedLevels:
         assert top_levels(g)[0] != -123.0
 
     def test_hypothesis_like_sweep(self):
-        from repro.graph.properties import (
-            _bottom_levels_py,
-            _top_levels_py,
-            bottom_levels_array,
-            top_levels_array,
-        )
-
         for seed in range(25):
             g = erdos_dag(
                 5 + seed * 3, 0.05 + (seed % 5) * 0.1, make_rng(100 + seed),
                 ccr=(0.2, 1.0, 5.0)[seed % 3],
             )
             g.freeze()
-            assert bottom_levels_array(g).tolist() == _bottom_levels_py(g)
-            assert top_levels_array(g).tolist() == _top_levels_py(g)
+            assert bottom_levels_array(g).tolist() == bottom_levels_py(g)
+            assert top_levels_array(g).tolist() == top_levels_py(g)
+
+
+@pytest.mark.perfgate
+def test_cold_graph_flb_within_memoized_time():
+    """FLB on a graph fresh from ``from_json(doc)``, whose bottom levels and
+    edge delays are not yet memoized, runs within 1.3x of a second run on
+    the same graph: the best of five interleaved (cold, memoized) pairs.
+    The graphs are the ones whose depth the level-synchronous sweep paid
+    for: the V=2015 LU graph, the V=2000 stencil and a 20,000-task chain.
+
+    Each cold run is divided by the memoized run right after it, on the
+    same graph: shared hosts change their CPU speed by up to ~1.7x between
+    runs, which a ratio of two separate minima would measure instead of the
+    kernel.  Garbage is collected after each build, so the cold run's first
+    collections do not walk the containers ``from_json`` just made (a cost
+    of building the graph, which would land in whatever runs next)."""
+    docs = {
+        "lu": lu(lu_size_for_tasks(2000), make_rng(0)),
+        "stencil": stencil(*stencil_size_for_tasks(2000), make_rng(0)),
+        "chain": chain(20000, make_rng(0)),
+    }
+    docs = {name: json.loads(to_json(g)) for name, g in docs.items()}
+    machine = MachineModel(8)
+    ratios = {}
+    for name, doc in docs.items():
+        best = math.inf
+        for _ in range(5):
+            graph = from_json(doc)
+            gc.collect()
+            t0 = time.perf_counter()
+            flb_array(graph, machine=machine)
+            t1 = time.perf_counter()
+            flb_array(graph, machine=machine)
+            t2 = time.perf_counter()
+            best = min(best, (t1 - t0) / (t2 - t1))
+        ratios[name] = best
+    assert all(ratio <= 1.3 for ratio in ratios.values()), {
+        name: f"{ratio:.2f}x" for name, ratio in ratios.items()
+    }

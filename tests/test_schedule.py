@@ -99,6 +99,27 @@ class TestPlacement:
         s.place(0, 1, 0.0)
         assert s.assignment() == {0: 1}
 
+    def test_placements_are_the_queries_in_bulk_and_never_stale(self):
+        g = paper_example()
+        s = Schedule(g, MachineModel(3))
+        for task, proc, start in ((0, 0, 0.0), (3, 0, 2.0), (1, 2, 3.0)):
+            s.place(task, proc, start)
+        state = s.placements()
+        for t in g.tasks():
+            assert state.placed[t] == s.is_scheduled(t)
+            if s.is_scheduled(t):
+                assert (state.proc[t], state.start[t], state.finish[t]) == (
+                    s.proc_of(t), s.start_of(t), s.finish_of(t))
+            else:
+                assert (state.proc[t], state.start[t], state.finish[t]) == (-1, 0.0, 0.0)
+        assert list(state.listed) == [0, 3, 1]
+        assert list(state.listed_proc) == [0, 0, 2]
+        assert list(state.prt) == [s.prt(p) for p in range(3)]
+        s.place(2, 1, 5.0)
+        again = s.placements()
+        assert again.placed[2] and again.proc[2] == 1
+        assert not state.placed[2]  # a fresh read, not a shared buffer
+
 
 class TestValidation:
     def test_valid_same_proc_schedule(self):

@@ -465,6 +465,23 @@ class TestRouteLayer:
         finally:
             service.close()
 
+    def test_lone_surrogate_task_name_is_400(self):
+        # "\ud800" is valid JSON and reaches ingest, but it has no UTF-8
+        # form, so the fingerprint could not hash it (both routes
+        # answered 500 UnicodeEncodeError); ingest now refuses the name.
+        doc = _graph_doc()
+        doc["tasks"][1]["name"] = "\ud800"
+        service = self._service()
+        try:
+            resp = self._route(service, "POST", "/v1/graphs", {"graph": doc})
+            assert resp.status == 400 and b"UTF-8" in resp.body, resp.body
+            resp = self._route(service, "POST", "/v1/schedule",
+                               {"graph": doc, "procs": 2})
+            assert resp.status == 400 and b"UTF-8" in resp.body, resp.body
+            assert service.health()["graphs"] == 0
+        finally:
+            service.close()
+
     def test_malformed_graph_documents_are_400(self):
         # Wrong field types and missing fields used to escape ingest as
         # KeyError/TypeError (a 500 at best) or be coerced into a different

@@ -265,3 +265,58 @@ class TestCsr:
         lo, hi = csr.pred_ptr[e], csr.pred_ptr[e + 1]
         assert tuple(csr.pred_ids[lo:hi]) == (3,)
         assert csr.pred_comm[lo] == 1.5
+
+
+class TestFrozenArraysAreReadOnly:
+    def test_every_handed_out_array_refuses_writes(self):
+        # A writable memo let one caller corrupt every later schedule of
+        # the graph (reversing the bottom levels of a 200-task LU graph
+        # moved FLB's makespan from 101.84 to 102.88), and a write to
+        # comps_array() would publish a different graph under the old
+        # fingerprint.
+        import pickle
+
+        import numpy as np
+
+        from repro.core.flb_array import _kernel_inputs, flb_array
+        from repro.graph.properties import (
+            bottom_levels_array,
+            subgraph_hash_array,
+            top_levels_array,
+        )
+        from repro.machine.model import MachineModel
+        from repro.util.rng import make_rng
+        from repro.workloads import lu, lu_size_for_tasks
+
+        def graph():
+            return lu(lu_size_for_tasks(200), make_rng(0)).freeze()
+
+        g = graph()
+        machine = MachineModel(4)
+        neg_bl, pred_delay = _kernel_inputs(g, machine)
+        csr = g.csr()
+        arrays = {
+            "comps": g.comps_array(),
+            "bl": bottom_levels_array(g),
+            "tl": top_levels_array(g),
+            "subh": subgraph_hash_array(g),
+            "neg_bl": neg_bl,
+            "pred_delay": pred_delay,
+        }
+        arrays.update(zip(("src", "dst", "comm"), g.edge_arrays()))
+        for field in ("pred_ptr", "pred_ids", "pred_comm",
+                      "succ_ptr", "succ_ids", "succ_comm"):
+            arrays[field] = getattr(csr, field)
+        for name, array in arrays.items():
+            before = array.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = array[::-1]
+            assert np.array_equal(array, before), name
+        # A graph sent to a worker process arrives the same way.
+        clone = pickle.loads(pickle.dumps(g))
+        for array in (clone.comps_array(), clone.csr().succ_ids,
+                      *clone.edge_arrays(), clone.memo_get("bl_arr")):
+            assert not array.flags.writeable
+        got, want = flb_array(g, machine), flb_array(graph(), machine)
+        assert got.makespan == want.makespan
+        assert [got.entry(t) for t in g.tasks()] == [want.entry(t) for t in g.tasks()]

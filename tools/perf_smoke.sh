@@ -18,11 +18,14 @@ export PYTHONPATH=src
 # costs no more than one FLB run on it, plus the certify budget: the FLB
 # certificate of that schedule costs no more than the run that produced it,
 # plus the placement floor: MCP on the CSR evaluator runs at least 2x faster
-# than the dict-path oracle on the V=120 suite at P=32.
+# than the dict-path oracle on the V=120 suite at P=32, plus the cold-graph
+# budget: FLB on a graph fresh from from_json (V=2015 LU, V=2000 stencil,
+# 20,000-task chain) costs at most 1.3x a run with its priorities memoized.
 python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_gate.py \
     tests/test_batch_graphplane.py tests/test_obs_overhead.py \
     benchmarks/bench_incremental.py tests/test_ingest.py \
-    tests/test_certify_bulk.py tests/test_placement_csr.py -p no:cacheprovider
+    tests/test_certify_bulk.py tests/test_placement_csr.py \
+    tests/test_properties.py -p no:cacheprovider
 
 # Throughput gate at smoke scale against the stored full-scale baseline.
 # Smoke graphs are ~7x smaller than the baseline's, so per-task overheads
