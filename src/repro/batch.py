@@ -56,7 +56,9 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast,
+)
 
 from repro.api import SchedulingOptions
 from repro.exceptions import SchedulerError
@@ -250,6 +252,19 @@ def _failed_result(
         queue_seconds=queue_seconds,
         attempts=attempts,
         phases=phases,
+    )
+
+
+def _cached_answer(stored: BatchResult, tag: str) -> BatchResult:
+    """A stored result answering another request: ``tag`` echoed, no time
+    spent (``seconds``/``queue_seconds`` 0.0, one attempt), ``cached``.
+
+    ``warm`` is dropped: the replica did not replay anything itself, so it
+    must not re-count the original's warm-start accounting.
+    """
+    return replace(
+        stored, tag=tag, seconds=0.0, queue_seconds=0.0, attempts=1,
+        cached=True, warm=None,
     )
 
 
@@ -563,25 +578,22 @@ def schedule_many(
     dispatch: List[int] = []
     coalesced: Dict[CacheKey, List[int]] = {}
     for i, job in enumerate(jobs):
-        keys[i] = _cache_key(
-            job, validate, certify, fingerprints, store, default_machine,
-        )
         if use_cache:
-            hit = cache.get(keys[i])
+            # Keys are built only here: without a cache nothing reads them,
+            # and each distinct graph would be fingerprinted for nothing.
+            key = keys[i] = _cache_key(
+                job, validate, certify, fingerprints, store, default_machine,
+            )
+            hit = cache.get(key)
             if hit is not None:
-                # warm=None: the replica did not replay anything itself,
-                # so it must not re-count the original's warm accounting.
-                results[i] = replace(
-                    hit, tag=job.tag, seconds=0.0, queue_seconds=0.0,
-                    attempts=1, cached=True, warm=None,
-                )
+                results[i] = _cached_answer(cast(BatchResult, hit), job.tag)
                 continue
-            if keys[i] is not None:
-                group = coalesced.get(keys[i])
+            if key is not None:
+                group = coalesced.get(key)
                 if group is not None:
                     group.append(i)
                     continue
-                coalesced[keys[i]] = [i]
+                coalesced[key] = [i]
         dispatch.append(i)
 
     n_hits = len(jobs) - len(dispatch) - sum(len(g) - 1 for g in coalesced.values())
@@ -621,10 +633,7 @@ def schedule_many(
         canonical = results[group[0]]
         for i in group[1:]:
             if canonical.ok:
-                results[i] = replace(
-                    canonical, tag=jobs[i].tag, seconds=0.0,
-                    queue_seconds=0.0, attempts=1, cached=True, warm=None,
-                )
+                results[i] = _cached_answer(canonical, jobs[i].tag)
             else:
                 results[i] = replace(canonical, tag=jobs[i].tag)
 
@@ -727,8 +736,7 @@ def _record_batch_metrics(
         cache=cache_stats or None,
     )
     if cache is not None:
-        for key, value in cache.stats().items():
-            reg.gauge(f"resultcache_{key}").set(float(value))
+        _record_cache_gauges(reg, cache)
     if store is not None and not store.closed:
         for key, value in store.stats().items():
             reg.gauge(f"graphstore_{key}").set(float(value))
@@ -736,6 +744,12 @@ def _record_batch_metrics(
         # Ephemeral store (already unlinked): report what it held.
         reg.gauge("graphstore_graphs").set(float(stats.get("shared_graphs", 0)))
         reg.gauge("graphstore_bytes").set(float(stats.get("shared_bytes", 0)))
+
+
+def _record_cache_gauges(reg: MetricsRegistry, cache: ResultCache) -> None:
+    """Set the ``resultcache_*`` gauges from the live cache."""
+    for key, value in cache.stats().items():
+        reg.gauge(f"resultcache_{key}").set(float(value))
 
 
 def _dispatch_pool(
@@ -1011,6 +1025,22 @@ class BatchScheduler:
         semantics are exactly :meth:`run`'s.
         """
         return self.run([job], options=options)[0]
+
+    def lookup(self, key: CacheKey, tag: str) -> Optional[BatchResult]:
+        """The result cache's answer to a job with ``key``, or ``None``.
+
+        ``key`` is the key :func:`schedule_many` builds for the job.  A hit
+        comes back as :meth:`run`'s cache pass would return it, with
+        ``tag`` echoed, and counts as a cache hit; a miss is not counted,
+        because the :meth:`run` that computes the job counts it.  It
+        touches only the cache, which has its own lock, and records no
+        ``batch_*`` metric, so a front-end may call it from another thread
+        than :meth:`run`'s.
+        """
+        stored = self.cache.lookup(key)
+        if stored is None:
+            return None
+        return _cached_answer(cast(BatchResult, stored), tag)
 
     def stats(self) -> Dict[str, int]:
         """Cumulative serving counters: dispatch accounting (``jobs``,

@@ -91,8 +91,10 @@ class ServeInstruments:
     * ``serve_shed_total`` — admission-control rejections (HTTP 429);
     * ``serve_coalesced_total`` — requests answered by an identical
       in-flight computation instead of a new dispatch;
+    * ``serve_cached_total`` — requests answered from the result cache at
+      admission, on the event loop (never queued or dispatched);
     * ``serve_queue_wait_seconds`` / ``serve_service_seconds`` — fair-queue
-      wait vs dispatch service time per scheduled job;
+      wait vs dispatch service time per computed (queued) job;
     * ``serve_queue_depth`` / ``serve_inflight`` / ``serve_draining`` —
       gauges of the admission queue, active dispatches, and drain state;
     * ``serve_graphs_registered_total`` — ``POST /v1/graphs`` admissions;
@@ -104,6 +106,7 @@ class ServeInstruments:
         self.registry = registry
         self._shed = registry.counter("serve_shed_total")
         self._coalesced = registry.counter("serve_coalesced_total")
+        self._cached = registry.counter("serve_cached_total")
         self._graphs = registry.counter("serve_graphs_registered_total")
         self._queue_depth = registry.gauge("serve_queue_depth")
         self._inflight = registry.gauge("serve_inflight")
@@ -133,6 +136,9 @@ class ServeInstruments:
 
     def coalesced(self) -> None:
         self._coalesced.inc()
+
+    def cached(self) -> None:
+        self._cached.inc()
 
     def graph_registered(self) -> None:
         self._graphs.inc()

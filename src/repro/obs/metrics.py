@@ -21,7 +21,9 @@ Design constraints (see docs/observability.md):
   (``BatchResult.phases``) and are folded in supervisor-side.
 * **Fixed label sets.**  A metric instance is identified by its name plus
   a sorted label tuple; the same ``(name, labels)`` pair always returns the
-  same instrument, so counters accumulate across calls.
+  same instrument, so counters accumulate across calls — also when two
+  threads create it at once (the serving front-end records ``serve_*`` on
+  its event loop and ``batch_*`` on its dispatcher thread).
 
 Metric names use Prometheus conventions directly (``snake_case``, ``_total``
 for counters, ``_seconds`` for duration histograms); the exposition layer
@@ -33,7 +35,17 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    MutableSequence,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "Counter",
@@ -209,14 +221,15 @@ class MetricsRegistry:
     ``(name, sorted labels)``; repeated calls return the same object, so
     call sites never cache instrument handles unless they are hot.
     ``events`` is the structured trace: one dict per span/event, in
-    completion order, exportable as JSONL (:meth:`write_trace`).
+    completion order, exportable as JSONL (:meth:`write_trace`); it keeps
+    every event unless :meth:`keep_recent_events` bounds it.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
-        self.events: List[Dict[str, Any]] = []
+        self.events: MutableSequence[Dict[str, Any]] = []
 
     # -- instruments --------------------------------------------------------
 
@@ -224,14 +237,14 @@ class MetricsRegistry:
         key = (name, _labelset(labels))
         inst = self._counters.get(key)
         if inst is None:
-            inst = self._counters[key] = Counter(name, key[1])
+            inst = self._counters.setdefault(key, Counter(name, key[1]))
         return inst
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         key = (name, _labelset(labels))
         inst = self._gauges.get(key)
         if inst is None:
-            inst = self._gauges[key] = Gauge(name, key[1])
+            inst = self._gauges.setdefault(key, Gauge(name, key[1]))
         return inst
 
     def histogram(
@@ -243,7 +256,9 @@ class MetricsRegistry:
         key = (name, _labelset(labels))
         inst = self._histograms.get(key)
         if inst is None:
-            inst = self._histograms[key] = Histogram(name, key[1], buckets)
+            inst = self._histograms.setdefault(
+                key, Histogram(name, key[1], buckets)
+            )
         return inst
 
     # -- trace --------------------------------------------------------------
@@ -260,6 +275,15 @@ class MetricsRegistry:
         self.events.append(
             {"name": name, "ts": time.time(), "dur": dur, "attrs": attrs}
         )
+
+    def keep_recent_events(self, limit: int) -> None:
+        """From now on keep only the ``limit`` newest trace events.
+
+        For a long-running process whose trace nothing exports (the
+        serving front-end): without a bound, ``events`` grows by every
+        event for the life of the process.
+        """
+        self.events = deque(self.events, maxlen=limit)
 
     # -- introspection / export --------------------------------------------
 

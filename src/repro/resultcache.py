@@ -24,11 +24,15 @@ so two machines with equal ``num_procs`` but different
 
 The cache is shared across batches by :class:`repro.batch.BatchScheduler`;
 counters surface through ``BatchScheduler.stats()``,
-``repro.batch.batch_stats`` and ``repro-sched batch --stats``.
+``repro.batch.batch_stats`` and ``repro-sched batch --stats``.  The
+serving front-end (:mod:`repro.serve`) reads it on its event loop while
+its dispatcher thread reads and writes it, so every access holds a
+per-instance lock for a few dictionary operations.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
 
@@ -63,16 +67,17 @@ class ResultCache:
 
     ``capacity=0`` disables the cache (every lookup misses nothing — no
     counters move, nothing is stored), which keeps call sites free of
-    ``if cache`` branching.
+    ``if cache`` branching.  Safe to share between threads.
     """
 
-    __slots__ = ("_capacity", "_data", "hits", "misses", "evictions")
+    __slots__ = ("_capacity", "_data", "_lock", "hits", "misses", "evictions")
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self._capacity = capacity
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -86,49 +91,68 @@ class ResultCache:
         return self._capacity > 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        with self._lock:
+            return len(self._data)
 
     def get(self, key: Optional[Hashable]) -> Optional[object]:
         """Look up a key; counts a hit or a miss.  ``None`` keys (uncacheable
         jobs) and a disabled cache return ``None`` without counting."""
+        return self._find(key, count_miss=True)
+
+    def lookup(self, key: Optional[Hashable]) -> Optional[object]:
+        """As :meth:`get`, but a miss is not counted.
+
+        For a front-end that answers hits itself and hands each miss on to
+        :func:`repro.batch.schedule_many`, whose :meth:`get` counts it: one
+        request then counts exactly one hit or one miss.
+        """
+        return self._find(key, count_miss=False)
+
+    def _find(self, key: Optional[Hashable], count_miss: bool) -> Optional[object]:
         if key is None or not self._capacity:
             return None
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._lock:
+            value = self._data.get(key)
+            if value is None:
+                if count_miss:
+                    self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key: Optional[Hashable], value: object) -> None:
         """Insert/refresh a key, evicting the least recently used entry
         beyond capacity."""
         if key is None or not self._capacity:
             return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self._capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self._capacity:
+                self._data.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; see :meth:`reset_stats`)."""
-        self._data.clear()
+        with self._lock:
+            self._data.clear()
 
     def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._data),
-            "capacity": self._capacity,
-        }
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "size": len(self._data),
+                "capacity": self._capacity,
+            }
 
     def __repr__(self) -> str:
         return (

@@ -8,9 +8,9 @@ times.  Complements the ASCII renderer for reports and documentation.
 
 from __future__ import annotations
 
+import html
 from pathlib import Path
 from typing import List, Set, Union
-from xml.sax.saxutils import escape
 
 from repro.schedule.analysis import slack_times
 from repro.schedule.schedule import Schedule
@@ -82,7 +82,8 @@ def render_gantt_svg(
                 if task in critical
                 else ' stroke="#444" stroke-width="0.5"'
             )
-            name = escape(graph.name(task))
+            # Only &, < and > are escaped (text content, not attributes).
+            name = html.escape(graph.name(task), quote=False)
             parts.append(
                 f'<rect x="{x(start):.2f}" y="{y}" width="{w:.2f}" '
                 f'height="{lane_height - 8}" rx="3" fill="{color}"{stroke}>'

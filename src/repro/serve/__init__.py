@@ -7,8 +7,9 @@
   idempotent) and returns its fingerprint;
 * ``POST /v1/schedule`` schedules a registered fingerprint or an inline
   graph, with per-tenant weighted-fair queuing, bounded-backlog admission
-  control (429 + ``Retry-After`` from the observed service-time EWMA), and
-  in-flight coalescing of identical requests;
+  control (429 + ``Retry-After`` from the observed service-time EWMA),
+  in-flight coalescing of identical requests, and result-cache hits
+  answered at admission without queuing;
 * ``GET /metrics`` exposes the ``serve_*`` + ``batch_*`` metric families
   as Prometheus text; ``GET /healthz`` reports drain state and depths;
 * SIGTERM/SIGINT triggers a graceful drain: stop admitting, finish every

@@ -12,8 +12,10 @@ time rather than a static guess:
 i.e. "the time for the current backlog to drain through the dispatcher
 pool at the recently measured per-job rate, plus one slot for you".  The
 estimate is an exponentially weighted moving average so a burst of huge
-graphs raises the hint and a run of cached hits lowers it, with clamps so
-the header is always a sane positive integer number of seconds.
+graphs raises the hint and a run of small ones lowers it, with clamps so
+the header is always a sane positive integer number of seconds.  Only
+computed jobs feed it: result-cache hits are answered at admission and
+never reach a dispatcher.
 """
 
 from __future__ import annotations

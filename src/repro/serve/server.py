@@ -18,12 +18,20 @@ long-running process (stdlib only — ``asyncio`` + the library itself):
   cache uses, so a coalesced answer is exactly the answer a cache hit
   would give and two requests that differ only in processor speeds never
   share one;
+* **result-cache hits at admission**: a request whose answer the
+  scheduler's result cache holds is answered on the event loop, right
+  after the coalescing check — it never waits in the fair queue or for a
+  dispatcher (schedulers are deterministic, so the stored answer is
+  exact); only misses are admitted, queued and dispatched;
 * **dispatchers** pull from the fair queue and run
   :meth:`repro.batch.BatchScheduler.run_one` via ``asyncio.to_thread`` —
-  the scheduler (and its metrics registry) is not thread-safe, so the
-  runner is serialised behind a lock; real parallelism lives in the
-  scheduler's worker pool, and ``dispatchers`` stays 1 unless a custom
-  thread-safe runner is injected;
+  the scheduler is not thread-safe, so the runner is serialised behind a
+  lock the loop never takes (it is held for a whole kernel run); real
+  parallelism lives in the scheduler's worker pool, and ``dispatchers``
+  stays 1 unless a custom thread-safe runner is injected.  The result
+  cache is the one structure both threads use, under its own lock;
+  ``serve_*`` metrics are recorded on the loop and ``batch_*`` on the
+  dispatcher thread;
 * **graceful drain**: SIGTERM/SIGINT stop accepting work (new schedules
   shed with 429), close idle keep-alive connections, complete every
   queued job and in-flight response, then exit.
@@ -52,7 +60,12 @@ from typing import (
 )
 
 from repro.api import SchedulingOptions
-from repro.batch import BatchJob, BatchResult, BatchScheduler
+from repro.batch import (
+    BatchJob,
+    BatchResult,
+    BatchScheduler,
+    _record_cache_gauges,
+)
 from repro.exceptions import GraphError
 from repro.graph.io import from_json
 from repro.graph.taskgraph import TaskGraph
@@ -80,6 +93,12 @@ __all__ = [
 
 #: A runner takes one job + options and returns the result, synchronously.
 Runner = Callable[[BatchJob, SchedulingOptions], BatchResult]
+
+#: The newest trace events a service keeps in its registry.  Nothing
+#: exports a service's trace, and every computed request adds two events
+#: (``batch.job`` and ``batch.run``), so an unbounded trace would grow for
+#: the life of the process.
+TRACE_EVENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,17 +155,24 @@ class UnenforceableTimeoutError(ValueError):
     """
 
 
-@dataclass
-class _Work:
-    """One admitted schedule request waiting in the fair queue."""
+@dataclass(frozen=True)
+class _Request:
+    """One validated schedule request."""
 
     key: CacheKey
     job: BatchJob
     options: SchedulingOptions
-    future: "asyncio.Future[BatchResult]"
     tenant: str
-    enqueued_at: float
     machine: MachineModel
+
+
+@dataclass
+class _Work:
+    """One admitted request (a cache miss) waiting in the fair queue."""
+
+    request: _Request
+    future: "asyncio.Future[BatchResult]"
+    enqueued_at: float
 
 
 class SchedulingService:
@@ -154,12 +180,16 @@ class SchedulingService:
 
     Wraps a :class:`~repro.batch.BatchScheduler` (created and owned when
     not supplied) and shares its metrics registry, so one scrape exposes
-    ``serve_*`` and ``batch_*`` together.  ``runner`` injects the blocking
-    per-job computation (default: ``scheduler.run_one`` behind a lock) —
-    tests substitute a counting/delaying stub to pin down coalescing and
-    drain semantics deterministically.  The default runner runs every job
-    inline, so a ``timeout`` in the scheduling options (the supplied
-    scheduler's, else ``config.options``) raises
+    ``serve_*`` and ``batch_*`` together; the service keeps only the
+    newest :data:`TRACE_EVENTS` events of that registry's trace.
+    ``runner`` injects the blocking per-job computation (default:
+    ``scheduler.run_one`` behind a lock) — tests substitute a
+    counting/delaying stub to pin down coalescing and drain semantics
+    deterministically.  Whatever the runner, a request that the
+    scheduler's result cache can answer is answered at admission, so a
+    runner that never fills that cache sees every request.  The default
+    runner runs every job inline, so a ``timeout`` in the scheduling
+    options (the supplied scheduler's, else ``config.options``) raises
     :class:`UnenforceableTimeoutError` instead of being ignored.
     """
 
@@ -185,6 +215,7 @@ class SchedulingService:
             )
         self.scheduler = scheduler
         self.registry = scheduler.metrics()
+        self.registry.keep_recent_events(TRACE_EVENTS)
         self.instruments = ServeInstruments(self.registry)
         self.admission = AdmissionController(
             max_backlog=self.config.max_backlog,
@@ -256,6 +287,9 @@ class SchedulingService:
         }
 
     def metrics_text(self) -> str:
+        # A hit answered at admission moves the cache's counters outside any
+        # batch, so the resultcache_* gauges are refreshed at scrape too.
+        _record_cache_gauges(self.registry, self.scheduler.cache)
         return render_prometheus(self.registry)
 
     def register_graph(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -289,27 +323,48 @@ class SchedulingService:
         }
 
     async def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """``POST /v1/schedule``: admit, enqueue (or coalesce), await.
+        """``POST /v1/schedule``: coalesce, answer from the result cache,
+        or admit, enqueue and await.
 
-        Raises :class:`ShedError` when admission refuses,
-        :class:`UnknownGraphError` for an unregistered fingerprint, and
-        :class:`BadRequestError` for malformed fields.
+        Raises :class:`ShedError` when admission refuses (a cache hit too,
+        while draining), :class:`UnknownGraphError` for an unregistered
+        fingerprint, and :class:`BadRequestError` for malformed fields.
         """
-        work = self._prepare(payload)
-        tenant = work.tenant
+        request = self._prepare(payload)
+        tenant = request.tenant
         self.instruments.tenant_request(tenant)
-        existing = self._inflight.get(work.key)
+        existing = self._inflight.get(request.key)
         if existing is not None:
             # Identical request already computing: share its outcome.  The
             # shield keeps one waiter's cancellation (client disconnect)
             # from killing the shared computation.
             self.instruments.coalesced()
             result = await asyncio.shield(existing)
-            return _result_payload(result, coalesced=True, machine=work.machine)
+            return _result_payload(
+                result, coalesced=True, machine=request.machine
+            )
+        if not self._draining:
+            # request.key is the key schedule_many builds for this job, so a
+            # hit here is the answer the queued path would give; it adds no
+            # backlog and touches neither the fair queue nor the dispatcher.
+            hit = self.scheduler.lookup(request.key, request.job.tag)
+            if hit is not None:
+                self.instruments.cached()
+                return _result_payload(
+                    hit, coalesced=False, machine=request.machine
+                )
         backlog = self.queue.qsize() + self._active
+        future: "asyncio.Future[BatchResult]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        # Retrieve late exceptions so an abandoned computation does not log
+        # an "exception was never retrieved" warning at GC time.
+        future.add_done_callback(_consume_exception)
         try:
             self.admission.admit(backlog, draining=self._draining)
-            self.queue.put_nowait(tenant, work)
+            self.queue.put_nowait(
+                tenant, _Work(request, future, time.monotonic())
+            )
         except (ShedError, QueueFull) as exc:
             self.instruments.shed()
             if isinstance(exc, ShedError):
@@ -317,16 +372,16 @@ class SchedulingService:
             raise ShedError(
                 self.admission.retry_after(backlog), str(exc)
             ) from None
-        self._inflight[work.key] = work.future
+        self._inflight[request.key] = future
         self.instruments.admitted(backlog)
         self.instruments.queue_depth(self.queue.qsize())
-        result = await asyncio.shield(work.future)
-        return _result_payload(result, coalesced=False, machine=work.machine)
+        result = await asyncio.shield(future)
+        return _result_payload(result, coalesced=False, machine=request.machine)
 
     # -- internals -----------------------------------------------------------
 
-    def _prepare(self, payload: Dict[str, Any]) -> _Work:
-        """Validate a schedule payload into a queued work item."""
+    def _prepare(self, payload: Dict[str, Any]) -> _Request:
+        """Validate a schedule payload into a request."""
         fingerprint = payload.get("fingerprint")
         graph_doc = payload.get("graph")
         if (fingerprint is None) == (graph_doc is None):
@@ -410,20 +465,8 @@ class SchedulingService:
             graph_key=graph_key, base_fingerprint=base_fingerprint,
             machine=machine,
         )
-        future: "asyncio.Future[BatchResult]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        # Retrieve late exceptions so an abandoned computation does not log
-        # an "exception was never retrieved" warning at GC time.
-        future.add_done_callback(_consume_exception)
-        return _Work(
-            key=key,
-            job=job,
-            options=options,
-            future=future,
-            tenant=tenant,
-            enqueued_at=time.monotonic(),
-            machine=machine,
+        return _Request(
+            key=key, job=job, options=options, tenant=tenant, machine=machine,
         )
 
     def _run_locked(self, job: BatchJob, options: SchedulingOptions) -> BatchResult:
@@ -445,7 +488,7 @@ class SchedulingService:
             started = time.monotonic()
             try:
                 result = await asyncio.to_thread(
-                    self._runner, work.job, work.options
+                    self._runner, work.request.job, work.request.options
                 )
             except asyncio.CancelledError:
                 if not work.future.done():
@@ -461,7 +504,7 @@ class SchedulingService:
                 elapsed = time.monotonic() - started
                 self.admission.observe_service(elapsed)
                 self.instruments.observe_service(elapsed)
-                self._inflight.pop(work.key, None)
+                self._inflight.pop(work.request.key, None)
                 self._active -= 1
                 self.instruments.inflight(self._active)
                 self.queue.task_done()

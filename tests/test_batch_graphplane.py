@@ -184,6 +184,43 @@ class TestResultCache:
         assert _summaries(first) == _summaries(second)
         assert cache.hits == len(jobs) and cache.misses == len(jobs)
 
+    def test_keys_are_built_only_with_a_cache(self, monkeypatch):
+        # Without a cache nothing reads a key, so no graph is hashed for
+        # one; with a cache, keys, hits and coalescing are as before.
+        from repro.graph.taskgraph import TaskGraph
+        from repro.resultcache import make_key
+
+        calls = []
+        real_fingerprint = TaskGraph.fingerprint
+
+        def counting_fingerprint(graph):
+            calls.append(graph)
+            return real_fingerprint(graph)
+
+        monkeypatch.setattr(TaskGraph, "fingerprint", counting_fingerprint)
+        graphs = [lu(6, make_rng(seed)) for seed in range(3)]
+        jobs = [BatchJob(graph=g, procs=p, tag=f"{n}/{p}")
+                for n, g in enumerate(graphs) for p in (2, 3)]
+        uncached = schedule_many(jobs, workers=1)
+        assert all(r.ok for r in uncached)
+        assert calls == []
+
+        cache = ResultCache(16)
+        stats = {}
+        first = schedule_many(jobs + jobs[:2], workers=1, cache=cache,
+                              stats_out=stats)
+        assert {id(g) for g in calls} == {id(g) for g in graphs}
+        assert stats["dispatched"] == len(jobs) and stats["coalesced"] == 2
+        assert _summaries(first[: len(jobs)]) == _summaries(uncached)
+        for job in jobs:
+            key = make_key(real_fingerprint(job.graph),
+                           MachineModel(job.procs), job.algo, False, False)
+            assert cache.get(key) is not None
+        stats = {}
+        again = schedule_many(jobs, workers=1, cache=cache, stats_out=stats)
+        assert stats["cache_hits"] == len(jobs)
+        assert all(r.cached for r in again)
+
     def test_cache_works_on_serial_path(self):
         g = lu(6, make_rng(0))
         cache = ResultCache(8)

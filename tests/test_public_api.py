@@ -6,7 +6,13 @@ fine — extend :data:`EXPECTED_ALL` in the same change that exports the
 new name.
 """
 
+import os
+import subprocess
+import sys
+
 import repro
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 #: The promised public surface, sorted.  Change this list only in a
 #: change that also updates docs/observability.md / the README.
@@ -88,3 +94,21 @@ class TestLazyBindings:
 
         assert repro.ServeConfig is ServeConfig
         assert repro.BackgroundServer is BackgroundServer
+
+
+class TestImportWeight:
+    def test_batch_plane_imports_no_http_or_xml_client(self):
+        # The batch plane used to pull urllib.request, http.client, email
+        # and ssl in through the SVG renderer's XML escape.
+        code = (
+            "import sys\n"
+            "import repro.api, repro.batch, repro.verify.certify\n"
+            "heavy = ('xml.sax', 'urllib.request', 'http.client', 'email')\n"
+            "print(sorted(m for m in sys.modules if m in heavy))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        ).stdout
+        assert out.strip() == "[]"

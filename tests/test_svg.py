@@ -54,6 +54,28 @@ class TestSvgGantt:
         assert "a&lt;b&amp;c" in svg
         xml.dom.minidom.parseString(svg)
 
+    def test_escaping_matches_the_xml_escape(self, monkeypatch):
+        # html.escape(quote=False) replaced xml.sax.saxutils.escape (whose
+        # import pulls urllib.request and http.client into the batch
+        # plane): both replace exactly &, < and >, so the SVG is unchanged.
+        import html
+        from xml.sax.saxutils import escape as xml_escape
+
+        from repro.graph import TaskGraph
+
+        g = TaskGraph()
+        a = g.add_task(1.0, name="a&b<c>d\"e'f")
+        b = g.add_task(2.0, name="'<&>\"&amp;")
+        c = g.add_task(3.0, name="plain")
+        g.add_edge(a, b, 1.0)
+        g.add_edge(a, c, 2.0)
+        g.freeze()
+        schedule = flb(g, MachineModel(2))
+        svg = render_gantt_svg(schedule)
+        assert "a&amp;b&lt;c&gt;d\"e'f" in svg
+        monkeypatch.setattr(html, "escape", lambda s, quote=True: xml_escape(s))
+        assert render_gantt_svg(schedule) == svg
+
     def test_inserted_schedule_renders(self):
         g = lu(7, make_rng(0), ccr=5.0)
         svg = render_gantt_svg(mcp_insertion(g, MachineModel(3)))

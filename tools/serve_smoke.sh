@@ -8,6 +8,9 @@
 #   * N identical concurrent requests collapse to ONE computation
 #     (in-flight coalescing + result cache — every response agrees on the
 #     makespan);
+#   * one more identical request is answered from the result cache at
+#     admission (`cached`), and /metrics counts it at once
+#     (repro_serve_cached_total, repro_resultcache_hits);
 #   * a burst past --max-backlog is shed fast with 429 + Retry-After;
 #   * /metrics parses through repro.obs.parse_prometheus and carries the
 #     serve_* family;
@@ -101,6 +104,16 @@ computed = [b for b in bodies if not b.get("coalesced") and not b.get("cached")]
 assert len(computed) == 1, [  # exactly one request paid for the schedule
     (b.get("coalesced"), b.get("cached")) for b in bodies]
 assert len({b["makespan"] for b in bodies}) == 1, bodies
+
+# -- the same request once more: a result-cache hit, answered at admission ---
+status, again, _ = post("/v1/schedule", payload)
+assert status == 200, again
+assert again["cached"] is True and not again["coalesced"], again
+assert again["makespan"] == bodies[0]["makespan"], (again, bodies[0])
+with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
+    samples = parse_prometheus(resp.read().decode())
+assert samples.get("repro_serve_cached_total", 0) >= 1, samples
+assert samples.get("repro_resultcache_hits", 0) >= 1, samples
 
 # -- shedding: burst past --max-backlog=2 => fast 429 + Retry-After ----------
 sheds = []
