@@ -57,13 +57,14 @@ import time
 import traceback
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast,
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, cast,
 )
 
 from repro.api import SchedulingOptions
 from repro.exceptions import SchedulerError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
+from repro.obs.instruments import record_warm_start
 from repro.obs.metrics import MetricsRegistry
 from repro.resultcache import DEFAULT_CACHE_SIZE, CacheKey, ResultCache
 from repro.resultcache import make_key as make_cache_key
@@ -103,13 +104,12 @@ class BatchJob:
     """One scheduling request.
 
     ``tag`` is an opaque caller identifier echoed into the result (problem
-    name, request id, ...).  The target machine is either ``machine`` (a
-    full :class:`~repro.machine.MachineModel`, heterogeneous models
-    included) or the integer ``procs``, which resolves to the homogeneous
-    clique ``MachineModel(procs)``; passing both with disagreeing processor
-    counts is a :class:`ValueError`.  A job carrying neither inherits the
-    batch default (``SchedulingOptions.machine``) at dispatch time; with no
-    default either, it fails as a ``scheduler-error``.
+    name, request id, ...).  ``machine`` is the target
+    :class:`~repro.machine.MachineModel` (heterogeneous models included).
+    A job without one inherits the batch default
+    (``SchedulingOptions.machine``) at dispatch time; with no default
+    either, it fails as a ``scheduler-error``.  Jobs that share one
+    ``MachineModel`` instance share its memoized fingerprint.
 
     ``graph_key`` is the graph-plane alternative to ``graph``: the name of
     a shared-memory segment registered via :class:`repro.graphstore.GraphStore`
@@ -129,49 +129,11 @@ class BatchJob:
     """
 
     graph: Optional[TaskGraph]
-    procs: Optional[int] = None
     algo: str = "flb"
     tag: str = ""
     machine: Optional[MachineModel] = None
     graph_key: Optional[str] = None
     base_fingerprint: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.procs is not None
-            and self.machine is not None
-            and self.machine.num_procs != self.procs
-        ):
-            raise ValueError(
-                f"BatchJob procs={self.procs} conflicts with "
-                f"machine.num_procs={self.machine.num_procs}"
-            )
-
-
-#: Memo of homogeneous machines by processor count, so the per-job
-#: ``procs -> MachineModel`` resolution shares one instance (and its
-#: memoized fingerprint) across a whole batch.
-_homog_machines: Dict[int, MachineModel] = {}
-
-
-def _homogeneous(procs: int) -> MachineModel:
-    machine = _homog_machines.get(procs)
-    if machine is None:
-        machine = MachineModel(procs)
-        _homog_machines[procs] = machine
-    return machine
-
-
-def _effective_machine(
-    job: BatchJob, default: Optional[MachineModel]
-) -> Optional[MachineModel]:
-    """The machine a job will actually run on: the job's own ``machine``,
-    else the homogeneous clique of its ``procs``, else the batch default."""
-    if job.machine is not None:
-        return job.machine
-    if job.procs is not None:
-        return _homogeneous(job.procs)
-    return default
 
 
 @dataclass(frozen=True)
@@ -232,16 +194,10 @@ def _failed_result(
     attempts: int = 1,
     phases: Optional[Dict[str, float]] = None,
 ) -> BatchResult:
-    # Resolved without building a MachineModel: the job may be failing
-    # precisely because its procs are un-modelable (e.g. procs=0).
-    if job.machine is not None:
-        procs = job.machine.num_procs
-    else:
-        procs = job.procs if job.procs is not None else 0
     return BatchResult(
         tag=job.tag,
         algo=job.algo,
-        procs=procs,
+        procs=job.machine.num_procs if job.machine is not None else 0,
         num_tasks=job.graph.num_tasks if job.graph is not None else 0,
         makespan=float("nan"),
         speedup=float("nan"),
@@ -279,7 +235,7 @@ def _run_job(
     """Worker body: schedule one job, mapping any failure to ``error``.
 
     ``machine`` is the batch-level default model; the job's own
-    ``machine``/``procs`` win over it (see :func:`_effective_machine`).
+    ``machine`` wins over it.
 
     Top-level so worker processes can import it; exceptions are rendered to
     strings here because traceback objects do not cross process boundaries.
@@ -309,11 +265,11 @@ def _run_job(
             job = replace(job, graph=graphstore.attach(job.graph_key))
             if phases is not None:
                 phases["attach"] = time.perf_counter() - t0
-        eff_machine = _effective_machine(job, machine)
+        eff_machine = job.machine if job.machine is not None else machine
         if eff_machine is None:
             raise SchedulerError(
-                "job has no machine: set BatchJob.machine or BatchJob.procs, "
-                "or SchedulingOptions(machine=...) for the batch"
+                "job has no machine: set BatchJob.machine, or "
+                "SchedulingOptions(machine=...) for the batch"
             )
         t_sched = time.perf_counter()
         warm: Optional[Dict[str, Any]] = None
@@ -407,22 +363,17 @@ def _cache_key(
 ) -> Optional[CacheKey]:
     """Result-cache key for a job, or ``None`` when the job is uncacheable.
 
-    The effective machine (job's own, else the homogeneous clique of its
-    ``procs``, else the batch default ``machine``) is folded into the key
-    via its :meth:`~repro.machine.MachineModel.fingerprint`, so two
-    machines with equal ``num_procs`` but different speeds/latency/scale
-    can never share an entry, while ``procs=P`` and
-    ``machine=MachineModel(P)`` do.  ``fingerprints`` memoises per graph
+    The effective machine (the job's own, else the batch default
+    ``machine``) is folded into the key via its
+    :meth:`~repro.machine.MachineModel.fingerprint`, so two machines with
+    equal ``num_procs`` but different speeds/latency/scale can never share
+    an entry, while equal models do.  ``fingerprints`` memoises per graph
     object so a batch of N jobs over one graph hashes it once.
     ``certify`` is part of the key: a certified result answers strictly
     more than an uncertified one, and the cache never serves the weaker
     answer for the stronger request.
     """
-    try:
-        eff_machine = _effective_machine(job, machine)
-    except ValueError:
-        # Un-modelable procs (e.g. 0): the run will fail per-job.
-        eff_machine = None
+    eff_machine = job.machine if job.machine is not None else machine
     if eff_machine is None:
         # Un-servable request: let dispatch surface the error uncached.
         return None
@@ -445,7 +396,6 @@ def schedule_many(
     workers: Optional[int] = None,
     *,
     options: Optional[SchedulingOptions] = None,
-    metrics: Optional[MetricsRegistry] = None,
     grace: float = 1.0,
     backoff: float = 0.1,
     share_graphs: Optional[bool] = None,
@@ -493,15 +443,12 @@ def schedule_many(
         * ``warm_start`` — FLB jobs replay the clean prefix of a
           previously stored base schedule (:mod:`repro.incremental`) and
           report the outcome in :attr:`BatchResult.warm`.
-        * ``machine`` — the default machine for jobs that carry neither
-          ``machine`` nor ``procs``.
-        * ``metrics`` — as the ``metrics`` keyword.
-    metrics:
-        A :class:`repro.obs.MetricsRegistry` to record into (equivalent to
-        ``options.metrics``).  Enables per-job phase measurement in the
-        workers, supervisor-side batch / worker-pool counters and
-        histograms, and one ``batch.job`` trace event per job.  ``None``
-        (default) records nothing and skips all instrumentation work.
+        * ``machine`` — the default machine for jobs that carry none.
+        * ``metrics`` — a :class:`repro.obs.MetricsRegistry` to record
+          into.  Enables per-job phase measurement in the workers,
+          supervisor-side batch / worker-pool counters and histograms, and
+          one ``batch.job`` trace event per job.  ``None`` (default)
+          records nothing and skips all instrumentation work.
     grace:
         Slack for detecting and killing an overrunning worker past
         ``timeout``, and the force-kill budget at shutdown.
@@ -541,8 +488,6 @@ def schedule_many(
         never raises for a job-level problem.
     """
     opts = options if options is not None else SchedulingOptions()
-    if metrics is not None:
-        opts = replace(opts, metrics=metrics)
     timeout, validate, certify, retries = (
         opts.timeout, opts.validate, opts.certify, opts.retries,
     )
@@ -695,29 +640,9 @@ def _record_batch_metrics(
         for phase, secs in phases.items():
             reg.histogram("batch_phase_seconds", phase=phase).observe(secs)
         if res.warm:
-            # Warm-start accounting is recorded supervisor-side from the
-            # result (workers carry no registry): one counter per outcome
-            # plus the task-level reuse totals for the replayed path.
-            reg.counter("incr_attempts_total").inc()
-            fallback = res.warm.get("fallback")
-            if fallback is not None:
-                reg.counter(
-                    "incr_fallback_total", reason=str(fallback)
-                ).inc()
-            else:
-                reg.counter("incr_warm_total").inc()
-                reg.counter("incr_reused_tasks_total").inc(
-                    int(res.warm.get("reused", 0))
-                )
-                reg.counter("incr_replayed_tasks_total").inc(
-                    int(res.warm.get("replayed", 0))
-                )
-                reg.counter("incr_dirty_tasks_total").inc(
-                    int(res.warm.get("dirty", 0))
-                )
-                reg.gauge("incr_reuse_fraction").set(
-                    float(res.warm.get("fraction", 0.0))
-                )
+            # Recorded supervisor-side from the result: workers carry no
+            # registry.
+            record_warm_start(reg, res.warm)
         wall = res.queue_seconds + res.seconds
         reg.event(
             "batch.job", wall,
@@ -914,7 +839,7 @@ class BatchScheduler:
             for request in requests:            # many batches
                 results = bs.run([
                     BatchJob(graph=None, graph_key=key,
-                             procs=request.procs, algo=request.algo),
+                             machine=request.machine, algo=request.algo),
                 ])
 
     Graphs registered (explicitly via :meth:`register` or implicitly by the
@@ -931,18 +856,12 @@ class BatchScheduler:
         workers: Optional[int] = None,
         *,
         options: Optional[SchedulingOptions] = None,
-        metrics: Union[MetricsRegistry, bool, None] = None,
         grace: float = 1.0,
         backoff: float = 0.1,
         share_graphs: Optional[bool] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
-        opts = options if options is not None else SchedulingOptions()
-        if isinstance(metrics, MetricsRegistry):
-            opts = replace(opts, metrics=metrics)
-        elif metrics:
-            opts = replace(opts, metrics=MetricsRegistry())
-        self.options = opts
+        self.options = options if options is not None else SchedulingOptions()
         self.workers = workers
         self.grace = grace
         self.backoff = backoff
@@ -962,8 +881,7 @@ class BatchScheduler:
         """The scheduler's :class:`~repro.obs.MetricsRegistry`.
 
         Returns the registry configured at construction
-        (``metrics=registry`` or ``metrics=True`` or
-        ``options.metrics``).  When none was configured, the first call
+        (``options.metrics``).  When none was configured, the first call
         creates one and **enables** instrumentation for every subsequent
         :meth:`run` — turn-on-by-asking, so a serving loop can start
         observing without restarting.

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.batch import BatchJob, BatchScheduler, schedule_many
 from repro.graph.taskgraph import TaskGraph
 from repro.graphstore import GraphStore
+from repro.machine.model import MachineModel
 
 __all__ = ["PASSES", "SWEEP", "payload_bytes", "sweep_jobs", "throughput"]
 
@@ -36,7 +37,11 @@ PASSES = 3
 
 
 def sweep_jobs(graph: TaskGraph) -> List[BatchJob]:
-    return [BatchJob(graph=graph, procs=p, algo=a, tag=f"{p}/{a}") for p, a in SWEEP]
+    machines = {p: MachineModel(p) for p, _a in SWEEP}
+    return [
+        BatchJob(graph=graph, machine=machines[p], algo=a, tag=f"{p}/{a}")
+        for p, a in SWEEP
+    ]
 
 
 def payload_bytes(graph: TaskGraph) -> Tuple[float, float, int]:

@@ -76,13 +76,14 @@ def run_sweep(
         from repro.api import SchedulingOptions
         from repro.batch import BatchJob, schedule_many
 
+        machines = [MachineModel(procs) for procs in procs_list]
         jobs = []
         meta = []
         for inst in instances:
-            for procs in procs_list:
+            for machine in machines:
                 for algo in algorithms:
                     jobs.append(
-                        BatchJob(graph=inst.graph, procs=procs, algo=algo,
+                        BatchJob(graph=inst.graph, machine=machine, algo=algo,
                                  tag=inst.problem)
                     )
                     meta.append(inst)

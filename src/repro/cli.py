@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port; 0 picks an ephemeral port and "
                          "prints it (default: 8423)")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="scheduler worker processes (default: inline)")
+                         help="no effect yet: every request runs inline, in "
+                         "the server process")
     p_serve.add_argument("--max-backlog", type=int, default=64,
                          help="admission limit on queued + in-flight jobs; "
                          "beyond it requests shed with 429 + Retry-After "
@@ -733,8 +734,9 @@ def _cmd_execute(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Exit codes: 0 = every job ok; 1 = at least one job failed
-    (scheduler-error / invalid-schedule); 2 = at least one infrastructure
-    failure (timeout / worker-died), which takes precedence over 1."""
+    (scheduler-error / invalid-schedule); 2 = bad flags (no job runs) or at
+    least one infrastructure failure (timeout / worker-died), which takes
+    precedence over 1."""
     import time as _time
 
     from repro.api import SchedulingOptions
@@ -746,23 +748,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         batch_throughput,
     )
 
-    # Without machine flags every job carries its bare --procs value, so an
-    # un-modelable count fails per job instead of aborting the batch.
-    machine = None
-    if _machine_flags_given(args):
-        if len(args.procs) > 1:
-            print("machine flags require a single --procs value", file=sys.stderr)
-            return 2
-        machine = _machine_from_args(args, args.procs[0])
+    if _machine_flags_given(args) and len(args.procs) > 1:
+        print("machine flags require a single --procs value", file=sys.stderr)
+        return 2
+    # One model per --procs value, built before any job runs, so its
+    # fingerprint is computed once for the whole batch.
+    try:
+        machines = [_machine_from_args(args, procs) for procs in args.procs]
+    except SystemExit as exc:
+        print(exc, file=sys.stderr)
+        return 2
     jobs = []
     for problem in args.problems:
         for seed in range(args.seeds):
             graph = _build_problem(problem, args.tasks, args.ccr, seed)
-            for procs in args.procs:
+            for machine in machines:
                 for algo in args.algos:
                     jobs.append(
-                        BatchJob(graph=graph, procs=procs, machine=machine,
-                                 algo=algo, tag=f"{problem}/s{seed}")
+                        BatchJob(graph=graph, machine=machine, algo=algo,
+                                 tag=f"{problem}/s{seed}")
                     )
     reg = _obs_registry(args)
     options = SchedulingOptions(

@@ -44,8 +44,9 @@ import numpy as np
 
 from repro.exceptions import SchedulerError
 from repro.graph.properties import _concat_slices, bottom_levels_array
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import IntArray, TaskGraph
 from repro.machine.model import MachineModel
+from repro.obs.instruments import record_warm_start
 from repro.obs.metrics import MetricsRegistry
 from repro.schedule.schedule import Schedule
 
@@ -62,11 +63,11 @@ def flb_array(
 ) -> Schedule:
     """Schedule ``graph`` with the array-native FLB kernel.
 
-    When ``metrics`` is given, the kernel counters
-    (``flb_kernel_iterations_total``, ``flb_kernel_heap_ops_total``,
-    ``flb_kernel_choices_total{kind}``) are recorded — the same names
-    :class:`repro.obs.KernelMetricsObserver` emits for the observed path,
-    so ``repro-sched report`` aggregates both.
+    When ``metrics`` is given, the kernel counters are recorded:
+    ``flb_kernel_iterations_total``, ``flb_kernel_heap_ops_total`` (heap
+    pushes), ``flb_kernel_choices_total{kind}`` and the
+    ``flb_kernel_ready_tasks`` histogram of the ready-set size ``W`` at each
+    iteration, derived after the loop from the finished schedule.
 
     ``base`` requests a warm start: the clean prefix of the base schedule
     (same machine, same tie rule, complete) is replayed verbatim and the
@@ -75,54 +76,81 @@ def flb_array(
     fallback otherwise.  When ``warm_stats`` is given it is filled with the
     reuse numbers (``reused`` / ``replayed`` / ``total`` / ``dirty`` /
     ``fraction``) or the ``fallback`` reason; ``metrics`` gets the same
-    under ``incr_*``.
+    under ``incr_*``.  The kernel counters of a warm run cover only the
+    iterations it replayed.
     """
     graph.freeze()
     schedule: Optional[Schedule] = None
     counters: Tuple[int, int, int, int] = (0, 0, 0, 0)
     if base is not None:
-        if metrics is not None:
-            metrics.counter("incr_attempts_total").inc()
         attempt = _try_warm_start(graph, machine, prefer_non_ep_on_tie, base)
         if isinstance(attempt, str):
-            if metrics is not None:
-                metrics.counter("incr_fallback_total", reason=attempt).inc()
-            if warm_stats is not None:
-                warm_stats["fallback"] = attempt
+            outcome: Dict[str, object] = {"fallback": attempt}
         else:
-            schedule, counters, info = attempt
-            if warm_stats is not None:
-                warm_stats.update(info)
-            if metrics is not None:
-                metrics.counter("incr_warm_total").inc()
-                metrics.counter("incr_reused_tasks_total").inc(
-                    float(info["reused"])  # type: ignore[arg-type]
-                )
-                metrics.counter("incr_replayed_tasks_total").inc(
-                    float(info["replayed"])  # type: ignore[arg-type]
-                )
-                metrics.counter("incr_dirty_tasks_total").inc(
-                    float(info["dirty"])  # type: ignore[arg-type]
-                )
-                metrics.gauge("incr_reuse_fraction").set(
-                    float(info["fraction"])  # type: ignore[arg-type]
-                )
+            schedule, counters, outcome = attempt
+        if warm_stats is not None:
+            warm_stats.update(outcome)
+        if metrics is not None:
+            record_warm_start(metrics, outcome)
 
     if schedule is None:
         schedule, counters = _flb_array_impl(graph, machine, prefer_non_ep_on_tie)
     schedule._flb_prefer = prefer_non_ep_on_tie
 
     if metrics is not None:
-        iterations, heap_ops, ep_choices, non_ep_choices = counters
-        metrics.counter("flb_kernel_iterations_total").inc(float(iterations))
-        metrics.counter("flb_kernel_heap_ops_total").inc(float(heap_ops))
-        metrics.counter("flb_kernel_choices_total", kind="ep").inc(
-            float(ep_choices)
-        )
-        metrics.counter("flb_kernel_choices_total", kind="non-ep").inc(
-            float(non_ep_choices)
-        )
+        _record_kernel_counters(metrics, graph, schedule, counters)
     return schedule
+
+
+#: Ready-set sizes are small integers; give them integer-ish buckets
+#: instead of the latency defaults.
+_READY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+
+
+def _record_kernel_counters(
+    metrics: MetricsRegistry,
+    graph: TaskGraph,
+    schedule: Schedule,
+    counters: Tuple[int, int, int, int],
+) -> None:
+    """Fold one run's counters into ``metrics``, with the ready-set sizes
+    of the iterations it ran (the last ``iterations`` of the placement
+    order) bucketed in one pass."""
+    iterations, heap_pushes, ep_choices, non_ep_choices = counters
+    metrics.counter("flb_kernel_iterations_total").inc(float(iterations))
+    metrics.counter("flb_kernel_heap_ops_total").inc(float(heap_pushes))
+    metrics.counter("flb_kernel_choices_total", kind="ep").inc(float(ep_choices))
+    metrics.counter("flb_kernel_choices_total", kind="non-ep").inc(
+        float(non_ep_choices)
+    )
+    hist = metrics.histogram("flb_kernel_ready_tasks", _READY_BUCKETS)
+    sizes = _ready_set_sizes(graph, schedule)[graph.num_tasks - iterations:]
+    hist.observe_bucketed(
+        np.bincount(
+            np.searchsorted(hist.buckets, sizes), minlength=len(hist.counts)
+        ).tolist(),
+        float(sizes.sum()),
+    )
+
+
+def _ready_set_sizes(graph: TaskGraph, schedule: Schedule) -> IntArray:
+    """``W`` at each iteration of the run that produced ``schedule``.
+
+    Task ``t`` is placed at iteration ``pos[t]`` and becomes ready one
+    iteration after its last predecessor is placed (entry tasks at 0), so
+    it is in the ready set at iteration ``i`` iff
+    ``ready_at[t] <= i <= pos[t]``.  Each iteration places one task, so
+    ``W[i]`` is the number of tasks ready by iteration ``i`` minus ``i``.
+    """
+    n = graph.num_tasks
+    csr = graph.csr()
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.fromiter(schedule._order, dtype=np.int64, count=n)] = np.arange(n)
+    ready_at = np.zeros(n, dtype=np.int64)
+    fed = np.flatnonzero(np.diff(csr.pred_ptr))
+    if fed.size:
+        ready_at[fed] = np.maximum.reduceat(pos[csr.pred_ids], csr.pred_ptr[fed]) + 1
+    return np.cumsum(np.bincount(ready_at, minlength=n)) - np.arange(n)
 
 
 # Ready-task states; scheduling or demoting a task flips its state and

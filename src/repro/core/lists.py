@@ -55,7 +55,6 @@ class FlbLists:
         self._active: IndexedHeap[int] = IndexedHeap()
         self._all_procs: IndexedHeap[int] = IndexedHeap()
         self._prt: List[float] = [0.0] * num_procs
-        self._num_ready = 0
         for p in range(num_procs):
             self._all_procs.push(p, (0.0, p))
 
@@ -80,27 +79,6 @@ class FlbLists:
 
     def prt(self, proc: int) -> float:
         return self._prt[proc]
-
-    @property
-    def num_ready(self) -> int:
-        """Number of ready tasks across all lists.
-
-        ``O(1)``: an integer counter maintained by the mutators (demotions
-        move a task between lists and leave it unchanged); cross-checked
-        against the per-list sizes in :meth:`check_invariants`.
-        """
-        return self._num_ready
-
-    @property
-    def heap_ops(self) -> int:
-        """Total ``O(log n)`` heap mutations across the five priority
-        structures so far — the operation count FLB's
-        ``O(V (log W + log P) + E)`` bound charges.  Read per iteration by
-        :class:`repro.obs.KernelMetricsObserver`."""
-        total = self._non_ep.ops + self._active.ops + self._all_procs.ops
-        total += sum(h.ops for h in self._emt_ep)
-        total += sum(h.ops for h in self._lmt_ep)
-        return total
 
     def best_ep_candidate(self) -> Optional[Tuple[int, int, float]]:
         """``(task, proc, est)`` for case (a): the EP task with minimum
@@ -157,7 +135,6 @@ class FlbLists:
         A task is EP-type iff ``LMT(t) >= PRT(EP(t))``; entry tasks (no
         enabling processor) are always non-EP.
         """
-        self._num_ready += 1
         if enabling_proc is not None and lmt >= self._prt[enabling_proc]:
             self._emt_ep[enabling_proc].push(task, self._task_key(emt_on_ep, task))
             self._lmt_ep[enabling_proc].push(task, self._task_key(lmt, task))
@@ -169,12 +146,10 @@ class FlbLists:
         """Remove a (scheduled) EP task from ``proc``'s two lists."""
         self._emt_ep[proc].remove(task)
         self._lmt_ep[proc].remove(task)
-        self._num_ready -= 1
         self._refresh_active(proc)
 
     def remove_non_ep_task(self, task: int) -> None:
         self._non_ep.remove(task)
-        self._num_ready -= 1
 
     def set_prt(self, proc: int, prt: float) -> List[int]:
         """Update ``PRT(proc)`` after a placement; demote EP tasks whose
@@ -223,9 +198,5 @@ class FlbLists:
                 emt = self._emt_ep[p].key_of(head)[0]
                 assert self._active.key_of(p) == (max(emt, self._prt[p]), p)
             assert self._all_procs.key_of(p) == (self._prt[p], p)
-        slow_num_ready = len(self._non_ep) + sum(len(h) for h in self._emt_ep)
-        assert self._num_ready == slow_num_ready, (
-            f"num_ready counter {self._num_ready} != recomputed {slow_num_ready}"
-        )
         for heap in [*self._emt_ep, *self._lmt_ep, self._non_ep, self._active, self._all_procs]:
             heap.check_invariants()

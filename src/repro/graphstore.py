@@ -68,10 +68,11 @@ __all__ = [
 #: ``/dev/shm`` (see the CI workflow and tests/test_graphstore.py).
 SEGMENT_PREFIX = "repro_tg"
 
-#: Decoded graphs kept per worker process (override: ``REPRO_GRAPH_CACHE``).
-#: Batches rarely interleave more than a handful of distinct graphs per
-#: worker; keeping this small bounds worker memory to a few graphs.
-WORKER_CACHE_SIZE = max(1, int(os.environ.get("REPRO_GRAPH_CACHE", "4") or 4))
+#: Decoded graphs kept per worker process (read at each decode, so a test
+#: can shrink it).  Batches rarely interleave more than a handful of
+#: distinct graphs per worker; keeping this small bounds worker memory to a
+#: few graphs.
+WORKER_CACHE_SIZE = 4
 
 _MAGIC = b"RPTG"
 #: v2: CSR pointers/ids are int64 (was int32) so the wire format is byte-for-
@@ -344,7 +345,7 @@ _worker_cache_hits = 0
 _worker_cache_misses = 0
 
 
-def attach(name: str, cache_size: Optional[int] = None) -> TaskGraph:
+def attach(name: str) -> TaskGraph:
     """Resolve a graph key to a frozen graph (worker side).
 
     Opens the shared segment read-only, decodes it into a process-local
@@ -371,9 +372,8 @@ def attach(name: str, cache_size: Optional[int] = None) -> TaskGraph:
         graph = decode_graph(shm.buf)
     finally:
         shm.close()
-    limit = WORKER_CACHE_SIZE if cache_size is None else max(1, cache_size)
     _worker_cache[name] = graph
-    while len(_worker_cache) > limit:
+    while len(_worker_cache) > WORKER_CACHE_SIZE:
         _worker_cache.popitem(last=False)
     return graph
 

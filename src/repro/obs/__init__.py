@@ -2,7 +2,6 @@
 
 Dependency-free and disabled by default — the library records nothing
 unless a :class:`MetricsRegistry` is passed in (``SchedulingOptions(metrics=...)``,
-``schedule_many(..., metrics=...)``, ``BatchScheduler(metrics=...)``,
 ``repro-sched batch --metrics-out``).  One registry captures one run:
 
 * **metrics** — counters, gauges, and fixed-bucket histograms
@@ -11,9 +10,8 @@ unless a :class:`MetricsRegistry` is passed in (``SchedulingOptions(metrics=...)
 * **traces** — a lightweight span API (``with metrics.span("flb.kernel"):``)
   producing structured JSONL event logs (:mod:`repro.obs.trace`), rendered
   into a human report by ``repro-sched report`` (:mod:`repro.obs.report`);
-* **instruments** — adapters binding existing hooks to a registry, e.g.
-  :class:`KernelMetricsObserver` on the ``FlbObserver`` protocol
-  (:mod:`repro.obs.instruments`).
+* **instruments** — the serving front-end's ``serve_*`` family and the
+  ``incr_*`` warm-start writer (:mod:`repro.obs.instruments`).
 
 The full metric/label catalogue and trace schema live in
 docs/observability.md.
@@ -21,7 +19,7 @@ docs/observability.md.
 
 from __future__ import annotations
 
-from repro.obs.instruments import KernelMetricsObserver, ServeInstruments
+from repro.obs.instruments import ServeInstruments
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -43,7 +41,6 @@ __all__ = [
     "Span",
     "span",
     "DEFAULT_BUCKETS",
-    "KernelMetricsObserver",
     "ServeInstruments",
     "render_prometheus",
     "parse_prometheus",

@@ -1,13 +1,10 @@
-"""Ready-made instruments binding the library's hooks to a registry.
+"""Ready-made instruments binding the library's outcomes to a registry.
 
-:class:`KernelMetricsObserver` implements the existing
-:class:`repro.core.flb.FlbObserver` protocol, so deep kernel metrics ride
-the hook that already exists for the trace recorder and the Theorem-3
-oracle — no new kernel surface.  Attaching any observer selects FLB's
-*observed* path (structured ``FlbLists`` instead of the array kernel),
-which is the price of per-iteration visibility; kernel **wall time**
-(``sched_kernel_seconds``) is always recorded from outside the call and
-never forces the slow path.  See docs/observability.md for the tradeoff.
+:func:`record_warm_start` is the one writer of the ``incr_*`` warm-start
+family: the FLB array kernel calls it in-process
+(:func:`repro.api.schedule_graph`) and the batch plane calls it
+supervisor-side from each :attr:`repro.batch.BatchResult.warm`, so both
+record the same instruments the same way.
 
 :class:`ServeInstruments` is the serving front-end's (:mod:`repro.serve`)
 instrument set — the ``serve_*`` request/queue/admission metrics layered on
@@ -18,61 +15,27 @@ exposes the whole stack.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any, Mapping
 
 from repro.obs.metrics import MetricsRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.flb import FlbIteration
-
-__all__ = ["KernelMetricsObserver", "ServeInstruments"]
-
-#: Ready-set sizes are small integers; give them integer-ish buckets
-#: instead of the latency defaults.
-_READY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+__all__ = ["ServeInstruments", "record_warm_start"]
 
 
-class KernelMetricsObserver:
-    """An :class:`~repro.core.flb.FlbObserver` that records per-iteration
-    kernel metrics into a :class:`~repro.obs.MetricsRegistry`:
-
-    * ``flb_kernel_iterations_total`` — scheduling iterations (one per task);
-    * ``flb_kernel_ready_tasks`` — histogram of the ready-set size ``W`` at
-      each iteration (the ``log W`` factor in the paper's bound);
-    * ``flb_kernel_heap_ops_total`` — ``O(log n)`` priority-list mutations,
-      read from :attr:`repro.core.lists.FlbLists.heap_ops`;
-    * ``flb_kernel_ep_choices_total{kind=...}`` — how often the EP vs the
-      non-EP Theorem-3 candidate won.
-
-    Usage::
-
-        reg = MetricsRegistry()
-        flb(graph, MachineModel(procs), observer=KernelMetricsObserver(reg))
-        print(reg.total("flb_kernel_iterations_total"))
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self._iterations = registry.counter("flb_kernel_iterations_total")
-        self._ready = registry.histogram("flb_kernel_ready_tasks", _READY_BUCKETS)
-        self._heap_ops = registry.counter("flb_kernel_heap_ops_total")
-        self._ep = registry.counter("flb_kernel_choices_total", kind="ep")
-        self._non_ep = registry.counter("flb_kernel_choices_total", kind="non-ep")
-        self._last_heap_ops = 0
-
-    def on_iteration(self, snapshot: "FlbIteration") -> None:
-        self._iterations.inc()
-        self._ready.observe(float(snapshot.lists.num_ready))
-        ops = snapshot.lists.heap_ops
-        if ops < self._last_heap_ops:
-            # A new kernel run began with fresh lists; restart the delta.
-            self._last_heap_ops = 0
-        self._heap_ops.inc(ops - self._last_heap_ops)
-        self._last_heap_ops = ops
-        if snapshot.chosen_is_ep:
-            self._ep.inc()
-        else:
-            self._non_ep.inc()
+def record_warm_start(registry: MetricsRegistry, warm: Mapping[str, Any]) -> None:
+    """Record one warm-start outcome: ``warm`` is either the replay
+    accounting (``reused`` / ``replayed`` / ``dirty`` / ``fraction``) or
+    ``{"fallback": reason}``."""
+    registry.counter("incr_attempts_total").inc()
+    fallback = warm.get("fallback")
+    if fallback is not None:
+        registry.counter("incr_fallback_total", reason=str(fallback)).inc()
+        return
+    registry.counter("incr_warm_total").inc()
+    registry.counter("incr_reused_tasks_total").inc(float(warm["reused"]))
+    registry.counter("incr_replayed_tasks_total").inc(float(warm["replayed"]))
+    registry.counter("incr_dirty_tasks_total").inc(float(warm["dirty"]))
+    registry.gauge("incr_reuse_fraction").set(float(warm["fraction"]))
 
 
 #: Queue-depth style small-integer buckets for the serving queue/backlog.

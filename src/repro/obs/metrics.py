@@ -10,12 +10,11 @@ Design constraints (see docs/observability.md):
 
 * **Disabled by default, cheap when enabled.**  Nothing in the library
   touches a registry unless the caller passed one
-  (``SchedulingOptions(metrics=...)`` / ``schedule_many(..., metrics=...)``),
-  and every instrument site guards with ``if metrics is not None`` — the
-  uninstrumented path does zero extra work.  When enabled, one observation
-  is a dict lookup plus a float add; the perf-smoke budget
-  (``tools/perf_smoke.sh``) holds the enabled path to ≤5% throughput
-  overhead.
+  (``SchedulingOptions(metrics=...)``), and every instrument site guards
+  with ``if metrics is not None`` — the uninstrumented path does zero
+  extra work.  When enabled, one observation is a dict lookup plus a float
+  add; the perf-smoke budget (``tools/perf_smoke.sh``) holds the enabled
+  path to ≤5% throughput overhead.
 * **Process-local.**  Worker processes cannot write to the supervisor's
   registry; worker-side measurements travel back as small payloads
   (``BatchResult.phases``) and are folded in supervisor-side.
@@ -146,6 +145,14 @@ class Histogram:
         self.sum += value
         self.count += 1
         self.counts[bisect_left(self.buckets, value)] += 1
+
+    def observe_bucketed(self, counts: Sequence[int], total: float) -> None:
+        """Fold in many observations at once, already bucketed: ``counts``
+        has the :attr:`counts` layout and ``total`` is their sum."""
+        for i, c in enumerate(counts):
+            self.counts[i] += c
+        self.count += sum(counts)
+        self.sum += total
 
     @property
     def mean(self) -> float:

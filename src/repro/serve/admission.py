@@ -7,11 +7,11 @@ hard bound on backlog (queued + actively dispatching jobs) and sheds work
 above it, attaching a ``Retry-After`` hint derived from *observed* service
 time rather than a static guess:
 
-    retry_after = (backlog + 1) * ewma_service_seconds / dispatchers
+    retry_after = (backlog + 1) * ewma_service_seconds
 
-i.e. "the time for the current backlog to drain through the dispatcher
-pool at the recently measured per-job rate, plus one slot for you".  The
-estimate is an exponentially weighted moving average so a burst of huge
+i.e. "the time for the current backlog to drain through the dispatcher at
+the recently measured per-job rate, plus one slot for you".  The estimate
+is an exponentially weighted moving average so a burst of huge
 graphs raises the hint and a run of small ones lowers it, with clamps so
 the header is always a sane positive integer number of seconds.  Only
 computed jobs feed it: result-cache hits are answered at admission and
@@ -50,32 +50,16 @@ class AdmissionController:
     """Bounded-backlog admission with an EWMA service-time estimator.
 
     ``max_backlog`` is the largest number of jobs allowed in the system
-    (waiting in the fair queue plus being dispatched); ``dispatchers`` is
-    the number of concurrent dispatch loops draining it, used to scale the
-    ``Retry-After`` drain estimate.
+    (waiting in the fair queue plus being dispatched).  The estimate starts
+    at :data:`DEFAULT_SERVICE_ESTIMATE` and smooths with
+    :data:`EWMA_ALPHA`.
     """
 
-    def __init__(
-        self,
-        max_backlog: int,
-        dispatchers: int = 1,
-        initial_estimate: float = DEFAULT_SERVICE_ESTIMATE,
-        alpha: float = EWMA_ALPHA,
-    ) -> None:
+    def __init__(self, max_backlog: int) -> None:
         if max_backlog < 1:
             raise ValueError(f"max_backlog must be >= 1, got {max_backlog}")
-        if dispatchers < 1:
-            raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if initial_estimate <= 0:
-            raise ValueError(
-                f"initial_estimate must be positive, got {initial_estimate}"
-            )
         self.max_backlog = max_backlog
-        self.dispatchers = dispatchers
-        self._alpha = alpha
-        self._ewma = initial_estimate
+        self._ewma = DEFAULT_SERVICE_ESTIMATE
         self._observations = 0
 
     # -- service-time estimator ---------------------------------------------
@@ -94,10 +78,10 @@ class AdmissionController:
         if seconds < 0:
             return
         if self._observations == 0:
-            # First real sample replaces the configured prior outright.
+            # First real sample replaces the prior outright.
             self._ewma = seconds
         else:
-            self._ewma += self._alpha * (seconds - self._ewma)
+            self._ewma += EWMA_ALPHA * (seconds - self._ewma)
         self._observations += 1
 
     # -- admission -----------------------------------------------------------
@@ -105,7 +89,7 @@ class AdmissionController:
     def retry_after(self, backlog: int) -> int:
         """Whole-second drain estimate for a client arriving behind
         ``backlog`` jobs."""
-        est = (backlog + 1) * self._ewma / self.dispatchers
+        est = (backlog + 1) * self._ewma
         whole = int(est) + (1 if est > int(est) else 0)  # ceil without math
         return max(MIN_RETRY_AFTER, min(MAX_RETRY_AFTER, whole))
 
@@ -128,6 +112,6 @@ class AdmissionController:
     def __repr__(self) -> str:
         return (
             f"<AdmissionController max_backlog={self.max_backlog} "
-            f"dispatchers={self.dispatchers} ewma={self._ewma:.4f}s "
+            f"ewma={self._ewma:.4f}s "
             f"obs={self._observations}>"
         )

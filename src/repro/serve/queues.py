@@ -7,7 +7,8 @@ the classic virtual-time construction from packet scheduling, which
 "Decentralized List Scheduling" (arXiv:1107.3734) motivates as the
 per-participant shape that later shards across schedulers:
 
-* every tenant ``t`` has a weight ``w_t`` (default 1.0);
+* every tenant ``t`` has a weight ``w_t`` (:data:`DEFAULT_WEIGHT`, 1.0,
+  unless configured);
 * each enqueued item is stamped with a *virtual finish time*
   ``vf = max(V, last_vf_t) + 1 / w_t`` where ``V`` is the queue's virtual
   clock (the ``vf`` of the most recently dequeued item) and ``last_vf_t``
@@ -43,9 +44,12 @@ from typing import (
     TypeVar,
 )
 
-__all__ = ["WeightedFairQueue", "QueueFull"]
+__all__ = ["WeightedFairQueue", "QueueFull", "DEFAULT_WEIGHT"]
 
 T = TypeVar("T")
+
+#: The weight of a tenant that ``weights`` does not name.
+DEFAULT_WEIGHT = 1.0
 
 
 class QueueFull(Exception):
@@ -56,7 +60,7 @@ class WeightedFairQueue(Generic[T]):
     """Bounded multi-tenant queue dequeuing in weighted-fair order.
 
     ``weights`` maps tenant name to weight; unknown tenants get
-    ``default_weight``.  Weights must be positive — a higher weight means
+    :data:`DEFAULT_WEIGHT`.  Weights must be positive — a higher weight means
     a proportionally larger share of dequeues under contention.
     ``maxsize=0`` means unbounded.
     """
@@ -65,14 +69,9 @@ class WeightedFairQueue(Generic[T]):
         self,
         maxsize: int = 0,
         weights: Optional[Mapping[str, float]] = None,
-        default_weight: float = 1.0,
     ) -> None:
         if maxsize < 0:
             raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        if default_weight <= 0:
-            raise ValueError(
-                f"default_weight must be positive, got {default_weight}"
-            )
         for tenant, weight in (weights or {}).items():
             if weight <= 0:
                 raise ValueError(
@@ -80,7 +79,6 @@ class WeightedFairQueue(Generic[T]):
                 )
         self._maxsize = maxsize
         self._weights: Dict[str, float] = dict(weights or {})
-        self._default_weight = default_weight
         # Heap of (virtual_finish, sequence, tenant, item).
         self._heap: List[Tuple[float, int, str, T]] = []
         self._seq = 0
@@ -103,7 +101,7 @@ class WeightedFairQueue(Generic[T]):
         return self._maxsize
 
     def weight_of(self, tenant: str) -> float:
-        return self._weights.get(tenant, self._default_weight)
+        return self._weights.get(tenant, DEFAULT_WEIGHT)
 
     def depths(self) -> Dict[str, int]:
         """Current backlog per tenant (for stats/health reporting)."""

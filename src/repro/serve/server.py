@@ -23,15 +23,13 @@ long-running process (stdlib only — ``asyncio`` + the library itself):
   after the coalescing check — it never waits in the fair queue or for a
   dispatcher (schedulers are deterministic, so the stored answer is
   exact); only misses are admitted, queued and dispatched;
-* **dispatchers** pull from the fair queue and run
-  :meth:`repro.batch.BatchScheduler.run_one` via ``asyncio.to_thread`` —
-  the scheduler is not thread-safe, so the runner is serialised behind a
-  lock the loop never takes (it is held for a whole kernel run); real
-  parallelism lives in the scheduler's worker pool, and ``dispatchers``
-  stays 1 unless a custom thread-safe runner is injected.  The result
-  cache is the one structure both threads use, under its own lock;
-  ``serve_*`` metrics are recorded on the loop and ``batch_*`` on the
-  dispatcher thread;
+* **one dispatcher** pulls from the fair queue and runs
+  :meth:`repro.batch.BatchScheduler.run_one` via ``asyncio.to_thread``,
+  awaiting each call before it takes the next job — so scheduler calls
+  never overlap, and the scheduler (which is not thread-safe) needs no
+  lock.  The result cache is the one structure the loop and the
+  dispatcher thread share, under its own lock; ``serve_*`` metrics are
+  recorded on the loop and ``batch_*`` on the dispatcher thread;
 * **graceful drain**: SIGTERM/SIGINT stop accepting work (new schedules
   shed with 429), close idle keep-alive connections, complete every
   queued job and in-flight response, then exit.
@@ -107,10 +105,11 @@ class ServeConfig:
 
     ``max_backlog`` bounds queued + in-flight jobs (the admission limit);
     ``tenant_weights`` sets fair-queue weights (unknown tenants get
-    ``default_weight``).  ``dispatchers`` > 1 only helps with a custom
-    thread-safe runner — the default runner serialises on a lock.
-    ``options`` seeds the wrapped scheduler's defaults
-    (validate/certify/algorithm); per-request fields override it.  A
+    :data:`~repro.serve.queues.DEFAULT_WEIGHT`).  ``workers`` is handed to
+    the wrapped :class:`~repro.batch.BatchScheduler`, but has no effect
+    yet: every request runs as a one-job batch, inline.  ``options``
+    seeds the wrapped scheduler's defaults (validate/certify/algorithm);
+    per-request fields override it.  A
     ``timeout`` is refused (:class:`UnenforceableTimeoutError`): the
     default runner cannot enforce it.  ``options.machine`` is the default
     target :class:`~repro.machine.MachineModel` for requests that carry no
@@ -124,17 +123,13 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8423
     workers: Optional[int] = None
-    dispatchers: int = 1
     max_backlog: int = 64
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0
     max_body_bytes: int = 32 * 1024 * 1024
     drain_grace: float = 10.0
     options: Optional[SchedulingOptions] = None
 
     def __post_init__(self) -> None:
-        if self.dispatchers < 1:
-            raise ValueError(f"dispatchers must be >= 1, got {self.dispatchers}")
         if self.max_backlog < 1:
             raise ValueError(f"max_backlog must be >= 1, got {self.max_backlog}")
         if self.max_body_bytes < 1:
@@ -183,7 +178,7 @@ class SchedulingService:
     ``serve_*`` and ``batch_*`` together; the service keeps only the
     newest :data:`TRACE_EVENTS` events of that registry's trace.
     ``runner`` injects the blocking per-job computation (default:
-    ``scheduler.run_one`` behind a lock) — tests substitute a
+    ``scheduler.run_one``) — tests substitute a
     counting/delaying stub to pin down coalescing and drain semantics
     deterministically.  Whatever the runner, a request that the
     scheduler's result cache can answer is answered at admission, so a
@@ -217,42 +212,34 @@ class SchedulingService:
         self.registry = scheduler.metrics()
         self.registry.keep_recent_events(TRACE_EVENTS)
         self.instruments = ServeInstruments(self.registry)
-        self.admission = AdmissionController(
-            max_backlog=self.config.max_backlog,
-            dispatchers=self.config.dispatchers,
-        )
+        self.admission = AdmissionController(max_backlog=self.config.max_backlog)
         self.queue: WeightedFairQueue[_Work] = WeightedFairQueue(
             maxsize=self.config.max_backlog,
             weights=self.config.tenant_weights,
-            default_weight=self.config.default_weight,
         )
-        self._runner: Runner = runner if runner is not None else self._run_locked
-        self._lock = threading.Lock()
+        self._runner: Runner = runner if runner is not None else scheduler.run_one
         self._inflight: Dict[CacheKey, "asyncio.Future[BatchResult]"] = {}
         self._graphs: Dict[str, str] = {}  # fingerprint -> graph_key
         self._active = 0
         self._draining = False
         self._started_at = time.monotonic()
-        self._dispatcher_tasks: List["asyncio.Task[None]"] = []
+        self._dispatcher: Optional["asyncio.Task[None]"] = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the dispatcher tasks (requires a running event loop)."""
-        if self._dispatcher_tasks:
-            return
-        for i in range(self.config.dispatchers):
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch_loop(), name=f"repro-serve-dispatch-{i}"
+        """Spawn the dispatcher task (requires a running event loop)."""
+        if self._dispatcher is None:
+            self._dispatcher = asyncio.get_running_loop().create_task(
+                self._dispatch_loop(), name="repro-serve-dispatch"
             )
-            self._dispatcher_tasks.append(task)
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     async def drain(self) -> None:
-        """Stop admitting, finish every queued job, stop the dispatchers.
+        """Stop admitting, finish every queued job, stop the dispatcher.
 
         Idempotent; new ``/v1/schedule`` requests shed with 429 the moment
         this is called, while queued and in-flight jobs run to completion.
@@ -260,11 +247,10 @@ class SchedulingService:
         self._draining = True
         self.instruments.draining(True)
         await self.queue.join()
-        for task in self._dispatcher_tasks:
-            task.cancel()
-        if self._dispatcher_tasks:
-            await asyncio.gather(*self._dispatcher_tasks, return_exceptions=True)
-        self._dispatcher_tasks.clear()
+        if self._dispatcher is not None:
+            self._dispatcher.cancel()
+            await asyncio.gather(self._dispatcher, return_exceptions=True)
+            self._dispatcher = None
 
     def close(self) -> None:
         """Release the scheduler (and its shared-memory registry) if owned."""
@@ -461,19 +447,12 @@ class SchedulingService:
             fingerprint, machine, algo, options.validate, options.certify
         )
         job = BatchJob(
-            graph=graph, procs=machine.num_procs, algo=algo, tag=tag,
+            graph=graph, algo=algo, tag=tag, machine=machine,
             graph_key=graph_key, base_fingerprint=base_fingerprint,
-            machine=machine,
         )
         return _Request(
             key=key, job=job, options=options, tenant=tenant, machine=machine,
         )
-
-    def _run_locked(self, job: BatchJob, options: SchedulingOptions) -> BatchResult:
-        # BatchScheduler (and MetricsRegistry) are not thread-safe; with
-        # dispatchers > 1, to_thread calls would otherwise interleave.
-        with self._lock:
-            return self.scheduler.run_one(job, options=options)
 
     async def _dispatch_loop(self) -> None:
         while True:

@@ -54,18 +54,12 @@ class IndexedHeap(Generic[T]):
     1
     """
 
-    __slots__ = ("_items", "_keys", "_pos", "ops")
+    __slots__ = ("_items", "_keys", "_pos")
 
     def __init__(self) -> None:
         self._items: List[T] = []
         self._keys: List[Any] = []
         self._pos: dict[T, int] = {}
-        #: Count of O(log n) mutating operations (push/pop/remove/update)
-        #: performed over this heap's lifetime — the unit FLB's complexity
-        #: bound charges per iteration.  Read by the observability plane
-        #: (repro.obs.KernelMetricsObserver via FlbLists.heap_ops); a bare
-        #: integer increment, cheap enough to leave unconditionally on.
-        self.ops: int = 0
 
     # -- basic protocol ----------------------------------------------------
 
@@ -127,7 +121,6 @@ class IndexedHeap(Generic[T]):
         """
         if item in self._pos:
             raise ValueError(f"item already in heap: {item!r}")
-        self.ops += 1
         self._items.append(item)
         self._keys.append(key)
         self._pos[item] = len(self._items) - 1
@@ -137,7 +130,6 @@ class IndexedHeap(Generic[T]):
         """Remove and return the ``(item, key)`` pair with minimum key."""
         if not self._items:
             raise HeapEmptyError("pop on empty heap")
-        self.ops += 1
         item, key = self._items[0], self._keys[0]
         self._delete_at(0)
         return item, key
@@ -145,7 +137,6 @@ class IndexedHeap(Generic[T]):
     def remove(self, item: T) -> Any:
         """Remove an arbitrary ``item``; return its key.  ``O(log n)``."""
         pos = self._pos[item]
-        self.ops += 1
         key = self._keys[pos]
         self._delete_at(pos)
         return key
@@ -160,7 +151,6 @@ class IndexedHeap(Generic[T]):
     def update(self, item: T, key: Any) -> None:
         """Change the key of ``item`` (up or down).  ``O(log n)``."""
         pos = self._pos[item]
-        self.ops += 1
         old = self._keys[pos]
         self._keys[pos] = key
         if key < old:

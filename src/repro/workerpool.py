@@ -61,12 +61,13 @@ __all__ = [
     "OUTCOME_KINDS",
 ]
 
-#: Default ceiling for the exponential death-retry backoff, in seconds.
-#: Uncapped doubling balloons fast (``backoff=0.1`` is already ~51 s by
-#: attempt 10) and the ballooned due-time feeds the supervisor's
-#: earliest-wake calculation — a retry scheduled hours out would have the
-#: supervisor sleeping (or churning) far past any sane deadline.  The cap
-#: bounds any single wait while keeping the early-attempt spacing intact.
+#: Ceiling for the exponential death-retry backoff, in seconds (read at
+#: each retry, so a test can shrink it).  Uncapped doubling balloons fast
+#: (``backoff=0.1`` is already ~51 s by attempt 10) and the ballooned
+#: due-time feeds the supervisor's earliest-wake calculation — a retry
+#: scheduled hours out would have the supervisor sleeping (or churning) far
+#: past any sane deadline.  The cap bounds any single wait while keeping
+#: the early-attempt spacing intact.
 MAX_BACKOFF = 30.0
 
 #: Exponent clamp for ``2.0 ** (attempt - 1)``: beyond this the doubling
@@ -75,11 +76,11 @@ MAX_BACKOFF = 30.0
 _BACKOFF_EXP_CAP = 60
 
 
-def _retry_delay(backoff: float, attempt: int, max_backoff: float) -> float:
+def _retry_delay(backoff: float, attempt: int) -> float:
     """Delay before re-running attempt ``attempt + 1``: exponential in the
-    attempt number, clamped to ``max_backoff`` (overflow-safe for any
+    attempt number, clamped to :data:`MAX_BACKOFF` (overflow-safe for any
     ``attempt`` — the exponent saturates before ``float`` does)."""
-    return min(max_backoff, backoff * 2.0 ** min(attempt - 1, _BACKOFF_EXP_CAP))
+    return min(MAX_BACKOFF, backoff * 2.0 ** min(attempt - 1, _BACKOFF_EXP_CAP))
 
 COMPLETED = "completed"
 TIMEOUT = "timeout"
@@ -171,7 +172,6 @@ def run_supervised(
     grace: float = 1.0,
     retries: int = 2,
     backoff: float = 0.1,
-    max_backoff: float = MAX_BACKOFF,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> List[TaskOutcome]:
     """Run ``runner(item)`` for every item across supervised workers.
@@ -199,9 +199,7 @@ def run_supervised(
         never retried).  ``retries=2`` allows up to three attempts.
     backoff:
         Base delay before a retry; doubles per failed attempt
-        (``backoff * 2**(attempt-1)``), clamped to ``max_backoff``.
-    max_backoff:
-        Ceiling on any single retry delay (default :data:`MAX_BACKOFF`).
+        (``backoff * 2**(attempt-1)``), clamped to :data:`MAX_BACKOFF`.
         The clamp keeps a large user-supplied ``retries`` from scheduling
         retries arbitrarily far out — the retry due-time participates in
         the supervisor's earliest-wake calculation alongside kill
@@ -230,8 +228,6 @@ def run_supervised(
         raise ValueError(f"retries must be >= 0, got {retries}")
     if backoff < 0:
         raise ValueError(f"backoff must be >= 0, got {backoff}")
-    if max_backoff <= 0:
-        raise ValueError(f"max_backoff must be positive, got {max_backoff}")
 
     items = list(items)
     n = len(items)
@@ -353,7 +349,7 @@ def run_supervised(
             if a.attempt <= retries:
                 if metrics is not None:
                     metrics.counter("workerpool_retries_total").inc()
-                due = t + _retry_delay(backoff, a.attempt, max_backoff)
+                due = t + _retry_delay(backoff, a.attempt)
                 heapq.heappush(delayed, (due, a.index, a.attempt + 1))
             else:
                 run = t - a.started_at if a.started_at is not None else 0.0

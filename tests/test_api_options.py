@@ -13,7 +13,10 @@ from repro import BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptio
 from repro.api import schedule_graph_async
 from repro.batch import SCHEDULER_ERROR, BatchJob, schedule_many
 from repro.exceptions import SchedulerError
+from repro.graphstore import attach
+from repro.serve import AdmissionController, ServeConfig, WeightedFairQueue
 from repro.util.rng import make_rng
+from repro.workerpool import run_supervised
 from repro.workloads import lu, stencil
 
 
@@ -133,7 +136,8 @@ class TestMachineOverride:
 
 class TestScheduleMany:
     def test_accepts_options(self, graph):
-        jobs = [BatchJob(graph=graph, procs=2), BatchJob(graph=graph, procs=4)]
+        jobs = [BatchJob(graph=graph, machine=MachineModel(2)),
+                BatchJob(graph=graph, machine=MachineModel(4))]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             results = schedule_many(jobs, workers=1,
@@ -143,7 +147,7 @@ class TestScheduleMany:
     def test_mixing_styles_raises(self, graph):
         # The legacy timeout= keyword is gone, with or without options=.
         with pytest.raises(TypeError):
-            schedule_many([BatchJob(graph=graph, procs=2)], timeout=1.0,
+            schedule_many([BatchJob(graph=graph, machine=MachineModel(2))], timeout=1.0,
                           options=SchedulingOptions())
 
     @pytest.mark.parametrize("algo", ["flb", "etf"])
@@ -153,13 +157,6 @@ class TestScheduleMany:
         assert "SchedulerError" in res.error
         assert "AttributeError" not in res.error
 
-    def test_metrics_kwarg_is_not_deprecated(self, graph):
-        reg = MetricsRegistry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            schedule_many([BatchJob(graph=graph, procs=2)], metrics=reg)
-        assert reg.total("batch_jobs_total") == 1
-
 
 class TestBatchScheduler:
     def test_accepts_options(self, graph):
@@ -167,13 +164,13 @@ class TestBatchScheduler:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with BatchScheduler(workers=1, options=opts) as bs:
-                results = bs.run([BatchJob(graph=graph, procs=2)])
+                results = bs.run([BatchJob(graph=graph, machine=MachineModel(2))])
         assert results[0].ok
 
     def test_per_run_options_override(self, graph):
         with BatchScheduler(workers=1) as bs:
             results = bs.run(
-                [BatchJob(graph=graph, procs=2)],
+                [BatchJob(graph=graph, machine=MachineModel(2))],
                 options=SchedulingOptions(certify=True),
             )
             assert results[0].ok and results[0].certified
@@ -188,18 +185,15 @@ class TestBatchScheduler:
             reg = bs.metrics()
             assert isinstance(reg, MetricsRegistry)
             assert bs.metrics() is reg  # stable across calls
-            bs.run([BatchJob(graph=graph, procs=2)])
+            bs.run([BatchJob(graph=graph, machine=MachineModel(2))])
             assert reg.total("batch_jobs_total") == 1
 
-    def test_metrics_true_creates_registry(self, graph):
-        with BatchScheduler(workers=1, metrics=True) as bs:
-            bs.run([BatchJob(graph=graph, procs=2)])
-            assert bs.metrics().total("batch_jobs_total") == 1
-
-    def test_metrics_registry_passed_in(self, graph):
+    def test_options_registry_is_the_scheduler_registry(self, graph):
         reg = MetricsRegistry()
-        with BatchScheduler(workers=1, metrics=reg) as bs:
+        with BatchScheduler(workers=1, options=SchedulingOptions(metrics=reg)) as bs:
             assert bs.metrics() is reg
+            bs.run([BatchJob(graph=graph, machine=MachineModel(2))])
+        assert reg.total("batch_jobs_total") == 1
 
 
 class TestCrossEntryPointAgreement:
@@ -207,7 +201,46 @@ class TestCrossEntryPointAgreement:
         graph = stencil(5, 4, make_rng(3), ccr=0.5)
         opts = SchedulingOptions(machine=MachineModel(4), algorithm="flb")
         direct = schedule_graph(graph, opts)
-        (via_many,) = schedule_many([BatchJob(graph=graph, procs=4)], workers=1)
+        (via_many,) = schedule_many(
+            [BatchJob(graph=graph, machine=MachineModel(4))], workers=1
+        )
         with BatchScheduler(workers=1) as bs:
-            (via_bs,) = bs.run([BatchJob(graph=graph, procs=4)])
+            (via_bs,) = bs.run([BatchJob(graph=graph, machine=MachineModel(4))])
         assert direct.makespan == via_many.makespan == via_bs.makespan
+
+
+def _square(x):
+    return x * x
+
+
+class TestRemovedSettings:
+    """Each setting has one spelling, and a value no caller varied is a
+    module constant: the second spellings and the knobs are gone."""
+
+    @pytest.mark.parametrize(
+        ("build", "removed"),
+        [
+            pytest.param(lambda **kw: BatchJob(graph=None, **kw), "procs", id="BatchJob-procs"),
+            pytest.param(lambda **kw: schedule_many([], **kw), "metrics",
+                         id="schedule_many-metrics"),
+            pytest.param(BatchScheduler, "metrics", id="BatchScheduler-metrics"),
+            pytest.param(ServeConfig, "dispatchers", id="ServeConfig-dispatchers"),
+            pytest.param(ServeConfig, "default_weight", id="ServeConfig-default_weight"),
+            pytest.param(lambda **kw: AdmissionController(max_backlog=4, **kw),
+                         "dispatchers", id="AdmissionController-dispatchers"),
+            pytest.param(lambda **kw: AdmissionController(max_backlog=4, **kw),
+                         "alpha", id="AdmissionController-alpha"),
+            pytest.param(lambda **kw: AdmissionController(max_backlog=4, **kw),
+                         "initial_estimate",
+                         id="AdmissionController-initial_estimate"),
+            pytest.param(WeightedFairQueue, "default_weight",
+                         id="WeightedFairQueue-default_weight"),
+            pytest.param(lambda **kw: run_supervised([1], _square, workers=1, **kw),
+                         "max_backoff", id="run_supervised-max_backoff"),
+            pytest.param(lambda **kw: attach("repro_tg_x", **kw), "cache_size",
+                         id="attach-cache_size"),
+        ],
+    )
+    def test_removed_keyword_raises(self, build, removed):
+        with pytest.raises(TypeError, match=removed):
+            build(**{removed: 1})

@@ -23,7 +23,8 @@ def _jobs(n_graph_seeds=2):
         g = lu(7, make_rng(seed), ccr=1.0)
         for procs in (2, 5):
             for algo in ("flb", "fcp", "mcp"):
-                jobs.append(BatchJob(graph=g, procs=procs, algo=algo, tag=f"lu{seed}"))
+                jobs.append(BatchJob(graph=g, machine=MachineModel(procs), algo=algo,
+                                     tag=f"lu{seed}"))
     return jobs
 
 
@@ -45,20 +46,22 @@ class TestSerial:
         assert len(results) == len(jobs)
         for job, res in zip(jobs, results):
             assert res.ok and res.error is None
-            assert (res.tag, res.algo, res.procs) == (job.tag, job.algo, job.procs)
+            assert (res.tag, res.algo, res.procs) == (
+                job.tag, job.algo, job.machine.num_procs
+            )
             assert res.num_tasks == job.graph.num_tasks
             assert res.makespan > 0 and res.speedup > 0
             assert res.procs_used <= res.procs
 
     def test_matches_direct_scheduler_call(self):
         g = stencil(6, 5, make_rng(1), ccr=0.2)
-        (res,) = schedule_many([BatchJob(graph=g, procs=4, algo="etf")])
+        (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(4), algo="etf")])
         assert res.makespan == SCHEDULERS["etf"](g, MachineModel(4)).makespan
 
     def test_error_captured_not_raised(self):
         g = lu(5, make_rng(0))
-        good = BatchJob(graph=g, procs=2)
-        bad = BatchJob(graph=g, procs=2, algo="no-such-algo")
+        good = BatchJob(graph=g, machine=MachineModel(2))
+        bad = BatchJob(graph=g, machine=MachineModel(2), algo="no-such-algo")
         results = schedule_many([good, bad], workers=1)
         assert results[0].ok
         assert not results[1].ok
@@ -67,7 +70,7 @@ class TestSerial:
 
     def test_validate_flag(self):
         g = lu(6, make_rng(0))
-        (res,) = schedule_many([BatchJob(graph=g, procs=3)],
+        (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(3))],
                                options=SchedulingOptions(validate=True))
         assert res.ok
 
@@ -85,9 +88,9 @@ class TestParallel:
         monkeypatch.setitem(SCHEDULERS, "broken", _broken_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="flb"),
-            BatchJob(graph=g, procs=2, algo="broken"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="broken"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2)
         assert results[0].ok and results[2].ok
@@ -98,9 +101,9 @@ class TestParallel:
         monkeypatch.setitem(SCHEDULERS, "sleepy", _sleepy_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="sleepy"),
-            BatchJob(graph=g, procs=2, algo="flb"),
-            BatchJob(graph=g, procs=2, algo="fcp"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="sleepy"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="fcp"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3))
         assert not results[0].ok
@@ -151,24 +154,35 @@ class TestCli:
         assert "8/8 ok" in out
         assert "tasks/s" in out
 
-    def test_batch_command_reports_failures(self, capsys):
+    def test_batch_command_reports_failures(self, capsys, monkeypatch):
         code = main(
             ["batch", "--problems", "lu", "--procs", "2", "--algos", "flb",
              "--tasks", "60", "--workers", "1", "--timeout", "30"]
         )
         assert code == 0  # sanity: valid run under a generous timeout passes
-        err_code = None
-        # An invalid job must flip the exit code without raising.  The parser
-        # rejects unknown algos, so drive schedule_many's path via procs=0,
-        # which the machine model rejects inside the worker.
+        # A raising scheduler must flip the exit code without raising.
+        monkeypatch.setitem(SCHEDULERS, "broken", _broken_scheduler)
         err_code = main(
-            ["batch", "--problems", "lu", "--procs", "0", "--algos", "flb",
+            ["batch", "--problems", "lu", "--procs", "2", "--algos", "broken",
              "--tasks", "60", "--workers", "1"]
         )
         captured = capsys.readouterr()
         assert err_code == 1
         assert "FAILED" in captured.err
         assert "[scheduler-error]" in captured.err
+
+    @pytest.mark.parametrize("procs", [["0"], ["2", "0"]])
+    def test_batch_command_rejects_bad_machine(self, capsys, procs):
+        # An un-modelable count is a bad flag: exit 2 before any job runs,
+        # with the message `schedule` and `certify` print.
+        code = main(
+            ["batch", "--problems", "lu", "--procs", *procs, "--algos", "flb",
+             "--tasks", "60", "--workers", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.strip() == "bad machine: num_procs must be >= 1, got 0"
+        assert captured.out == ""
 
     def test_batch_command_timeout_exit_code(self, capsys, monkeypatch):
         # Infrastructure failures (timeout / worker-died) exit 2, not 1.
@@ -191,6 +205,7 @@ def test_parallel_graph_roundtrip_is_exact():
     g = layered_random(6, 5, make_rng(4), edge_density=0.3, ccr=5.0)
     direct = SCHEDULERS["flb"](g, MachineModel(3)).makespan
     (res,) = schedule_many(
-        [BatchJob(graph=g, procs=3), BatchJob(graph=g, procs=3)], workers=2
+        [BatchJob(graph=g, machine=MachineModel(3)),
+         BatchJob(graph=g, machine=MachineModel(3))], workers=2
     )[:1]
     assert res.makespan == direct

@@ -30,6 +30,8 @@ from repro.batch import (
     BatchJob,
     schedule_many,
 )
+from repro import workerpool
+from repro.machine import MachineModel
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.workerpool import MAX_BACKOFF, TaskOutcome, _retry_delay, run_supervised
@@ -83,10 +85,10 @@ class TestHungWorkerContainment:
         monkeypatch.setitem(SCHEDULERS, "hung", _hung_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="hung"),
-            BatchJob(graph=g, procs=2, algo="flb"),
-            BatchJob(graph=g, procs=2, algo="fcp"),
-            BatchJob(graph=g, procs=2, algo="mcp"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="hung"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="fcp"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="mcp"),
         ]
         t0 = time.perf_counter()
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.5), grace=1.0)
@@ -107,8 +109,8 @@ class TestHungWorkerContainment:
         monkeypatch.setitem(SCHEDULERS, "hung", _hung_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="hung"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="hung"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.4), grace=1.0)
         assert results[0].error_kind == TIMEOUT
@@ -122,10 +124,10 @@ class TestHungWorkerContainment:
         monkeypatch.setitem(SCHEDULERS, "hung", _hung_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="hung"),
-            BatchJob(graph=g, procs=2, algo="hung"),
-            BatchJob(graph=g, procs=2, algo="flb"),
-            BatchJob(graph=g, procs=2, algo="fcp"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="hung"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="hung"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="fcp"),
         ]
         t0 = time.perf_counter()
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3), grace=1.0)
@@ -145,9 +147,9 @@ class TestDeadlineAccounting:
         monkeypatch.setitem(SCHEDULERS, "slow", _slow_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="slow"),
-            BatchJob(graph=g, procs=2, algo="slow"),
-            BatchJob(graph=g, procs=2, algo="flb"),  # queued ~0.4s > timeout - run
+            BatchJob(graph=g, machine=MachineModel(2), algo="slow"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="slow"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),  # queued ~0.4s > timeout - run
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.5), grace=1.0)
         assert all(res.ok for res in results), [r.error for r in results]
@@ -158,14 +160,14 @@ class TestDeadlineAccounting:
 
     def test_inline_path_reports_zero_queue_wait(self):
         g = lu(5, make_rng(0))
-        (res,) = schedule_many([BatchJob(graph=g, procs=2)], workers=1)
+        (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(2))], workers=1)
         assert res.ok
         assert res.queue_seconds == 0.0
         assert res.attempts == 1
 
     def test_parameter_validation(self):
         g = lu(5, make_rng(0))
-        jobs = [BatchJob(graph=g, procs=2)]
+        jobs = [BatchJob(graph=g, machine=MachineModel(2))]
         with pytest.raises(ValueError):
             schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=-1.0))
         with pytest.raises(ValueError):
@@ -182,8 +184,8 @@ class TestWorkerDeathRetry:
         monkeypatch.setitem(SCHEDULERS, "die-once", _die_once_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="die-once"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="die-once"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=2), backoff=0.05)
         assert results[0].ok, results[0].error
@@ -194,8 +196,8 @@ class TestWorkerDeathRetry:
         monkeypatch.setitem(SCHEDULERS, "die-always", _die_always_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="die-always"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="die-always"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=1), backoff=0.01)
         assert not results[0].ok
@@ -208,8 +210,8 @@ class TestWorkerDeathRetry:
         monkeypatch.setitem(SCHEDULERS, "die-always", _die_always_scheduler)
         g = lu(5, make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="die-always"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="die-always"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(retries=0))
         assert results[0].error_kind == WORKER_DIED
@@ -222,8 +224,8 @@ class TestErrorTaxonomy:
         g = lu(5, make_rng(0))
         for workers in (1, 2):
             results = schedule_many(
-                [BatchJob(graph=g, procs=2, algo="broken"),
-                 BatchJob(graph=g, procs=2, algo="flb")],
+                [BatchJob(graph=g, machine=MachineModel(2), algo="broken"),
+                 BatchJob(graph=g, machine=MachineModel(2), algo="flb")],
                 workers=workers,
             )
             assert results[0].error_kind == SCHEDULER_ERROR
@@ -235,8 +237,8 @@ class TestErrorTaxonomy:
         g = lu(5, make_rng(0))
         for workers in (1, 2):
             results = schedule_many(
-                [BatchJob(graph=g, procs=2, algo="invalid"),
-                 BatchJob(graph=g, procs=2, algo="flb")],
+                [BatchJob(graph=g, machine=MachineModel(2), algo="invalid"),
+                 BatchJob(graph=g, machine=MachineModel(2), algo="flb")],
                 workers=workers, options=SchedulingOptions(validate=True),
             )
             assert results[0].error_kind == INVALID_SCHEDULE
@@ -247,7 +249,7 @@ class TestErrorTaxonomy:
         # failed validation" — the latter only exists under validate=True.
         monkeypatch.setitem(SCHEDULERS, "invalid", _invalid_scheduler)
         g = lu(5, make_rng(0))
-        (res,) = schedule_many([BatchJob(graph=g, procs=2, algo="invalid")])
+        (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(2), algo="invalid")])
         assert res.ok  # nobody asked for validation
 
     def test_kinds_are_the_documented_taxonomy(self):
@@ -313,39 +315,38 @@ class TestRetryBackoffClamp:
     (or, via float overflow, astronomically far) into the future."""
 
     def test_retry_delay_doubles_then_clamps(self):
-        assert _retry_delay(0.1, 1, 30.0) == pytest.approx(0.1)
-        assert _retry_delay(0.1, 2, 30.0) == pytest.approx(0.2)
-        assert _retry_delay(0.1, 3, 30.0) == pytest.approx(0.4)
-        assert _retry_delay(0.1, 20, 30.0) == 30.0
+        assert MAX_BACKOFF == 30.0
+        assert _retry_delay(0.1, 1) == pytest.approx(0.1)
+        assert _retry_delay(0.1, 2) == pytest.approx(0.2)
+        assert _retry_delay(0.1, 3) == pytest.approx(0.4)
+        assert _retry_delay(0.1, 20) == MAX_BACKOFF
 
     def test_huge_attempt_counts_do_not_overflow(self):
         # 2**(10**6) overflows float pow; the exponent clamp must keep the
         # arithmetic finite and the result at the ceiling.
-        delay = _retry_delay(0.1, 10**6, MAX_BACKOFF)
+        delay = _retry_delay(0.1, 10**6)
         assert delay == MAX_BACKOFF
 
-    def test_max_backoff_beats_a_large_base(self):
-        assert _retry_delay(10.0, 5, 0.5) == 0.5
+    def test_max_backoff_beats_a_large_base(self, monkeypatch):
+        monkeypatch.setattr(workerpool, "MAX_BACKOFF", 0.5)
+        assert _retry_delay(10.0, 5) == 0.5
 
     def test_clamp_is_honored_end_to_end(self, tmp_path, monkeypatch):
-        """With a huge base backoff but a tight ``max_backoff``, a killed
+        """With a huge base backoff but a tight ``MAX_BACKOFF``, a killed
         worker's retry must run promptly — and the supervisor must wake for
         the retry due-time instead of sleeping toward the kill deadline."""
         monkeypatch.setenv(_DIE_MARKER_ENV, str(tmp_path / "died"))
+        monkeypatch.setattr(workerpool, "MAX_BACKOFF", 0.2)
         t0 = time.perf_counter()
         outcomes = run_supervised(
             [3], _die_once_runner, workers=1, retries=2,
-            backoff=120.0, max_backoff=0.2, timeout=30.0, grace=1.0,
+            backoff=120.0, timeout=30.0, grace=1.0,
         )
         wall = time.perf_counter() - t0
         assert outcomes[0].completed and outcomes[0].value == 9
         assert outcomes[0].attempts == 2
         # Far below both the uncapped backoff and the kill deadline.
         assert wall < 10.0
-
-    def test_invalid_max_backoff_rejected(self):
-        with pytest.raises(ValueError):
-            run_supervised([1], _square, workers=1, max_backoff=0.0)
 
     def test_outcome_dataclass_defaults(self):
         o = TaskOutcome("completed", value=5)

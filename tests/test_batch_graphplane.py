@@ -4,6 +4,7 @@ lifecycle, segment-leak guarantees, CLI stats, and the ``perfgate``
 throughput floors (shared-graph sweep vs. the old inline-pickle path)."""
 
 import os
+import statistics
 import time
 
 import pytest
@@ -43,7 +44,7 @@ def _sleepy_scheduler(graph, machine):
 
 def _sweep_jobs(graph, procs=(2, 3, 5), algos=("flb", "fcp", "mcp")):
     return [
-        BatchJob(graph=graph, procs=p, algo=a, tag=f"{p}/{a}")
+        BatchJob(graph=graph, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
         for p in procs
         for a in algos
     ]
@@ -70,7 +71,7 @@ class TestKeyedDispatch:
     def test_small_oneshot_graph_stays_inline(self):
         graphs = [lu(5, make_rng(seed)) for seed in range(3)]
         assert all(g.num_tasks + g.num_edges < INLINE_ONESHOT_MAX for g in graphs)
-        jobs = [BatchJob(graph=g, procs=2, algo="flb", tag=str(i))
+        jobs = [BatchJob(graph=g, machine=MachineModel(2), algo="flb", tag=str(i))
                 for i, g in enumerate(graphs)]
         stats = {}
         results = schedule_many(jobs, workers=2, stats_out=stats)
@@ -79,7 +80,7 @@ class TestKeyedDispatch:
         assert stats["inline_graph_jobs"] == 3
 
     def test_share_graphs_true_forces_sharing(self):
-        jobs = [BatchJob(graph=lu(5, make_rng(seed)), procs=2, tag=str(seed))
+        jobs = [BatchJob(graph=lu(5, make_rng(seed)), machine=MachineModel(2), tag=str(seed))
                 for seed in range(2)]
         stats = {}
         results = schedule_many(jobs, workers=2, share_graphs=True, stats_out=stats)
@@ -91,7 +92,8 @@ class TestKeyedDispatch:
         assert g.num_tasks + g.num_edges >= INLINE_ONESHOT_MAX
         stats = {}
         (res,) = schedule_many(
-            [BatchJob(graph=g, procs=2), BatchJob(graph=g, procs=4)],
+            [BatchJob(graph=g, machine=MachineModel(2)),
+             BatchJob(graph=g, machine=MachineModel(4))],
             workers=2, stats_out=stats,
         )[:1]
         assert res.ok
@@ -103,8 +105,8 @@ class TestKeyedDispatch:
         with BatchScheduler(workers=2) as bs:
             key = bs.register(g)
             out = bs.run([
-                BatchJob(graph=None, procs=4, algo="etf", graph_key=key, tag="k"),
-                BatchJob(graph=None, procs=4, algo="flb", graph_key=key),
+                BatchJob(graph=None, machine=MachineModel(4), algo="etf", graph_key=key, tag="k"),
+                BatchJob(graph=None, machine=MachineModel(4), algo="flb", graph_key=key),
             ])
         assert all(r.ok for r in out)
         assert out[0].makespan == direct
@@ -114,8 +116,8 @@ class TestKeyedDispatch:
         g = lu(5, make_rng(0))
         results = schedule_many(
             [
-                BatchJob(graph=None, procs=2, graph_key="repro_tg_bogus_0_0"),
-                BatchJob(graph=g, procs=2),
+                BatchJob(graph=None, machine=MachineModel(2), graph_key="repro_tg_bogus_0_0"),
+                BatchJob(graph=g, machine=MachineModel(2)),
             ],
             workers=2,
         )
@@ -128,7 +130,7 @@ class TestKeyedDispatch:
         # cache in play, identical (graph, procs, algo) requests dispatch
         # once and share the outcome.
         g = lu(8, make_rng(0))
-        jobs = [BatchJob(graph=g, procs=2, algo="flb", tag=f"req{i}")
+        jobs = [BatchJob(graph=g, machine=MachineModel(2), algo="flb", tag=f"req{i}")
                 for i in range(5)]
         stats = {}
         results = schedule_many(jobs, workers=2, cache=ResultCache(8),
@@ -143,7 +145,7 @@ class TestKeyedDispatch:
         # Without a cache every job dispatches individually — plain
         # schedule_many keeps per-job timing/queue accounting.
         g = lu(8, make_rng(0))
-        jobs = [BatchJob(graph=g, procs=2, algo="flb", tag=str(i))
+        jobs = [BatchJob(graph=g, machine=MachineModel(2), algo="flb", tag=str(i))
                 for i in range(3)]
         stats = {}
         results = schedule_many(jobs, workers=2, stats_out=stats)
@@ -156,7 +158,7 @@ class TestKeyedDispatch:
         # coalesce while distinct machines never share a dispatch.
         g = lu(6, make_rng(0))
         machine = MachineModel(3, comm_scale=2.0)
-        jobs = [BatchJob(graph=g, procs=3, machine=machine, tag=str(i))
+        jobs = [BatchJob(graph=g, machine=machine, tag=str(i))
                 for i in range(2)]
         jobs.append(BatchJob(graph=g, machine=MachineModel(3), tag="plain"))
         stats = {}
@@ -199,7 +201,7 @@ class TestResultCache:
 
         monkeypatch.setattr(TaskGraph, "fingerprint", counting_fingerprint)
         graphs = [lu(6, make_rng(seed)) for seed in range(3)]
-        jobs = [BatchJob(graph=g, procs=p, tag=f"{n}/{p}")
+        jobs = [BatchJob(graph=g, machine=MachineModel(p), tag=f"{n}/{p}")
                 for n, g in enumerate(graphs) for p in (2, 3)]
         uncached = schedule_many(jobs, workers=1)
         assert all(r.ok for r in uncached)
@@ -213,8 +215,8 @@ class TestResultCache:
         assert stats["dispatched"] == len(jobs) and stats["coalesced"] == 2
         assert _summaries(first[: len(jobs)]) == _summaries(uncached)
         for job in jobs:
-            key = make_key(real_fingerprint(job.graph),
-                           MachineModel(job.procs), job.algo, False, False)
+            key = make_key(real_fingerprint(job.graph), job.machine, job.algo,
+                           False, False)
             assert cache.get(key) is not None
         stats = {}
         again = schedule_many(jobs, workers=1, cache=cache, stats_out=stats)
@@ -224,16 +226,16 @@ class TestResultCache:
     def test_cache_works_on_serial_path(self):
         g = lu(6, make_rng(0))
         cache = ResultCache(8)
-        (r1,) = schedule_many([BatchJob(graph=g, procs=3)], workers=1, cache=cache)
-        (r2,) = schedule_many([BatchJob(graph=g, procs=3)], workers=1, cache=cache)
+        (r1,) = schedule_many([BatchJob(graph=g, machine=MachineModel(3))], workers=1, cache=cache)
+        (r2,) = schedule_many([BatchJob(graph=g, machine=MachineModel(3))], workers=1, cache=cache)
         assert not r1.cached and r2.cached
         assert r2.makespan == r1.makespan
 
     def test_validate_flag_is_part_of_the_key(self):
         g = lu(6, make_rng(0))
         cache = ResultCache(8)
-        schedule_many([BatchJob(graph=g, procs=3)], cache=cache)
-        (res,) = schedule_many([BatchJob(graph=g, procs=3)], cache=cache,
+        schedule_many([BatchJob(graph=g, machine=MachineModel(3))], cache=cache)
+        (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(3))], cache=cache,
                                options=SchedulingOptions(validate=True))
         assert not res.cached  # different validate -> different key
         assert len(cache) == 2
@@ -244,7 +246,7 @@ class TestResultCache:
         # model for the same procs never shares the entry.
         g = lu(6, make_rng(0))
         cache = ResultCache(8)
-        job = BatchJob(graph=g, procs=3, machine=MachineModel(3, latency=1.0))
+        job = BatchJob(graph=g, machine=MachineModel(3, latency=1.0))
         (first,) = schedule_many([job], cache=cache)
         (again,) = schedule_many([job], cache=cache)
         assert len(cache) == 1
@@ -257,7 +259,7 @@ class TestResultCache:
     def test_failures_are_not_cached(self):
         g = lu(6, make_rng(0))
         cache = ResultCache(8)
-        bad = BatchJob(graph=g, procs=2, algo="no-such-algo")
+        bad = BatchJob(graph=g, machine=MachineModel(2), algo="no-such-algo")
         schedule_many([bad], cache=cache)
         assert len(cache) == 0
         (again,) = schedule_many([bad], cache=cache)
@@ -267,7 +269,7 @@ class TestResultCache:
         cache = ResultCache(2)
         graphs = [lu(5, make_rng(seed)) for seed in range(4)]
         for g in graphs:
-            schedule_many([BatchJob(graph=g, procs=2)], cache=cache)
+            schedule_many([BatchJob(graph=g, machine=MachineModel(2))], cache=cache)
         assert len(cache) == 2
         assert cache.evictions == 2
         assert cache.stats()["capacity"] == 2
@@ -275,8 +277,8 @@ class TestResultCache:
     def test_zero_capacity_disables(self):
         g = lu(5, make_rng(0))
         cache = ResultCache(0)
-        schedule_many([BatchJob(graph=g, procs=2)], cache=cache)
-        schedule_many([BatchJob(graph=g, procs=2)], cache=cache)
+        schedule_many([BatchJob(graph=g, machine=MachineModel(2))], cache=cache)
+        schedule_many([BatchJob(graph=g, machine=MachineModel(2))], cache=cache)
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
     def test_batch_stats_reports_counters(self):
@@ -309,7 +311,7 @@ class TestBatchScheduler:
         bs = BatchScheduler(workers=1)
         bs.close()
         with pytest.raises(GraphStoreError, match="closed"):
-            bs.run([BatchJob(graph=lu(5, make_rng(0)), procs=2)])
+            bs.run([BatchJob(graph=lu(5, make_rng(0)), machine=MachineModel(2))])
 
     def test_register_is_idempotent(self):
         g = lu(6, make_rng(0))
@@ -331,8 +333,8 @@ class TestNoLeakedSegments:
         before = graphstore.list_segments()
         g = lu(lu_size_for_tasks(300), make_rng(0))
         jobs = [
-            BatchJob(graph=g, procs=2, algo="sleepy"),
-            BatchJob(graph=g, procs=2, algo="flb"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="sleepy"),
+            BatchJob(graph=g, machine=MachineModel(2), algo="flb"),
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(timeout=0.3), grace=1.0)
         assert results[0].error_kind == "timeout"
@@ -369,6 +371,10 @@ class TestCli:
         assert "0 keyed" in out
 
 
+#: Paired rounds of the keyed-vs-inline sweep perfgate.
+SWEEP_ROUNDS = 10
+
+
 def _best_jobs_per_s(fn, jobs, repeats=2):
     best = float("inf")
     for _ in range(repeats):
@@ -396,24 +402,29 @@ def test_shared_graph_sweep_not_slower_than_inline():
     are within noise of each other.  This check therefore runs at >= 800
     tasks regardless of REPRO_BENCH_TASKS, where the keyed path wins by
     ~1.2x and a strict floor stays meaningful (see
-    results/batch_payload.txt)."""
+    results/batch_payload.txt).
+
+    The two arms run back to back in each round (alternating which goes
+    first), and the verdict is ``keyed_jps >= inline_jps`` in the median
+    round: one sweep takes ~0.05-0.2 s and a shared host's speed changes
+    between runs, so arms timed in separate blocks, or each arm's best
+    sweep taken alone, let a change of host speed decide the verdict."""
     g = lu(lu_size_for_tasks(max(_bench_tasks(), 800)), make_rng(0), ccr=1.0)
-    jobs = [BatchJob(graph=g, procs=p, algo=a, tag=f"{p}/{a}")
+    jobs = [BatchJob(graph=g, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
             for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
             for a in ("flb", "fcp")]
     assert len(jobs) >= 20
+    share = {"inline": False, "keyed": True}
+    jps = {arm: [] for arm in share}
     captured = {}
-
-    def run_inline():
-        captured["inline"] = schedule_many(jobs, workers=2, share_graphs=False)
-
-    def run_keyed():
-        captured["keyed"] = schedule_many(jobs, workers=2, share_graphs=True)
-
-    inline_jps = _best_jobs_per_s(run_inline, len(jobs))
-    keyed_jps = _best_jobs_per_s(run_keyed, len(jobs))
+    for round_ in range(SWEEP_ROUNDS):
+        for arm in sorted(share, reverse=bool(round_ % 2)):
+            t0 = time.perf_counter()
+            captured[arm] = schedule_many(jobs, workers=2, share_graphs=share[arm])
+            jps[arm].append(len(jobs) / (time.perf_counter() - t0))
     assert _summaries(captured["inline"]) == _summaries(captured["keyed"])
-    assert keyed_jps >= inline_jps, (keyed_jps, inline_jps)
+    keyed_over_inline = sorted(k / i for k, i in zip(jps["keyed"], jps["inline"]))
+    assert statistics.median(keyed_over_inline) >= 1.0, keyed_over_inline
 
 
 @pytest.mark.perfgate
@@ -424,7 +435,7 @@ def test_graph_plane_serving_beats_inline_2x():
     bit-identical summaries; cache hits return in O(1) without dispatching
     a worker."""
     g = lu(lu_size_for_tasks(_bench_tasks()), make_rng(0), ccr=1.0)
-    jobs = [BatchJob(graph=g, procs=p, algo=a, tag=f"{p}/{a}")
+    jobs = [BatchJob(graph=g, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
             for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
             for a in ("flb", "fcp")]
     assert len(jobs) >= 20

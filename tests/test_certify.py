@@ -372,7 +372,7 @@ class TestBatchCertification:
 
         g = paper_example()
         cache = ResultCache(16)
-        jobs = [BatchJob(graph=g, procs=2, algo="flb")]
+        jobs = [BatchJob(graph=g, machine=MachineModel(2), algo="flb")]
         certified = SchedulingOptions(certify=True)
         first = schedule_many(jobs, workers=1, options=certified, cache=cache)[0]
         assert first.ok and first.certified and not first.cached
@@ -392,7 +392,7 @@ class TestBatchCertification:
 
         monkeypatch.setattr(flb_array_module, "flb_array", broken)
         res = schedule_many(
-            [BatchJob(graph=paper_example(), procs=2, algo="flb")],
+            [BatchJob(graph=paper_example(), machine=MachineModel(2), algo="flb")],
             workers=1, options=SchedulingOptions(certify=True),
         )[0]
         assert not res.ok
@@ -410,7 +410,7 @@ class TestBatchCertification:
 
         monkeypatch.setattr(flb_array_module, "flb_array", broken)
         cache = ResultCache(16)
-        jobs = [BatchJob(graph=paper_example(), procs=2, algo="flb")]
+        jobs = [BatchJob(graph=paper_example(), machine=MachineModel(2), algo="flb")]
         schedule_many(jobs, workers=1, options=SchedulingOptions(certify=True), cache=cache)
         assert len(cache) == 0
 
@@ -418,7 +418,7 @@ class TestBatchCertification:
         from repro.batch import BatchJob, schedule_many
 
         jobs = [
-            BatchJob(graph=paper_example(), procs=p, algo=a)
+            BatchJob(graph=paper_example(), machine=MachineModel(p), algo=a)
             for p in (2, 3) for a in ("flb", "etf", "fcp")
         ]
         results = schedule_many(jobs, workers=2, options=SchedulingOptions(certify=True))

@@ -224,12 +224,11 @@ class TestFlbLists:
         lists.add_ready_task(0, 0.0, None, 0.0)
         lists.add_ready_task(1, 5.0, 0, 5.0)
         lists.add_ready_task(2, 7.0, 1, 7.0)
-        assert lists.num_ready == 3
         assert sorted(lists.ready_tasks()) == [0, 1, 2]
         lists.remove_ep_task(0, 1)
-        assert lists.num_ready == 2
+        assert sorted(lists.ready_tasks()) == [0, 2]
         lists.remove_non_ep_task(0)
-        assert lists.num_ready == 1
+        assert lists.ready_tasks() == [2]
         lists.check_invariants()
 
 

@@ -209,16 +209,17 @@ class TestAttach:
             g = attach(key)
         assert attach(key) is g
 
-    def test_lru_bound_evicts_oldest(self):
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(graphstore, "WORKER_CACHE_SIZE", 2)
         graphs = [lu(5, make_rng(seed)) for seed in range(3)]
         with GraphStore() as store:
             keys = [store.register(g) for g in graphs]
             for key in keys:
-                attach(key, cache_size=2)
+                attach(key)
             info = graphstore.worker_cache_info()
-            assert info["size"] == 2
+            assert info["size"] == info["capacity"] == 2
             # keys[0] was evicted: attaching again re-decodes (a miss).
-            attach(keys[0], cache_size=2)
+            attach(keys[0])
             assert graphstore.worker_cache_info()["misses"] == 4
 
 

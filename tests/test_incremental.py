@@ -460,11 +460,11 @@ class TestBatchWiring:
         mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
         reg = MetricsRegistry()
         opts = SchedulingOptions(warm_start=True, metrics=reg)
-        r1 = schedule_many([BatchJob(graph=g, procs=4)], workers=1,
+        r1 = schedule_many([BatchJob(graph=g, machine=MachineModel(4))], workers=1,
                            options=opts)
         assert r1[0].ok and r1[0].warm is None
         r2 = schedule_many(
-            [BatchJob(graph=mutant, procs=4,
+            [BatchJob(graph=mutant, machine=MachineModel(4),
                       base_fingerprint=g.fingerprint())],
             workers=1, options=opts,
         )
@@ -478,7 +478,7 @@ class TestBatchWiring:
     def test_warm_off_leaves_results_unannotated(self):
         g = stencil(5, 8, make_rng(24))
         res = schedule_many(
-            [BatchJob(graph=g, procs=4)], workers=1,
+            [BatchJob(graph=g, machine=MachineModel(4))], workers=1,
             options=SchedulingOptions(),
         )
         assert res[0].ok and res[0].warm is None
@@ -488,7 +488,7 @@ class TestBatchWiring:
         with BatchScheduler(
             options=SchedulingOptions(warm_start=True)
         ) as bs:
-            bs.run([BatchJob(graph=g, procs=4)])
+            bs.run([BatchJob(graph=g, machine=MachineModel(4))])
             stats = bs.stats()
         assert stats["warm_size"] == 1
         assert "warm_hits" in stats and "warm_evictions" in stats
@@ -508,8 +508,9 @@ class TestServeWiring:
         def runner(job, options):
             captured.append((job, options))
             return BatchResult(
-                tag=job.tag, algo=job.algo, procs=job.procs, num_tasks=15,
-                makespan=10.0, speedup=1.5, procs_used=job.procs,
+                tag=job.tag, algo=job.algo, procs=job.machine.num_procs,
+                num_tasks=15, makespan=10.0, speedup=1.5,
+                procs_used=job.machine.num_procs,
                 seconds=0.001,
                 warm={"reused": 10, "replayed": 5, "total": 15,
                       "dirty": 1, "fraction": 10 / 15},
@@ -573,14 +574,14 @@ class TestReportWiring:
         reg = MetricsRegistry()
         cache = ResultCache(16)
         opts = SchedulingOptions(warm_start=True, metrics=reg)
-        schedule_many([BatchJob(graph=g, procs=4)], workers=1, options=opts,
+        schedule_many([BatchJob(graph=g, machine=MachineModel(4))], workers=1, options=opts,
                       cache=cache)
         schedule_many(
-            [BatchJob(graph=mutant, procs=4,
+            [BatchJob(graph=mutant, machine=MachineModel(4),
                       base_fingerprint=g.fingerprint())],
             workers=1, options=opts, cache=cache,
         )
-        schedule_many([BatchJob(graph=_rebuild(mutant), procs=4)], workers=1,
+        schedule_many([BatchJob(graph=_rebuild(mutant), machine=MachineModel(4))], workers=1,
                       options=opts, cache=cache)  # result-cache hit
 
         path = tmp_path / "trace.jsonl"

@@ -7,10 +7,9 @@ accepted and echoed by ``POST /v1/schedule``, and is certified by the
 related-machines replay certificate (F003).  These tests pin the plane
 together: fingerprint canonicality, the cache-key regression (equal
 ``num_procs`` but different speeds must never share an entry), exact
-homogeneous bit-identity between ``BatchJob(procs=P)``, the explicit
-model and a direct scheduler call, the warm-start machine-mismatch cold
-fallback, the
-adversarial F003 mutant matrix on heterogeneous machines, and the HTTP
+homogeneous bit-identity between the explicit model, in-process and in
+a batch, and a direct scheduler call, the warm-start machine-mismatch
+cold fallback, the adversarial F003 mutant matrix on heterogeneous machines, and the HTTP
 round-trip.
 """
 
@@ -21,7 +20,7 @@ import urllib.request
 import pytest
 
 from repro import MachineModel, SchedulingOptions, schedule_graph
-from repro.batch import BatchJob, _cache_key, schedule_many
+from repro.batch import BatchJob, schedule_many
 from repro.graph.io import to_json
 from repro.incremental import base_cache
 from repro.resultcache import make_key
@@ -123,30 +122,11 @@ class TestCacheKeyRegression:
         lagged = self._key(MachineModel(4, latency=0.5))
         assert len({plain, scaled, lagged}) == 3
 
-    def test_legacy_integer_aliases_homogeneous_model(self):
-        # The two spellings of the paper machine share one entry.
-        graph = stencil(5, 4, make_rng(3), ccr=0.5)
-        by_procs, by_machine = (
-            _cache_key(job, False, False, {}, None)
-            for job in (BatchJob(graph=graph, procs=4),
-                        BatchJob(graph=graph, machine=MachineModel(4)))
-        )
-        assert by_procs == by_machine
-        assert by_procs == make_key(
-            graph.fingerprint(), MachineModel(4), "flb", False, False
-        )
-
-    def test_mismatched_num_procs_rejected(self):
-        # The key has no procs slot; a job whose procs disagrees with its
-        # machine is refused before any key is built.
-        with pytest.raises(ValueError):
-            BatchJob(graph=None, procs=4, machine=MachineModel(3))
-
 
 class TestHomogeneousBitIdentity:
     """``machine=MachineModel(P)`` is bit-identical to a direct scheduler
-    call and to ``BatchJob(procs=P)`` — the explicit model must not perturb
-    the paper runs."""
+    call, in-process and through a batch — the explicit model must not
+    perturb the paper runs."""
 
     @pytest.mark.parametrize("algo", ["flb", "etf", "mcp", "heft"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -160,13 +140,12 @@ class TestHomogeneousBitIdentity:
 
     def test_schedule_many_machine_job(self):
         graph = stencil(5, 4, make_rng(3), ccr=0.5)
-        (by_procs,) = schedule_many([BatchJob(graph=graph, procs=4)], workers=1)
         (by_machine,) = schedule_many(
             [BatchJob(graph=graph, machine=MachineModel(4))], workers=1
         )
-        assert by_procs.ok and by_machine.ok
-        assert by_procs.makespan == by_machine.makespan
-        assert by_procs.procs == by_machine.procs == 4
+        assert by_machine.ok
+        assert by_machine.makespan == SCHEDULERS["flb"](graph, MachineModel(4)).makespan
+        assert by_machine.procs == 4
 
 
 class TestHeterogeneousBatch:
@@ -176,7 +155,7 @@ class TestHeterogeneousBatch:
         results = schedule_many(
             [
                 BatchJob(graph=graph, machine=machine, algo="heft"),
-                BatchJob(graph=graph, procs=3, algo="heft"),
+                BatchJob(graph=graph, machine=MachineModel(3), algo="heft"),
             ],
             workers=1,
             options=SchedulingOptions(certify=True),

@@ -6,11 +6,13 @@ import math
 
 import pytest
 
+from repro.api import SchedulingOptions, schedule_graph
+from repro.core.flb_array import flb_array
 from repro.machine import MachineModel
 from repro.obs import (
     DEFAULT_BUCKETS,
     JOB_EVENT,
-    KernelMetricsObserver,
+    Histogram,
     MetricsRegistry,
     parse_prometheus,
     read_trace,
@@ -240,23 +242,127 @@ class TestReport:
         assert "no batch.job events" in render_report([])
 
 
+def _ready_histogram(reg):
+    """The registry's ready-set histogram, read without registering it."""
+    (hist,) = [h for h in reg.histograms() if h.name == "flb_kernel_ready_tasks"]
+    return hist
+
+
+class _ReadySizes:
+    """Records ``W`` at every observed-path iteration, as an observer sees it."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def on_iteration(self, snapshot):
+        self.sizes.append(len(snapshot.lists.ready_tasks()))
+
+
 class TestKernelObserver:
+    """The FLB kernel counters come from the array kernel given a registry
+    (``SchedulingOptions(metrics=...)``); no observer, no observed path."""
+
     def test_counts_iterations_and_heap_ops(self):
-        from repro.core import flb
         from repro.util.rng import make_rng
         from repro.workloads import lu
 
         g = lu(6, make_rng(0), ccr=1.0)
         reg = MetricsRegistry()
-        obs = KernelMetricsObserver(reg)
-        flb(g, MachineModel(4), observer=obs)
+        opts = SchedulingOptions(machine=MachineModel(4), metrics=reg)
+        schedule_graph(g, opts)
         assert reg.total("flb_kernel_iterations_total") == g.num_tasks
         assert reg.total("flb_kernel_heap_ops_total") > 0
         assert reg.total("flb_kernel_choices_total") == g.num_tasks
-        assert reg.histogram("flb_kernel_ready_tasks").count == g.num_tasks
-        # a second run on the same observer must not go negative
-        flb(g, MachineModel(4), observer=obs)
+        assert _ready_histogram(reg).count == g.num_tasks
+        # a second run accumulates
+        schedule_graph(g, opts)
         assert reg.total("flb_kernel_iterations_total") == 2 * g.num_tasks
+        assert _ready_histogram(reg).count == 2 * g.num_tasks
+
+    @pytest.mark.parametrize("procs", [2, 8, 32])
+    def test_ready_sizes_equal_the_observed_paths(self, procs):
+        from repro.bench.suite import paper_suite
+        from repro.core.flb import _flb_observed
+        from repro.core.flb_array import _READY_BUCKETS
+
+        for inst in paper_suite(target_tasks=120, ccrs=(1.0,), seeds=1):
+            machine = MachineModel(procs)
+            reg = MetricsRegistry()
+            flb_array(inst.graph, machine, metrics=reg)
+            observer = _ReadySizes()
+            _flb_observed(inst.graph, machine, observer, True)
+            expected = Histogram("flb_kernel_ready_tasks", buckets=_READY_BUCKETS)
+            for size in observer.sizes:
+                expected.observe(float(size))
+            hist = _ready_histogram(reg)
+            assert hist.counts == expected.counts, inst.problem
+            assert hist.sum == expected.sum
+            assert hist.count == reg.total("flb_kernel_iterations_total")
+
+    def test_warm_run_records_only_replayed_iterations(self):
+        from repro.core.flb import _flb_observed
+        from repro.util.rng import make_rng
+        from repro.workloads import stencil
+        from tests.test_incremental import _rebuild
+
+        g = stencil(6, 15, make_rng(30))
+        exit_task = g.exit_tasks[0]
+        mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
+        machine = MachineModel(4)
+        base = flb_array(g, machine)
+        reg = MetricsRegistry()
+        warm = {}
+        flb_array(mutant, machine, metrics=reg, base=base, warm_stats=warm)
+        assert 0 < warm["replayed"] < mutant.num_tasks
+        hist = _ready_histogram(reg)
+        assert hist.count == warm["replayed"]
+        assert hist.count == reg.total("flb_kernel_iterations_total")
+        observer = _ReadySizes()
+        _flb_observed(mutant, machine, observer, True)
+        assert hist.sum == sum(observer.sizes[warm["reused"]:])
+
+
+class TestWarmStartCounters:
+    """``schedule_graph`` and ``schedule_many`` write the ``incr_*``
+    family through one function, so the same warm run reads the same."""
+
+    @staticmethod
+    def _incr(reg):
+        return {k: v for k, v in reg.snapshot().items() if k.startswith("incr_")}
+
+    @pytest.mark.parametrize("base_procs", [4, 3], ids=["reuse", "fallback"])
+    def test_same_warm_run_same_counters(self, base_procs):
+        from repro.batch import BatchJob, schedule_many
+        from repro.incremental import base_cache
+        from repro.util.rng import make_rng
+        from repro.workloads import stencil
+        from tests.test_incremental import _rebuild
+
+        g = stencil(6, 15, make_rng(30))
+        exit_task = g.exit_tasks[0]
+        mutant = _rebuild(g, comp={exit_task: g.comp(exit_task) * 0.5})
+        machine = MachineModel(4)
+        base = flb_array(g, MachineModel(base_procs))
+
+        in_process = MetricsRegistry()
+        schedule_graph(
+            mutant, SchedulingOptions(machine=machine, metrics=in_process), base=base
+        )
+        batched = MetricsRegistry()
+        base_cache().clear()
+        base_cache().put(g.fingerprint(), base)
+        try:
+            (res,) = schedule_many(
+                [BatchJob(graph=mutant, machine=machine, base_fingerprint=g.fingerprint())],
+                workers=1,
+                options=SchedulingOptions(warm_start=True, metrics=batched),
+            )
+        finally:
+            base_cache().clear()
+        assert res.ok and res.warm
+        assert ("fallback" in res.warm) == (base_procs != 4)
+        assert self._incr(in_process) == self._incr(batched)
+        assert self._incr(batched)["incr_attempts_total"] == 1
 
 
 class TestRegistryExport:

@@ -15,6 +15,7 @@ from repro.batch import (
     BatchScheduler,
     schedule_many,
 )
+from repro.machine import MachineModel
 from repro.obs import JOB_EVENT, MetricsRegistry, parse_prometheus
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
@@ -44,9 +45,9 @@ def _job_events(reg):
 class TestCountersReconcile:
     def test_ok_jobs_inline(self, graph):
         reg = MetricsRegistry()
-        jobs = [BatchJob(graph=graph, procs=p, algo=a, tag=f"{a}{p}")
+        jobs = [BatchJob(graph=graph, machine=MachineModel(p), algo=a, tag=f"{a}{p}")
                 for p in (2, 4) for a in ("flb", "mcp")]
-        results = schedule_many(jobs, metrics=reg)
+        results = schedule_many(jobs, options=SchedulingOptions(metrics=reg))
         assert all(r.ok for r in results)
         assert reg.value("batch_jobs_total", status="ok") == len(jobs)
         assert reg.value("batch_runs_total") == 1
@@ -57,12 +58,14 @@ class TestCountersReconcile:
         monkeypatch.setitem(SCHEDULERS, "broken", _broken_scheduler)
         reg = MetricsRegistry()
         jobs = [
-            BatchJob(graph=graph, procs=2, tag="good"),
-            BatchJob(graph=graph, procs=2, algo="hung", tag="slow"),
-            BatchJob(graph=graph, procs=2, algo="broken", tag="bad"),
+            BatchJob(graph=graph, machine=MachineModel(2), tag="good"),
+            BatchJob(graph=graph, machine=MachineModel(2), algo="hung", tag="slow"),
+            BatchJob(graph=graph, machine=MachineModel(2), algo="broken", tag="bad"),
         ]
-        results = schedule_many(jobs, workers=2, grace=0.5, metrics=reg,
-                                options=SchedulingOptions(timeout=0.5))
+        results = schedule_many(
+            jobs, workers=2, grace=0.5,
+            options=SchedulingOptions(timeout=0.5, metrics=reg),
+        )
         by_kind = {}
         for res in results:
             key = "ok" if res.ok else res.error_kind
@@ -74,8 +77,8 @@ class TestCountersReconcile:
 
     def test_cached_jobs_counted(self, graph):
         reg = MetricsRegistry()
-        jobs = [BatchJob(graph=graph, procs=2, tag=str(i)) for i in range(3)]
-        with BatchScheduler(workers=1, metrics=reg) as bs:
+        jobs = [BatchJob(graph=graph, machine=MachineModel(2), tag=str(i)) for i in range(3)]
+        with BatchScheduler(workers=1, options=SchedulingOptions(metrics=reg)) as bs:
             bs.run(jobs)
         # identical (graph, procs, algo): one computed, two coalesced/cached
         assert reg.total("batch_jobs_total") == 3
@@ -83,30 +86,32 @@ class TestCountersReconcile:
 
     def test_dispatch_mode_counters(self, graph):
         reg = MetricsRegistry()
-        with BatchScheduler(workers=2, metrics=reg) as bs:
+        with BatchScheduler(workers=2, options=SchedulingOptions(metrics=reg)) as bs:
             key = bs.register(graph)
-            bs.run([BatchJob(graph=None, graph_key=key, procs=p)
+            bs.run([BatchJob(graph=None, graph_key=key, machine=MachineModel(p))
                     for p in (2, 3)])
         assert reg.value("batch_dispatch_total", mode="keyed") == 2
 
     def test_dispatch_inline_counted(self, graph):
         reg = MetricsRegistry()
-        schedule_many([BatchJob(graph=graph, procs=2)], workers=1, metrics=reg)
+        schedule_many([BatchJob(graph=graph, machine=MachineModel(2))], workers=1,
+                      options=SchedulingOptions(metrics=reg))
         assert reg.value("batch_dispatch_total", mode="inline") == 1
 
 
 class TestPhases:
     def test_phases_sum_to_wall_inline(self, graph):
         reg = MetricsRegistry()
-        schedule_many([BatchJob(graph=graph, procs=2)], metrics=reg)
+        schedule_many([BatchJob(graph=graph, machine=MachineModel(2))],
+                      options=SchedulingOptions(metrics=reg))
         (event,) = _job_events(reg)
         attrs = event["attrs"]
         assert abs(sum(attrs["phases"].values()) - attrs["wall"]) < 1e-6
 
     def test_phases_sum_to_wall_pool(self, graph):
         reg = MetricsRegistry()
-        jobs = [BatchJob(graph=graph, procs=p, tag=str(p)) for p in (2, 3, 4)]
-        results = schedule_many(jobs, workers=2, metrics=reg)
+        jobs = [BatchJob(graph=graph, machine=MachineModel(p), tag=str(p)) for p in (2, 3, 4)]
+        results = schedule_many(jobs, workers=2, options=SchedulingOptions(metrics=reg))
         assert all(r.ok for r in results)
         events = _job_events(reg)
         assert len(events) == len(jobs)
@@ -117,24 +122,24 @@ class TestPhases:
 
     def test_certify_phase_present_when_certifying(self, graph):
         reg = MetricsRegistry()
-        schedule_many([BatchJob(graph=graph, procs=2)], metrics=reg,
-                      options=SchedulingOptions(certify=True))
+        schedule_many([BatchJob(graph=graph, machine=MachineModel(2))],
+                      options=SchedulingOptions(certify=True, metrics=reg))
         (event,) = _job_events(reg)
         assert event["attrs"]["phases"]["certify"] > 0
 
     def test_result_carries_phases_only_when_measured(self, graph):
-        (bare,) = schedule_many([BatchJob(graph=graph, procs=2)])
+        (bare,) = schedule_many([BatchJob(graph=graph, machine=MachineModel(2))])
         assert bare.phases is None
-        (measured,) = schedule_many([BatchJob(graph=graph, procs=2)],
-                                    metrics=MetricsRegistry())
+        (measured,) = schedule_many([BatchJob(graph=graph, machine=MachineModel(2))],
+                                    options=SchedulingOptions(metrics=MetricsRegistry()))
         assert measured.phases and "schedule" in measured.phases
 
 
 class TestWorkerPoolMetrics:
     def test_spawn_and_outcome_counters(self, graph):
         reg = MetricsRegistry()
-        jobs = [BatchJob(graph=graph, procs=p, tag=str(p)) for p in (2, 3)]
-        schedule_many(jobs, workers=2, metrics=reg)
+        jobs = [BatchJob(graph=graph, machine=MachineModel(p), tag=str(p)) for p in (2, 3)]
+        schedule_many(jobs, workers=2, options=SchedulingOptions(metrics=reg))
         assert reg.value("workerpool_spawned_total") >= 1
         assert reg.value("workerpool_outcomes_total", kind="completed") == 2
         assert reg.histogram("workerpool_exec_seconds").count == 2
@@ -143,10 +148,9 @@ class TestWorkerPoolMetrics:
         monkeypatch.setitem(SCHEDULERS, "hung", _hung_scheduler)
         reg = MetricsRegistry()
         results = schedule_many(
-            [BatchJob(graph=graph, procs=2, algo="hung", tag="hung"),
-             BatchJob(graph=graph, procs=2, tag="good")],
-            workers=2, grace=0.5, metrics=reg,
-            options=SchedulingOptions(timeout=0.4),
+            [BatchJob(graph=graph, machine=MachineModel(2), algo="hung", tag="hung"),
+             BatchJob(graph=graph, machine=MachineModel(2), tag="good")],
+            workers=2, grace=0.5, options=SchedulingOptions(timeout=0.4, metrics=reg),
         )
         kinds = {r.tag: r.error_kind for r in results}
         assert kinds == {"hung": TIMEOUT, "good": None}
@@ -157,9 +161,9 @@ class TestWorkerPoolMetrics:
 class TestStoreAndCacheGauges:
     def test_gauges_exported(self, graph):
         reg = MetricsRegistry()
-        with BatchScheduler(workers=1, metrics=reg) as bs:
+        with BatchScheduler(workers=1, options=SchedulingOptions(metrics=reg)) as bs:
             key = bs.register(graph)
-            bs.run([BatchJob(graph=None, graph_key=key, procs=2)] * 2)
+            bs.run([BatchJob(graph=None, graph_key=key, machine=MachineModel(2))] * 2)
         assert reg.value("graphstore_graphs") == 1
         assert reg.value("graphstore_bytes") > 0
         assert reg.value("resultcache_hits") + reg.total(
@@ -168,6 +172,7 @@ class TestStoreAndCacheGauges:
 
     def test_prometheus_export_is_valid(self, graph):
         reg = MetricsRegistry()
-        schedule_many([BatchJob(graph=graph, procs=2)], workers=1, metrics=reg)
+        schedule_many([BatchJob(graph=graph, machine=MachineModel(2))], workers=1,
+                      options=SchedulingOptions(metrics=reg))
         samples = parse_prometheus(reg.to_prometheus())
         assert samples['repro_batch_jobs_total{status="ok"}'] == 1.0

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import SchedulingOptions
 from repro.batch import BatchJob, schedule_many
+from repro.machine import MachineModel
 from repro.obs import MetricsRegistry
 from repro.util.rng import make_rng
 from repro.workloads import lu, lu_size_for_tasks
@@ -33,7 +34,7 @@ def _bench_tasks(default=300):
 
 def _jobs():
     g = lu(lu_size_for_tasks(_bench_tasks()), make_rng(0), ccr=1.0)
-    return [BatchJob(graph=g, procs=p, algo=a, tag=f"{p}/{a}")
+    return [BatchJob(graph=g, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
             for p in (2, 4, 8, 16) for a in ("flb", "fcp", "mcp")]
 
 
@@ -52,7 +53,7 @@ def test_enabled_metrics_within_budget_inline():
 
         reg = MetricsRegistry()
         t0 = time.perf_counter()
-        on = schedule_many(jobs, workers=1, metrics=reg)
+        on = schedule_many(jobs, workers=1, options=SchedulingOptions(metrics=reg))
         best_on = min(best_on, time.perf_counter() - t0)
     assert all(r.ok for r in off) and all(r.ok for r in on)
     assert [r.makespan for r in off] == [r.makespan for r in on]

@@ -22,7 +22,7 @@ class ReadyCountObserver:
         self.peak = 0
 
     def on_iteration(self, snapshot: FlbIteration) -> None:
-        self.peak = max(self.peak, snapshot.lists.num_ready)
+        self.peak = max(self.peak, len(snapshot.lists.ready_tasks()))
 
 
 class TestSection2Claims:

@@ -60,7 +60,7 @@ class _Gated:
         self.fp = reg["fingerprint"]
 
     def _run(self, job, options):
-        if job.procs == GATED_PROCS:
+        if job.machine.num_procs == GATED_PROCS:
             self.held.set()
             self.gate.wait(timeout=30.0)
         return self.scheduler.run_one(job, options=options)
@@ -214,10 +214,11 @@ class TestHitsAtAdmission:
         calls = []
 
         def runner(job, options):
-            calls.append(job.procs)
+            calls.append(job.machine.num_procs)
             return BatchResult(
-                tag=job.tag, algo=job.algo, procs=job.procs, num_tasks=15,
-                makespan=10.0, speedup=1.5, procs_used=job.procs,
+                tag=job.tag, algo=job.algo, procs=job.machine.num_procs,
+                num_tasks=15, makespan=10.0, speedup=1.5,
+                procs_used=job.machine.num_procs,
                 seconds=0.001,
             )
 
