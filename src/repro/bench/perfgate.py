@@ -21,15 +21,20 @@ speedup back fails CI instead of shipping:
 ``tools/perf_smoke.sh`` runs the whole thing at smoke scale in under a
 minute.  The gate logic takes the measurement as an injectable dict so the
 threshold arithmetic is tested deterministically (``tests/test_perf_gate.py``).
+
+:func:`paired_rounds` is the timing protocol of the relative perfgate
+checks: two arms timed back to back, round by round, so a change in host
+speed moves both arms of a round alike and cancels in its ratio.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.suite import paper_suite
 from repro.core.flb_array import flb_array
@@ -41,6 +46,7 @@ __all__ = [
     "DEFAULT_BASELINE_PATH",
     "GateResult",
     "measure_throughput",
+    "paired_rounds",
     "run_gate",
     "seed_flb",
 ]
@@ -62,6 +68,35 @@ def seed_flb(graph: TaskGraph, machine: MachineModel) -> Schedule:
     from repro.core.flb import _flb_observed
 
     return _flb_observed(graph, machine, None, True)
+
+
+def paired_rounds(
+    numerator: Callable[[], object],
+    denominator: Callable[[], object],
+    rounds: int,
+) -> List[float]:
+    """Per-round ratios ``time(numerator()) / time(denominator())``.
+
+    Each round runs both zero-argument arms back to back, alternating which
+    goes first, with ``gc.collect()`` before each arm, so neither arm pays
+    for the other's garbage.  Callers assert on the median ratio
+    (``statistics.median``): on a host whose speed drifts for seconds at a
+    time, two arms timed in separate blocks, or read as separate minima,
+    can each catch a different speed; the two halves of one round rarely do.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    arms = (numerator, denominator)
+    ratios = []
+    for r in range(rounds):
+        seconds = [0.0, 0.0]
+        for arm in (0, 1) if r % 2 == 0 else (1, 0):
+            gc.collect()
+            t0 = time.perf_counter()
+            arms[arm]()
+            seconds[arm] = time.perf_counter() - t0
+        ratios.append(seconds[0] / seconds[1])
+    return ratios
 
 
 def measure_throughput(

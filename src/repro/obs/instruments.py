@@ -62,7 +62,8 @@ class ServeInstruments:
       gauges of the admission queue, active dispatches, and drain state;
     * ``serve_graphs_registered_total`` — ``POST /v1/graphs`` admissions;
     * ``serve_tenant_requests_total{tenant}`` — per-tenant fair-queue
-      submissions (the fairness plane's accounting).
+      submissions (the fairness plane's accounting); the service labels
+      every tenant it has no configured weight for ``other``.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:

@@ -111,35 +111,55 @@ class Schedule:
         without overlapping the processor's existing tasks (insertion-based
         variants of MCP/HLFET use this).
         """
-        if not 0 <= task < self._graph.num_tasks:
+        return ScheduledTask(
+            task, proc, start, self._place_checked(task, proc, start, insertion)
+        )
+
+    def _place_checked(
+        self, task: int, proc: int, start: float, insertion: bool = False
+    ) -> float:
+        """:meth:`place` without its :class:`ScheduledTask`; returns the
+        finish time.
+
+        The one home of ``place``'s checks (unknown task, unknown
+        processor, already scheduled, negative start, start before
+        ``PRT(proc)`` unless ``insertion``), with its messages; a failed
+        check leaves the schedule unchanged.  The list-scheduling baselines
+        commit through it (:class:`~repro.schedulers.base.Placer`), so they
+        keep every check without building a record per placement.
+        """
+        placed = self._placed
+        if not 0 <= task < len(placed):
             raise ScheduleError(f"unknown task {task}")
-        if not 0 <= proc < self._machine.num_procs:
+        prt = self._prt
+        if not 0 <= proc < len(prt):
             raise ScheduleError(f"unknown processor {proc}")
-        if self._placed[task]:
+        if placed[task]:
             raise ScheduleError(f"task {task} is already scheduled")
         if start < -_EPS:
             raise ScheduleError(f"task {task} start {start} is negative")
-        finish = start + self._machine.duration(self._graph.comp(task), proc)
-        tasks_on_proc = self._proc_tasks[proc]
-        if start >= self._prt[proc] - _EPS:
-            position = len(tasks_on_proc)
-        elif not insertion:
-            raise ScheduleError(
-                f"task {task} start {start} precedes PRT({proc}) = {self._prt[proc]}"
-            )
-        else:
+        speeds = self._machine.speeds
+        comp = self._graph.comp(task)
+        finish = start + (comp if speeds is None else comp / speeds[proc])
+        if start >= prt[proc] - _EPS:
+            self._proc_tasks[proc].append(task)
+        elif insertion:
             position = self._insertion_position(proc, start, finish, task)
+            self._proc_tasks[proc].insert(position, task)
+        else:
+            raise ScheduleError(
+                f"task {task} start {start} precedes PRT({proc}) = {prt[proc]}"
+            )
         self._proc[task] = proc
         self._start[task] = start
         self._finish[task] = finish
-        self._placed[task] = True
+        placed[task] = True
         self._num_placed += 1
         self._order.append(task)
         self._arrays_cache = None
-        tasks_on_proc.insert(position, task)
-        if finish > self._prt[proc]:
-            self._prt[proc] = finish
-        return ScheduledTask(task, proc, start, finish)
+        if finish > prt[proc]:
+            prt[proc] = finish
+        return finish
 
     def _append(self, task: int, proc: int, start: float) -> float:
         """Non-insertion append without validation; returns the finish time.
@@ -323,18 +343,33 @@ class Schedule:
         (:func:`repro.verify.certify`) sees exactly what those queries
         would answer.
         """
-        placed = np.array(self._placed, dtype=bool)
+        n = len(self._placed)
         lists = self._proc_tasks
+        sizes = list(map(len, lists))
+        # One conversion per dtype; the fields are slices of the two.
+        ints = np.fromiter(
+            chain(self._proc, *lists), dtype=np.int64, count=n + sum(sizes)
+        )
+        floats = np.fromiter(
+            chain(self._start, self._finish, self._prt),
+            dtype=np.float64,
+            count=2 * n + len(self._prt),
+        )
+        placed = np.array(self._placed, dtype=bool)
+        proc, start, finish = ints[:n], floats[:n], floats[n : 2 * n]
+        if not placed.all():
+            unplaced = ~placed
+            proc[unplaced] = -1
+            start[unplaced] = 0.0
+            finish[unplaced] = 0.0
         return Placements(
             placed=placed,
-            proc=np.where(placed, np.array(self._proc, dtype=np.int64), -1),
-            start=np.where(placed, np.array(self._start, dtype=np.float64), 0.0),
-            finish=np.where(placed, np.array(self._finish, dtype=np.float64), 0.0),
-            listed=np.fromiter(chain.from_iterable(lists), dtype=np.int64),
-            listed_proc=np.repeat(
-                np.arange(len(lists), dtype=np.int64), list(map(len, lists))
-            ),
-            prt=np.array(self._prt, dtype=np.float64),
+            proc=proc,
+            start=start,
+            finish=finish,
+            listed=ints[n:],
+            listed_proc=np.repeat(np.arange(len(lists), dtype=np.int64), sizes),
+            prt=floats[2 * n :],
         )
 
     def _placement_arrays(

@@ -11,7 +11,10 @@ baselines (MCP, HLFET, DLS, LLB, HEFT and the insertion variants).  It runs
 on the graph's CSR list mirrors with task-indexed finish/processor lists,
 and evaluates every (task, processor) pair by scanning all of the task's
 predecessors — the ``O((E + V) P)`` work of the paper's Fig. 2 cost model,
-kept on purpose (see ``docs/performance.md``).
+kept on purpose (see ``docs/performance.md``).  Its commits keep every check
+of :meth:`Schedule.place`, but a non-insertion commit builds no
+``ScheduledTask``: none of these schedulers reads the record, and building
+it costs more than the checks.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ class Placer:
     """``EMT``/``EST`` evaluation and placement for a schedule under
     construction.
 
-    Owns :attr:`schedule` (empty at construction) and mirrors each placed
-    task's finish time and processor, plus every processor's ready time
-    :attr:`prt`, in plain lists, so an evaluation reads no dicts and calls
-    no methods.  All placements go through :meth:`place`, which commits via
-    :meth:`Schedule.place` (and so keeps its checks).
+    Owns :attr:`schedule` (empty at construction) and reads its
+    task-indexed finish and processor lists and its ready times
+    :attr:`prt` in place, so an evaluation reads no dicts and calls no
+    methods.  All placements go through :meth:`place`, which commits with
+    every check of :meth:`Schedule.place`.
 
     Arrivals use ETF's arithmetic: ``FT(pred)`` from a predecessor on the
     same processor, else ``FT(pred) + (latency + comm_scale * comm)``,
@@ -60,10 +63,11 @@ class Placer:
         graph.freeze()
         csr = graph.csr().lists
         self.schedule = Schedule(graph, machine)
+        # The schedule's own lists, which its commits update in place.
         #: ``PRT(p)`` for every processor (read-only by contract).
-        self.prt: List[float] = [0.0] * machine.num_procs
-        self._finish: List[float] = [0.0] * graph.num_tasks
-        self._proc: List[int] = [0] * graph.num_tasks
+        self.prt: List[float] = self.schedule._prt
+        self._finish: List[float] = self.schedule._finish
+        self._proc: List[int] = self.schedule._proc
         self._pred_ptr = csr.pred_ptr
         self._pred_ids = csr.pred_ids
         self._pred_comm = csr.pred_comm
@@ -132,14 +136,16 @@ class Placer:
     def place(
         self, task: int, proc: int, start: float, insertion: bool = False
     ) -> float:
-        """Commit ``task`` to ``proc`` at ``start`` through
-        :meth:`Schedule.place`; returns the finish time."""
-        finish = self.schedule.place(task, proc, start, insertion).finish
-        self._finish[task] = finish
-        self._proc[task] = proc
-        if finish > self.prt[proc]:
-            self.prt[proc] = finish
-        return finish
+        """Commit ``task`` to ``proc`` at ``start``; returns the finish time.
+
+        A non-insertion placement commits through the schedule's checked
+        append (``Schedule._place_checked``), which runs every check of
+        :meth:`Schedule.place` and builds no ``ScheduledTask``; an
+        insertion goes through :meth:`Schedule.place` itself.
+        """
+        if insertion:
+            return self.schedule.place(task, proc, start, True).finish
+        return self.schedule._place_checked(task, proc, start)
 
 
 class ReadyTracker:

@@ -33,7 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.exceptions import SchedulerError
-from repro.graph.properties import alap_times
+from repro.graph.properties import alap_times, bottom_levels_array
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
@@ -72,13 +72,15 @@ def mcp_priority_order(
 ) -> List[int]:
     """The MCP scheduling order: ascending ALAP with the chosen tie rule."""
     graph.freeze()
-    alap = alap_times(graph)
     n = graph.num_tasks
     if tie == "random":
-        rng = np.random.default_rng(seed)
-        jitter = rng.permutation(n)
-        return sorted(range(n), key=lambda t: (alap[t], int(jitter[t])))
+        bl = bottom_levels_array(graph)
+        jitter = np.random.default_rng(seed).permutation(n)
+        # Ascending (ALAP, jitter) with ALAP = CP - BL, the same floats as
+        # alap_times; the jitter is a permutation, so no two keys tie.
+        return np.lexsort((jitter, bl.max() - bl)).tolist()
     if tie == "lex":
+        alap = alap_times(graph)
         keys = _descendant_alap_lists(graph, alap)
         return sorted(range(n), key=lambda t: (alap[t], keys[t], t))
     raise SchedulerError(f"unknown MCP tie rule {tie!r}; expected 'random' or 'lex'")

@@ -19,7 +19,9 @@ The effect: over any backlogged interval, tenant ``t`` receives a
 ``w_t / sum(w)`` share of dispatch slots, regardless of arrival rates,
 while an idle tenant's first item is stamped at the current virtual clock
 (no banked credit, no starvation).  Within one tenant, order stays FIFO
-(``vf`` ties broken by sequence number).
+(``vf`` ties broken by sequence number).  The queue forgets ``last_vf_t``
+once it can no longer change a stamp, so its state stays proportional to
+the backlog, not to the number of tenant names ever seen.
 
 The queue is asyncio-native and single-loop: ``put_nowait`` from request
 handlers, ``await get()`` from dispatcher tasks, ``task_done``/``join``
@@ -124,6 +126,8 @@ class WeightedFairQueue(Generic[T]):
         self._tenant_vf[tenant] = vf
         heapq.heappush(self._heap, (vf, self._seq, tenant, item))
         self._seq += 1
+        if len(self._tenant_vf) > 2 * len(self._heap):
+            self._forget_idle_tenants()
         self._unfinished += 1
         if self._finished is not None:
             self._finished.clear()
@@ -156,6 +160,22 @@ class WeightedFairQueue(Generic[T]):
         vf, _seq, tenant, item = heapq.heappop(self._heap)
         self._vtime = vf
         return tenant, item
+
+    def _forget_idle_tenants(self) -> None:
+        """Drop every tenant stamp at or below the virtual clock.
+
+        Such a tenant has nothing queued (items leave in stamp order), and
+        its next stamp starts at ``max(V, vf) == max(V, 0.0)`` (``V >= 0``),
+        exactly as for a tenant never seen: the order does not change.  The
+        survivors are tenants with a queued item, so a sweep that runs once
+        the map outgrows twice the backlog removes more than half of it:
+        amortised O(1) per put, and the map never holds more than
+        ``2 * backlog + 1`` tenants, however many names clients send.
+        """
+        vtime = self._vtime
+        self._tenant_vf = {
+            tenant: vf for tenant, vf in self._tenant_vf.items() if vf > vtime
+        }
 
     def _wakeup_next(self) -> None:
         while self._getters:

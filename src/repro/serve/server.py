@@ -98,6 +98,13 @@ Runner = Callable[[BatchJob, SchedulingOptions], BatchResult]
 #: the life of the process.
 TRACE_EVENTS = 1024
 
+#: The ``tenant`` label that ``serve_tenant_requests_total`` gives every
+#: tenant ``ServeConfig.tenant_weights`` does not name.  Tenant names come
+#: from request bodies, so a label per name would add one series per name
+#: for the life of the process; the label set stays the configured names
+#: plus this one.
+OTHER_TENANT = "other"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -105,9 +112,10 @@ class ServeConfig:
 
     ``max_backlog`` bounds queued + in-flight jobs (the admission limit);
     ``tenant_weights`` sets fair-queue weights (unknown tenants get
-    :data:`~repro.serve.queues.DEFAULT_WEIGHT`).  ``workers`` is handed to
-    the wrapped :class:`~repro.batch.BatchScheduler`, but has no effect
-    yet: every request runs as a one-job batch, inline.  ``options``
+    :data:`~repro.serve.queues.DEFAULT_WEIGHT`) and names the tenants that
+    get their own metric label (the rest share :data:`OTHER_TENANT`).
+    ``workers`` is handed to the wrapped :class:`~repro.batch.BatchScheduler`,
+    but has no effect yet: every request runs as a one-job batch, inline.  ``options``
     seeds the wrapped scheduler's defaults (validate/certify/algorithm);
     per-request fields override it.  A
     ``timeout`` is refused (:class:`UnenforceableTimeoutError`): the
@@ -318,7 +326,9 @@ class SchedulingService:
         """
         request = self._prepare(payload)
         tenant = request.tenant
-        self.instruments.tenant_request(tenant)
+        self.instruments.tenant_request(
+            tenant if tenant in self.config.tenant_weights else OTHER_TENANT
+        )
         existing = self._inflight.get(request.key)
         if existing is not None:
             # Identical request already computing: share its outcome.  The

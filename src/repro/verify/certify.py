@@ -315,41 +315,45 @@ def _structural_violations(inputs: _Inputs, eps: float) -> List[Violation]:
     # S001: exactly once, on PROC(t).  Count appearances across the
     # per-processor task lists rather than trusting the placement flags — a
     # corrupted schedule can disagree between the two — and name a list
-    # entry that no task matches, or that sits on another processor.
+    # entry that no task matches, or that sits on another processor.  A
+    # task is fine when it is placed, listed once, on PROC(t); only the
+    # others are sorted into missing, repeated and moved.
     known = (inputs.listed_task >= 0) & (inputs.listed_task < n)
     listed, listed_on = inputs.listed_task[known], inputs.listed_proc[known]
     count = np.bincount(listed, minlength=n)
-    home = np.full(n, -1, dtype=np.int64)
-    home[listed] = listed_on  # read only where the task is listed once
     listed_home = np.zeros(n, dtype=bool)
     listed_home[listed[listed_on == proc[listed]]] = True
-    missing = ~placed | (count == 0)
-    repeated = ~missing & (count > 1)
-    moved = ~missing & (count == 1) & ~listed_home
-    for t in np.flatnonzero(missing | repeated | moved).tolist():
-        if missing[t]:
-            out.append(Violation("S001", f"task {t} is not scheduled", task=t))
-        elif repeated[t]:
-            out.append(
-                Violation(
-                    "S001", f"task {t} is scheduled {int(count[t])} times", task=t
+    if not (placed & (count == 1) & listed_home).all():
+        home = np.full(n, -1, dtype=np.int64)
+        home[listed] = listed_on  # read only where the task is listed once
+        missing = ~placed | (count == 0)
+        repeated = ~missing & (count > 1)
+        moved = ~missing & (count == 1) & ~listed_home
+        for t in np.flatnonzero(missing | repeated | moved).tolist():
+            if missing[t]:
+                out.append(Violation("S001", f"task {t} is not scheduled", task=t))
+            elif repeated[t]:
+                out.append(
+                    Violation(
+                        "S001", f"task {t} is scheduled {int(count[t])} times", task=t
+                    )
                 )
-            )
-        else:
-            out.append(
-                Violation(
-                    "S001",
-                    f"task {t} is listed on processor {int(home[t])} but "
-                    f"placed on processor {int(proc[t])}",
-                    task=t,
-                    proc=int(home[t]),
+            else:
+                out.append(
+                    Violation(
+                        "S001",
+                        f"task {t} is listed on processor {int(home[t])} but "
+                        f"placed on processor {int(proc[t])}",
+                        task=t,
+                        proc=int(home[t]),
+                    )
                 )
-            )
-    unknown = ~known
-    for x, p in zip(
-        inputs.listed_task[unknown].tolist(), inputs.listed_proc[unknown].tolist()
-    ):
-        out.append(Violation("S001", f"processor {p} lists unknown task {x}", proc=p))
+    if not known.all():
+        unknown = ~known
+        for x, p in zip(
+            inputs.listed_task[unknown].tolist(), inputs.listed_proc[unknown].tolist()
+        ):
+            out.append(Violation("S001", f"processor {p} lists unknown task {x}", proc=p))
 
     # The checks below cover the tasks placed on a real processor; a
     # placement on any other id is already an S001.
@@ -362,30 +366,33 @@ def _structural_violations(inputs: _Inputs, eps: float) -> List[Violation]:
     duration = inputs.comp[tasks]
     if machine.speeds is not None:
         duration = duration / np.array(machine.speeds)[on]
-    expected = start[tasks] + duration
-    early = ~(start[tasks] >= -eps)
+    begins = start[tasks]
+    expected = begins + duration
+    early = ~(begins >= -eps)
     wrong = ~(np.abs(finish[tasks] - expected) <= eps)
-    for i in np.flatnonzero(early | wrong).tolist():
-        t, p = int(tasks[i]), int(on[i])
-        if early[i]:
-            out.append(
-                Violation(
-                    "S002",
-                    f"task {t} starts before time 0 ({float(start[t])})",
-                    task=t,
-                    proc=p,
+    bad = early | wrong
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            t, p = int(tasks[i]), int(on[i])
+            if early[i]:
+                out.append(
+                    Violation(
+                        "S002",
+                        f"task {t} starts before time 0 ({float(start[t])})",
+                        task=t,
+                        proc=p,
+                    )
                 )
-            )
-        if wrong[i]:
-            out.append(
-                Violation(
-                    "S003",
-                    f"task {t}: FT {float(finish[t])} != ST + duration = "
-                    f"{float(expected[i])}",
-                    task=t,
-                    proc=p,
+            if wrong[i]:
+                out.append(
+                    Violation(
+                        "S003",
+                        f"task {t}: FT {float(finish[t])} != ST + duration = "
+                        f"{float(expected[i])}",
+                        task=t,
+                        proc=p,
+                    )
                 )
-            )
 
     # S004: processor exclusivity.  Each processor holds the placed tasks
     # its list names and every task placed on it that the list leaves out,
@@ -396,51 +403,58 @@ def _structural_violations(inputs: _Inputs, eps: float) -> List[Violation]:
     occ_task = np.concatenate((listed[named], unlisted))
     occ_proc = np.concatenate((listed_on[named], proc[unlisted]))
     by_start = np.lexsort((start[occ_task], occ_proc))  # stable
-    a, b, p_b = occ_task[by_start[:-1]], occ_task[by_start[1:]], occ_proc[by_start[1:]]
-    overlap = (occ_proc[by_start[:-1]] == p_b) & ~(start[b] >= finish[a] - eps)
-    for i in np.flatnonzero(overlap).tolist():
-        ta, tb, p = int(a[i]), int(b[i]), int(p_b[i])
-        out.append(
-            Violation(
-                "S004",
-                f"tasks {ta} and {tb} overlap on processor {p}: "
-                f"[{float(start[ta])}, {float(finish[ta])}) vs "
-                f"[{float(start[tb])}, {float(finish[tb])})",
-                task=tb,
-                proc=p,
+    occ_task, occ_proc = occ_task[by_start], occ_proc[by_start]
+    a, b = occ_task[:-1], occ_task[1:]
+    overlap = (occ_proc[:-1] == occ_proc[1:]) & ~(start[b] >= finish[a] - eps)
+    if overlap.any():
+        for i in np.flatnonzero(overlap).tolist():
+            ta, tb, p = int(a[i]), int(b[i]), int(occ_proc[i + 1])
+            out.append(
+                Violation(
+                    "S004",
+                    f"tasks {ta} and {tb} overlap on processor {p}: "
+                    f"[{float(start[ta])}, {float(finish[ta])}) vs "
+                    f"[{float(start[tb])}, {float(finish[tb])})",
+                    task=tb,
+                    proc=p,
+                )
             )
-        )
 
     # S005: precedence + communication — ST(t) >= FT(pred) + delay with the
-    # delay zeroed on co-location (the paper's EMT lower bound).
+    # delay zeroed on co-location (the paper's EMT lower bound).  Edges
+    # touching a task that runs nowhere are left to S001.
     src, dst = inputs.src, inputs.dst
     earliest = finish[src] + np.where(proc[src] == proc[dst], 0.0, inputs.remote)
-    late = runs[src] & runs[dst] & ~(start[dst] >= earliest - eps)
-    for i in np.flatnonzero(late).tolist():
-        s, d = int(src[i]), int(dst[i])
-        out.append(
-            Violation(
-                "S005",
-                f"edge ({s}->{d}): task {d} starts at {float(start[d])} before "
-                f"message arrival {float(earliest[i])}",
-                task=d,
-                proc=int(proc[d]),
+    late = ~(start[dst] >= earliest - eps)
+    if late.any():
+        late &= runs[src] & runs[dst]
+        for i in np.flatnonzero(late).tolist():
+            s, d = int(src[i]), int(dst[i])
+            out.append(
+                Violation(
+                    "S005",
+                    f"edge ({s}->{d}): task {d} starts at {float(start[d])} before "
+                    f"message arrival {float(earliest[i])}",
+                    task=d,
+                    proc=int(proc[d]),
+                )
             )
-        )
 
     # S006: reported makespan and per-processor ready times match the
     # placements (a NaN finish propagates into its processor's PRT).
     true_prt = np.zeros(machine.num_procs)
     np.maximum.at(true_prt, on, finish[tasks])
-    for p in np.flatnonzero(~(np.abs(inputs.prt - true_prt) <= eps)).tolist():
-        out.append(
-            Violation(
-                "S006",
-                f"PRT({p}) reported as {float(inputs.prt[p])} but placements "
-                f"finish at {float(true_prt[p])}",
-                proc=p,
+    off = ~(np.abs(inputs.prt - true_prt) <= eps)
+    if off.any():
+        for p in np.flatnonzero(off).tolist():
+            out.append(
+                Violation(
+                    "S006",
+                    f"PRT({p}) reported as {float(inputs.prt[p])} but placements "
+                    f"finish at {float(true_prt[p])}",
+                    proc=p,
+                )
             )
-        )
     true_makespan = float(true_prt.max())
     if not abs(inputs.makespan - true_makespan) <= eps:
         out.append(
@@ -492,17 +506,23 @@ def _greedy_violations(
     step[order] = np.arange(n)
 
     # The edges grouped by destination (a stable sort keeps each group in
-    # insertion order).  EP is the predecessor with the largest
-    # (arrival, FT(pred), pred): narrow each group to its maximum one
-    # component at a time; the ids are distinct, so one edge remains.
+    # insertion order): the tasks with predecessors, ``fed``, in id order,
+    # with each group's size and first edge.  EP is the predecessor with
+    # the largest (arrival, FT(pred), pred): narrow each group to its
+    # maximum one component at a time, until one edge per group is left
+    # (the ids are distinct, so the last component always gets there).
     by_dst = np.argsort(inputs.dst, kind="stable")
     src, dst, remote = inputs.src[by_dst], inputs.dst[by_dst], inputs.remote[by_dst]
-    heads = np.flatnonzero(np.diff(dst, prepend=-1))
-    sizes = np.diff(heads, append=len(dst))
-    fed = dst[heads]
-    arrival = finish[src] + remote
-    top = np.ones(len(dst), dtype=bool)
-    for key in (arrival, finish[src], src):
+    in_degree = np.bincount(dst, minlength=n)
+    fed = np.flatnonzero(in_degree)
+    sizes = in_degree[fed]
+    heads = np.cumsum(sizes) - sizes
+    pred_finish = finish[src]
+    arrival = pred_finish + remote
+    top = arrival == np.repeat(np.maximum.reduceat(arrival, heads), sizes)
+    for key in (pred_finish, src):
+        if np.count_nonzero(top) == len(fed):
+            break
         best = np.maximum.reduceat(np.where(top, key, -np.inf), heads)
         top &= key == np.repeat(best, sizes)
     lmt = np.zeros(n)
@@ -511,7 +531,7 @@ def _greedy_violations(
     # +inf, so ``LMT >= PRT(EP)`` never makes it EP-type.
     ep = np.full(n, num_procs, dtype=np.int64)
     ep[fed] = proc[src[top]]
-    on_ep = finish[src] + np.where(proc[src] == ep[dst], 0.0, remote)
+    on_ep = pred_finish + np.where(proc[src] == ep[dst], 0.0, remote)
     emt_ep = np.zeros(n)
     emt_ep[fed] = np.maximum(np.maximum.reduceat(on_ep, heads), 0.0)
     ready = np.zeros(n, dtype=np.int64)
@@ -519,12 +539,14 @@ def _greedy_violations(
 
     # A task whose own step comes before it is ready fails there (desync),
     # so only tasks with ready <= step ever sit in a ready set that matters.
+    # ``pairs_before[k]``: the (task, step) pairs of the steps before k.
     live = ready <= step
     width = np.cumsum(
         np.bincount(ready[live], minlength=n + 1)[:n]
         - np.bincount(step[live] + 1, minlength=n + 1)[:n]
     )
-    pairs_before = np.concatenate(([0], np.cumsum(width)))  # before each step
+    pairs_before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(width, out=pairs_before[1:])
 
     start_at, finish_at, proc_at = start[order], finish[order], proc[order]
     prt = np.zeros(num_procs)
@@ -566,10 +588,11 @@ def _greedy_violations(
             np.maximum(lmt_p, min_prt[row]),
         )
         own = ends[step[cand] < k1] - 1
+        own_row = row[own]
         own_est = np.full(rows, np.inf)
-        own_est[row[own]] = est[own]
+        own_est[own_row] = est[own]
         own_ep = np.zeros(rows, dtype=bool)
-        own_ep[row[own]] = is_ep[own]
+        own_ep[own_row] = is_ep[own]
 
         # A step fails when the placed task was not ready (desync) or
         # started later than its own EST, when a ready pair could have
@@ -577,15 +600,15 @@ def _greedy_violations(
         # non-EP pair ties it.  The ready set is never empty: an unready
         # placed task has a not-yet-replayed ancestor whose predecessors
         # all are, and that ancestor is ready.
-        start_row = start_at[k0:k1][row]
-        fails = (own_est == np.inf) | (start_at[k0:k1] > own_est + eps)
-        hits = [np.flatnonzero(fails), row[start_row > est + eps]]
+        begins = start_at[k0:k1]
+        start_row = begins[row]
+        fails = (own_est == np.inf) | (begins > own_est + eps)
+        fails[row[start_row > est + eps]] = True
         if flavor == "flb":
             tied = row[~is_ep & (est <= start_row + eps)]
-            hits.append(tied[own_ep[tied]])
-        hit = np.concatenate(hits)
-        if len(hit):
-            i = int(hit.min())
+            fails[tied[own_ep[tied]]] = True
+        if fails.any():
+            i = int(np.argmax(fails))  # the first failing step
             at = row == i
             return [
                 _replay_violation(

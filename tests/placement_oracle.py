@@ -8,8 +8,10 @@ onto the CSR evaluator: one ``finish_of``, ``proc_of``, ``comm_delay`` and
 :meth:`Schedule.earliest_gap` as it was, walking every task on the
 processor even for a bound past its last finish.  Below them are those
 baselines' placement loops as they were (MCP, HLFET, DLS, LLB, HEFT and the
-insertion variants), each calling the production priority orders, which
-did not change.
+insertion variants).  Each calls the production priority order, except
+MCP's ``tie="random"`` order: ``mcp_priority_order`` here is its Python
+sort on ``(ALAP, jitter)``, so that a change to the production order
+shows up against these loops.
 ``tests/test_placement_csr.py`` requires every production scheduler to
 place every task on the same processor at the same float start and finish
 as its loop here, compared with ``==``.
@@ -17,15 +19,17 @@ as its loop here, compared with ``==``.
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import SchedulerError
-from repro.graph.properties import bottom_levels, static_levels
+from repro.graph.properties import alap_times, bottom_levels, static_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import _EPS, Schedule
 from repro.schedulers.base import ReadyTracker
 from repro.schedulers.dsc import Clustering, dsc
 from repro.schedulers.heft import upward_ranks
-from repro.schedulers.mcp import mcp_priority_order
+from repro.schedulers.mcp import mcp_priority_order as production_mcp_order
 from repro.schedulers.sarkar import sarkar
 from repro.util.heap import IndexedHeap
 
@@ -88,6 +92,21 @@ def earliest_gap(
 # ---------------------------------------------------------------------------
 # MCP and HLFET (static order, minimum EST)
 # ---------------------------------------------------------------------------
+
+
+def mcp_priority_order(
+    graph: TaskGraph, tie: str = "random", seed: int = 0
+) -> List[int]:
+    """MCP's order as a Python sort: ascending ``(ALAP, jitter)`` with the
+    jitter a ``default_rng(seed)`` permutation; the ``"lex"`` rule is the
+    production one."""
+    if tie != "random":
+        return production_mcp_order(graph, tie=tie, seed=seed)
+    graph.freeze()
+    alap = alap_times(graph)
+    n = graph.num_tasks
+    jitter = np.random.default_rng(seed).permutation(n)
+    return sorted(range(n), key=lambda t: (alap[t], int(jitter[t])))
 
 
 def mcp(

@@ -9,8 +9,10 @@ register a graph, schedule by fingerprint, hit the cache, scrape
 """
 
 import asyncio
+import heapq
 import json
 import logging
+import random
 import socket
 import threading
 import time
@@ -136,6 +138,67 @@ class TestWeightedFairQueue:
             await asyncio.wait_for(joined, timeout=1.0)
 
         asyncio.run(body())
+
+    def test_idle_tenant_stamps_are_dropped(self):
+        """2,000 distinct tenants, each dequeued before the next arrives:
+        the stamp map stays within twice the backlog plus one."""
+        q = WeightedFairQueue()
+
+        async def body():
+            peak = 0
+            for i in range(2000):
+                q.put_nowait(f"tenant-{i}", i)
+                peak = max(peak, len(q._tenant_vf))
+                await q.get()
+                q.task_done()
+            return peak
+
+        assert asyncio.run(body()) <= 3
+
+    def test_interleaved_order_matches_stamps_kept_forever(self):
+        """A fixed interleaving of puts and gets over weighted, unweighted
+        and one-off tenants dequeues in the order of the stamp rule with
+        every tenant's last stamp kept, while the sweeps do shrink the map."""
+        weights = {"a": 3.0, "b": 0.5}
+        rng = random.Random(7)
+        ops = []  # (tenant, item) puts; None is a get when anything is queued
+        for i in range(3000):
+            if rng.random() < 0.45:
+                ops.append(None)
+            else:
+                tenant = rng.choice(["a", "b", f"t{rng.randrange(40)}", f"once-{i}"])
+                ops.append((tenant, i))
+
+        vtime, last, heap, want = 0.0, {}, [], []
+        for op in ops:
+            if op is None:
+                if heap:
+                    vtime, item = heapq.heappop(heap)
+                    want.append(item)
+            else:
+                tenant, item = op
+                vf = max(vtime, last.get(tenant, 0.0)) + 1.0 / weights.get(tenant, 1.0)
+                last[tenant] = vf
+                heapq.heappush(heap, (vf, item))  # items rise with put order
+
+        q = WeightedFairQueue(weights=weights)
+
+        async def body():
+            got, seen, dropped = [], set(), False
+            for op in ops:
+                if op is None:
+                    if q.qsize():
+                        got.append((await q.get())[1])
+                        q.task_done()
+                else:
+                    q.put_nowait(*op)
+                    seen.add(op[0])
+                    dropped = dropped or len(q._tenant_vf) < len(seen)
+            return got, dropped
+
+        got, dropped = asyncio.run(body())
+        assert got == want
+        assert dropped
 
     def test_depths_and_weight_validation(self):
         q = WeightedFairQueue(weights={"a": 2.0})
@@ -578,6 +641,47 @@ class TestInlineGraphs:
         finally:
             service.close()
             graphstore.clear_worker_cache()
+
+
+class TestTenantLabels:
+    def test_label_set_is_the_configured_tenants_plus_other(self):
+        """2,000 requests under 1,801 tenant names add two
+        ``serve_tenant_requests_total`` series: the configured tenant's and
+        ``other``."""
+        service = SchedulingService(
+            config=ServeConfig(max_backlog=8, tenant_weights={"gold": 2.0}),
+            runner=_stub_result,
+        )
+        try:
+            resp = asyncio.run(route(
+                service, "POST", "/v1/graphs",
+                json.dumps({"graph": _graph_doc()}).encode(),
+            ))
+            fp = json.loads(resp.body)["fingerprint"]
+
+            async def body():
+                service.start()
+                for i in range(2000):
+                    tenant = "gold" if i % 10 == 0 else f"client-{i}"
+                    payload = {"fingerprint": fp, "procs": 4, "tenant": tenant}
+                    ok = await route(
+                        service, "POST", "/v1/schedule", json.dumps(payload).encode()
+                    )
+                    assert ok.status == 200
+                await service.drain()
+
+            asyncio.run(body())
+            text = asyncio.run(route(service, "GET", "/metrics", b"")).body.decode()
+            series = {
+                name: value for name, value in parse_prometheus(text).items()
+                if name.startswith("repro_serve_tenant_requests_total")
+            }
+            assert series == {
+                'repro_serve_tenant_requests_total{tenant="gold"}': 200,
+                'repro_serve_tenant_requests_total{tenant="other"}': 1800,
+            }
+        finally:
+            service.close()
 
 
 # -- timeouts the service cannot enforce -------------------------------------

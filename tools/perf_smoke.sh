@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# Equivalence + 2x-over-seed floor at smoke scale (REPRO_BENCH_TASKS=300),
+# Equivalence + the 4x-over-seed floor at smoke scale (REPRO_BENCH_TASKS=300),
 # plus the batch graph-plane floors: keyed dispatch >= inline throughput with
 # bit-identical summaries, and keyed+cache serving >= 2x the inline path,
 # plus the observability budget: metrics-enabled runs within 5% of disabled,
@@ -16,11 +16,14 @@ export PYTHONPATH=src
 # with <= 1% mutated >= 5x faster than cold, bit-identical and certified,
 # plus the ingest budget: from_json(doc) + fingerprint of a V=2000 stencil
 # costs no more than one FLB run on it, plus the certify budget: the FLB
-# certificate of that schedule costs no more than the run that produced it,
-# plus the placement floor: MCP on the CSR evaluator runs at least 2x faster
-# than the dict-path oracle on the V=120 suite at P=32, plus the cold-graph
-# budget: FLB on a graph fresh from from_json (V=2015 LU, V=2000 stencil,
-# 20,000-task chain) costs at most 1.3x a run with its priorities memoized.
+# certificate of a fresh graph's schedule costs no more than the cold run
+# that produced it, for that stencil and for the eight V=120 suite graphs
+# (P=8), plus the placement floor: MCP on the CSR evaluator runs at least
+# 2x faster than the dict-path oracle on the V=120 suite at P=32, plus the
+# cold-graph budget: FLB on a graph fresh from from_json (V=2015 LU, V=2000
+# stencil, 20,000-task chain) costs at most 1.3x a run with its priorities
+# memoized.  The seed, certify and placement checks take the median of
+# paired rounds (repro.bench.perfgate.paired_rounds).
 python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_gate.py \
     tests/test_batch_graphplane.py tests/test_obs_overhead.py \
     benchmarks/bench_incremental.py tests/test_ingest.py \
