@@ -8,7 +8,7 @@ row for row (the exhaustive per-cell checks live in
 
 
 from repro.bench import EXPERIMENTS
-from repro.core import TraceRecorder, flb
+from repro.core import flb, flb_trace
 from repro.machine import MachineModel
 from repro.workloads import paper_example
 
@@ -47,10 +47,5 @@ def bench_flb_paper_example(benchmark):
 def bench_flb_paper_example_with_trace(benchmark):
     graph = paper_example()
 
-    def run():
-        recorder = TraceRecorder(graph)
-        flb(graph, MachineModel(2), observer=recorder)
-        return recorder
-
-    recorder = benchmark(run)
-    assert len(recorder.rows) == 8
+    rows = benchmark(lambda: flb_trace(flb(graph, MachineModel(2))))
+    assert len(rows) == 8

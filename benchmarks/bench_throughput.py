@@ -2,14 +2,12 @@
 
 The array kernel (``docs/performance.md``) is the repo's headline perf
 work; these benchmarks track it directly.  ``bench_flb_throughput`` times
-it per processor count over the Fig. 2 problems; ``bench_seed_vs_fast``
-times the preserved pre-CSR implementation
-(``repro.bench.perfgate.seed_flb``) on the same inputs so a
-``pytest benchmarks/bench_throughput.py`` run shows the before/after pair.
+it per processor count over the Fig. 2 problems.
 
 ``test_array_kernel_beats_seed_4x`` asserts the acceptance floor — the
-kernel must clear 4x the seed implementation's throughput — which is the
-same claim ``BENCH_sched.json`` records at full (V~2000) scale.
+kernel must clear 4x the throughput of the seed implementation, the
+structured loop kept in ``tests/flb_oracle.py`` — and
+``test_fast_and_seed_agree`` that the two schedule alike.
 """
 
 import statistics
@@ -17,10 +15,11 @@ import statistics
 import pytest
 
 from repro.bench import paper_suite
-from repro.bench.perfgate import paired_rounds, seed_flb
+from repro.bench.perfgate import paired_rounds
 from repro.core import flb
 from repro.core.flb_array import flb_array
 from repro.machine import MachineModel
+from tests.flb_oracle import flb_observed
 
 FIG2_PROBLEMS = ("lu", "laplace", "stencil")
 FIG2_PROCS = (2, 8, 32)
@@ -47,23 +46,11 @@ def bench_flb_throughput(benchmark, suite_by_problem, procs):
         )
 
 
-@pytest.mark.parametrize("impl", ["fast", "seed"])
-def bench_seed_vs_fast(benchmark, suite_by_problem, impl):
-    graphs = _graphs(suite_by_problem)
-    scheduler = flb if impl == "fast" else seed_flb
-
-    def run():
-        return [scheduler(g, MachineModel(8)).makespan for g in graphs]
-
-    spans = benchmark(run)
-    assert all(m > 0 for m in spans)
-
-
 @pytest.mark.perfgate
 def test_array_kernel_beats_seed_4x(bench_tasks):
-    """The array kernel's floor: >= 4x seed throughput (the measured
-    full-scale figure is recorded in BENCH_sched.json and
-    docs/performance.md; this asserts the documented floor at bench scale).
+    """The array kernel's floor: >= 4x seed throughput (the last
+    full-scale figure is recorded in docs/performance.md; this asserts the
+    documented floor at bench scale).
 
     The seed and the kernel schedule ``measure_throughput``'s suite (the
     Fig. 2 problems at the conftest's bench scale; override with
@@ -85,7 +72,7 @@ def test_array_kernel_beats_seed_4x(bench_tasks):
 
     for graph, machine in cases:  # memoize priorities, as time_scheduler does
         flb_array(graph, machine)
-    ratios = paired_rounds(arm(seed_flb), arm(flb_array), rounds=15)
+    ratios = paired_rounds(arm(flb_observed), arm(flb_array), rounds=15)
     speedup = statistics.median(ratios)
     assert speedup >= 4.0, (
         f"seed/kernel {speedup:.2f}x in the median round "
@@ -100,7 +87,7 @@ def test_fast_and_seed_agree(suite_by_problem):
     for graph in _graphs(suite_by_problem):
         for procs in (2, 8, 32):
             fast = flb(graph, MachineModel(procs))
-            seed = seed_flb(graph, MachineModel(procs))
+            seed = flb_observed(graph, MachineModel(procs))
             assert fast.makespan == seed.makespan
             assert all(
                 fast.proc_of(t) == seed.proc_of(t)

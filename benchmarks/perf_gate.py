@@ -47,9 +47,6 @@ def main(argv=None) -> int:
                         help="replace the stored baseline with this run")
     parser.add_argument("--no-write", action="store_true",
                         help="do not touch the baseline file")
-    parser.add_argument("--no-seed", action="store_true",
-                        help="skip timing the seed implementation "
-                        "(faster; no speedup_vs_seed in the record)")
     args = parser.parse_args(argv)
 
     result = run_gate(
@@ -61,15 +58,8 @@ def main(argv=None) -> int:
         seeds=args.seeds,
         procs=tuple(args.procs),
         repeats=args.repeats,
-        include_seed=not args.no_seed,
     )
     print(result.message)
-    if "speedup_vs_seed" in result.current:
-        print(
-            f"flb: {result.current['tasks_per_s']:,.0f} tasks/s, "
-            f"seed: {result.current['seed_tasks_per_s']:,.0f} tasks/s "
-            f"({result.current['speedup_vs_seed']:.2f}x)"
-        )
     return 0 if result.ok else 1
 
 

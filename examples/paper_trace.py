@@ -5,7 +5,8 @@
 Run:  python examples/paper_trace.py
 """
 
-from repro.core import OracleObserver, TraceRecorder, flb, format_trace
+from repro import certify
+from repro.core import flb, format_trace
 from repro.graph import bottom_levels, critical_path_length, to_dot, width
 from repro.machine import MachineModel
 from repro.schedule import render_gantt
@@ -20,17 +21,17 @@ def main() -> None:
     print("  bottom levels:", {graph.name(t): bl[t] for t in graph.tasks()})
     print()
 
-    # Run FLB with both the trace recorder and the Theorem-3 oracle attached.
-    recorder = TraceRecorder(graph)
-    schedule = flb(graph, MachineModel(2), observer=recorder)
-
-    oracle = OracleObserver()
-    flb(graph, MachineModel(2), observer=oracle)
-    print(f"Theorem 3 verified on all {oracle.iterations} iterations "
-          f"({oracle.tie_iterations} EP/non-EP tie, resolved to non-EP).\n")
+    # Schedule with FLB, then let the independent certifier replay it: its
+    # F001/F002 checks hold Theorem 3 (minimum start time, non-EP tie rule)
+    # on every placement.
+    schedule = flb(graph, MachineModel(2))
+    cert = certify(schedule, flavor="flb")
+    verdict = "ok" if cert.ok else f"FAILED {', '.join(cert.codes())}"
+    print(f"Theorem 3 verified on all {cert.num_tasks} placements by the "
+          f"certifier's greedy replay: {verdict}.\n")
 
     print("Execution trace (the paper's Table 1):")
-    print(format_trace(recorder))
+    print(format_trace(schedule))
     print()
     print(render_gantt(schedule, width=70))
     print(f"\nmakespan = {schedule.makespan:g}  (paper: 14)")

@@ -135,16 +135,16 @@ def schedule_graph(
     :class:`~repro.exceptions.InvalidScheduleError` on a failed
     certificate.  ``options.metrics`` records a ``sched.kernel`` span with
     the kernel wall time (``timeout``/``retries`` do not apply in-process
-    and are ignored).  Extra keywords (``observer=...``,
-    ``prefer_non_ep_on_tie=...``) pass through to the algorithm.
+    and are ignored).  Extra keywords (``prefer_non_ep_on_tie=...``) pass
+    through to the algorithm.
 
     ``base`` passes an explicit warm-start base schedule;
     ``options.warm_start`` alone consults the process-global
     :func:`repro.incremental.base_cache` instead and stores this run's
     result there for future deltas.  Either way FLB replays the base's
     clean prefix when it can and silently runs cold when it cannot (see
-    :mod:`repro.incremental`); other algorithms and observed FLB runs
-    ignore warm-start entirely.
+    :mod:`repro.incremental`); other algorithms ignore warm-start
+    entirely.
     """
     from repro.exceptions import SchedulerError
     from repro.schedulers import get_scheduler
@@ -157,9 +157,7 @@ def schedule_graph(
             "SchedulingOptions(machine=MachineModel(P)) or machine="
         )
     metrics = opts.metrics
-    if opts.algorithm == "flb" and "observer" not in kwargs:
-        # Observers need the observed FLB path (via the registry); every
-        # other FLB request runs the array kernel directly.
+    if opts.algorithm == "flb":
         from repro.core.flb_array import flb_array
 
         warm_base = base

@@ -27,7 +27,6 @@ extended-sweep  X8 — TR-style extended problem/granularity sweep
 incremental     warm-start rescheduling vs the cold array kernel
 batch_payload   batch dispatch: inline pickle vs the shared graph plane
 serving         HTTP service: goodput and shed rate vs offered load
-fastpath        FLB array kernel vs the seed implementation
 =============== =====================================================
 
 Each entry's defaults are the scale of its committed report.  ``tasks``
@@ -53,7 +52,7 @@ import numpy as np
 
 from repro.bench.runner import group_mean, run_sweep
 from repro.bench.suite import PAPER_CCRS, PAPER_PROBLEMS, PAPER_PROCS, Instance, paper_suite
-from repro.core import TraceRecorder, flb
+from repro.core import flb
 from repro.core.trace import render_trace, trace_rows
 from repro.machine import MachineModel
 from repro.metrics.metrics import time_scheduler
@@ -170,12 +169,11 @@ def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
 
 def _table1(tasks: int, seeds: int, workers: int) -> Data:
     graph = paper_example()
-    recorder = TraceRecorder(graph)
-    schedule = flb(graph, MachineModel(2), observer=recorder)
+    schedule = flb(graph, MachineModel(2))
     return {
         "procs": 2,
         "makespan": schedule.makespan,
-        "trace": trace_rows(recorder),
+        "trace": trace_rows(schedule),
         "schedule": [[graph.name(e.task), e.task, e.proc, e.start, e.finish] for e in schedule],
     }
 
@@ -752,38 +750,6 @@ def _render_serving(data: Data) -> str:
     )
 
 
-def _fastpath(tasks: int, seeds: int, workers: int) -> Data:
-    from repro.bench.perfgate import seed_flb
-
-    records = []
-    for inst in paper_suite(tasks, ccrs=(1.0,), seeds=seeds, problems=FIG2_PROBLEMS):
-        for p in FIG4_PROCS:
-            machine = MachineModel(p)
-            records.append({
-                "instance": inst.label, "V": inst.graph.num_tasks, "procs": p,
-                "seed_s": time_scheduler(seed_flb, inst.graph, machine, repeats=3),
-                "fast_s": time_scheduler(flb, inst.graph, machine, repeats=3),
-            })
-    return {"records": records}
-
-
-def _render_fastpath(data: Data) -> str:
-    rows = data["records"]
-    table = format_table(
-        ["instance", "V", "P", "seed [ms]", "fast [ms]", "seed [tasks/s]", "fast [tasks/s]",
-         "speedup"],
-        [[r["instance"], r["V"], r["procs"], r["seed_s"] * 1e3, r["fast_s"] * 1e3,
-          r["V"] / r["seed_s"], r["V"] / r["fast_s"], r["seed_s"] / r["fast_s"]] for r in rows],
-        title="FLB array kernel (flb) vs the seed implementation (_flb_observed, the "
-        "pre-CSR loop kept for the trace); identical schedules, median of 3",
-    )
-    tasks = sum(r["V"] for r in rows)
-    seed_s = sum(r["seed_s"] for r in rows)
-    fast_s = sum(r["fast_s"] for r in rows)
-    return (f"{table}\naggregate: seed {tasks / seed_s:,.0f} tasks/s, "
-            f"fast {tasks / fast_s:,.0f} tasks/s ({seed_s / fast_s:.2f}x)")
-
-
 EXPERIMENTS: Dict[str, Experiment] = {
     e.id: e
     for e in (
@@ -816,7 +782,5 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    "vs the shared graph plane", 2000, 1, _batch_payload, _render_batch_payload),
         Experiment("serving", "HTTP service goodput and shed rate vs offered load", 2000, 1,
                    _serving, _render_serving),
-        Experiment("fastpath", "FLB scheduling throughput, array kernel vs seed", 2000, 1,
-                   _fastpath, _render_fastpath),
     )
 }

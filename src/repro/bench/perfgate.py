@@ -7,10 +7,7 @@ measures that number and *gates* on it, so a refactor that quietly gives the
 speedup back fails CI instead of shipping:
 
 * :func:`measure_throughput` times the array kernel
-  (:func:`repro.core.flb_array.flb_array`) across the suite and,
-  optionally, the pre-CSR reference implementation
-  (:func:`repro.core.flb._flb_observed` with no observer — the seed
-  algorithm, kept verbatim for trace fidelity) for a speedup-vs-seed figure.
+  (:func:`repro.core.flb_array.flb_array`) across the suite.
 * :func:`run_gate` compares the measurement against the baseline stored in
   ``BENCH_sched.json`` at the repo root and fails when current throughput
   drops more than ``tolerance`` (default 20%) below it.  The current
@@ -38,9 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.suite import paper_suite
 from repro.core.flb_array import flb_array
-from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
-from repro.schedule.schedule import Schedule
 
 __all__ = [
     "DEFAULT_BASELINE_PATH",
@@ -48,7 +43,6 @@ __all__ = [
     "measure_throughput",
     "paired_rounds",
     "run_gate",
-    "seed_flb",
 ]
 
 #: Repo-root location of the stored baseline (next to pyproject.toml).
@@ -56,18 +50,6 @@ DEFAULT_BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_sched.json"
 
 #: Drop larger than this fraction below the baseline fails the gate.
 DEFAULT_TOLERANCE = 0.20
-
-
-def seed_flb(graph: TaskGraph, machine: MachineModel) -> Schedule:
-    """The pre-CSR FLB implementation (the seed's algorithm).
-
-    ``_flb_observed`` with ``observer=None`` is the original dict-and-
-    IndexedHeap loop, preserved verbatim for trace/oracle fidelity; timing it
-    gives the honest "before" number for ``speedup_vs_seed``.
-    """
-    from repro.core.flb import _flb_observed
-
-    return _flb_observed(graph, machine, None, True)
 
 
 def paired_rounds(
@@ -105,7 +87,6 @@ def measure_throughput(
     procs: Sequence[int] = (2, 8, 32),
     problems: Sequence[str] = ("lu", "laplace", "stencil"),
     repeats: int = 3,
-    include_seed: bool = True,
 ) -> Dict[str, object]:
     """Measure FLB scheduling throughput on the Fig. 2 suite.
 
@@ -119,7 +100,6 @@ def measure_throughput(
     instances = paper_suite(target_tasks, seeds=seeds, problems=problems)
     total_tasks = 0
     kernel_seconds = 0.0
-    seed_seconds = 0.0
     for inst in instances:
         for p in procs:
             machine = MachineModel(p)
@@ -127,11 +107,7 @@ def measure_throughput(
             kernel_seconds += time_scheduler(
                 flb_array, inst.graph, machine, repeats=repeats
             )
-            if include_seed:
-                seed_seconds += time_scheduler(
-                    seed_flb, inst.graph, machine, repeats=repeats
-                )
-    result: Dict[str, object] = {
+    return {
         "tasks_per_s": round(total_tasks / kernel_seconds, 1),
         "total_tasks": total_tasks,
         "suite": {
@@ -142,10 +118,6 @@ def measure_throughput(
             "repeats": repeats,
         },
     }
-    if include_seed:
-        result["seed_tasks_per_s"] = round(total_tasks / seed_seconds, 1)
-        result["speedup_vs_seed"] = round(seed_seconds / kernel_seconds, 2)
-    return result
 
 
 @dataclass(frozen=True)

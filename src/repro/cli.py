@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
 
 from repro.bench.experiments import EXPERIMENTS, to_json
-from repro.core import TraceRecorder, flb, format_trace
+from repro.core import flb, format_trace
 from repro.graph import TaskGraph, load_json, save_json, width
 from repro.machine.model import MachineModel
 from repro.metrics import summarize, time_scheduler
@@ -488,9 +488,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro.workloads import paper_example
 
         graph = paper_example()
-    recorder = TraceRecorder(graph)
-    schedule = flb(graph, machine=MachineModel(args.procs), observer=recorder)
-    print(format_trace(recorder))
+    schedule = flb(graph, MachineModel(args.procs))
+    print(format_trace(schedule))
     print(f"\nmakespan = {schedule.makespan:g}")
     return 0
 

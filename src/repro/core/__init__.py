@@ -1,22 +1,7 @@
-"""FLB — the paper's core contribution: the fast load-balancing scheduler,
-its priority-list machinery, the Table-1 trace recorder, and the Theorem-3
-brute-force oracle."""
+"""FLB — the paper's core contribution: the fast load-balancing scheduler
+and the Table-1 trace read from its schedule."""
 
-from repro.core.flb import FlbIteration, FlbObserver, flb
-from repro.core.lists import FlbLists
-from repro.core.oracle import OracleObserver, brute_force_min_est, est_of
-from repro.core.reference import flb_reference
-from repro.core.trace import TraceRecorder, format_trace
+from repro.core.flb import flb
+from repro.core.trace import flb_trace, format_trace
 
-__all__ = [
-    "flb",
-    "flb_reference",
-    "FlbObserver",
-    "FlbIteration",
-    "FlbLists",
-    "TraceRecorder",
-    "format_trace",
-    "OracleObserver",
-    "brute_force_min_est",
-    "est_of",
-]
+__all__ = ["flb", "flb_trace", "format_trace"]

@@ -27,9 +27,9 @@ vectors: CPython indexes a Python list ~3x faster than an ndarray (every
 ``arr[i]`` boxes a fresh scalar object), so mirroring costs ``O(V + E)``
 once and saves that factor on every access.
 
-The kernel is bit-identical to the observed path
-(:func:`repro.core.flb._flb_observed`) and the brute-force reference: same
-float expressions, same parenthesization, same heap key tuples, same
+The kernel is bit-identical to the seed implementation and the
+brute-force reference kept in ``tests/flb_oracle.py``: same float
+expressions, same parenthesization, same heap key tuples, same
 deterministic tie rules (enforced by ``tests/test_fastpath_equivalence.py``
 over the full suite plus a random-DAG fuzz sweep, with every schedule
 re-certified by :mod:`repro.verify`).
@@ -136,11 +136,20 @@ def _record_kernel_counters(
 def _ready_set_sizes(graph: TaskGraph, schedule: Schedule) -> IntArray:
     """``W`` at each iteration of the run that produced ``schedule``.
 
+    Each iteration places one task, so ``W[i]`` is the number of tasks
+    ready by iteration ``i`` (:func:`_ready_at`) minus ``i``.
+    """
+    n = graph.num_tasks
+    return np.cumsum(np.bincount(_ready_at(graph, schedule), minlength=n)) - np.arange(n)
+
+
+def _ready_at(graph: TaskGraph, schedule: Schedule) -> IntArray:
+    """The iteration at which each task of ``schedule`` became ready.
+
     Task ``t`` is placed at iteration ``pos[t]`` and becomes ready one
     iteration after its last predecessor is placed (entry tasks at 0), so
     it is in the ready set at iteration ``i`` iff
-    ``ready_at[t] <= i <= pos[t]``.  Each iteration places one task, so
-    ``W[i]`` is the number of tasks ready by iteration ``i`` minus ``i``.
+    ``ready_at[t] <= i <= pos[t]``.
     """
     n = graph.num_tasks
     csr = graph.csr()
@@ -150,7 +159,7 @@ def _ready_set_sizes(graph: TaskGraph, schedule: Schedule) -> IntArray:
     fed = np.flatnonzero(np.diff(csr.pred_ptr))
     if fed.size:
         ready_at[fed] = np.maximum.reduceat(pos[csr.pred_ids], csr.pred_ptr[fed]) + 1
-    return np.cumsum(np.bincount(ready_at, minlength=n)) - np.arange(n)
+    return ready_at
 
 
 # Ready-task states; scheduling or demoting a task flips its state and
@@ -393,7 +402,7 @@ def _flb_array_loop(
         # dominated by that best, which is folded in if the leader changes).
         # ``pred_delay`` holds ``lat + scale * comm`` parenthesised like
         # MachineModel.remote_delay, so the float rounding matches the
-        # observed/reference paths exactly.
+        # seed and reference loops exactly.
         for j in range(succ_ptr[task], succ_ptr[task + 1]):
             succ = succ_ids[j]
             npreds[succ] -= 1

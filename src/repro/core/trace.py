@@ -1,17 +1,20 @@
-"""Execution-trace recording for FLB, reproducing the paper's Table 1.
+"""The FLB execution trace, reproducing the paper's Table 1.
 
 Table 1 shows, for every iteration of FLB on the Fig. 1 graph: the EP-type
 tasks enabled by each processor (annotated ``t[EMT; BL/LMT]``, in EMT-list
 order), the non-EP-type tasks (annotated ``t[LMT]``, in LMT order), and the
 placement decision ``t -> p, [ST - FT]``.
 
-:class:`TraceRecorder` is an :class:`~repro.core.flb.FlbObserver` that
-captures exactly that data;
-:func:`format_trace` renders it in the paper's layout::
+Every cell is a function of the finished schedule.  A task's ``LMT``,
+``EP`` and ``EMT`` on ``EP`` are fixed once its last predecessor is
+placed, and the placement order says at which iteration it became ready
+and at which it was placed.  ``PRT`` only grows, so the lists'
+insert-then-demote comes to one test: a ready task is EP-type at
+iteration ``i`` iff ``LMT >= PRT_i(EP)``.  :func:`flb_trace` builds the
+rows that way and :func:`format_trace` renders them in the paper's
+layout::
 
-    trace = TraceRecorder(graph)
-    schedule = flb(graph, MachineModel(2), observer=trace)
-    print(format_trace(trace))
+    print(format_trace(flb(graph, MachineModel(2))))
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.flb_array import _ready_at
 from repro.graph.properties import bottom_levels
-from repro.graph.taskgraph import TaskGraph
-from repro.core.flb import FlbIteration
+from repro.schedule.schedule import Schedule
 from repro.util.tables import format_float
 
-__all__ = ["TraceRecorder", "TraceRow", "format_trace", "render_trace", "trace_rows"]
+__all__ = ["TraceRow", "flb_trace", "format_trace", "render_trace", "trace_rows"]
 
 
 @dataclass(frozen=True)
@@ -51,52 +54,74 @@ class TraceRow:
     is_ep: bool
 
 
-class TraceRecorder:
-    """Collects a :class:`TraceRow` per FLB iteration."""
+def flb_trace(schedule: Schedule) -> List[TraceRow]:
+    """One :class:`TraceRow` per iteration of the FLB run that produced the
+    complete ``schedule``, the lists as they stood before its placement.
 
-    def __init__(self, graph: TaskGraph) -> None:
-        self.graph = graph
-        self._bl = bottom_levels(graph)
-        self.rows: List[TraceRow] = []
+    ``LMT`` and ``EP`` follow the kernel's rule: the last message to arrive,
+    ties to the lexicographically largest ``(arrival, FT, id)``.  Both task
+    lists sort by ``(value, -BL, id)``.
+    """
+    graph, machine = schedule.graph, schedule.machine
+    n = graph.num_tasks
+    bl = bottom_levels(graph)
+    lmt = [0.0] * n
+    emt = [0.0] * n
+    ep = [-1] * n  # entry tasks have no enabling processor
+    became_ready: List[List[int]] = [[] for _ in range(n)]
+    for t, i in enumerate(_ready_at(graph, schedule).tolist()):
+        became_ready[i].append(t)
+        best = (-1.0, -1.0, -1)
+        for pred in graph.preds(t):
+            ft = schedule.finish_of(pred)
+            best = max(best, (ft + machine.remote_delay(graph.comm(pred, t)), ft, pred))
+        if best[2] < 0:
+            continue
+        lmt[t], ep[t] = best[0], schedule.proc_of(best[2])
+        for pred in graph.preds(t):
+            arrival = schedule.finish_of(pred) + machine.comm_delay(
+                schedule.proc_of(pred), ep[t], graph.comm(pred, t)
+            )
+            if arrival > emt[t]:
+                emt[t] = arrival
 
-    def on_iteration(self, snapshot: FlbIteration) -> None:
-        lists = snapshot.lists
+    prt = [0.0] * machine.num_procs
+    ready: List[int] = []
+    rows: List[TraceRow] = []
+    for i, task in enumerate(schedule.placement_order()):
+        ready += became_ready[i]
+        is_ep = {t: ep[t] >= 0 and lmt[t] >= prt[ep[t]] for t in ready}
         ep_tasks: Dict[int, List[EpEntry]] = {}
-        for p in range(lists.num_procs):
-            entries = [
-                EpEntry(
-                    task=t,
-                    emt=emt,
-                    bottom_level=self._bl[t],
-                    lmt=lists.lmt_of_ep_task(p, t),
-                )
-                for t, emt in lists.ep_tasks_by_emt(p)
-            ]
-            if entries:
-                ep_tasks[p] = entries
-        self.rows.append(
+        for t in sorted((t for t in ready if is_ep[t]), key=lambda t: (emt[t], -bl[t], t)):
+            ep_tasks.setdefault(ep[t], []).append(EpEntry(t, emt[t], bl[t], lmt[t]))
+        non_ep = sorted((t for t in ready if not is_ep[t]), key=lambda t: (lmt[t], -bl[t], t))
+        proc, finish = schedule.proc_of(task), schedule.finish_of(task)
+        rows.append(
             TraceRow(
-                iteration=snapshot.iteration,
-                ep_tasks=ep_tasks,
-                non_ep_tasks=lists.non_ep_tasks_by_lmt(),
-                task=snapshot.chosen_task,
-                proc=snapshot.chosen_proc,
-                start=snapshot.chosen_start,
-                finish=snapshot.chosen_start + self.graph.comp(snapshot.chosen_task),
-                is_ep=snapshot.chosen_is_ep,
+                iteration=i,
+                ep_tasks=dict(sorted(ep_tasks.items())),
+                non_ep_tasks=[(t, lmt[t]) for t in non_ep],
+                task=task,
+                proc=proc,
+                start=schedule.start_of(task),
+                finish=finish,
+                is_ep=is_ep[task],
             )
         )
+        ready.remove(task)
+        prt[proc] = finish
+    return rows
 
 
-def trace_rows(recorder: TraceRecorder) -> List[Dict[str, Any]]:
-    """The recorded trace as JSON-native rows, task names resolved.
+def trace_rows(schedule: Schedule) -> List[Dict[str, Any]]:
+    """:func:`flb_trace` as JSON-native rows, task names resolved.
 
     Each row holds ``ep_tasks`` (processor id as a string -> ``[name,
     EMT, BL, LMT]`` entries), ``non_ep_tasks`` (``[name, LMT]`` entries)
     and the placement (``task``, ``name``, ``proc``, ``start``,
     ``finish``); :func:`render_trace` lays them out.
     """
-    name = recorder.graph.name
+    name = schedule.graph.name
     return [
         {
             "ep_tasks": {
@@ -110,17 +135,17 @@ def trace_rows(recorder: TraceRecorder) -> List[Dict[str, Any]]:
             "start": row.start,
             "finish": row.finish,
         }
-        for row in recorder.rows
+        for row in flb_trace(schedule)
     ]
 
 
-def format_trace(recorder: TraceRecorder, procs: Optional[List[int]] = None) -> str:
-    """Render the recorded trace in the paper's Table 1 layout.
+def format_trace(schedule: Schedule, procs: Optional[List[int]] = None) -> str:
+    """Render the trace of an FLB ``schedule`` in the paper's Table 1 layout.
 
     ``procs`` selects/orders the EP columns; defaults to every processor
     that ever enables an EP task (all processors if none ever does).
     """
-    return render_trace(trace_rows(recorder), procs)
+    return render_trace(trace_rows(schedule), procs)
 
 
 def render_trace(rows: List[Dict[str, Any]], procs: Optional[List[int]] = None) -> str:

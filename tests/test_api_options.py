@@ -12,12 +12,14 @@ import pytest
 from repro import BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptions, schedule_graph
 from repro.api import schedule_graph_async
 from repro.batch import SCHEDULER_ERROR, BatchJob, schedule_many
+from repro.bench.perfgate import measure_throughput
+from repro.core import flb
 from repro.exceptions import SchedulerError
 from repro.graphstore import attach
 from repro.serve import AdmissionController, ServeConfig, WeightedFairQueue
 from repro.util.rng import make_rng
 from repro.workerpool import run_supervised
-from repro.workloads import lu, stencil
+from repro.workloads import lu, paper_example, stencil
 
 
 @pytest.fixture
@@ -239,6 +241,13 @@ class TestRemovedSettings:
                          "max_backoff", id="run_supervised-max_backoff"),
             pytest.param(lambda **kw: attach("repro_tg_x", **kw), "cache_size",
                          id="attach-cache_size"),
+            pytest.param(lambda **kw: flb(paper_example(), MachineModel(2), **kw),
+                         "observer", id="flb-observer"),
+            pytest.param(lambda **kw: schedule_graph(
+                paper_example(), SchedulingOptions(machine=MachineModel(2)), **kw),
+                "observer", id="schedule_graph-observer"),
+            pytest.param(measure_throughput, "include_seed",
+                         id="measure_throughput-include_seed"),
         ],
     )
     def test_removed_keyword_raises(self, build, removed):

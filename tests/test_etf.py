@@ -3,7 +3,7 @@ relationship to FLB (Theorem 3 equivalence up to tie-breaking)."""
 
 import pytest
 
-from repro.core import brute_force_min_est, flb
+from repro.core import flb
 from repro.graph import TaskGraph
 from repro.machine import MachineModel
 from repro.schedule import Schedule
@@ -11,6 +11,7 @@ from repro.schedulers import etf
 from repro.schedulers.base import ReadyTracker
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, paper_example, stencil
+from tests.flb_oracle import brute_force_min_est
 
 
 class TestEtfBehaviour:

@@ -8,12 +8,11 @@ algorithms' decisions, tie-breaks, and floating-point arithmetic are
 unchanged.  That claim is checkable exactly, so these tests use ``==`` on
 starts and makespans, never ``approx``:
 
-* FLB: ``flb`` (the array kernel) vs ``_flb_observed`` with no observer (the preserved
-  seed loop) vs :func:`repro.core.reference.flb_reference` (brute force),
-  across random DAGs swept over V, CCR and P, and across machine variants
-  (latency, comm scaling, heterogeneous speeds).
-* The *observed* path still reproduces the paper's Table 1 trace, so the
-  dispatch on ``observer`` cost no fidelity.
+* FLB: ``flb`` (the array kernel) vs the seed loop and the brute-force
+  ``flb_reference`` kept in ``tests/flb_oracle.py``, across random DAGs
+  swept over V, CCR and P, and across machine variants (latency, comm
+  scaling, heterogeneous speeds).
+* The observed seed loop still records the paper's Table 1 trace.
 * ETF and FCP: against brute-force re-implementations written here from the
   dict-path ``est_on`` helper (``tests/placement_oracle.py``) — independent
   of the CSR code they check.
@@ -26,15 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TraceRecorder, flb
-from repro.core.flb import _flb_observed
-from repro.core.reference import flb_reference
+from repro.core import flb
 from repro.graph.properties import bottom_levels
 from repro.machine import MachineModel
 from repro.schedule import Schedule
 from repro.schedulers import etf, fcp
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, laplace, layered_random, lu, paper_example, stencil
+from tests.flb_oracle import TraceRecorder, flb_observed, flb_reference
 from tests.placement_oracle import est_on
 
 
@@ -44,10 +42,6 @@ def assert_bit_identical(a: Schedule, b: Schedule, label: str) -> None:
         assert a.proc_of(t) == b.proc_of(t), f"{label}: task {t} on different proc"
         assert a.start_of(t) == b.start_of(t), f"{label}: task {t} start differs"
     assert a.makespan == b.makespan, f"{label}: makespan differs"
-
-
-def seed_flb(graph, machine):
-    return _flb_observed(graph, machine, None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +55,7 @@ def seed_flb(graph, machine):
 def test_flb_three_way_on_random_dags(v, density, ccr, procs):
     graph = erdos_dag(v, density, make_rng(v + procs), ccr=ccr)
     fast = flb(graph, MachineModel(procs))
-    observed = seed_flb(graph, MachineModel(procs))
+    observed = flb_observed(graph, MachineModel(procs))
     reference = flb_reference(graph, MachineModel(procs))
     assert_bit_identical(fast, observed, "fast vs observed")
     assert_bit_identical(fast, reference, "fast vs reference")
@@ -80,7 +74,7 @@ def test_flb_three_way_on_random_dags(v, density, ccr, procs):
 def test_flb_three_way_on_machine_variants(machine):
     graph = layered_random(8, 6, make_rng(3), edge_density=0.3, ccr=2.0)
     fast = flb(graph, machine=machine)
-    observed = _flb_observed(graph, machine, None, True)
+    observed = flb_observed(graph, machine, None, True)
     reference = flb_reference(graph, machine=machine)
     assert_bit_identical(fast, observed, "fast vs observed")
     assert_bit_identical(fast, reference, "fast vs reference")
@@ -92,16 +86,16 @@ def test_flb_tie_ablation_matches_observed(prefer):
     graph = erdos_dag(40, 0.25, None, ccr=1.0)
     machine = MachineModel(4)
     fast = flb(graph, MachineModel(4), prefer_non_ep_on_tie=prefer)
-    observed = _flb_observed(graph, machine, None, prefer)
+    observed = flb_observed(graph, machine, None, prefer)
     assert_bit_identical(fast, observed, f"prefer_non_ep_on_tie={prefer}")
 
 
 def test_observed_path_still_traces_table1():
-    """Supplying an observer selects the snapshot path; its schedule must
-    equal the fast path's and its trace must stay complete and ordered."""
+    """The observed seed loop's schedule must equal the fast path's and its
+    trace must stay complete and ordered."""
     graph = paper_example()
     recorder = TraceRecorder(graph)
-    observed = flb(graph, MachineModel(2), observer=recorder)
+    observed = flb_observed(graph, MachineModel(2), recorder)
     fast = flb(graph, MachineModel(2))
     assert_bit_identical(fast, observed, "table1 graph")
     assert len(recorder.rows) == graph.num_tasks
@@ -124,7 +118,7 @@ def test_flb_array_vs_observed_on_paper_workloads(builder):
     graph = builder()
     for procs in (2, 8):
         assert_bit_identical(
-            flb(graph, MachineModel(procs)), seed_flb(graph, MachineModel(procs)),
+            flb(graph, MachineModel(procs)), flb_observed(graph, MachineModel(procs)),
             "paper workload",
         )
 
@@ -234,7 +228,7 @@ def _kernel_backends(prefer=True):
     it joins the matrix when ``prefer`` is True."""
     backends = [
         ("flb", lambda g, m, pref: flb(g, m, prefer_non_ep_on_tie=pref)),
-        ("seed", lambda g, m, pref: _flb_observed(g, m, None, pref)),
+        ("seed", lambda g, m, pref: flb_observed(g, m, None, pref)),
     ]
     if prefer:
         backends.append(
@@ -335,5 +329,5 @@ def test_flb_array_never_diverges(layers, width, density, ccr, procs, seed):
         layers, width, make_rng(seed), edge_density=density, ccr=ccr
     )
     fast = flb(graph, MachineModel(procs))
-    assert_bit_identical(fast, seed_flb(graph, MachineModel(procs)), "hypothesis observed")
+    assert_bit_identical(fast, flb_observed(graph, MachineModel(procs)), "hypothesis observed")
     assert_bit_identical(fast, flb_reference(graph, MachineModel(procs)), "hypothesis reference")

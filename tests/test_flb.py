@@ -3,7 +3,7 @@ bookkeeping."""
 
 import pytest
 
-from repro.core import FlbLists, OracleObserver, flb
+from repro.core import flb
 from repro.graph import TaskGraph
 from repro.machine import MachineModel
 from repro.util.rng import make_rng
@@ -20,6 +20,7 @@ from repro.workloads import (
     stencil,
     two_chains,
 )
+from tests.flb_oracle import FlbLists, OracleObserver, flb_observed
 
 
 class TestPaperExample:
@@ -44,7 +45,7 @@ class TestPaperExample:
 
     def test_oracle_holds_on_paper_example(self):
         oracle = OracleObserver()
-        flb(paper_example(), MachineModel(2), observer=oracle)
+        flb_observed(paper_example(), MachineModel(2), oracle)
         assert oracle.iterations == 8
         # t6 (EP, EST 7) ties t5 (non-EP, EST 7) at iteration 6; the paper
         # prefers the non-EP task.
@@ -244,11 +245,9 @@ class TestTiePreferenceAblation:
         assert s_ep.violations() == []
 
     def test_oracle_accepts_both_policies(self):
-        from repro.core import OracleObserver
-
         for prefer in (True, False):
             oracle = OracleObserver()
-            flb(paper_example(), MachineModel(2), observer=oracle, prefer_non_ep_on_tie=prefer)
+            flb_observed(paper_example(), MachineModel(2), oracle, prefer_non_ep_on_tie=prefer)
             assert oracle.tie_iterations >= 1
 
     def test_no_ties_means_no_difference(self):
@@ -260,10 +259,8 @@ class TestTiePreferenceAblation:
         assert s1.assignment() == s2.assignment()
 
     def test_both_policies_satisfy_theorem3(self):
-        from repro.core import OracleObserver
-
         g = fork_join(4, 6, None, ccr=1.0)  # unit weights: many ties
         for prefer in (True, False):
             oracle = OracleObserver()
-            s = flb(g, MachineModel(3), observer=oracle, prefer_non_ep_on_tie=prefer)
+            s = flb_observed(g, MachineModel(3), oracle, prefer_non_ep_on_tie=prefer)
             assert s.violations() == []

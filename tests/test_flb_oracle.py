@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OracleObserver, brute_force_min_est, est_of, flb
 from repro.machine import MachineModel
 from repro.schedule import Schedule
 from repro.util.rng import make_rng
@@ -29,11 +28,12 @@ from repro.workloads import (
     series_parallel,
     stencil,
 )
+from tests.flb_oracle import OracleObserver, brute_force_min_est, est_of, flb_observed
 
 
 def run_with_oracle(graph, machine):
     oracle = OracleObserver()
-    schedule = flb(graph, machine, observer=oracle)
+    schedule = flb_observed(graph, machine, oracle)
     assert oracle.iterations == graph.num_tasks
     assert schedule.violations() == []
     return schedule
@@ -117,6 +117,6 @@ class TestOracleHelpers:
 
     def test_oracle_counts_ties(self):
         oracle = OracleObserver()
-        flb(paper_example(), MachineModel(2), observer=oracle)
+        flb_observed(paper_example(), MachineModel(2), oracle)
         assert oracle.iterations == 8
         assert oracle.tie_iterations == 1

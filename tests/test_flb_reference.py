@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import flb
-from repro.core.reference import flb_reference
 from repro.machine import MachineModel
 from repro.util.rng import make_rng
 from repro.workloads import (
@@ -26,6 +25,7 @@ from repro.workloads import (
     series_parallel,
     stencil,
 )
+from tests.flb_oracle import flb_reference
 
 
 def assert_identical(graph, machine):

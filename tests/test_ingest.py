@@ -21,12 +21,13 @@ a V=2000 graph from its parsed document costs no more than scheduling it.
 import hashlib
 import json
 import math
+import statistics
 import struct
-import time
 
 import numpy as np
 import pytest
 
+from repro.bench.perfgate import paired_rounds
 from repro.bench.suite import paper_suite
 from repro.core.flb_array import flb_array
 from repro.exceptions import CycleError, GraphError
@@ -360,21 +361,21 @@ class TestErrorParity:
 @pytest.mark.perfgate
 def test_ingest_within_kernel_time():
     """Building and fingerprinting a V=2000 stencil from its parsed
-    document costs no more than one FLB run on it (interleaved min-of-5).
-    Each round schedules the graph it just built, as a request does."""
+    document costs no more than one FLB run on it, in the median of paired
+    rounds.  The kernel arm runs cold, as a request's does: each round
+    schedules a graph fresh from ``from_json``, built before the timing
+    starts."""
     doc = json.loads(to_json(stencil(*stencil_size_for_tasks(2000), make_rng(0))))
     machine = MachineModel(8)
-    best_ingest = best_kernel = math.inf
-    for _ in range(5):
-        t0 = time.perf_counter()
-        graph = from_json(doc)
-        graph.fingerprint()
-        t1 = time.perf_counter()
-        flb_array(graph, machine=machine)
-        t2 = time.perf_counter()
-        best_ingest = min(best_ingest, t1 - t0)
-        best_kernel = min(best_kernel, t2 - t1)
-    assert best_ingest <= best_kernel, (
-        f"ingest {best_ingest * 1e3:.2f} ms exceeds the kernel's "
-        f"{best_kernel * 1e3:.2f} ms ({best_ingest / best_kernel:.2f}x)"
+    rounds = 9
+    fresh = iter([from_json(doc) for _ in range(rounds)])
+    ratios = paired_rounds(
+        lambda: from_json(doc).fingerprint(),
+        lambda: flb_array(next(fresh), machine=machine),
+        rounds,
+    )
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.0, (
+        f"ingest/kernel {ratio:.2f} in the median round "
+        f"(rounds {[round(r, 2) for r in ratios]})"
     )

@@ -282,15 +282,15 @@ class TestKernelObserver:
     @pytest.mark.parametrize("procs", [2, 8, 32])
     def test_ready_sizes_equal_the_observed_paths(self, procs):
         from repro.bench.suite import paper_suite
-        from repro.core.flb import _flb_observed
         from repro.core.flb_array import _READY_BUCKETS
+        from tests.flb_oracle import flb_observed
 
         for inst in paper_suite(target_tasks=120, ccrs=(1.0,), seeds=1):
             machine = MachineModel(procs)
             reg = MetricsRegistry()
             flb_array(inst.graph, machine, metrics=reg)
             observer = _ReadySizes()
-            _flb_observed(inst.graph, machine, observer, True)
+            flb_observed(inst.graph, machine, observer, True)
             expected = Histogram("flb_kernel_ready_tasks", buckets=_READY_BUCKETS)
             for size in observer.sizes:
                 expected.observe(float(size))
@@ -300,9 +300,9 @@ class TestKernelObserver:
             assert hist.count == reg.total("flb_kernel_iterations_total")
 
     def test_warm_run_records_only_replayed_iterations(self):
-        from repro.core.flb import _flb_observed
         from repro.util.rng import make_rng
         from repro.workloads import stencil
+        from tests.flb_oracle import flb_observed
         from tests.test_incremental import _rebuild
 
         g = stencil(6, 15, make_rng(30))
@@ -318,7 +318,7 @@ class TestKernelObserver:
         assert hist.count == warm["replayed"]
         assert hist.count == reg.total("flb_kernel_iterations_total")
         observer = _ReadySizes()
-        _flb_observed(mutant, machine, observer, True)
+        flb_observed(mutant, machine, observer, True)
         assert hist.sum == sum(observer.sizes[warm["reused"]:])
 
 

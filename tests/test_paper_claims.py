@@ -6,13 +6,13 @@ from typing import ClassVar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlbIteration, flb
 from repro.graph import width
 from repro.machine import MachineModel
 from repro.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.workloads import erdos_dag, layered_random, lu, paper_example, stencil
+from tests.flb_oracle import FlbIteration, est_of, flb_observed
 
 
 class ReadyCountObserver:
@@ -39,13 +39,13 @@ class TestSection2Claims:
     def test_ready_set_bounded_by_width(self, n, p, procs, seed):
         g = erdos_dag(n, p, make_rng(seed), ccr=1.0)
         observer = ReadyCountObserver()
-        flb(g, MachineModel(procs), observer=observer)
+        flb_observed(g, MachineModel(procs), observer)
         assert observer.peak <= width(g)
 
     def test_ready_set_bound_on_workloads(self):
         for g in (lu(8, make_rng(0)), stencil(6, 5, make_rng(1))):
             observer = ReadyCountObserver()
-            flb(g, MachineModel(4), observer=observer)
+            flb_observed(g, MachineModel(4), observer)
             assert observer.peak <= width(g)
 
 
@@ -142,8 +142,6 @@ class TestFcpTwoProcessorLemma:
         seed=st.integers(0, 5000),
     )
     def test_lemma_on_flb_iterations(self, n, p, ccr, procs, seed):
-        from repro.core.oracle import est_of
-
         class LemmaObserver:
             failures: ClassVar = []
 
@@ -172,11 +170,7 @@ class TestFcpTwoProcessorLemma:
                     if abs(two_proc_min - global_min) > 1e-9:
                         self.failures.append((task, two_proc_min, global_min))
 
-        from repro.core import flb
-        from repro.util.rng import make_rng
-        from repro.workloads import erdos_dag
-
         g = erdos_dag(n, p, make_rng(seed), ccr=ccr)
         observer = LemmaObserver()
-        flb(g, MachineModel(procs), observer=observer)
+        flb_observed(g, MachineModel(procs), observer)
         assert observer.failures == []

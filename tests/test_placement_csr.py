@@ -12,7 +12,9 @@ work only, so every comparison here uses ``==``: the processor, start and
 finish of every task, the placement order and every processor's task list,
 over the V=120 paper suite × P ∈ {1, 2, 8, 32} × three machine variants
 (the paper's clique, latency plus scaled communication, heterogeneous
-speeds) and an ``erdos_dag`` fuzz.  The perfgate test holds the speedup
+speeds) and an ``erdos_dag`` fuzz.  Both also run on constant weights,
+where every priority ties and only the tie keys decide (the suite at
+P ∈ {2, 8}).  The perfgate test holds the speedup
 that motivated the change: MCP at P=32 at least 2× faster than the oracle's.
 """
 
@@ -69,6 +71,11 @@ def suite():
     return paper_suite(120, seeds=1)
 
 
+@pytest.fixture(scope="module")
+def constant_suite():
+    return paper_suite(120, seeds=1, distribution="constant")
+
+
 # ---------------------------------------------------------------------------
 # The V=120 paper suite
 # ---------------------------------------------------------------------------
@@ -76,15 +83,17 @@ def suite():
 
 @pytest.mark.parametrize("procs", PROCS)
 @pytest.mark.parametrize("algo", [a for a in ALGOS if a != "sarkar-llb"])
-def test_paper_suite_matches_oracle(suite, algo, procs):
-    for inst in suite:
-        for variant in VARIANTS:
-            machine = machine_for(procs, variant)
-            assert_same_placements(
-                SCHEDULERS[algo](inst.graph, machine),
-                oracle.ORACLES[algo](inst.graph, machine),
-                f"{algo} {inst.problem} ccr={inst.ccr} P={procs} {variant}",
-            )
+def test_paper_suite_matches_oracle(suite, constant_suite, algo, procs):
+    weights = {"uniform": suite, "constant": constant_suite if procs in (2, 8) else []}
+    for distribution, instances in weights.items():
+        for inst in instances:
+            for variant in VARIANTS:
+                machine = machine_for(procs, variant)
+                assert_same_placements(
+                    SCHEDULERS[algo](inst.graph, machine),
+                    oracle.ORACLES[algo](inst.graph, machine),
+                    f"{algo} {inst.problem} ccr={inst.ccr} {distribution} P={procs} {variant}",
+                )
 
 
 @pytest.fixture(scope="module")
@@ -136,18 +145,19 @@ FUZZ_CHUNKS = 4
 @pytest.mark.parametrize("chunk", range(FUZZ_CHUNKS))
 def test_erdos_fuzz_matches_oracle(chunk):
     for seed in range(chunk, FUZZ_GRAPHS, FUZZ_CHUNKS):
-        rng = make_rng(seed)
-        n = int(rng.integers(1, 41))
-        density = float(rng.uniform(0.0, 0.5))
-        ccr = float(rng.choice([0.2, 1.0, 5.0]))
-        graph = erdos_dag(n, density, rng, ccr=ccr)
-        machine = machine_for(int(rng.integers(1, 10)), VARIANTS[seed % 3])
-        for algo in ALGOS:
-            assert_same_placements(
-                SCHEDULERS[algo](graph, machine),
-                oracle.ORACLES[algo](graph, machine),
-                f"{algo} fuzz seed={seed} V={n} {machine}",
-            )
+        for distribution in ("uniform", "constant"):
+            rng = make_rng(seed)
+            n = int(rng.integers(1, 41))
+            density = float(rng.uniform(0.0, 0.5))
+            ccr = float(rng.choice([0.2, 1.0, 5.0]))
+            graph = erdos_dag(n, density, rng, ccr=ccr, distribution=distribution)
+            machine = machine_for(int(rng.integers(1, 10)), VARIANTS[seed % 3])
+            for algo in ALGOS:
+                assert_same_placements(
+                    SCHEDULERS[algo](graph, machine),
+                    oracle.ORACLES[algo](graph, machine),
+                    f"{algo} fuzz seed={seed} V={n} {distribution} {machine}",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# Equivalence + the 4x-over-seed floor at smoke scale (REPRO_BENCH_TASKS=300),
+# Equivalence + the 4x-over-seed floor at smoke scale (REPRO_BENCH_TASKS=300;
+# the seed is the structured loop kept in tests/flb_oracle.py),
 # plus the batch graph-plane floors: keyed dispatch >= inline throughput with
 # bit-identical summaries, and keyed+cache serving >= 2x the inline path,
 # plus the observability budget: metrics-enabled runs within 5% of disabled,
@@ -22,8 +23,8 @@ export PYTHONPATH=src
 # 2x faster than the dict-path oracle on the V=120 suite at P=32, plus the
 # cold-graph budget: FLB on a graph fresh from from_json (V=2015 LU, V=2000
 # stencil, 20,000-task chain) costs at most 1.3x a run with its priorities
-# memoized.  The seed, certify and placement checks take the median of
-# paired rounds (repro.bench.perfgate.paired_rounds).
+# memoized.  The seed, ingest, certify and placement checks take the median
+# of paired rounds (repro.bench.perfgate.paired_rounds).
 python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_gate.py \
     tests/test_batch_graphplane.py tests/test_obs_overhead.py \
     benchmarks/bench_incremental.py tests/test_ingest.py \
@@ -34,7 +35,7 @@ python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_g
 # Smoke graphs are ~7x smaller than the baseline's, so per-task overheads
 # differ; a generous tolerance catches collapses, not noise.  --no-write
 # keeps BENCH_sched.json recording full-scale numbers only.
-python benchmarks/perf_gate.py --tasks 300 --seeds 1 --repeats 1 --no-seed \
+python benchmarks/perf_gate.py --tasks 300 --seeds 1 --repeats 1 \
     --tolerance 0.6 --no-write
 
 # Optional verification pass (REPRO_SMOKE_CERTIFY=1): lint the smoke
