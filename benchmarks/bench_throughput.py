@@ -52,13 +52,12 @@ def test_array_kernel_beats_seed_4x(bench_tasks):
     full-scale figure is recorded in docs/performance.md; this asserts the
     documented floor at bench scale).
 
-    The seed and the kernel schedule ``measure_throughput``'s suite (the
-    Fig. 2 problems at the conftest's bench scale; override with
-    ``REPRO_BENCH_TASKS``) at every P in paired rounds
-    (:func:`repro.bench.perfgate.paired_rounds`).  Each arm runs every case
-    three times back to back on its memoized graph, as
-    ``measure_throughput``'s ``time_scheduler(repeats=3)`` does; the median
-    round's seed/kernel time ratio must clear the floor.
+    The seed and the kernel schedule the Fig. 2 problems (at the
+    conftest's bench scale; override with ``REPRO_BENCH_TASKS``) at every P
+    in paired rounds (:func:`repro.bench.perfgate.paired_rounds`).  Each
+    arm runs every case three times back to back on its memoized graph, as
+    ``time_scheduler(repeats=3)`` does; the median round's seed/kernel time
+    ratio must clear the floor.
     """
     instances = paper_suite(bench_tasks, seeds=1, problems=FIG2_PROBLEMS)
     cases = [(inst.graph, MachineModel(p)) for inst in instances for p in FIG2_PROCS]
@@ -72,7 +71,8 @@ def test_array_kernel_beats_seed_4x(bench_tasks):
 
     for graph, machine in cases:  # memoize priorities, as time_scheduler does
         flb_array(graph, machine)
-    ratios = paired_rounds(arm(flb_observed), arm(flb_array), rounds=15)
+    ratios = [seed / kernel for seed, kernel in
+              paired_rounds(arm(flb_observed), arm(flb_array), rounds=15)]
     speedup = statistics.median(ratios)
     assert speedup >= 4.0, (
         f"seed/kernel {speedup:.2f}x in the median round "

@@ -6,7 +6,7 @@ See :mod:`repro.analysis.engine` for the architecture and
 """
 
 from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
+    ANALYSIS_BASELINE_PATH,
     apply_baseline,
     load_baseline,
     write_baseline,
@@ -31,7 +31,7 @@ __all__ = [
     "AnalysisReport",
     "AnalysisRule",
     "BaselineEntry",
-    "DEFAULT_BASELINE_PATH",
+    "ANALYSIS_BASELINE_PATH",
     "analyze_paths",
     "apply_baseline",
     "load_baseline",

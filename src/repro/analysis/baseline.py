@@ -29,14 +29,14 @@ from typing import Any, Dict, List, Tuple, Union
 from repro.analysis.engine import AnalysisIssue, AnalysisReport, BaselineEntry
 
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
+    "ANALYSIS_BASELINE_PATH",
     "apply_baseline",
     "load_baseline",
     "write_baseline",
 ]
 
 #: Where ``repro-sched analyze`` looks when ``--baseline`` is not given.
-DEFAULT_BASELINE_PATH = "tools/analysis-baseline.json"
+ANALYSIS_BASELINE_PATH = "tools/analysis-baseline.json"
 
 _FORMAT_VERSION = 1
 

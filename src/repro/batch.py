@@ -52,6 +52,7 @@ figures (Figs. 3/4) when asked for ``workers > 1``.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -239,11 +240,12 @@ def _run_job(
 
     Top-level so worker processes can import it; exceptions are rendered to
     strings here because traceback objects do not cross process boundaries.
-    A raising scheduler is a ``scheduler-error``; a schedule that fails
-    validation or certification (or is too degenerate to summarize) is
-    ``invalid-schedule``.  With ``measure`` (metrics enabled), per-phase
-    durations are captured into :attr:`BatchResult.phases` — two extra
-    clock reads per phase, nothing more.
+    A raising scheduler is a ``scheduler-error``; a schedule whose makespan
+    is not finite, or that fails validation or certification (or is too
+    degenerate to summarize), is ``invalid-schedule``.  With ``measure``
+    (metrics enabled), per-phase durations are captured into
+    :attr:`BatchResult.phases` — two extra clock reads per phase, nothing
+    more.
 
     With ``warm_start``, FLB jobs consult the process-global
     :func:`repro.incremental.base_cache` (preferring
@@ -300,6 +302,15 @@ def _run_job(
             SCHEDULER_ERROR, phases=phases,
         )
     try:
+        if not math.isfinite(schedule.makespan):
+            # Finite weights can still overflow (comps near 1e308): such a
+            # schedule is refused whatever validate and certify would say,
+            # so no reply carries an infinite makespan and no cache holds one.
+            return _failed_result(
+                job, time.perf_counter() - t0,
+                f"makespan {schedule.makespan} is not finite", INVALID_SCHEDULE,
+                phases=phases,
+            )
         if validate:
             schedule.validate()
         certified = False

@@ -58,7 +58,7 @@ from repro.machine import MachineModel
 from repro.metrics.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS, dsc, llb
 from repro.sim import execute, execute_contended, execute_perturbed
-from repro.util.rng import make_rng, spawn_rngs
+from repro.util.rng import make_rng
 from repro.util.tables import format_series_chart, format_table
 from repro.workloads import lu, lu_size_for_tasks, paper_example, stencil, stencil_size_for_tasks
 
@@ -609,23 +609,9 @@ def _extended_sweep(tasks: int, seeds: int, workers: int) -> Data:
     points spanning two orders of magnitude and two extra problem families
     (wavefront, cholesky) beyond the conference suite.  ETF is omitted for
     cost (FLB provably matches its criterion; see the Theorem 3 tests)."""
-    from repro.workloads import (
-        cholesky,
-        cholesky_size_for_tasks,
-        wavefront,
-        wavefront_size_for_tasks,
-    )
-
     instances = paper_suite(tasks, ccrs=EXTENDED_CCRS, seeds=seeds, problems=("lu", "stencil"))
-    streams = iter(spawn_rngs(2006, 2 * len(EXTENDED_CCRS) * seeds))
-    for problem in ("wavefront", "cholesky"):
-        for c in EXTENDED_CCRS:
-            for s in range(seeds):
-                rng = next(streams)
-                graph = (wavefront(wavefront_size_for_tasks(tasks), rng, ccr=c)
-                         if problem == "wavefront"
-                         else cholesky(cholesky_size_for_tasks(tasks), rng, ccr=c))
-                instances.append(Instance(problem, c, s, graph))
+    instances += paper_suite(tasks, ccrs=EXTENDED_CCRS, seeds=seeds,
+                             problems=("wavefront", "cholesky"), base_seed=2006)
     procs = (4, 16)
     return {
         "procs": list(procs),

@@ -16,23 +16,11 @@ for the paper-sized runs recorded in EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.graph.taskgraph import TaskGraph
 from repro.util.rng import spawn_rngs
-from repro.workloads import (
-    fft,
-    fft_size_for_tasks,
-    laplace,
-    laplace_size_for_tasks,
-    lu,
-    lu_size_for_tasks,
-    stencil,
-    stencil_size_for_tasks,
-)
+from repro.workloads.problems import build_problem
 
 __all__ = ["Instance", "paper_suite", "PAPER_PROBLEMS", "PAPER_CCRS", "PAPER_PROCS"]
 
@@ -60,23 +48,6 @@ class Instance:
         return f"{self.problem}/ccr={self.ccr:g}/#{self.seed_index}"
 
 
-def _build_problem(
-    problem: str, target_tasks: int, rng: "np.random.Generator", ccr: float,
-    distribution: str,
-) -> TaskGraph:
-    if problem == "lu":
-        return lu(lu_size_for_tasks(target_tasks), rng, ccr=ccr, distribution=distribution)
-    if problem == "laplace":
-        grid, iters = laplace_size_for_tasks(target_tasks)
-        return laplace(grid, iters, rng, ccr=ccr, distribution=distribution)
-    if problem == "stencil":
-        cells, steps = stencil_size_for_tasks(target_tasks)
-        return stencil(cells, steps, rng, ccr=ccr, distribution=distribution)
-    if problem == "fft":
-        return fft(fft_size_for_tasks(target_tasks), rng, ccr=ccr, distribution=distribution)
-    raise ValueError(f"unknown problem {problem!r}; expected one of {PAPER_PROBLEMS}")
-
-
 def paper_suite(
     target_tasks: int = 2000,
     ccrs: Sequence[float] = PAPER_CCRS,
@@ -89,6 +60,7 @@ def paper_suite(
 
     Returns ``len(problems) * len(ccrs) * seeds`` instances, each with
     independent random weights derived deterministically from ``base_seed``.
+    ``problems`` may name any family of :data:`repro.workloads.PROBLEMS`.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -98,7 +70,7 @@ def paper_suite(
     for problem in problems:
         for ccr in ccrs:
             for seed_index in range(seeds):
-                graph = _build_problem(problem, target_tasks, streams[i], ccr, distribution)
+                graph = build_problem(problem, target_tasks, streams[i], ccr, distribution)
                 instances.append(Instance(problem, ccr, seed_index, graph))
                 i += 1
     return instances

@@ -32,6 +32,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -47,46 +48,13 @@ from repro.schedule import Schedule, render_gantt
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
-from repro.workloads import (
-    cholesky,
-    cholesky_size_for_tasks,
-    fft,
-    fft_size_for_tasks,
-    laplace,
-    laplace_size_for_tasks,
-    lu,
-    lu_chain,
-    lu_size_for_tasks,
-    stencil,
-    stencil_size_for_tasks,
-    wavefront,
-    wavefront_size_for_tasks,
-)
+from repro.workloads import PROBLEMS, build_problem
 
 __all__ = ["main", "build_parser"]
 
-_PROBLEMS = ("lu", "lu-chain", "laplace", "stencil", "fft", "cholesky", "wavefront")
-
 
 def _build_problem(problem: str, tasks: int, ccr: float, seed: int) -> TaskGraph:
-    rng = make_rng(seed)
-    if problem == "lu":
-        return lu(lu_size_for_tasks(tasks), rng, ccr=ccr)
-    if problem == "lu-chain":
-        return lu_chain(lu_size_for_tasks(tasks), rng, ccr=ccr)
-    if problem == "laplace":
-        grid, iters = laplace_size_for_tasks(tasks)
-        return laplace(grid, iters, rng, ccr=ccr)
-    if problem == "stencil":
-        cells, steps = stencil_size_for_tasks(tasks)
-        return stencil(cells, steps, rng, ccr=ccr)
-    if problem == "fft":
-        return fft(fft_size_for_tasks(tasks), rng, ccr=ccr)
-    if problem == "cholesky":
-        return cholesky(cholesky_size_for_tasks(tasks), rng, ccr=ccr)
-    if problem == "wavefront":
-        return wavefront(wavefront_size_for_tasks(tasks), rng, ccr=ccr)
-    raise SystemExit(f"unknown problem {problem!r}")
+    return build_problem(problem, tasks, make_rng(seed), ccr)
 
 
 def _resolve_graph(args: argparse.Namespace) -> TaskGraph:
@@ -207,7 +175,7 @@ def _machine_from_args(
 def _add_workload_args(parser: argparse.ArgumentParser, with_graph: bool = True) -> None:
     if with_graph:
         parser.add_argument("--graph", help="load a task graph from JSON instead of generating")
-    parser.add_argument("--problem", choices=_PROBLEMS, default="lu", help="workload family")
+    parser.add_argument("--problem", choices=tuple(PROBLEMS), default="lu", help="workload family")
     parser.add_argument("--tasks", type=int, default=500, help="approximate task count")
     parser.add_argument("--ccr", type=float, default=1.0, help="communication-to-computation ratio")
     parser.add_argument("--seed", type=int, default=0, help="weight RNG seed")
@@ -331,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch", help="schedule many (problem, P, algo) jobs across worker processes"
     )
-    p_batch.add_argument("--problems", nargs="+", choices=_PROBLEMS, default=["lu"],
+    p_batch.add_argument("--problems", nargs="+", choices=tuple(PROBLEMS), default=["lu"],
                          help="workload families (one graph per problem x seed)")
     p_batch.add_argument("--procs", nargs="+", type=int, default=[8],
                          help="processor counts")
@@ -524,7 +492,7 @@ def _cmd_analyze_source(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        DEFAULT_BASELINE_PATH,
+        ANALYSIS_BASELINE_PATH,
         analyze_paths,
         apply_baseline,
         load_baseline,
@@ -545,8 +513,8 @@ def _cmd_analyze_source(args: argparse.Namespace) -> int:
         )
         return 0
     baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE_PATH).is_file():
-        baseline_path = DEFAULT_BASELINE_PATH
+    if baseline_path is None and Path(ANALYSIS_BASELINE_PATH).is_file():
+        baseline_path = ANALYSIS_BASELINE_PATH
     if baseline_path is not None:
         try:
             report = apply_baseline(report, load_baseline(baseline_path))
@@ -786,7 +754,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         import dataclasses as _dataclasses
         import json as _json
 
-        print(_json.dumps([_dataclasses.asdict(r) for r in results], indent=2))
+        docs = [_dataclasses.asdict(r) for r in results]
+        for doc in docs:  # a failed job has no makespan or speedup: null, not NaN
+            for key in ("makespan", "speedup"):
+                if not math.isfinite(doc[key]):
+                    doc[key] = None
+        print(_json.dumps(docs, indent=2, allow_nan=False))
         _write_obs(reg, args)
         infra = sum(1 for r in results
                     if r.error_kind in (TIMEOUT, WORKER_DIED))

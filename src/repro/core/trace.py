@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.flb_array import _ready_at
+from repro.exceptions import ScheduleError
 from repro.graph.properties import bottom_levels
 from repro.schedule.schedule import Schedule
 from repro.util.tables import format_float
@@ -61,7 +62,16 @@ def flb_trace(schedule: Schedule) -> List[TraceRow]:
     ``LMT`` and ``EP`` follow the kernel's rule: the last message to arrive,
     ties to the lexicographically largest ``(arrival, FT, id)``.  Both task
     lists sort by ``(value, -BL, id)``.
+
+    Raises :class:`~repro.exceptions.ScheduleError` for a schedule FLB did
+    not produce (only :func:`~repro.core.flb_array.flb_array` marks its
+    schedules): the rows of any other would describe no FLB run.
     """
+    if schedule._flb_prefer is None:
+        raise ScheduleError(
+            "flb_trace needs a schedule produced by FLB (flb or flb_array); "
+            "this one was built some other way"
+        )
     graph, machine = schedule.graph, schedule.machine
     n = graph.num_tasks
     bl = bottom_levels(graph)

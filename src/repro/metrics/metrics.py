@@ -166,12 +166,13 @@ def time_scheduler(
 
     The graph is frozen, and scheduled once untimed, before the timed runs.
     That first call memoizes the graph's bottom levels (and, for FLB, its
-    per-machine edge delays), so the timings — Fig. 2 and the
-    ``BENCH_sched.json`` throughput — exclude priority computation, which
-    the paper's ``O(V (log W + log P) + E)`` cost model includes.  What it
-    adds is bounded separately: FLB on a fresh graph costs at most 1.3x a
-    memoized run (the cold-graph ``perfgate`` in
-    ``tests/test_properties.py``; see EXPERIMENTS.md, Fig. 2).
+    per-machine edge delays), so the timings (Fig. 2, ``repro-sched
+    compare``) exclude priority computation, which the paper's
+    ``O(V (log W + log P) + E)`` cost model includes.  What it adds is
+    bounded separately: FLB on a fresh graph costs at most 1.3x a memoized
+    run (the cold-graph ``perfgate`` in ``tests/test_properties.py``; see
+    EXPERIMENTS.md, Fig. 2).  A request's whole cost, priorities included,
+    is perfbench's (``BENCHMARK.json``).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

@@ -119,7 +119,9 @@ def json_response(
     payload: Dict[str, Any],
     headers: Tuple[Tuple[str, str], ...] = (),
 ) -> Response:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    # Strict JSON (RFC 8259): a NaN or infinite number raises here, so the
+    # route answers 500 rather than send a body parsers reject.
+    body = (json.dumps(payload, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
     return Response(status=status, body=body, headers=headers)
 
 

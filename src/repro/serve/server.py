@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
@@ -519,8 +520,9 @@ def _result_payload(
         "algo": result.algo,
         "procs": result.procs,
         "num_tasks": result.num_tasks,
-        "makespan": result.makespan,
-        "speedup": result.speedup,
+        # A failed job has neither: JSON null, not NaN.
+        "makespan": result.makespan if math.isfinite(result.makespan) else None,
+        "speedup": result.speedup if math.isfinite(result.speedup) else None,
         "procs_used": result.procs_used,
         "seconds": result.seconds,
         "cached": result.cached,

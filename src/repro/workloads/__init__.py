@@ -7,6 +7,7 @@ from repro.workloads.fft import fft, fft_size_for_tasks
 from repro.workloads.gallery import paper_example, simple_diamond, two_chains
 from repro.workloads.laplace import laplace, laplace_size_for_tasks
 from repro.workloads.lu import lu, lu_chain, lu_size_for_tasks
+from repro.workloads.problems import PROBLEMS, build_problem
 from repro.workloads.random_dags import (
     chain,
     erdos_dag,
@@ -46,4 +47,6 @@ __all__ = [
     "paper_example",
     "simple_diamond",
     "two_chains",
+    "PROBLEMS",
+    "build_problem",
 ]

@@ -12,7 +12,6 @@ import pytest
 from repro import BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptions, schedule_graph
 from repro.api import schedule_graph_async
 from repro.batch import SCHEDULER_ERROR, BatchJob, schedule_many
-from repro.bench.perfgate import measure_throughput
 from repro.core import flb
 from repro.exceptions import SchedulerError
 from repro.graphstore import attach
@@ -246,8 +245,6 @@ class TestRemovedSettings:
             pytest.param(lambda **kw: schedule_graph(
                 paper_example(), SchedulingOptions(machine=MachineModel(2)), **kw),
                 "observer", id="schedule_graph-observer"),
-            pytest.param(measure_throughput, "include_seed",
-                         id="measure_throughput-include_seed"),
         ],
     )
     def test_removed_keyword_raises(self, build, removed):

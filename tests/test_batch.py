@@ -1,6 +1,7 @@
 """Batch scheduling front-end: serial/parallel agreement, error capture,
 timeouts, sweep integration, and the ``repro-sched batch`` command."""
 
+import json
 import math
 import time
 
@@ -37,6 +38,10 @@ def _sleepy_scheduler(graph, machine):
 
 def _broken_scheduler(graph, machine):
     raise RuntimeError("kaboom")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 class TestSerial:
@@ -183,6 +188,21 @@ class TestCli:
         assert code == 2
         assert captured.err.strip() == "bad machine: num_procs must be >= 1, got 0"
         assert captured.out == ""
+
+    def test_batch_json_is_strict_json_with_failures(self, capsys, monkeypatch):
+        # A failed job has no makespan or speedup: JSON null, never the NaN
+        # that RFC 8259 parsers reject.
+        monkeypatch.setitem(SCHEDULERS, "broken", _broken_scheduler)
+        code = main(
+            ["batch", "--problems", "lu", "--procs", "4", "8",
+             "--algos", "broken", "flb", "--tasks", "60", "--workers", "1", "--json"]
+        )
+        docs = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert code == 1
+        failed = [doc for doc in docs if doc["error"] is not None]
+        assert [doc["error_kind"] for doc in failed] == ["scheduler-error"] * 2
+        assert all(doc["makespan"] is None and doc["speedup"] is None for doc in failed)
+        assert all(doc["makespan"] > 0 for doc in docs if doc["error"] is None)
 
     def test_batch_command_timeout_exit_code(self, capsys, monkeypatch):
         # Infrastructure failures (timeout / worker-died) exit 2, not 1.

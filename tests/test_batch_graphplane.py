@@ -18,6 +18,7 @@ from repro.batch import (
     batch_stats,
     schedule_many,
 )
+from repro.bench.perfgate import paired_rounds
 from repro.cli import main
 from repro.graphstore import GraphStoreError
 from repro.machine.model import MachineModel
@@ -371,24 +372,17 @@ class TestCli:
         assert "0 keyed" in out
 
 
-#: Paired rounds of the keyed-vs-inline sweep perfgate.
-SWEEP_ROUNDS = 10
-
-
-def _best_jobs_per_s(fn, jobs, repeats=2):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return jobs / best
-
-
 def _bench_tasks(default=300):
     try:
         return int(os.environ.get("REPRO_BENCH_TASKS", default))
     except ValueError:
         return default
+
+
+def _pool_sweep_jobs(graph):
+    return [BatchJob(graph=graph, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
+            for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+            for a in ("flb", "fcp")]
 
 
 @pytest.mark.perfgate
@@ -404,26 +398,22 @@ def test_shared_graph_sweep_not_slower_than_inline():
     ~1.2x and a strict floor stays meaningful (see
     results/batch_payload.txt).
 
-    The two arms run back to back in each round (alternating which goes
-    first), and the verdict is ``keyed_jps >= inline_jps`` in the median
-    round: one sweep takes ~0.05-0.2 s and a shared host's speed changes
-    between runs, so arms timed in separate blocks, or each arm's best
-    sweep taken alone, let a change of host speed decide the verdict."""
-    g = lu(lu_size_for_tasks(max(_bench_tasks(), 800)), make_rng(0), ccr=1.0)
-    jobs = [BatchJob(graph=g, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
-            for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
-            for a in ("flb", "fcp")]
+    The verdict is ``inline time / keyed time >= 1`` in the median of
+    paired rounds (:func:`repro.bench.perfgate.paired_rounds`): one sweep
+    takes ~0.05-0.2 s and a shared host's speed changes between runs, so
+    arms timed in separate blocks, or each arm's best sweep taken alone,
+    let a change of host speed decide the verdict."""
+    jobs = _pool_sweep_jobs(
+        lu(lu_size_for_tasks(max(_bench_tasks(), 800)), make_rng(0), ccr=1.0)
+    )
     assert len(jobs) >= 20
-    share = {"inline": False, "keyed": True}
-    jps = {arm: [] for arm in share}
     captured = {}
-    for round_ in range(SWEEP_ROUNDS):
-        for arm in sorted(share, reverse=bool(round_ % 2)):
-            t0 = time.perf_counter()
-            captured[arm] = schedule_many(jobs, workers=2, share_graphs=share[arm])
-            jps[arm].append(len(jobs) / (time.perf_counter() - t0))
+    keyed_over_inline = sorted(inline / keyed for inline, keyed in paired_rounds(
+        lambda: captured.update(inline=schedule_many(jobs, workers=2, share_graphs=False)),
+        lambda: captured.update(keyed=schedule_many(jobs, workers=2, share_graphs=True)),
+        rounds=10,
+    ))
     assert _summaries(captured["inline"]) == _summaries(captured["keyed"])
-    keyed_over_inline = sorted(k / i for k, i in zip(jps["keyed"], jps["inline"]))
     assert statistics.median(keyed_over_inline) >= 1.0, keyed_over_inline
 
 
@@ -431,13 +421,10 @@ def test_shared_graph_sweep_not_slower_than_inline():
 def test_graph_plane_serving_beats_inline_2x():
     """The acceptance floor: serving a repeated-graph sweep (1 graph x >= 20
     jobs per pass, several passes) through the graph plane + result cache
-    achieves >= 2x the jobs/s of the old per-job inline-pickle path, with
-    bit-identical summaries; cache hits return in O(1) without dispatching
-    a worker."""
-    g = lu(lu_size_for_tasks(_bench_tasks()), make_rng(0), ccr=1.0)
-    jobs = [BatchJob(graph=g, machine=MachineModel(p), algo=a, tag=f"{p}/{a}")
-            for p in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
-            for a in ("flb", "fcp")]
+    achieves >= 2x the jobs/s of the old per-job inline-pickle path, in the
+    median of paired rounds, with bit-identical summaries; cache hits
+    return in O(1) without dispatching a worker."""
+    jobs = _pool_sweep_jobs(lu(lu_size_for_tasks(_bench_tasks()), make_rng(0), ccr=1.0))
     assert len(jobs) >= 20
     passes = 4
     captured = {}
@@ -454,8 +441,7 @@ def test_graph_plane_serving_beats_inline_2x():
             captured["stats"] = bs.stats()
         captured["new"] = out
 
-    old_jps = _best_jobs_per_s(run_old, passes * len(jobs))
-    new_jps = _best_jobs_per_s(run_new, passes * len(jobs))
+    new_over_old = sorted(old / new for old, new in paired_rounds(run_old, run_new, rounds=5))
 
     for old_pass, new_pass in zip(captured["old"], captured["new"]):
         assert _summaries(old_pass) == _summaries(new_pass)
@@ -463,4 +449,4 @@ def test_graph_plane_serving_beats_inline_2x():
     assert all(r.cached for batch in captured["new"][1:] for r in batch)
     assert captured["stats"]["dispatched"] == len(jobs)
     assert captured["stats"]["cache_hits"] == (passes - 1) * len(jobs)
-    assert new_jps >= 2.0 * old_jps, (new_jps, old_jps)
+    assert statistics.median(new_over_old) >= 2.0, new_over_old

@@ -514,11 +514,11 @@ def test_certify_within_kernel_time():
              for _ in range(rounds)]
         )
         certs = []
-        ratios = paired_rounds(
+        ratios = [cert / kernel for cert, kernel in paired_rounds(
             lambda: certs.extend(certify(s, "flb") for s in next(made)),
             lambda: [flb_array(g, machine=machine) for g in next(fresh)],
             rounds,
-        )
+        )]
         assert all(cert.ok for cert in certs), label
         ratio = statistics.median(ratios)
         assert ratio <= 1.0, (

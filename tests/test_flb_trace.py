@@ -11,10 +11,15 @@ iteration (``tests/flb_oracle.py``).
 import pytest
 
 from repro.bench.suite import paper_suite
+from repro.bench.warmstart import mutant
 from repro.core import flb, flb_trace, format_trace
+from repro.core.flb_array import flb_array
+from repro.exceptions import ScheduleError
 from repro.machine import MachineModel
+from repro.schedule import Schedule
+from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
-from repro.workloads import erdos_dag, paper_example
+from repro.workloads import erdos_dag, paper_example, stencil, stencil_size_for_tasks
 from tests.flb_oracle import TraceRecorder, flb_observed
 
 
@@ -180,3 +185,28 @@ def test_rows_match_the_lists_on_random_dags(procs, distribution):
         graph = erdos_dag(30, 0.15, make_rng(seed), ccr=2.0, distribution=distribution)
         for variant in ("clique", "speeds"):
             _assert_rows_match_the_lists(graph, MACHINES[variant](procs), seed % 2 == 0)
+
+
+class TestOnlyFlbSchedules:
+    """The rows describe an FLB run, so a schedule no FLB run made has none."""
+
+    def test_an_mcp_schedule_is_refused(self):
+        with pytest.raises(ScheduleError, match="produced by FLB"):
+            flb_trace(SCHEDULERS["mcp"](paper_example(), MachineModel(2)))
+
+    def test_an_empty_schedule_is_refused(self):
+        with pytest.raises(ScheduleError, match="produced by FLB"):
+            flb_trace(Schedule(paper_example(), MachineModel(2)))
+
+    def test_a_warm_started_schedule_still_traces(self):
+        """A warm start replays its base's clean prefix and runs FLB on the
+        rest: the schedule is FLB's, and its rows are the seed loop's."""
+        graph = stencil(*stencil_size_for_tasks(600), make_rng(7))
+        machine = MachineModel(4)
+        changed = mutant(graph, 0.01)
+        stats = {}
+        warm = flb_array(changed, machine, base=flb(graph, machine), warm_stats=stats)
+        assert stats.get("reused", 0) > 0, stats
+        recorder = TraceRecorder(changed)
+        flb_observed(changed, machine, recorder)
+        assert flb_trace(warm) == recorder.rows

@@ -38,8 +38,9 @@ from repro.serve import (
     route,
 )
 from repro.serve.admission import DEFAULT_SERVICE_ESTIMATE, EWMA_ALPHA
+from repro.serve.handlers import json_response
 from repro.util.rng import make_rng
-from repro.workloads import lu
+from repro.workloads import lu, paper_example
 
 
 def _graph():
@@ -685,6 +686,56 @@ class TestTenantLabels:
 
 
 # -- timeouts the service cannot enforce -------------------------------------
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+class TestStrictJson:
+    """Every reply is RFC 8259 JSON, a failed schedule's included: no NaN,
+    no Infinity (``json.loads`` reads both unless told otherwise)."""
+
+    def _post(self, base, payload):
+        req = urllib.request.Request(
+            base + "/v1/schedule", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        try:
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as err:
+            status, body = err.code, err.read()
+        return status, json.loads(body, parse_constant=_refuse_constant)
+
+    def test_a_failed_schedule_has_null_summary_numbers(self):
+        doc = json.loads(to_json(paper_example()))
+        with BackgroundServer(ServeConfig(port=0)) as srv:
+            status, reply = self._post(
+                f"http://{srv.host}:{srv.port}", {"graph": doc, "procs": 2, "algo": "bogus"}
+            )
+        assert status == 422 and reply["error_kind"] == "scheduler-error"
+        assert reply["makespan"] is None and reply["speedup"] is None
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_an_overflowing_schedule_is_refused(self, certify):
+        # Every weight is finite, so ingest accepts the graph; the sum of
+        # two is not, so the schedule's makespan overflows to infinity.
+        doc = json.loads(to_json(paper_example()))
+        for task in doc["tasks"]:
+            task["comp"] = 1e308
+        with BackgroundServer(ServeConfig(port=0)) as srv:
+            base = f"http://{srv.host}:{srv.port}"
+            replies = [self._post(base, {"graph": doc, "procs": 2, "certify": certify})
+                       for _ in range(2)]
+        for status, reply in replies:
+            assert status == 422 and reply["error_kind"] == "invalid-schedule"
+            assert reply["makespan"] is None and reply["speedup"] is None
+            assert not reply["cached"]  # a refused schedule is never cached
+
+    def test_a_non_finite_field_cannot_be_encoded(self):
+        with pytest.raises(ValueError):
+            json_response(200, {"makespan": float("inf")})
+
 
 class TestTimeoutRefusal:
     """The default runner runs each request inline, where no deadline can

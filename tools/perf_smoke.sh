@@ -1,7 +1,8 @@
 #!/bin/sh
-# Fast-path performance smoke: the perfgate-marked checks plus a small gate
-# run against the stored baseline.  Designed to finish in well under a
-# minute; see docs/performance.md and ROADMAP.md (tier-1).
+# Fast-path performance smoke: the perfgate-marked checks plus a brief
+# perfbench run of every workload checked against the perf ledger.
+# Designed to finish in about a minute; see docs/performance.md and
+# ROADMAP.md (tier-1).
 #
 # Usage: tools/perf_smoke.sh          (from the repo root)
 set -eu
@@ -23,20 +24,20 @@ export PYTHONPATH=src
 # 2x faster than the dict-path oracle on the V=120 suite at P=32, plus the
 # cold-graph budget: FLB on a graph fresh from from_json (V=2015 LU, V=2000
 # stencil, 20,000-task chain) costs at most 1.3x a run with its priorities
-# memoized.  The seed, ingest, certify and placement checks take the median
-# of paired rounds (repro.bench.perfgate.paired_rounds).
-python -m pytest -m perfgate -q benchmarks/bench_throughput.py tests/test_perf_gate.py \
+# memoized.  All but the warm-start floor take the median of paired rounds
+# (repro.bench.perfgate.paired_rounds).
+python -m pytest -m perfgate -q benchmarks/bench_throughput.py \
     tests/test_batch_graphplane.py tests/test_obs_overhead.py \
     benchmarks/bench_incremental.py tests/test_ingest.py \
     tests/test_certify_bulk.py tests/test_placement_csr.py \
     tests/test_properties.py -p no:cacheprovider
 
-# Throughput gate at smoke scale against the stored full-scale baseline.
-# Smoke graphs are ~7x smaller than the baseline's, so per-task overheads
-# differ; a generous tolerance catches collapses, not noise.  --no-write
-# keeps BENCH_sched.json recording full-scale numbers only.
-python benchmarks/perf_gate.py --tasks 300 --seeds 1 --repeats 1 \
-    --tolerance 0.6 --no-write
+# Every BENCHMARK.json workload, run briefly through perfbench, against the
+# newest record of it in benchmarks/ledger.json: exit 1 when an end-to-end
+# metric is worse by more than its bound.  The fresh records land in
+# results/ so CI can upload them.
+mkdir -p results
+python benchmarks/perf_gate.py > results/perfbench-smoke.jsonl
 
 # Optional verification pass (REPRO_SMOKE_CERTIFY=1): lint the smoke
 # workloads and re-certify the fast path's schedules against the
@@ -58,7 +59,6 @@ fi
 # JSONL trace must be well-formed (parse_prometheus/read_trace raise on any
 # malformed output), and the trace must render through `repro-sched report`.
 # Artifacts land in results/ so CI can upload them.
-mkdir -p results
 python -m repro.cli batch --problems lu stencil --procs 4 8 --algos flb fcp \
     --tasks 300 --workers 2 \
     --metrics-out results/metrics.prom --trace-out results/trace.jsonl
