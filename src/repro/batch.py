@@ -46,8 +46,8 @@ at all — schedulers are deterministic, so cache hits are exact.
 :class:`BatchScheduler` bundles both into a long-lived serving front-end.
 
 ``repro-sched batch`` exposes this on the command line, and
-:func:`repro.bench.runner.run_sweep` uses it to parallelize the quality
-figures (Figs. 3/4) when asked for ``workers > 1``.
+:func:`repro.bench.runner.run_sweep` runs every sweep through it, in
+parallel when asked for ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, cast,
 )
 
-from repro.api import SchedulingOptions
-from repro.exceptions import SchedulerError
+from repro.api import SchedulingOptions, check_schedule, compute_schedule
+from repro.exceptions import InvalidScheduleError, SchedulerError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 from repro.obs.instruments import record_warm_start
@@ -96,7 +96,7 @@ INLINE_ONESHOT_MAX = 512
 TIMEOUT = "timeout"                    # exceeded the per-job execution budget
 WORKER_DIED = "worker-died"            # worker killed/crashed; retries exhausted
 SCHEDULER_ERROR = "scheduler-error"    # the scheduling algorithm raised
-INVALID_SCHEDULE = "invalid-schedule"  # schedule failed validation / degenerate
+INVALID_SCHEDULE = "invalid-schedule"  # refused by the check step / degenerate
 ERROR_KINDS = (TIMEOUT, WORKER_DIED, SCHEDULER_ERROR, INVALID_SCHEDULE)
 
 
@@ -240,22 +240,24 @@ def _run_job(
 
     Top-level so worker processes can import it; exceptions are rendered to
     strings here because traceback objects do not cross process boundaries.
-    A raising scheduler is a ``scheduler-error``; a schedule whose makespan
-    is not finite, or that fails validation or certification (or is too
-    degenerate to summarize), is ``invalid-schedule``.  With ``measure``
+    The schedule comes from :func:`repro.api.compute_schedule` and passes
+    :func:`repro.api.check_schedule`, the two steps every entry point
+    takes.  A raising scheduler is a ``scheduler-error``; a schedule the
+    check refuses (a non-finite makespan, a failed validation or
+    certificate), or whose summary is degenerate or overflows (a
+    non-finite speedup), is ``invalid-schedule``.  With ``measure``
     (metrics enabled), per-phase durations are captured into
     :attr:`BatchResult.phases` — two extra clock reads per phase, nothing
     more.
 
-    With ``warm_start``, FLB jobs consult the process-global
-    :func:`repro.incremental.base_cache` (preferring
-    ``job.base_fingerprint``) for a base schedule to replay, and publish
-    their own result there afterwards.  On the pool path each worker
-    process keeps its own base cache, warming up as it serves; the inline
-    path (single jobs, the serving front-end) shares the supervisor's.
+    With ``warm_start``, FLB jobs look ``job.base_fingerprint`` up in the
+    process-global :func:`repro.incremental.base_cache` for a base
+    schedule to replay, and publish their own result there afterwards.  On
+    the pool path each worker process keeps its own base cache, warming up
+    as it serves; the inline path (single jobs, the serving front-end)
+    shares the supervisor's.
     """
     from repro.metrics.metrics import speedup as speedup_of
-    from repro.schedulers import get_scheduler
 
     phases: Optional[Dict[str, float]] = {} if measure else None
     t0 = time.perf_counter()
@@ -274,26 +276,11 @@ def _run_job(
                 "SchedulingOptions(machine=...) for the batch"
             )
         t_sched = time.perf_counter()
-        warm: Optional[Dict[str, Any]] = None
-        if job.algo == "flb":
-            from repro.core.flb_array import flb_array
-
-            base = None
-            if warm_start:
-                from repro.incremental import base_cache
-
-                base = base_cache().get(job.base_fingerprint)
-                warm = {}
-            schedule = flb_array(
-                job.graph, eff_machine, base=base, warm_stats=warm,
-            )
-            if warm_start:
-                from repro.incremental import base_cache
-
-                base_cache().put(job.graph.fingerprint(), schedule)
-        else:
-            scheduler = get_scheduler(job.algo)
-            schedule = scheduler(job.graph, machine=eff_machine)
+        warm: Optional[Dict[str, Any]] = {} if warm_start else None
+        schedule = compute_schedule(
+            job.graph, eff_machine, job.algo, warm_start=warm_start,
+            base_key=job.base_fingerprint, warm_stats=warm,
+        )
         if phases is not None:
             phases["schedule"] = time.perf_counter() - t_sched
     except Exception:
@@ -302,59 +289,37 @@ def _run_job(
             SCHEDULER_ERROR, phases=phases,
         )
     try:
-        if not math.isfinite(schedule.makespan):
-            # Finite weights can still overflow (comps near 1e308): such a
-            # schedule is refused whatever validate and certify would say,
-            # so no reply carries an infinite makespan and no cache holds one.
-            return _failed_result(
-                job, time.perf_counter() - t0,
-                f"makespan {schedule.makespan} is not finite", INVALID_SCHEDULE,
-                phases=phases,
-            )
-        if validate:
-            schedule.validate()
-        certified = False
-        if certify:
-            from repro.verify.certify import certify as certify_schedule
-            from repro.verify.certify import greedy_flavor
-
-            t_cert = time.perf_counter()
-            cert = certify_schedule(schedule, flavor=greedy_flavor(job.algo))
-            if phases is not None:
-                phases["certify"] = time.perf_counter() - t_cert
-            if not cert.ok:
-                detail = "; ".join(
-                    f"{v.code} {v.message}" for v in cert.violations[:5]
-                )
-                more = (
-                    f" (+{len(cert.violations) - 5} more)"
-                    if len(cert.violations) > 5 else ""
-                )
-                return _failed_result(
-                    job, time.perf_counter() - t0,
-                    f"certification failed: {detail}{more}",
-                    INVALID_SCHEDULE, phases=phases,
-                )
-            certified = True
+        t_cert = time.perf_counter()
+        check_schedule(schedule, job.algo, validate=validate, certify=certify)
+        if phases is not None and certify:
+            phases["certify"] = time.perf_counter() - t_cert
+        speedup = speedup_of(schedule)
+        if not math.isfinite(speedup):
+            # The serial time can overflow where the makespan does not
+            # (independent comps near 1e308): no reply carries the infinite
+            # speedup and no cache holds it.
+            raise InvalidScheduleError(f"speedup {speedup} is not finite")
         return BatchResult(
             tag=job.tag,
             algo=job.algo,
             procs=schedule.num_procs,
             num_tasks=job.graph.num_tasks,
             makespan=schedule.makespan,
-            speedup=speedup_of(schedule),
+            speedup=speedup,
             procs_used=schedule.num_procs_used(),
             seconds=time.perf_counter() - t0,
             error=None,
-            certified=certified,
+            certified=certify,
             phases=phases,
             warm=warm or None,
         )
+    except InvalidScheduleError as exc:
+        error = str(exc)
     except Exception:
-        return _failed_result(
-            job, time.perf_counter() - t0, traceback.format_exc(limit=8),
-            INVALID_SCHEDULE, phases=phases,
-        )
+        error = traceback.format_exc(limit=8)
+    return _failed_result(
+        job, time.perf_counter() - t0, error, INVALID_SCHEDULE, phases=phases,
+    )
 
 
 def _run_packed(
@@ -435,15 +400,16 @@ def schedule_many(
           :class:`BatchResult` and every other job still completes.
           Ignored when running inline (a hung job would hang the caller's
           own process either way — use ``workers >= 2`` for containment).
-        * ``validate`` — re-check every produced schedule from first
-          principles (:meth:`~repro.schedule.Schedule.validate`) inside
-          the worker; a violation is reported as ``invalid-schedule``.
+        * ``validate`` — re-check every produced schedule's structural
+          invariants inside the worker; a violation is reported as
+          ``invalid-schedule``.
         * ``certify`` — run the full independent checker
           (:func:`repro.verify.certify`) on every produced schedule inside
           the worker, including the FLB/ETF greedy certificate where the
-          algorithm owes one.  A failed certificate is reported as
-          ``invalid-schedule`` with the violation codes in ``error``;
-          passing results carry ``certified=True``.  The result cache
+          algorithm owes one; it subsumes ``validate``.  A failed
+          certificate is reported as ``invalid-schedule`` with the
+          violation codes in ``error``; passing results carry
+          ``certified=True``.  The result cache
           refuses to store uncertified entries when this is on (and
           ``certify`` is part of the cache key, so certified and
           uncertified answers never mix).

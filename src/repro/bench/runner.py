@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.api import SchedulingOptions
 from repro.bench.suite import Instance
 from repro.machine.model import MachineModel
-from repro.metrics.metrics import speedup, time_scheduler
-from repro.resultcache import ResultCache
+from repro.metrics.metrics import time_scheduler
 from repro.schedulers import SCHEDULERS
 
 __all__ = ["RunRecord", "run_sweep", "group_mean"]
@@ -41,105 +41,56 @@ def run_sweep(
     algorithms: Sequence[str],
     procs_list: Sequence[int],
     measure_time: bool = False,
-    time_repeats: int = 3,
     validate: bool = False,
     workers: int = 1,
-    timeout: Optional[float] = None,
-    result_cache: Optional["ResultCache"] = None,
 ) -> List[RunRecord]:
     """Run every algorithm on every instance at every processor count.
 
-    With ``workers > 1`` the (instance, algorithm, P) jobs fan out across
-    supervised worker processes via :func:`repro.batch.schedule_many` —
-    except when ``measure_time`` is set: timing must stay serial in this
-    process, or the measurements would contend for cores and each other's
-    caches.  ``timeout`` is a per-job execution budget (seconds, measured
-    from execution start); a hung scheduler is killed rather than stalling
-    the sweep.  A job failure (any ``BatchResult.error``) raises with the
-    failure's ``error_kind``, matching the serial path where scheduler
-    exceptions propagate.  ``timeout`` is ignored on the serial path.
-
-    ``result_cache`` (a :class:`repro.resultcache.ResultCache`) is consulted
-    on the parallel path before any job is dispatched: sweeps over
-    overlapping (graph, algorithm, P) grids — re-runs, refinement passes —
-    answer repeated cells in O(1) from the cache, with bit-identical
-    quality numbers (schedulers are deterministic).  Inspect the cache's
-    ``hits``/``misses``/``evictions`` counters (or ``.stats()``) afterwards
-    for the serving accounting.
+    The (instance, algorithm, P) jobs go through
+    :func:`repro.batch.schedule_many`, across ``workers`` supervised
+    processes — except when ``measure_time`` is set: timing must stay
+    serial in this process, or the measurements would contend for cores
+    and each other's caches, so the jobs run inline and each cell is then
+    timed with :func:`repro.metrics.time_scheduler`.  A job failure (any
+    ``BatchResult.error``) raises with the failure's ``error_kind``.
     """
+    # The batch plane loads on first use, not with the CLI.
+    from repro.batch import BatchJob, schedule_many
+
     unknown = [a for a in algorithms if a not in SCHEDULERS]
     if unknown:
         raise ValueError(f"unknown algorithms: {unknown}")
-    instances = list(instances)
-
-    if workers > 1 and not measure_time:
-        from repro.api import SchedulingOptions
-        from repro.batch import BatchJob, schedule_many
-
-        machines = [MachineModel(procs) for procs in procs_list]
-        jobs = []
-        meta = []
-        for inst in instances:
-            for machine in machines:
-                for algo in algorithms:
-                    jobs.append(
-                        BatchJob(graph=inst.graph, machine=machine, algo=algo,
-                                 tag=inst.problem)
-                    )
-                    meta.append(inst)
-        results = schedule_many(
-            jobs, workers=workers,
-            options=SchedulingOptions(timeout=timeout, validate=validate),
-            cache=result_cache,
-        )
-        records = []
-        for inst, res in zip(meta, results):
-            if not res.ok:
-                raise RuntimeError(
-                    f"{res.algo} on {inst.problem} (P={res.procs}) failed "
-                    f"({res.error_kind}):\n{res.error}"
-                )
-            records.append(
-                RunRecord(
-                    problem=inst.problem,
-                    ccr=inst.ccr,
-                    seed_index=inst.seed_index,
-                    algorithm=res.algo,
-                    procs=res.procs,
-                    makespan=res.makespan,
-                    speedup=res.speedup,
-                    seconds=None,
-                )
-            )
-        return records
-
+    machines = [MachineModel(procs) for procs in procs_list]
+    cells = [
+        (inst, BatchJob(graph=inst.graph, machine=machine, algo=algo, tag=inst.problem))
+        for inst in instances for machine in machines for algo in algorithms
+    ]
+    results = schedule_many(
+        [job for _inst, job in cells], workers=1 if measure_time else workers,
+        options=SchedulingOptions(validate=validate),
+    )
     records: List[RunRecord] = []
-    for inst in instances:
-        for procs in procs_list:
-            machine = MachineModel(procs)
-            for algo in algorithms:
-                scheduler = SCHEDULERS[algo]
-                schedule = scheduler(inst.graph, machine=machine)
-                if validate:
-                    schedule.validate()
-                seconds = (
-                    time_scheduler(scheduler, inst.graph, machine=machine,
-                                   repeats=time_repeats)
-                    if measure_time
-                    else None
-                )
-                records.append(
-                    RunRecord(
-                        problem=inst.problem,
-                        ccr=inst.ccr,
-                        seed_index=inst.seed_index,
-                        algorithm=algo,
-                        procs=procs,
-                        makespan=schedule.makespan,
-                        speedup=speedup(schedule),
-                        seconds=seconds,
-                    )
-                )
+    for (inst, job), res in zip(cells, results):
+        if not res.ok:
+            raise RuntimeError(
+                f"{res.algo} on {inst.problem} (P={res.procs}) failed "
+                f"({res.error_kind}):\n{res.error}"
+            )
+        records.append(
+            RunRecord(
+                problem=inst.problem,
+                ccr=inst.ccr,
+                seed_index=inst.seed_index,
+                algorithm=res.algo,
+                procs=res.procs,
+                makespan=res.makespan,
+                speedup=res.speedup,
+                seconds=(
+                    time_scheduler(SCHEDULERS[job.algo], inst.graph, job.machine)
+                    if measure_time else None
+                ),
+            )
+        )
     return records
 
 

@@ -39,12 +39,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
 
+from repro.api import SchedulingOptions, compute_schedule, schedule_graph
 from repro.bench.experiments import EXPERIMENTS, to_json
 from repro.core import flb, format_trace
 from repro.graph import TaskGraph, load_json, save_json, width
 from repro.machine.model import MachineModel
 from repro.metrics import summarize, time_scheduler
-from repro.schedule import Schedule, render_gantt
+from repro.schedule import render_gantt
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
@@ -61,15 +62,6 @@ def _resolve_graph(args: argparse.Namespace) -> TaskGraph:
     if getattr(args, "graph", None):
         return load_json(args.graph)
     return _build_problem(args.problem, args.tasks, args.ccr, args.seed)
-
-
-def _run_algorithm(algo: str, graph: TaskGraph, machine: MachineModel) -> Schedule:
-    """Run ``algo`` on ``machine``."""
-    if algo == "flb":
-        from repro.core.flb_array import flb_array
-
-        return flb_array(graph, machine)
-    return SCHEDULERS[algo](graph, machine)
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -408,8 +400,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     machine = _machine_from_args(args, args.procs)
-    schedule = _run_algorithm(args.algo, graph, machine)
-    schedule.validate()
+    schedule = schedule_graph(
+        graph, SchedulingOptions(machine=machine, algorithm=args.algo, validate=True)
+    )
     machine_note = ", heterogeneous" if machine.is_heterogeneous else ""
     print(
         f"{args.algo} on P={args.procs}: makespan {schedule.makespan:g} "
@@ -635,7 +628,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
               file=sys.stderr)
     reg = _obs_registry(args)
     t_sched = _time.perf_counter()
-    schedule = _run_algorithm(args.algo, graph, machine)
+    schedule = compute_schedule(graph, machine, args.algo)
     t0 = _time.perf_counter()
     cert = certify(schedule, flavor=greedy_flavor(args.algo))
     elapsed = _time.perf_counter() - t0
@@ -706,7 +699,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     precedence over 1."""
     import time as _time
 
-    from repro.api import SchedulingOptions
     from repro.batch import (
         TIMEOUT,
         WORKER_DIED,
@@ -820,7 +812,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Exit codes: 0 = clean drain after SIGTERM/SIGINT, 2 = bad flags
     (including ``--timeout``, which the service cannot enforce)."""
-    from repro.api import SchedulingOptions
     from repro.serve import ServeConfig, UnenforceableTimeoutError, serve
 
     weights = {}

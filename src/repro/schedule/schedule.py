@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.exceptions import InvalidScheduleError, ScheduleError
+from repro.exceptions import ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.model import MachineModel
 
@@ -442,12 +442,15 @@ class Schedule:
         return [v.message for v in certify(self).violations]
 
     def validate(self) -> "Schedule":
-        """Raise :class:`InvalidScheduleError` on any violation; else return self."""
-        problems = self.violations()
-        if problems:
-            detail = "; ".join(problems[:5])
-            more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-            raise InvalidScheduleError(f"invalid schedule: {detail}{more}")
+        """Raise :class:`~repro.exceptions.InvalidScheduleError` on any
+        violation; else return self.
+
+        The message is the one every entry point's check raises
+        (:meth:`repro.verify.Certificate.raise_if_invalid`).
+        """
+        from repro.verify.certify import certify
+
+        certify(self).raise_if_invalid()
         return self
 
     # -- rendering ---------------------------------------------------------------

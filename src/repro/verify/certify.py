@@ -97,6 +97,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from repro.exceptions import InvalidScheduleError
 from repro.machine.model import MachineModel
 from repro.schedule.schedule import Schedule
 
@@ -164,6 +165,16 @@ class Certificate:
 
     def codes(self) -> Tuple[str, ...]:
         return tuple(v.code for v in self.violations)
+
+    def raise_if_invalid(self) -> None:
+        """Raise :class:`~repro.exceptions.InvalidScheduleError` naming the
+        first five violations, if there are any."""
+        if self.violations:
+            detail = "; ".join(f"{v.code} {v.message}" for v in self.violations[:5])
+            more = len(self.violations) - 5
+            raise InvalidScheduleError(
+                f"invalid schedule: {detail}" + (f" (+{more} more)" if more > 0 else "")
+            )
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -3,18 +3,22 @@ points accept the same options object, the ``machine=`` override of
 :func:`repro.schedule_graph` wins over ``options.machine``, and the
 removed legacy keywords are rejected."""
 
-import asyncio
 import dataclasses
+import sys
 import warnings
 
 import pytest
 
-from repro import BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptions, schedule_graph
-from repro.api import schedule_graph_async
+from repro import (
+    BatchScheduler, MachineModel, MetricsRegistry, SchedulingOptions, TaskGraph, schedule_graph,
+)
 from repro.batch import SCHEDULER_ERROR, BatchJob, schedule_many
+from repro.bench.runner import run_sweep
+from repro.bench.suite import Instance
 from repro.core import flb
-from repro.exceptions import SchedulerError
+from repro.exceptions import InvalidScheduleError, SchedulerError
 from repro.graphstore import attach
+from repro.schedulers import SCHEDULERS
 from repro.serve import AdmissionController, ServeConfig, WeightedFairQueue
 from repro.util.rng import make_rng
 from repro.workerpool import run_supervised
@@ -94,6 +98,41 @@ class TestScheduleGraph:
         )
         assert s.makespan > 0
 
+    def test_overflowing_makespan_is_refused(self):
+        # Each weight is finite, so the graph is accepted; the chain's
+        # finish time is not.  A batch refuses this schedule, and so does
+        # the in-process call, with neither validate nor certify set.
+        chain = TaskGraph()
+        chain.add_task(1e308)
+        chain.add_task(1e308)
+        chain.add_edge(0, 1, 0.0)
+        with pytest.raises(InvalidScheduleError, match="makespan inf is not finite"):
+            schedule_graph(chain, SchedulingOptions(machine=MachineModel(2)))
+        (res,) = schedule_many([BatchJob(graph=chain, machine=MachineModel(2))], workers=1)
+        assert res.error_kind == "invalid-schedule"
+        assert "makespan inf is not finite" in res.error
+
+    def test_validate_and_certify_run_the_structural_pass_once(self, graph, monkeypatch):
+        # ``repro.verify.certify`` as an attribute is the function, so the
+        # module comes from sys.modules.
+        certify_module = sys.modules["repro.verify.certify"]
+        structural = certify_module._structural_violations
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return structural(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "_structural_violations", counted)
+        opts = SchedulingOptions(machine=MachineModel(4), validate=True, certify=True)
+        schedule_graph(graph, opts)
+        assert len(calls) == 1
+        calls.clear()
+        (res,) = schedule_many([BatchJob(graph=graph, machine=MachineModel(4))],
+                               workers=1, options=opts)
+        assert res.ok and res.certified
+        assert len(calls) == 1
+
     def test_metrics_records_kernel_span(self, graph):
         reg = MetricsRegistry()
         schedule_graph(graph, SchedulingOptions(machine=MachineModel(4),
@@ -120,13 +159,6 @@ class TestMachineOverride:
         assert schedule.machine is override
         direct = schedule_graph(graph, dataclasses.replace(opts, machine=override))
         assert schedule.makespan == direct.makespan
-
-    @pytest.mark.parametrize("override", OVERRIDES, ids=["homog8", "hetero3"])
-    @pytest.mark.parametrize("algo", ["flb", "etf"])
-    def test_async_keyword_overrides_options_machine(self, graph, algo, override):
-        opts = SchedulingOptions(machine=MachineModel(4), algorithm=algo)
-        schedule = asyncio.run(schedule_graph_async(graph, opts, machine=override))
-        assert schedule.machine is override
 
     def test_missing_machine_is_scheduler_error(self, graph):
         with pytest.raises(SchedulerError):
@@ -200,14 +232,23 @@ class TestBatchScheduler:
 class TestCrossEntryPointAgreement:
     def test_same_options_same_schedule(self):
         graph = stencil(5, 4, make_rng(3), ccr=0.5)
-        opts = SchedulingOptions(machine=MachineModel(4), algorithm="flb")
-        direct = schedule_graph(graph, opts)
-        (via_many,) = schedule_many(
-            [BatchJob(graph=graph, machine=MachineModel(4))], workers=1
-        )
-        with BatchScheduler(workers=1) as bs:
-            (via_bs,) = bs.run([BatchJob(graph=graph, machine=MachineModel(4))])
-        assert direct.makespan == via_many.makespan == via_bs.makespan
+        for machine in (MachineModel(4), MachineModel(3, speeds=(2.0, 1.0, 0.5))):
+            for algo in sorted(SCHEDULERS):
+                case = (algo, machine)
+                opts = SchedulingOptions(algorithm=algo, certify=True)
+                direct = schedule_graph(graph, opts, machine=machine)
+                job = BatchJob(graph=graph, machine=machine, algo=algo)
+                (via_many,) = schedule_many([job], workers=1, options=opts)
+                with BatchScheduler(workers=1, options=opts) as bs:
+                    (via_bs,) = bs.run([job])
+                assert via_many.certified and via_bs.certified, case
+                assert direct.makespan == via_many.makespan == via_bs.makespan, case
+                if not machine.is_heterogeneous:
+                    # A sweep names its machines by processor count.
+                    (record,) = run_sweep(
+                        [Instance("stencil", 0.5, 0, graph)], [algo], [machine.num_procs]
+                    )
+                    assert record.makespan == direct.makespan, case
 
 
 def _square(x):
@@ -245,6 +286,12 @@ class TestRemovedSettings:
             pytest.param(lambda **kw: schedule_graph(
                 paper_example(), SchedulingOptions(machine=MachineModel(2)), **kw),
                 "observer", id="schedule_graph-observer"),
+            pytest.param(lambda **kw: run_sweep([], ["flb"], [2], **kw),
+                         "timeout", id="run_sweep-timeout"),
+            pytest.param(lambda **kw: run_sweep([], ["flb"], [2], **kw),
+                         "result_cache", id="run_sweep-result_cache"),
+            pytest.param(lambda **kw: run_sweep([], ["flb"], [2], **kw),
+                         "time_repeats", id="run_sweep-time_repeats"),
         ],
     )
     def test_removed_keyword_raises(self, build, removed):

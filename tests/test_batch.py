@@ -12,7 +12,9 @@ from repro.batch import BatchJob, BatchResult, batch_throughput, schedule_many
 from repro.bench.runner import run_sweep
 from repro.bench.suite import paper_suite
 from repro.cli import main
+from repro.graph import TaskGraph
 from repro.machine import MachineModel
+from repro.resultcache import ResultCache
 from repro.schedulers import SCHEDULERS
 from repro.util.rng import make_rng
 from repro.workloads import layered_random, lu, stencil
@@ -79,6 +81,24 @@ class TestSerial:
                                options=SchedulingOptions(validate=True))
         assert res.ok
 
+    def test_overflowing_speedup_is_refused(self):
+        # One comp-1e308 task per processor: the makespan is finite and the
+        # schedule certifies, but the serial time, and so the speedup, is
+        # not.  The result is refused and never cached.
+        g = TaskGraph()
+        g.add_task(1e308)
+        g.add_task(1e308)
+        cache = ResultCache(4)
+        for _ in range(2):
+            (res,) = schedule_many([BatchJob(graph=g, machine=MachineModel(2))],
+                                   workers=1, options=SchedulingOptions(certify=True),
+                                   cache=cache)
+            assert not res.ok and not res.certified and not res.cached
+            assert res.error_kind == "invalid-schedule"
+            assert "speedup inf is not finite" in res.error
+            assert math.isnan(res.makespan) and math.isnan(res.speedup)
+        assert len(cache) == 0
+
 
 class TestParallel:
     def test_parallel_matches_serial(self):
@@ -142,9 +162,7 @@ class TestSweepIntegration:
     def test_measure_time_stays_serial(self):
         # Timed sweeps ignore workers (measurements must not contend).
         instances = paper_suite(60, seeds=1, ccrs=(1.0,), problems=("lu",))
-        records = run_sweep(
-            instances, ["flb"], (2,), measure_time=True, time_repeats=1, workers=4
-        )
+        records = run_sweep(instances, ["flb"], (2,), measure_time=True, workers=4)
         assert all(r.seconds is not None for r in records)
 
 

@@ -101,7 +101,7 @@ class TestRunner:
 
     def test_sweep_with_timing(self):
         suite = paper_suite(100, seeds=1, problems=("fft",), ccrs=(1.0,))
-        records = run_sweep(suite, ["flb"], (2,), measure_time=True, time_repeats=1)
+        records = run_sweep(suite, ["flb"], (2,), measure_time=True)
         assert all(r.seconds is not None and r.seconds > 0 for r in records)
 
     def test_sweep_rejects_unknown(self):

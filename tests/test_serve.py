@@ -24,6 +24,7 @@ import pytest
 from repro.api import SchedulingOptions
 from repro.batch import BatchResult, BatchScheduler
 from repro.cli import main
+from repro.graph import TaskGraph
 from repro.graph.io import to_json
 from repro.obs import parse_prometheus
 from repro.serve import (
@@ -731,6 +732,22 @@ class TestStrictJson:
             assert status == 422 and reply["error_kind"] == "invalid-schedule"
             assert reply["makespan"] is None and reply["speedup"] is None
             assert not reply["cached"]  # a refused schedule is never cached
+
+    def test_an_overflowing_speedup_is_refused(self):
+        # Two independent comp-1e308 tasks on two processors: the makespan
+        # is finite, the serial time in the speedup is not.
+        graph = TaskGraph()
+        graph.add_task(1e308)
+        graph.add_task(1e308)
+        doc = json.loads(to_json(graph))
+        with BackgroundServer(ServeConfig(port=0)) as srv:
+            base = f"http://{srv.host}:{srv.port}"
+            replies = [self._post(base, {"graph": doc, "procs": 2, "certify": True})
+                       for _ in range(2)]
+        for status, reply in replies:
+            assert status == 422 and reply["error_kind"] == "invalid-schedule"
+            assert reply["makespan"] is None and reply["speedup"] is None
+            assert not reply["cached"]
 
     def test_a_non_finite_field_cannot_be_encoded(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,9 @@
 #   * register a generated graph, then schedule it by fingerprint;
 #   * schedule the same graph inline with certify (same makespan), and get
 #     a 400 for an inline graph with a non-integer edge endpoint;
+#   * an inline graph whose schedule overflows (two independent comp-1e308
+#     tasks: the speedup is infinite) is a 422 invalid-schedule, and is
+#     not cached when sent again;
 #   * N identical concurrent requests collapse to ONE computation
 #     (in-flight coalescing + result cache — every response agrees on the
 #     makespan);
@@ -89,6 +92,15 @@ bad = json.loads(json.dumps(doc))
 bad["edges"][0]["src"] = 0.5
 status, err, _ = post("/v1/schedule", {"graph": bad, "procs": 4})
 assert status == 400, (status, err)
+
+# -- an overflowing schedule is a 422, and is never cached -------------------
+overflow = {"format": "repro-taskgraph", "version": 1, "edges": [],
+            "tasks": [{"id": t, "comp": 1e308} for t in range(2)]}
+for _ in range(2):
+    status, err, _ = post("/v1/schedule", {"graph": overflow, "procs": 2})
+    assert status == 422, (status, err)
+    assert err["error_kind"] == "invalid-schedule", err
+    assert not err["cached"], err
 
 # -- coalescing: N identical concurrent requests, ONE computation ------------
 # The first in-flight request computes; overlapping duplicates attach to its
